@@ -23,7 +23,6 @@ from .probabilities import (
     NegativeProbabilityError,
     ScenarioMismatchError,
     UnsupportedScenarioError,
-    closed_form_probability,
     correlation_tensor,
     noisy_tensor,
 )
@@ -34,11 +33,9 @@ from .simplex import (
     SolverFailure,
     SolverOptions,
     certified_lower_bound,
-    dual_residual,
     dump_lp_text,
     independent_rows,
     parse_lp_text,
-    simplex_backend,
     solve_lp,
 )
 from .threshold import (
@@ -58,7 +55,6 @@ from .search import (
     ParameterVector,
     encode,
     nelder_mead,
-    objective,
     optimize_phases,
     optimize_state_and_phases,
 )
@@ -68,12 +64,10 @@ from .scenario_io import (
     ScenarioFile,
     ScenarioFileError,
     explicit_settings_spec,
-    explicit_state_spec,
     format_angle,
     load_scenario_file,
     parse_angle,
     parse_scenario_file,
-    save_scenario_file,
     serialize_scenario_file,
 )
 from .reports import (

@@ -1,8 +1,8 @@
 """Quantum outcome probabilities for all setting combinations, plus noise.
 
 The production path contracts each party's multiport unitary into the state
-coefficient tensor and works for any (parties, dim). The explicit three-qutrit
-cosine expansion is kept as an independent cross-check of that path.
+coefficient tensor and works for any (parties, dim). The tests cross-check it
+against the explicit three-qutrit cosine expansion.
 """
 
 from __future__ import annotations
@@ -103,52 +103,6 @@ def correlation_tensor(state: PureState, settings: PhaseSettings) -> Correlation
     expr, path = _contraction_plan(n, m, d)
     amp = np.einsum(expr, *unitaries, state.tensor.astype(complex), optimize=path)
     return CorrelationTensor(sc, np.abs(amp) ** 2)
-
-
-def closed_form_probability(
-    state: PureState,
-    settings: PhaseSettings,
-    setting_combo: tuple[int, int, int],
-    outcomes: tuple[int, int, int],
-) -> float:
-    """Three-qutrit probability from the explicit cosine double sum.
-
-    Cross-check oracle only: 1/27 plus (1/27) * sum over ordered coefficient
-    pairs of d_x d_y cos(angle difference), where the angle collects the
-    Fourier term (2*pi/3) * sum_p outcome_p * (label_p - label_p') and the
-    phase-setting differences. Equivalent to the real part of the coherent
-    double sum because the coefficients are real.
-    """
-    sc = state.scenario
-    if (sc.parties, sc.dim) != (3, 3):
-        raise UnsupportedScenarioError(
-            f"closed form is defined for 3 qutrits only, got {sc}"
-        )
-    k, l, mm = setting_combo
-    a, b, c = outcomes
-    for s in (k, l, mm):
-        if not 0 <= s < sc.settings_per_party:
-            raise ValueError(f"setting index {s} out of range")
-    for o in (a, b, c):
-        if not 0 <= o < 3:
-            raise ValueError(f"outcome {o} out of range")
-
-    labels = np.arange(3)
-    g, i, j = np.meshgrid(labels, labels, labels, indexing="ij")
-    g, i, j = g.ravel(), i.ravel(), j.ravel()
-    phi = settings.table[0, k]
-    chi = settings.table[1, l]
-    delta = settings.table[2, mm]
-    # total phase of each basis ket's amplitude (up to a row-dependent term
-    # that cancels between the pair members)
-    theta = (
-        (2.0 * np.pi / 3.0) * (a * g + b * i + c * j)
-        + phi[g] + chi[i] + delta[j]
-    )
-    coeffs = state.coeffs
-    # full double sum: the diagonal contributes sum(d^2)/27 = 1/27
-    val = (np.outer(coeffs, coeffs) * np.cos(np.subtract.outer(theta, theta))).sum() / 27.0
-    return float(val)
 
 
 def noisy_tensor(tensor: CorrelationTensor, noise_fraction: float) -> CorrelationTensor:

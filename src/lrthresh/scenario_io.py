@@ -247,15 +247,6 @@ def load_scenario_file(path: str | Path) -> ScenarioFile:
     return parse_scenario_file(text)
 
 
-def save_scenario_file(sf: ScenarioFile, path: str | Path) -> None:
-    Path(path).write_text(serialize_scenario_file(sf))
-
-
-def explicit_state_spec(state: PureState) -> list[float]:
-    """The coefficient-list form, for writing states found by optimization."""
-    return [float(c) for c in state.coeffs]
-
-
 def explicit_settings_spec(settings: PhaseSettings) -> list[list[list]]:
     """The nested-table form with angles rendered as pi fractions when exact."""
     return [

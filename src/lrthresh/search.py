@@ -134,17 +134,6 @@ class OptimizationResult:
     per_restart_log: tuple
 
 
-def objective(params: ParameterVector, state: PureState | None = None) -> float:
-    """Threshold of the configuration a parameter vector describes.
-
-    With ``state`` given the vector's own state coefficients are ignored
-    (fixed-state search); otherwise the vector must carry them.
-    """
-    settings = params.decode_settings()
-    decoded = state if state is not None else params.decode_state()
-    return threshold(decoded, settings).f_thr
-
-
 def nelder_mead(f, start: ParameterVector, config: OptimizationConfig):
     """Maximize f by the reflect/expand/contract/shrink simplex iteration.
 

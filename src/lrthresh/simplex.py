@@ -182,7 +182,10 @@ class BoundedSimplex:
     def refactor(self) -> None:
         if self.r == 0:
             return
-        self.Binv = np.linalg.inv(self.A[:, self.basis])
+        try:
+            self.Binv = np.linalg.inv(self.A[:, self.basis])
+        except np.linalg.LinAlgError:
+            raise SolverFailure("numerical", "singular basis matrix") from None
         self.stale_updates = 0
         self.recompute_basics()
 
@@ -301,31 +304,37 @@ class BoundedSimplex:
                 i_star = int(ties[np.argmax(np.abs(d[ties]))])
             t = float(t_rows[i_star])
 
-            leaving = int(self.basis[i_star])
             self.x[j] += sigma * t
             self.x[self.basis] = xB + t * d
+            leaving = self._exchange(i_star, j, w)
             if d[i_star] < 0:
                 self.x[leaving] = lB[i_star]
                 self.at_upper[leaving] = False
             else:
                 self.x[leaving] = uB[i_star]
                 self.at_upper[leaving] = True
-            self.basis[i_star] = j
-            self.in_basis[leaving] = False
-            self.in_basis[j] = True
-
-            piv = w[i_star]
-            self.Binv[i_star] /= piv
-            col = w.copy()
-            col[i_star] = 0.0
-            self.Binv -= np.outer(col, self.Binv[i_star])
-            self.stale_updates += 1
 
             self.pivots += 1
             self.basis_changes += 1
             if self.basis_changes % opts.refactor_every == 0:
                 self.refactor()
             self._note_step(t)
+
+    def _exchange(self, i: int, j: int, w: np.ndarray) -> int:
+        """Swap column j into basis position i; returns the leaving column.
+
+        ``w`` is Binv @ A[:, j] and is overwritten. The inverse gets the
+        product-form update; callers own the values and the pivot counters.
+        """
+        leaving = int(self.basis[i])
+        self.basis[i] = j
+        self.in_basis[leaving] = False
+        self.in_basis[j] = True
+        self.Binv[i] /= w[i]
+        w[i] = 0.0
+        self.Binv -= np.outer(w, self.Binv[i])
+        self.stale_updates += 1
+        return leaving
 
     def _note_step(self, t: float) -> None:
         if t <= self.opts.degen_tol:
@@ -380,20 +389,11 @@ class BoundedSimplex:
             bound = self.upper[self.basis[i_star]] if over_upper else self.lower[self.basis[i_star]]
             t = (xB[i_star] - bound) / alpha[j]
             w = self.Binv @ self.A[:, j]
-            leaving = int(self.basis[i_star])
             self.x[j] += t
             self.x[self.basis] = xB - t * w
+            leaving = self._exchange(i_star, j, w)
             self.x[leaving] = bound
             self.at_upper[leaving] = over_upper
-            self.basis[i_star] = j
-            self.in_basis[leaving] = False
-            self.in_basis[j] = True
-            piv = w[i_star]
-            self.Binv[i_star] /= piv
-            col = w.copy()
-            col[i_star] = 0.0
-            self.Binv -= np.outer(col, self.Binv[i_star])
-            self.stale_updates += 1
             self.pivots += 1
             self.basis_changes += 1
             if self.basis_changes % opts.refactor_every == 0:
@@ -450,15 +450,7 @@ def _two_phase(
         row[core.in_basis[:n]] = 0.0
         j = int(np.argmax(np.abs(row)))
         if abs(row[j]) > 1e-7:
-            leaving = int(core.basis[i])
-            w = core.Binv @ A_ext[:, j]
-            core.basis[i] = j
-            core.in_basis[leaving] = False
-            core.in_basis[j] = True
-            core.Binv[i] /= w[i]
-            col = w.copy()
-            col[i] = 0.0
-            core.Binv -= np.outer(col, core.Binv[i])
+            leaving = core._exchange(i, j, core.Binv @ A_ext[:, j])
             core.x[leaving] = 0.0
             core.refactor()
     core.lower[n:] = 0.0
@@ -486,40 +478,11 @@ def certified_lower_bound(lp: LinearProgram, dual: np.ndarray) -> float:
     return float(y @ lp.eq_rhs + per_var.sum())
 
 
-def dual_residual(lp: LinearProgram, primal: np.ndarray, dual: np.ndarray,
-                  tol_active: float = 1e-7) -> float:
-    """Largest violation of the dual sign conditions at the given primal point."""
-    a = lp.dense_matrix()
-    z = lp.objective - np.asarray(dual, float) @ a
-    at_low = primal <= lp.lower + tol_active
-    at_up = primal >= lp.upper - tol_active
-    viol = np.zeros_like(z)
-    interior = ~at_low & ~at_up
-    viol[interior] = np.abs(z[interior])
-    only_low = at_low & ~at_up
-    viol[only_low] = np.maximum(-z[only_low], 0.0)
-    only_up = at_up & ~at_low
-    viol[only_up] = np.maximum(z[only_up], 0.0)
-    return float(np.max(viol, initial=0.0))
-
-
-def solve_lp(
-    lp: LinearProgram,
-    options: SolverOptions | None = None,
-    backend=None,
-) -> LPSolution:
+def solve_lp(lp: LinearProgram, options: SolverOptions | None = None) -> LPSolution:
     """Solve an LP to a certified optimum, or report a definite failure status.
 
-    ``backend`` substitutes an external solver with the same signature and
-    return contract; the in-repo simplex below is the reference implementation
-    and the default.
+    A singular basis matrix raises SolverFailure with status "numerical".
     """
-    if backend is not None:
-        return backend(lp, options)
-    return simplex_backend(lp, options)
-
-
-def simplex_backend(lp: LinearProgram, options: SolverOptions | None = None) -> LPSolution:
     opts = options or SolverOptions()
     n = lp.num_vars
     max_pivots = opts.max_pivots if opts.max_pivots is not None else 100 * n

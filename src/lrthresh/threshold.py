@@ -63,23 +63,6 @@ class JointDistribution:
             raise ValueError(f"assignment weights must sum to 1 (sum {w.sum()})")
         object.__setattr__(self, "weights", _frozen(np.maximum(w, 0.0)))
 
-    def outcome_table(self, index: int) -> np.ndarray:
-        """The (parties, settings) outcome table of one assignment."""
-        sc = self.scenario
-        digits = np.unravel_index(index, (sc.dim,) * (sc.parties * sc.settings_per_party))
-        return np.array(digits, dtype=int).reshape(sc.parties, sc.settings_per_party)
-
-    def marginal(self, setting_combo: tuple[int, ...]) -> np.ndarray:
-        """Outcome distribution this model predicts for one setting combination."""
-        sc = self.scenario
-        tables = _assignment_tables(sc)
-        ridx = np.zeros(sc.joint_size, dtype=np.intp)
-        for p, s in enumerate(setting_combo):
-            ridx = ridx * sc.dim + tables[:, p, s]
-        out = np.zeros(sc.dim ** sc.parties)
-        np.add.at(out, ridx, self.weights)
-        return out.reshape((sc.dim,) * sc.parties)
-
 
 @dataclass(frozen=True)
 class ThresholdResult:
@@ -333,22 +316,30 @@ class ThresholdSolver:
             core.set_basis(ws.basis, ws.at_upper)
             status = core.run(self._objective, self._max_pivots)
         self.last_pivots = core.pivots - pivots_before
-        self._have_last = status == OPTIMAL
         if status != OPTIMAL or core.primal_residual() > self.options.tol_feas:
-            self._have_last = False
             raise SolverFailure(status if status != OPTIMAL else "numerical",
                                 "warm-started threshold solve did not reach an optimum")
+        self._have_last = True
         return core
+
+    def _cold_solve(self, lp: LinearProgram) -> LPSolution:
+        """Fallback after a failed warm solve: two-phase from scratch, or raise.
+
+        The core's basis and inverse may be half-updated after a failure, so
+        the next call starts again from the cached vertex.
+        """
+        self._have_last = False
+        sol = solve_lp(lp, self.options)
+        if sol.status != OPTIMAL:
+            raise SolverFailure(sol.status, "threshold solve did not reach an optimum")
+        return sol
 
     def value(self, tensor: CorrelationTensor) -> float:
         """The threshold alone, without witness or certificate packaging."""
         try:
             core = self._solve_core(tensor)
         except SolverFailure:
-            sol = solve_lp(build_threshold_lp(tensor), self.options)
-            if sol.status != OPTIMAL:
-                raise SolverFailure(sol.status, "threshold solve did not reach an optimum")
-            return float(sol.primal[-1])
+            return float(self._cold_solve(build_threshold_lp(tensor)).primal[-1])
         return float(core.x[-1])
 
     def solve(self, tensor: CorrelationTensor) -> ThresholdResult:
@@ -361,9 +352,7 @@ class ThresholdSolver:
             if core.run(self._objective, self._max_pivots) != OPTIMAL:
                 raise SolverFailure("numerical", "re-verification after refactor failed")
         except SolverFailure:
-            sol = solve_lp(lp, self.options)
-            if sol.status != OPTIMAL:
-                raise SolverFailure(sol.status, "threshold solve did not reach an optimum")
+            sol = self._cold_solve(lp)
             return _package(lp, self.scenario, sol.primal, sol.dual, sol.iterations,
                             time.perf_counter() - start, warm=False)
         dual_full = np.zeros(lp.num_rows)
@@ -375,29 +364,15 @@ class ThresholdSolver:
 def threshold_from_tensor(
     tensor: CorrelationTensor,
     options: SolverOptions | None = None,
-    warm_start: bool = True,
-    backend=None,
 ) -> ThresholdResult:
     """Threshold of one correlation tensor, with witness and dual certificate."""
-    sc = tensor.scenario
-    opts = options or SolverOptions()
-    if backend is not None or not warm_start:
-        lp = build_threshold_lp(tensor)
-        start = time.perf_counter()
-        sol = solve_lp(lp, opts, backend=backend)
-        if sol.status != OPTIMAL:
-            raise SolverFailure(sol.status, "threshold solve did not reach an optimum")
-        return _package(lp, sc, sol.primal, sol.dual, sol.iterations,
-                        time.perf_counter() - start, warm=False)
-    return ThresholdSolver(sc, opts).solve(tensor)
+    return ThresholdSolver(tensor.scenario, options).solve(tensor)
 
 
 def threshold(
     state: PureState,
     settings: PhaseSettings,
     options: SolverOptions | None = None,
-    warm_start: bool = True,
-    backend=None,
 ) -> ThresholdResult:
     """Threshold of the tensor a state produces under phased-multiport readout."""
     from .probabilities import correlation_tensor
@@ -405,8 +380,7 @@ def threshold(
     if state.scenario != settings.scenario:
         raise ScenarioMismatchError("state and settings describe different scenarios")
     tensor = correlation_tensor(state, settings)
-    return threshold_from_tensor(tensor, options=options, warm_start=warm_start,
-                                 backend=backend)
+    return threshold_from_tensor(tensor, options=options)
 
 
 def feasible_at(

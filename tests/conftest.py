@@ -1,4 +1,4 @@
-"""Shared fixtures and the brute-force LP oracle used against the solver."""
+"""Shared fixtures and the independent oracles the tests check the package against."""
 
 from __future__ import annotations
 
@@ -7,7 +7,12 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from lrthresh import LinearProgram
+from lrthresh import (
+    LinearProgram,
+    PhaseSettings,
+    PureState,
+    UnsupportedScenarioError,
+)
 
 
 @pytest.fixture
@@ -75,3 +80,66 @@ def random_bounded_lp(rng: np.random.Generator, feasible: bool = True) -> Linear
         b = b + rng.choice([-1.0, 1.0], size=r) * rng.uniform(50.0, 100.0, size=r)
     c = rng.normal(size=n)
     return LinearProgram(objective=c, eq_matrix=A, eq_rhs=b, lower=lower, upper=upper)
+
+
+def dual_residual(lp: LinearProgram, primal: np.ndarray, dual: np.ndarray,
+                  tol_active: float = 1e-7) -> float:
+    """Largest violation of the dual sign conditions at the given primal point."""
+    a = lp.dense_matrix()
+    z = lp.objective - np.asarray(dual, float) @ a
+    at_low = primal <= lp.lower + tol_active
+    at_up = primal >= lp.upper - tol_active
+    viol = np.zeros_like(z)
+    interior = ~at_low & ~at_up
+    viol[interior] = np.abs(z[interior])
+    only_low = at_low & ~at_up
+    viol[only_low] = np.maximum(-z[only_low], 0.0)
+    only_up = at_up & ~at_low
+    viol[only_up] = np.maximum(z[only_up], 0.0)
+    return float(np.max(viol, initial=0.0))
+
+
+def closed_form_probability(
+    state: PureState,
+    settings: PhaseSettings,
+    setting_combo: tuple[int, int, int],
+    outcomes: tuple[int, int, int],
+) -> float:
+    """Three-qutrit probability from the explicit cosine double sum.
+
+    Cross-check oracle only: 1/27 plus (1/27) * sum over ordered coefficient
+    pairs of d_x d_y cos(angle difference), where the angle collects the
+    Fourier term (2*pi/3) * sum_p outcome_p * (label_p - label_p') and the
+    phase-setting differences. Equivalent to the real part of the coherent
+    double sum because the coefficients are real.
+    """
+    sc = state.scenario
+    if (sc.parties, sc.dim) != (3, 3):
+        raise UnsupportedScenarioError(
+            f"closed form is defined for 3 qutrits only, got {sc}"
+        )
+    k, l, mm = setting_combo
+    a, b, c = outcomes
+    for s in (k, l, mm):
+        if not 0 <= s < sc.settings_per_party:
+            raise ValueError(f"setting index {s} out of range")
+    for o in (a, b, c):
+        if not 0 <= o < 3:
+            raise ValueError(f"outcome {o} out of range")
+
+    labels = np.arange(3)
+    g, i, j = np.meshgrid(labels, labels, labels, indexing="ij")
+    g, i, j = g.ravel(), i.ravel(), j.ravel()
+    phi = settings.table[0, k]
+    chi = settings.table[1, l]
+    delta = settings.table[2, mm]
+    # total phase of each basis ket's amplitude (up to a row-dependent term
+    # that cancels between the pair members)
+    theta = (
+        (2.0 * np.pi / 3.0) * (a * g + b * i + c * j)
+        + phi[g] + chi[i] + delta[j]
+    )
+    coeffs = state.coeffs
+    # full double sum: the diagonal contributes sum(d^2)/27 = 1/27
+    val = (np.outer(coeffs, coeffs) * np.cos(np.subtract.outer(theta, theta))).sum() / 27.0
+    return float(val)

@@ -31,10 +31,9 @@ from lrthresh import (
     threshold_from_tensor,
     tritter_unitary,
 )
-from lrthresh.probabilities import closed_form_probability
 from lrthresh.simplex import OPTIMAL
 
-from conftest import enumerate_lp_optimum, random_bounded_lp
+from conftest import closed_form_probability, enumerate_lp_optimum, random_bounded_lp
 
 SC33 = Scenario(parties=3, dim=3, settings_per_party=2)
 SC32 = Scenario(parties=3, dim=2, settings_per_party=2)

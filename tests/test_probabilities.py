@@ -11,13 +11,14 @@ from lrthresh import (
     Scenario,
     ScenarioMismatchError,
     UnsupportedScenarioError,
-    closed_form_probability,
     correlation_tensor,
     ghz_state,
     noisy_tensor,
     paper_settings,
     product_state,
 )
+
+from conftest import closed_form_probability
 
 SCENARIOS = [
     Scenario(parties=2, dim=2, settings_per_party=2),

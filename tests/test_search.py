@@ -13,7 +13,6 @@ from lrthresh import (
     encode,
     ghz_state,
     nelder_mead,
-    objective,
     optimize_phases,
     optimize_state_and_phases,
     paper_settings,
@@ -60,32 +59,32 @@ def test_parameter_vector_validation():
 
 def test_objective_benchmarks():
     params = encode(paper_settings("maxent_3qutrit"))
-    val = objective(params, state=ghz_state(SC33))
+    val = threshold(ghz_state(SC33), params.decode_settings()).f_thr
     assert abs(val - 0.400) < 0.001
 
     sc = SC33
     st = product_state(sc, [[1, 0, 0]] * 3)
     zero = PhaseSettings(sc, np.zeros((3, 2, 3)))
-    assert objective(encode(zero), state=st) < 1e-9
+    assert threshold(st, encode(zero).decode_settings()).f_thr < 1e-9
 
 
 def test_objective_continuity(rng):
     base = encode(paper_settings("maxent_3qutrit"))
-    ref = objective(base, state=ghz_state(SC33))
+    ref = threshold(ghz_state(SC33), base.decode_settings()).f_thr
     bumped = ParameterVector(
         SC33, base.phase_params + rng.uniform(-1e-6, 1e-6, size=base.phase_params.size)
     )
-    assert abs(objective(bumped, state=ghz_state(SC33)) - ref) < 1e-3
+    assert abs(threshold(ghz_state(SC33), bumped.decode_settings()).f_thr - ref) < 1e-3
 
 
 def test_gauge_invariance_of_objective(rng):
     se = PhaseSettings(SC23, rng.uniform(0, 2 * np.pi, size=(2, 2, 3)))
     st = ghz_state(SC23)
-    ref = objective(encode(se), state=st)
+    ref = threshold(st, encode(se).decode_settings()).f_thr
     table = se.table.copy()
     table[1, 0] = table[1, 0] + 1.234  # uniform pre-gauge shift of one phase vector
     shifted = PhaseSettings(SC23, table)
-    assert abs(objective(encode(shifted), state=st) - ref) < 1e-9
+    assert abs(threshold(st, encode(shifted).decode_settings()).f_thr - ref) < 1e-9
 
 
 def test_nelder_mead_smooth_unimodal():
@@ -122,8 +121,8 @@ def test_nelder_mead_monotone_from_paper_start():
     st = ghz_state(SC33)
     cfg = OptimizationConfig(restarts=1, rng_seed=0, max_evals_per_restart=60,
                              mode="phases_only")
-    f0 = objective(start, state=st)
-    _, val = nelder_mead(lambda p: objective(p, state=st), start, cfg)
+    f0 = threshold(st, start.decode_settings()).f_thr
+    _, val = nelder_mead(lambda p: threshold(st, p.decode_settings()).f_thr, start, cfg)
     assert val >= f0 - 1e-12
 
 

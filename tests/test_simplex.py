@@ -9,7 +9,6 @@ from lrthresh import (
     SolverFailure,
     SolverOptions,
     certified_lower_bound,
-    dual_residual,
     dump_lp_text,
     independent_rows,
     parse_lp_text,
@@ -17,7 +16,7 @@ from lrthresh import (
 )
 from lrthresh.simplex import INFEASIBLE, ITERATION_LIMIT, OPTIMAL, UNBOUNDED
 
-from conftest import enumerate_lp_optimum, random_bounded_lp
+from conftest import dual_residual, enumerate_lp_optimum, random_bounded_lp
 
 
 def test_bound_only_minimum():
@@ -176,6 +175,14 @@ def test_replace_column_matches_fresh_factorization(rng):
     before = core.Binv.copy()
     assert core.replace_column(n - 1, rng.normal(size=r))
     assert np.array_equal(core.Binv, before)
+
+
+def test_singular_basis_raises_solver_failure():
+    A = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 1.0]])
+    core = BoundedSimplex(A, np.ones(2), np.zeros(3), np.ones(3), SolverOptions())
+    with pytest.raises(SolverFailure) as err:
+        core.set_basis(np.array([0, 1]))
+    assert err.value.status == "numerical"
 
 
 def test_solver_failure_carries_status():

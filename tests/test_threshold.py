@@ -1,5 +1,7 @@
 """Threshold LP construction, solution, certificates, and invariances."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from lrthresh import (
     PureState,
     Scenario,
     ScenarioMismatchError,
+    SolverFailure,
     ThresholdSolver,
     build_threshold_lp,
     correlation_tensor,
@@ -17,11 +20,12 @@ from lrthresh import (
     noisy_tensor,
     paper_settings,
     product_state,
+    solve_lp,
     threshold,
     threshold_from_tensor,
 )
 from lrthresh.simplex import certified_lower_bound
-from lrthresh.threshold import assignment_marginal_matrix
+from lrthresh.threshold import _warm_start, assignment_marginal_matrix
 
 SC33 = Scenario(parties=3, dim=3, settings_per_party=2)
 SC23 = Scenario(parties=2, dim=3, settings_per_party=2)
@@ -148,9 +152,49 @@ def test_threshold_solver_warm_matches_cold(rng):
         se = random_settings(SC23, rng)
         t = correlation_tensor(st, se)
         warm = solver.value(t)
-        cold = threshold_from_tensor(t, warm_start=False).f_thr
+        cold = solve_lp(build_threshold_lp(t)).primal[-1]
         worst = max(worst, abs(warm - cold))
     assert worst < 1e-9
+
+
+def test_failed_warm_solve_restarts_from_cached_vertex(rng, monkeypatch):
+    st = ghz_state(SC23)
+    t1, t2 = (correlation_tensor(st, random_settings(SC23, rng)) for _ in range(2))
+    fresh = ThresholdSolver(SC23)
+    want = fresh.value(t2)
+    solver = ThresholdSolver(SC23)
+    solver.value(t1)
+
+    def fail(*args):
+        raise SolverFailure("numerical", "injected")
+
+    monkeypatch.setattr(solver._core, "dual_run", fail)
+    assert abs(solver.value(t2) - want) < 1e-9  # answered by the cold fallback
+    monkeypatch.undo()
+    # the half-repaired basis of the failed call is not reused
+    assert solver.value(t2) == want
+    assert solver.last_pivots == fresh.last_pivots
+
+
+def collins_gisin_rows(sc):
+    """Kept rows in closed form: tensor products of the per-party rows
+    (s=0, every a) and (s=1, a < d-1), as global marginal row indices."""
+    d, n = sc.dim, sc.parties
+    local = [(0, a) for a in range(d)] + [(1, a) for a in range(d - 1)]
+    rows = []
+    for combo in product(local, repeat=n):
+        block = outcome = 0
+        for s, a in combo:
+            block = block * sc.settings_per_party + s
+            outcome = outcome * d + a
+        rows.append(block * d ** n + outcome)
+    return sorted(rows)
+
+
+@pytest.mark.parametrize("parties, dim", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (2, 4)])
+def test_kept_rows_are_collins_gisin_set(parties, dim):
+    sc = Scenario(parties=parties, dim=dim, settings_per_party=2)
+    assert _warm_start(sc).keep.tolist() == collins_gisin_rows(sc)
 
 
 def test_threshold_solver_full_result(rng):

@@ -25,7 +25,8 @@ from .reports import (
 from .scenario_io import ScenarioFileError, load_scenario_file
 from .search import OptimizationConfig, optimize_phases, optimize_state_and_phases
 from .simplex import SolverFailure, SolverOptions, dump_lp_text
-from .threshold import build_threshold_lp, feasible_at, threshold
+from .threshold import build_threshold_lp, feasible_at, threshold_from_tensor
+from .threshold import threshold  # noqa: F401  unused; perfbench/spans.py patches it here
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -90,10 +91,10 @@ def _cmd_threshold(args, argv: list[str]) -> int:
     sf = load_scenario_file(args.scenario)
     opts = _solver_options(args)
     start = time.perf_counter()
-    result = threshold(sf.state, sf.settings, options=opts)
+    tensor = correlation_tensor(sf.state, sf.settings)
+    result = threshold_from_tensor(tensor, options=opts)
     local = None
     if sf.noise is not None:
-        tensor = correlation_tensor(sf.state, sf.settings)
         local = feasible_at(tensor, sf.noise, options=opts)
     wall = time.perf_counter() - start
     print(f"{result.f_thr:.6f}")

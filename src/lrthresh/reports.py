@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict
-from importlib import resources
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -25,6 +23,7 @@ from .scenario_io import (
     ScenarioFile,
     _resolve_settings,
     _resolve_state,
+    _schema_error,
     explicit_settings_spec,
 )
 from .search import OptimizationConfig, OptimizationResult
@@ -37,6 +36,7 @@ from .threshold import (
     build_threshold_lp,
     feasible_at,
     threshold,
+    threshold_from_tensor,
 )
 
 REPORT_VERSION = 1
@@ -45,11 +45,6 @@ RECOMPUTE_TOL = 1e-6
 
 class ReportError(ValueError):
     """Report file is unreadable or does not match the schema."""
-
-
-def _report_schema() -> dict:
-    text = resources.files("lrthresh.schemas").joinpath("report.schema.json").read_text()
-    return json.loads(text)
 
 
 def _scenario_block(sf: ScenarioFile) -> dict:
@@ -71,6 +66,13 @@ def _tolerance_block(options: SolverOptions) -> dict:
         "tol_opt": options.tol_opt,
         "pivot_tol": options.pivot_tol,
     }
+
+
+def _report_options(report: dict) -> SolverOptions:
+    """The solver options a report was written with, read from its tolerances block."""
+    block = report.get("tolerances", {})
+    return SolverOptions(**{k: float(block[k]) for k in _tolerance_block(SolverOptions())
+                            if k in block})
 
 
 def build_threshold_report(
@@ -152,11 +154,10 @@ def load_report(path: str | Path) -> dict:
         raise ReportError(f"cannot read {path}: {err}") from None
     except json.JSONDecodeError as err:
         raise ReportError(f"not valid JSON: {err}") from None
-    try:
-        jsonschema.validate(raw, _report_schema())
-    except jsonschema.ValidationError as err:
+    err = _schema_error(raw, "report.schema.json")
+    if err is not None:
         where = ".".join(str(p) for p in err.absolute_path) or "<top level>"
-        raise ReportError(f"field {where}: {err.message}") from None
+        raise ReportError(f"field {where}: {err.message}")
     return raw
 
 
@@ -191,8 +192,9 @@ def _verify_threshold(report: dict, problems: list[str]) -> None:
     if abs(total - 1.0) > 1e-8:
         problems.append(f"witness weights sum to {total:.12f}, expected 1")
 
+    options = _report_options(report)
     tensor = correlation_tensor(state, settings)
-    recomputed = threshold(state, settings)
+    recomputed = threshold_from_tensor(tensor, options)
     if abs(recomputed.f_thr - f_rep) > RECOMPUTE_TOL:
         problems.append(
             f"f_thr mismatch: report says {f_rep:.9f}, "
@@ -225,7 +227,7 @@ def _verify_threshold(report: dict, problems: list[str]) -> None:
 
     noise = report["scenario"].get("noise")
     if noise is not None and "local_at_noise" in report:
-        actual = feasible_at(tensor, float(noise))
+        actual = feasible_at(tensor, float(noise), options)
         if bool(report["local_at_noise"]) != actual:
             problems.append(
                 f"local_at_noise says {report['local_at_noise']}, "

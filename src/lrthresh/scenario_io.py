@@ -10,6 +10,7 @@ package.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass
@@ -93,9 +94,19 @@ def format_angle(radians: float) -> float | str:
     return float(radians)
 
 
-def _schema() -> dict:
-    text = resources.files("lrthresh.schemas").joinpath("scenario.schema.json").read_text()
-    return json.loads(text)
+@functools.cache
+def _validator(schema_file: str):
+    """The validator for one bundled schema; the schema is checked once per process."""
+    text = resources.files("lrthresh.schemas").joinpath(schema_file).read_text()
+    schema = json.loads(text)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def _schema_error(raw, schema_file: str) -> jsonschema.ValidationError | None:
+    """The error jsonschema.validate(raw, schema) would raise, or None if raw is valid."""
+    return jsonschema.exceptions.best_match(_validator(schema_file).iter_errors(raw))
 
 
 @dataclass(frozen=True)
@@ -198,11 +209,10 @@ def parse_scenario_file(text: str) -> ScenarioFile:
         raise ScenarioFileError(f"not valid YAML: {err}") from None
     if not isinstance(raw, dict):
         raise ScenarioFileError("scenario file must be a mapping at top level")
-    try:
-        jsonschema.validate(raw, _schema())
-    except jsonschema.ValidationError as err:
+    err = _schema_error(raw, "scenario.schema.json")
+    if err is not None:
         path = ".".join(str(p) for p in err.absolute_path) or "<top level>"
-        raise ScenarioFileError(f"field {path}: {err.message}") from None
+        raise ScenarioFileError(f"field {path}: {err.message}")
 
     sc = Scenario(
         parties=int(raw["parties"]),

@@ -484,24 +484,35 @@ def solve_lp(lp: LinearProgram, options: SolverOptions | None = None) -> LPSolut
     A singular basis matrix raises SolverFailure with status "numerical".
     """
     opts = options or SolverOptions()
-    n = lp.num_vars
-    max_pivots = opts.max_pivots if opts.max_pivots is not None else 100 * n
     a_full = lp.dense_matrix()
     keep, consistent = independent_rows(a_full, lp.eq_rhs, opts.pivot_tol)
     if not consistent:
         return LPSolution(INFEASIBLE, None, None, None, 0)
-    a = a_full[keep]
-    b = lp.eq_rhs[keep]
+    reduced = LinearProgram(lp.objective, a_full[keep], lp.eq_rhs[keep], lp.lower, lp.upper)
+    sol = solve_full_rank(reduced, opts)
+    if sol.dual is not None:
+        dual = np.zeros(lp.num_rows)
+        dual[keep] = sol.dual
+        sol.dual = dual
+    return sol
 
-    status, core, c_ext = _two_phase(a, b, lp.objective, lp.lower, lp.upper, opts, max_pivots)
+
+def solve_full_rank(lp: LinearProgram, options: SolverOptions | None = None) -> LPSolution:
+    """solve_lp for an LP whose equality rows are already linearly independent.
+
+    Runs the two-phase core without the row pass; duals are per row of lp.
+    """
+    opts = options or SolverOptions()
+    n = lp.num_vars
+    max_pivots = opts.max_pivots if opts.max_pivots is not None else 100 * n
+    status, core, c_ext = _two_phase(lp.dense_matrix(), lp.eq_rhs, lp.objective,
+                                     lp.lower, lp.upper, opts, max_pivots)
     iterations = core.pivots
     if status != OPTIMAL:
         return LPSolution(status, None, None, None, iterations)
 
     primal = core.x[:n].copy()
-    y = core.duals(c_ext)
-    dual = np.zeros(lp.num_rows)
-    dual[keep] = y
+    dual = core.duals(c_ext)
     value = float(lp.objective @ primal)
 
     if core.primal_residual() > opts.tol_feas:

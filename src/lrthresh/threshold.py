@@ -7,10 +7,11 @@ such F is the threshold; it is the optimum of a linear program whose variables
 are the d^(N m) assignment weights plus F itself, with one equality row per
 (setting combination, outcome combination) pair and one normalization row.
 
-The per-scenario structure of that program (independent rows, and a starting
+The per-scenario structure of that program (the Collins-Gisin rows, which
+span the equality system and are written down in closed form, and a starting
 basis reached from the uniform assignment distribution at F = 1, which is
-feasible for every tensor) does not depend on the tensor, so it is computed
-once and cached; each solve then runs only warm-started simplex pivots.
+feasible for every tensor) does not depend on the tensor, so it is built once
+and cached; each solve then runs only warm-started simplex pivots.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import scipy.sparse as sp
 from .probabilities import CorrelationTensor, ScenarioMismatchError
 from .scenario import PhaseSettings, PureState, Scenario, _frozen
 from .simplex import (
+    INFEASIBLE,
     OPTIMAL,
     BoundedSimplex,
     LinearProgram,
@@ -31,9 +33,10 @@ from .simplex import (
     SolverFailure,
     SolverOptions,
     certified_lower_bound,
-    independent_rows,
+    solve_full_rank,
     solve_lp,
 )
+from .simplex import independent_rows  # noqa: F401  unused; perfbench/spans.py patches it here
 
 WITNESS_MARGINAL_TOL = 1e-8
 CERTIFICATE_GAP_TOL = 1e-8
@@ -148,24 +151,38 @@ def build_threshold_lp(tensor: CorrelationTensor) -> LinearProgram:
     return LinearProgram(objective, matrix, rhs, lower, upper)
 
 
+def _collins_gisin_rows(sc: Scenario) -> np.ndarray:
+    """Sorted indices of the marginal rows that span the whole equality system.
+
+    Per party the rows (s=0, every a) and (s=1, a < d-1) (Collins & Gisin,
+    J. Phys. A 37, 1775 (2004)); the kept rows are their tensor products,
+    (2d-1)^N of them. The normalization row is their block-0 sum.
+    """
+    d = sc.dim
+    local_setting = np.repeat([0, 1], [d, d - 1])
+    local_outcome = np.concatenate([np.arange(d), np.arange(d - 1)])
+    block = outcome = np.zeros(1, dtype=np.intp)
+    for _ in range(sc.parties):
+        block = np.add.outer(block * sc.settings_per_party, local_setting).ravel()
+        outcome = np.add.outer(outcome * d, local_outcome).ravel()
+    return np.sort(block * d ** sc.parties + outcome)
+
+
 class _WarmStart:
     """Tensor-independent solve structure: kept rows and a starting vertex.
 
-    At F = 1 the equality system reads (model marginal) = 1/d^N for every row,
-    which the uniform assignment distribution satisfies regardless of the
-    tensor. Walking that interior point to a vertex of the F = 1 face, along
-    null directions of the kept marginal rows, yields a starting basis whose
-    basic values the simplex core recomputes from any tensor's rhs.
+    The kept rows are the Collins-Gisin set. At F = 1 the equality system
+    reads (model marginal) = 1/d^N for every row, which the uniform assignment
+    distribution satisfies regardless of the tensor. Walking that interior
+    point to a vertex of the F = 1 face, along null directions of the kept
+    marginal rows, yields a starting basis whose basic values the simplex core
+    recomputes from any tensor's rhs.
     """
 
     def __init__(self, sc: Scenario):
-        dense = assignment_marginal_matrix(sc).toarray()
         n_atoms = sc.joint_size
-        full = np.vstack([dense, np.ones((1, n_atoms))])
-        rhs_probe = np.zeros(full.shape[0])  # row selection ignores the rhs
-        keep, _ = independent_rows(full, rhs_probe)
-        self.keep = np.array(keep, dtype=int)
-        self.a_keep = full[self.keep]
+        self.keep = _collins_gisin_rows(sc)
+        self.a_keep = assignment_marginal_matrix(sc)[self.keep].toarray()
         basis, at_upper = _crossover_vertex(self.a_keep, np.full(n_atoms, 1.0 / n_atoms))
         self.basis = basis
         self.at_upper = np.append(at_upper, True)  # F starts nonbasic at its upper bound
@@ -388,19 +405,27 @@ def feasible_at(
     noise_fraction: float,
     options: SolverOptions | None = None,
 ) -> bool:
-    """Whether the tensor mixed with the given noise fraction admits a local model."""
+    """Whether the tensor mixed with the given noise fraction admits a local model.
+
+    The LP runs over the cached kept rows only. Its point is then checked
+    against every marginal row and the normalization row: a tensor that is
+    inconsistent on a dropped row (one that signals) has no local model even
+    when the kept rows alone are feasible.
+    """
     from .probabilities import noisy_tensor
 
     sc = tensor.scenario
-    noisy = noisy_tensor(tensor, noise_fraction)
-    marg = assignment_marginal_matrix(sc)
-    matrix = sp.vstack([marg, sp.csr_array(np.ones((1, sc.joint_size)))], format="csr")
-    rhs = np.concatenate([noisy.flat, [1.0]])
-    lp = LinearProgram(np.zeros(sc.joint_size), matrix, rhs,
-                       np.zeros(sc.joint_size), np.ones(sc.joint_size))
-    sol = solve_lp(lp, options or SolverOptions())
-    if sol.status == OPTIMAL:
-        return True
-    if sol.status == "infeasible":
+    opts = options or SolverOptions()
+    ws = _warm_start(sc)
+    probs = noisy_tensor(tensor, noise_fraction).flat
+    n = sc.joint_size
+    lp = LinearProgram(np.zeros(n), ws.a_keep, probs[ws.keep], np.zeros(n), np.ones(n))
+    sol = solve_full_rank(lp, opts)
+    if sol.status == INFEASIBLE:
         return False
-    raise SolverFailure(sol.status, "feasibility check did not finish")
+    if sol.status != OPTIMAL:
+        raise SolverFailure(sol.status, "feasibility check did not finish")
+    x = sol.primal
+    residual = max(float(np.max(np.abs(assignment_marginal_matrix(sc) @ x - probs))),
+                   abs(float(x.sum()) - 1.0))
+    return residual <= opts.tol_feas

@@ -1,10 +1,11 @@
 """CLI behavior: headline output, exit codes, reports, dump-lp."""
 
+import inspect
 import json
 
 import pytest
 
-from lrthresh import parse_lp_text
+from lrthresh import SolverOptions, parse_lp_text, reports
 from lrthresh.cli import main
 
 GHZ33 = "parties: 3\ndim: 3\nstate: ghz\nsettings: paper-maxent\n"
@@ -60,6 +61,32 @@ def test_threshold_report_and_verify(capsys, tmp_path, ghz33_file):
     tampered.write_text(json.dumps(report))
     assert main(["verify", str(tampered)]) == 1
     assert "mismatch" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tol_flag, options", [
+    ([], SolverOptions()),
+    (["--tol", "1e-7"], SolverOptions(tol_feas=1e-7, tol_opt=1e-7)),
+])
+def test_verify_replays_report_tolerances(capsys, tmp_path, monkeypatch, tol_flag, options):
+    scen = tmp_path / "ghz23.yaml"
+    scen.write_text(GHZ23 + "noise: 0.5\n")
+    out_path = tmp_path / "report.json"
+    assert main(["threshold", "--scenario", str(scen), "--out", str(out_path)] + tol_flag) == 0
+    assert json.loads(out_path.read_text())["tolerances"]["tol_feas"] == options.tol_feas
+
+    replayed = []
+    for name in ("threshold_from_tensor", "feasible_at"):
+        original = getattr(reports, name)
+
+        def spy(*args, original=original, **kwargs):
+            bound = inspect.signature(original).bind(*args, **kwargs)
+            replayed.append(bound.arguments["options"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(reports, name, spy)
+    assert main(["verify", str(out_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "ok"
+    assert replayed == [options, options]
 
 
 def test_optimize_command(capsys, tmp_path):

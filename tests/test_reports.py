@@ -2,6 +2,7 @@
 
 import json
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -12,12 +13,14 @@ from lrthresh import (
     build_threshold_report,
     ghz_state,
     load_report,
+    load_scenario_file,
     optimize_phases,
     parse_scenario_file,
     threshold,
     verify_report,
     write_report,
 )
+from lrthresh.scenario_io import _validator
 
 GHZ33 = "parties: 3\ndim: 3\nstate: ghz\nsettings: paper-maxent\n"
 GHZ23 = "parties: 2\ndim: 3\nstate: ghz\nsettings: zero\n"
@@ -107,3 +110,25 @@ def test_load_report_errors(tmp_path):
 def test_unknown_kind_reported():
     problems = verify_report({"kind": "mystery"})
     assert any("unknown report kind" in p for p in problems)
+
+
+def test_schemas_compile_once_per_process(tmp_path, monkeypatch, threshold_report):
+    # both bundled schemas declare draft 2020-12
+    cls = jsonschema.Draft202012Validator
+    original = cls.check_schema
+    compiled = []
+
+    def counting_check_schema(klass, schema, *args, **kwargs):
+        compiled.append(schema["title"])
+        return original(schema, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "check_schema", classmethod(counting_check_schema))
+    _validator.cache_clear()
+    for i, text in enumerate((GHZ33, GHZ23, GHZ23 + "noise: 0.5\n")):
+        scenario = tmp_path / f"s{i}.yaml"
+        scenario.write_text(text)
+        load_scenario_file(scenario)
+        report = tmp_path / f"r{i}.json"
+        write_report(threshold_report, report)
+        load_report(report)
+    assert sorted(compiled) == ["Run report", "Scenario file"]

@@ -1,12 +1,12 @@
 """Threshold LP construction, solution, certificates, and invariances."""
 
-from itertools import product
-
 import numpy as np
 import pytest
 
 from lrthresh import (
+    CorrelationTensor,
     JointDistribution,
+    LinearProgram,
     PhaseSettings,
     PureState,
     Scenario,
@@ -24,7 +24,7 @@ from lrthresh import (
     threshold,
     threshold_from_tensor,
 )
-from lrthresh.simplex import certified_lower_bound
+from lrthresh.simplex import certified_lower_bound, independent_rows
 from lrthresh.threshold import _warm_start, assignment_marginal_matrix
 
 SC33 = Scenario(parties=3, dim=3, settings_per_party=2)
@@ -176,25 +176,61 @@ def test_failed_warm_solve_restarts_from_cached_vertex(rng, monkeypatch):
     assert solver.last_pivots == fresh.last_pivots
 
 
-def collins_gisin_rows(sc):
-    """Kept rows in closed form: tensor products of the per-party rows
-    (s=0, every a) and (s=1, a < d-1), as global marginal row indices."""
-    d, n = sc.dim, sc.parties
-    local = [(0, a) for a in range(d)] + [(1, a) for a in range(d - 1)]
-    rows = []
-    for combo in product(local, repeat=n):
-        block = outcome = 0
-        for s, a in combo:
-            block = block * sc.settings_per_party + s
-            outcome = outcome * d + a
-        rows.append(block * d ** n + outcome)
-    return sorted(rows)
+def full_feasibility_lp(sc, probs):
+    """The local-model feasibility LP over every marginal row and normalization."""
+    n = sc.joint_size
+    matrix = np.vstack([assignment_marginal_matrix(sc).toarray(), np.ones((1, n))])
+    return LinearProgram(np.zeros(n), matrix, np.append(probs, 1.0), np.zeros(n), np.ones(n))
 
 
-@pytest.mark.parametrize("parties, dim", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (2, 4)])
+def full_system_verdict(tensor, noise):
+    lp = full_feasibility_lp(tensor.scenario, noisy_tensor(tensor, noise).flat)
+    return solve_lp(lp).status == "optimal"
+
+
+@pytest.mark.parametrize("parties, dim",
+                         [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (2, 4), (5, 2)])
 def test_kept_rows_are_collins_gisin_set(parties, dim):
+    # oracle: row echelon on the full marginal system plus the normalization row
     sc = Scenario(parties=parties, dim=dim, settings_per_party=2)
-    assert _warm_start(sc).keep.tolist() == collins_gisin_rows(sc)
+    full = full_feasibility_lp(sc, np.zeros(sc.marginal_rows)).dense_matrix()
+    keep, _ = independent_rows(full, np.zeros(full.shape[0]))
+    ws = _warm_start(sc)
+    assert ws.keep.tolist() == keep
+    assert np.array_equal(ws.a_keep, full[keep])
+
+
+@pytest.mark.parametrize("parties, dim", [(2, 3), (3, 2), (3, 3), (4, 2)])
+def test_feasible_at_matches_full_system_solve(parties, dim, rng):
+    sc = Scenario(parties=parties, dim=dim, settings_per_party=2)
+    for state in (random_state(sc, rng), ghz_state(sc)):
+        tensor = correlation_tensor(state, random_settings(sc, rng))
+        f = threshold_from_tensor(tensor).f_thr
+        assert feasible_at(tensor, f + 1e-6)
+        levels = [f + 1e-6] + rng.uniform(0.0, 1.0, size=3).tolist()
+        if f > 1e-6:
+            assert not feasible_at(tensor, f - 1e-6)
+            levels.append(f - 1e-6)
+        for noise in levels:
+            assert feasible_at(tensor, noise) == full_system_verdict(tensor, noise), noise
+
+
+def test_feasible_at_rejects_tensor_inconsistent_on_dropped_row():
+    # uniform blocks, except that block (s=1, t=1) moves 0.1 from outcome (1, 0)
+    # to (0, 1): every block still sums to 1, but party 1's marginal now depends
+    # on party 2's setting, and only rows dropped from the kept set see it
+    probs = np.full((2, 2, 2, 2), 0.25)
+    probs[1, 1, 0, 1] += 0.1
+    probs[1, 1, 1, 0] -= 0.1
+    tensor = CorrelationTensor(SC22, probs)
+    ws = _warm_start(SC22)
+    n = SC22.joint_size
+    kept_only = LinearProgram(np.zeros(n), ws.a_keep, tensor.flat[ws.keep],
+                              np.zeros(n), np.ones(n))
+    assert solve_lp(kept_only).status == "optimal"
+    for noise in (0.0, 0.5):
+        assert not full_system_verdict(tensor, noise)
+        assert not feasible_at(tensor, noise)
 
 
 def test_threshold_solver_full_result(rng):

@@ -119,9 +119,10 @@ def _cmd_optimize(args, argv: list[str]) -> int:
 
     start = time.perf_counter()
     if config.mode == "phases_only":
-        result = optimize_phases(sf.state, config, workers=workers)
+        result = optimize_phases(sf.state, config, workers=workers, options=opts)
     else:
-        result = optimize_state_and_phases(sf.scenario, config, workers=workers)
+        result = optimize_state_and_phases(sf.scenario, config, workers=workers,
+                                           options=opts)
     wall = time.perf_counter() - start
     print(f"{result.best_f_thr:.6f}")
     if args.out:

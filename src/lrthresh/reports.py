@@ -250,7 +250,7 @@ def _verify_optimize(report: dict, problems: list[str]) -> None:
     except ValueError as err:
         problems.append(f"best parameters do not fit the scenario: {err}")
         return
-    recomputed = threshold(state, settings)
+    recomputed = threshold(state, settings, _report_options(report))
     if abs(recomputed.f_thr - f_rep) > RECOMPUTE_TOL:
         problems.append(
             f"best_f_thr mismatch: report says {f_rep:.9f}, "

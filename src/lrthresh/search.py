@@ -23,6 +23,7 @@ import numpy as np
 from .probabilities import correlation_tensor
 from .scenario import PhaseSettings, PureState, Scenario, ghz_state, paper_optimal_state, \
     paper_settings
+from .simplex import SolverOptions
 from .threshold import ThresholdSolver, threshold
 
 STATE_NORM_FLOOR = 1e-8
@@ -255,9 +256,9 @@ def _restart_start(
 
 def _run_restart(args):
     """One restart: Nelder-Mead with plateau redraws until the budget is spent."""
-    sc, config, index, fixed_coeffs = args
+    sc, config, index, fixed_coeffs, options = args
     rng = np.random.Generator(np.random.Philox(key=[config.rng_seed, index]))
-    solver = ThresholdSolver(sc)
+    solver = ThresholdSolver(sc, options)
 
     start, pinned_coeffs = _restart_start(sc, config.mode, index, rng)
     if fixed_coeffs is not None:
@@ -306,9 +307,10 @@ def _optimize(
     config: OptimizationConfig,
     fixed_state: PureState | None,
     workers: int,
+    options: SolverOptions | None,
 ) -> OptimizationResult:
     fixed_coeffs = fixed_state.coeffs.real if fixed_state is not None else None
-    tasks = [(sc, config, i, fixed_coeffs) for i in range(config.restarts)]
+    tasks = [(sc, config, i, fixed_coeffs, options) for i in range(config.restarts)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_restart, tasks))
@@ -324,7 +326,7 @@ def _optimize(
 
     settings = PhaseSettings(sc, table)
     state = fixed_state if fixed_state is not None else _canonical_sign(PureState(sc, coeffs))
-    final = threshold(state, settings).f_thr
+    final = threshold(state, settings, options).f_thr
     return OptimizationResult(final, settings, state, total_evals, log)
 
 
@@ -339,19 +341,21 @@ def optimize_phases(
     state: PureState,
     config: OptimizationConfig,
     workers: int = 1,
+    options: SolverOptions | None = None,
 ) -> OptimizationResult:
     """Best threshold over phase tables for a fixed state."""
     if config.mode != "phases_only":
         raise ValueError("optimize_phases requires mode='phases_only'")
-    return _optimize(state.scenario, config, state, workers)
+    return _optimize(state.scenario, config, state, workers, options)
 
 
 def optimize_state_and_phases(
     scenario: Scenario,
     config: OptimizationConfig,
     workers: int = 1,
+    options: SolverOptions | None = None,
 ) -> OptimizationResult:
     """Best threshold over real states and phase tables jointly."""
     if config.mode != "phases_and_state":
         raise ValueError("optimize_state_and_phases requires mode='phases_and_state'")
-    return _optimize(scenario, config, None, workers)
+    return _optimize(scenario, config, None, workers, options)

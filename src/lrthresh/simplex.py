@@ -1,10 +1,17 @@
-"""Dense revised simplex for equality-constrained LPs with variable bounds.
+"""Revised simplex for equality-constrained LPs with variable bounds.
 
 Solves min c.x subject to A x = b, lower <= x <= upper, with a certified
 primal/dual pair on success. Geared to the moderately sized, rank-deficient
 marginal systems this package produces: a presolve pass removes dependent
 equality rows, phase 1 uses auxiliary variables, and callers that know a basic
 feasible point can skip phase 1 entirely via warm start.
+
+The basis inverse is a dense matrix kept current by product-form rank-one
+updates. On large sparse matrices (the 0/1 assignment columns of the
+threshold LP from (3,3) up) row pricing y @ A runs through a CSR copy of A^T
+and each rank-one update is one in-place BLAS call; small or dense
+matrices keep plain numpy, which is faster there. The choice is made once per
+matrix from its shape and nonzero count and does not change pivot rules.
 
 Determinism: identical inputs take identical pivot sequences. Entering
 variables are picked by most-negative reduced cost (ties to the smallest
@@ -22,6 +29,13 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 ITERATION_LIMIT = "iteration_limit"
+
+
+# Sparse pricing and the BLAS update pay off from about this many matrix
+# entries on (measured: dense wins up to r*n = 21k, sparse from 91k), and only
+# on matrices at most this dense.
+_SPARSE_MIN_ENTRIES = 50_000
+_SPARSE_MAX_DENSITY = 0.1
 
 
 class SolverFailure(RuntimeError):
@@ -135,16 +149,21 @@ def independent_rows(
 
 
 class BoundedSimplex:
-    """Revised simplex core over dense data; callers manage phases and warm starts.
+    """Revised simplex core; callers manage phases and warm starts.
 
     The basis inverse is maintained by product-form updates and rebuilt from
     scratch every ``refactor_every`` basis changes (and before an optimality
     claim), which also resets accumulated drift in the basic values.
+
+    ``A`` is read-only: every write goes through ``set_column``, which keeps
+    the sparse pricing copy in step with it.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, lower: np.ndarray,
                  upper: np.ndarray, opts: SolverOptions):
-        self.A = np.ascontiguousarray(A, dtype=float)
+        self._A = np.array(A, dtype=float, order="C")
+        self.A = self._A.view()
+        self.A.flags.writeable = False
         self.b = np.asarray(b, dtype=float).ravel()
         self.lower = np.asarray(lower, dtype=float).ravel()
         self.upper = np.asarray(upper, dtype=float).ravel()
@@ -155,11 +174,22 @@ class BoundedSimplex:
         self.at_upper = np.zeros(self.n, dtype=bool)
         self.x = np.zeros(self.n)
         self.Binv = np.empty((self.r, self.r))
+        self.reduced_costs = np.zeros(self.n)  # carried by the last dual_run
         self.pivots = 0
         self.basis_changes = 0
         self.stale_updates = 0  # eta/rank-1 updates applied since the last true refactor
         self._degen_streak = 0
         self._bland = False
+        entries = self.r * self.n
+        self._At = None      # CSR copy of A^T for pricing, on the sparse path only
+        self._gemm = None
+        self._dense_cols = np.empty(0, dtype=np.intp)  # columns priced from A itself
+        if (entries >= _SPARSE_MIN_ENTRIES
+                and np.count_nonzero(self._A) <= _SPARSE_MAX_DENSITY * entries):
+            from scipy.linalg.blas import dgemm
+
+            self._At = sp.csr_array(self._A.T)
+            self._gemm = dgemm
 
     # -- basis bookkeeping -------------------------------------------------
 
@@ -197,6 +227,17 @@ class BoundedSimplex:
         rhs = self.b if live.size == 0 else self.b - self.A[:, live] @ self.x[live]
         self.x[self.basis] = self.Binv @ rhs
 
+    def set_column(self, j: int, col: np.ndarray) -> None:
+        """Overwrite A[:, j], leaving the factorization alone.
+
+        On the sparse path the column leaves the CSR copy (its stored entries
+        are zeroed) and is priced from A from then on.
+        """
+        self._A[:, j] = col
+        if self._At is not None and j not in self._dense_cols:
+            self._At.data[self._At.indptr[j]:self._At.indptr[j + 1]] = 0.0
+            self._dense_cols = np.append(self._dense_cols, j)
+
     def replace_column(self, j: int, col: np.ndarray) -> bool:
         """Overwrite A[:, j] and patch the factorization in place.
 
@@ -207,7 +248,7 @@ class BoundedSimplex:
         """
         col = np.asarray(col, dtype=float).ravel()
         delta = col - self.A[:, j]
-        self.A[:, j] = col
+        self.set_column(j, col)
         if self.r == 0 or not self.in_basis[j]:
             return True
         q = int(np.flatnonzero(self.basis == j)[0])
@@ -215,9 +256,33 @@ class BoundedSimplex:
         denom = 1.0 + w[q]
         if abs(denom) < 1e-8:
             return False
-        self.Binv -= np.outer(w / denom, self.Binv[q])
+        w /= denom
+        self._rank_one(w, self.Binv[q].copy())
         self.stale_updates += 1
         return True
+
+    def _rank_one(self, x: np.ndarray, y: np.ndarray) -> None:
+        """Binv -= outer(x, y) in place; y must not be a view into Binv."""
+        if self._gemm is None:
+            self.Binv -= np.outer(x, y)
+        else:
+            # A rank-one dgemm, not dger: OpenBLAS threads dger at these
+            # sizes, and a threaded dger at r = 125 took 2.3 ms instead of
+            # 5 us on a busy 2-core machine; dgemm stayed serial at r = 125
+            # and 243.
+            # The transpose of a C-ordered Binv is the Fortran array BLAS
+            # updates in place; any other layout comes back as an updated copy.
+            self.Binv = self._gemm(-1.0, y[:, None], x[None, :], beta=1.0,
+                                   c=self.Binv.T, overwrite_c=True).T
+
+    def _price(self, y: np.ndarray) -> np.ndarray:
+        """The row product y @ A."""
+        if self._At is None:
+            return y @ self.A
+        out = self._At @ y
+        if self._dense_cols.size:
+            out[self._dense_cols] = y @ self.A[:, self._dense_cols]
+        return out
 
     def duals(self, c: np.ndarray) -> np.ndarray:
         if self.r == 0:
@@ -234,31 +299,39 @@ class BoundedSimplex:
 
     # -- the simplex loop --------------------------------------------------
 
-    def _entering(self, z: np.ndarray) -> tuple[int, int] | None:
-        """Pick the entering column; returns (index, direction) or None at optimality."""
+    def _entering(self, z: np.ndarray, fixed: np.ndarray,
+                  free: np.ndarray) -> tuple[int, int] | None:
+        """Pick the entering column; returns (index, direction) or None at optimality.
+
+        ``fixed`` (lower == upper) and ``free`` (no finite bound) are index
+        arrays from the bounds, which stay put for a whole run.
+        """
+        gain = np.where(self.at_upper, z, -z)  # cost decrease per unit step off the bound
+        if free.size:
+            gain[free] = np.abs(z[free])
+        gain[self.in_basis] = -1.0
+        gain[fixed] = -1.0
         tol = self.opts.tol_opt
-        movable = ~self.in_basis & (self.lower < self.upper)
-        lo_finite = np.isfinite(self.lower)
-        free = movable & ~lo_finite & ~np.isfinite(self.upper)
-        down = movable & (self.at_upper | free) & (z > tol)
-        up = movable & ~self.at_upper & (z < -tol)
-        any_cand = down | up
-        if not any_cand.any():
-            return None
         if self._bland:
-            j = int(np.flatnonzero(any_cand)[0])
+            cand = np.flatnonzero(gain > tol)
+            if cand.size == 0:
+                return None
+            j = int(cand[0])
         else:
-            score = np.where(any_cand, np.abs(z), -1.0)
-            j = int(np.argmax(score))
-        return j, (-1 if down[j] else +1)
+            j = int(np.argmax(gain))
+            if gain[j] <= tol:
+                return None
+        return j, (-1 if self.at_upper[j] or z[j] > 0 else +1)
 
     def run(self, c: np.ndarray, max_pivots: int) -> str:
         """Minimize c.x from the current basic feasible point."""
         opts = self.opts
+        fixed = np.flatnonzero(~(self.lower < self.upper))
+        free = np.flatnonzero(~np.isfinite(self.lower) & ~np.isfinite(self.upper))
         verified = False  # has optimality been re-checked after a clean refactor
         while True:
-            z = c - (self.duals(c) @ self.A if self.r else 0.0)
-            pick = self._entering(z)
+            z = c - self._price(self.duals(c))
+            pick = self._entering(z, fixed, free)
             if pick is None:
                 # a recent factorization is trusted; only re-check after enough
                 # rank-one updates have accumulated to matter
@@ -332,7 +405,7 @@ class BoundedSimplex:
         self.in_basis[j] = True
         self.Binv[i] /= w[i]
         w[i] = 0.0
-        self.Binv -= np.outer(w, self.Binv[i])
+        self._rank_one(w, self.Binv[i].copy())
         self.stale_updates += 1
         return leaving
 
@@ -353,11 +426,17 @@ class BoundedSimplex:
         out-of-bounds basic variable to its violated bound. Returns OPTIMAL
         once the basics are within bounds (the caller should confirm with a
         primal run), INFEASIBLE if a violated row has no admissible column.
+
+        The reduced costs are priced on entry and after every refactor, and in
+        between carried across pivots by z <- z - (z_j / alpha_j) alpha, so a
+        pivot prices only its pivot row alpha. They stay in reduced_costs.
         """
         opts = self.opts
+        if self.r == 0:
+            return OPTIMAL
+        movable = self.lower < self.upper
+        z = self.reduced_costs = c - self._price(self.duals(c))
         while True:
-            if self.r == 0:
-                return OPTIMAL
             xB = self.x[self.basis]
             below = self.lower[self.basis] - xB
             above = xB - self.upper[self.basis]
@@ -369,13 +448,11 @@ class BoundedSimplex:
                 return ITERATION_LIMIT
             over_upper = above[i_star] > below[i_star]
 
-            z = c - self.duals(c) @ self.A
-            alpha = self.Binv[i_star] @ self.A
-            movable = ~self.in_basis & (self.lower < self.upper)
-            sign = 1.0 if over_upper else -1.0
-            ok_low = movable & ~self.at_upper & (sign * alpha > opts.pivot_tol)
-            ok_up = movable & self.at_upper & (sign * alpha < -opts.pivot_tol)
-            cand = np.flatnonzero(ok_low | ok_up)
+            alpha = self._price(self.Binv[i_star])
+            signed = alpha if over_upper else -alpha
+            ok = movable & ~self.in_basis & np.where(self.at_upper, signed < -opts.pivot_tol,
+                                                     signed > opts.pivot_tol)
+            cand = np.flatnonzero(ok)
             if cand.size == 0:
                 return INFEASIBLE
             ratios = np.abs(z[cand] / alpha[cand])
@@ -388,6 +465,7 @@ class BoundedSimplex:
 
             bound = self.upper[self.basis[i_star]] if over_upper else self.lower[self.basis[i_star]]
             t = (xB[i_star] - bound) / alpha[j]
+            z -= (z[j] / alpha[j]) * alpha
             w = self.Binv @ self.A[:, j]
             self.x[j] += t
             self.x[self.basis] = xB - t * w
@@ -398,6 +476,7 @@ class BoundedSimplex:
             self.basis_changes += 1
             if self.basis_changes % opts.refactor_every == 0:
                 self.refactor()
+                z = self.reduced_costs = c - self._price(self.duals(c))
             self._note_step(abs(t))
 
 

@@ -79,6 +79,7 @@ class ThresholdResult:
 
 _TABLES: dict[tuple[int, int, int], np.ndarray] = {}
 _MARGINAL: dict[tuple[int, int, int], sp.csr_array] = {}
+_KEPT: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
 _WARM: dict[tuple[int, int, int], "_WarmStart"] = {}
 
 
@@ -168,6 +169,15 @@ def _collins_gisin_rows(sc: Scenario) -> np.ndarray:
     return np.sort(block * d ** sc.parties + outcome)
 
 
+def _kept_rows(sc: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """The Collins-Gisin row indices and their dense marginal rows, cached."""
+    key = _key(sc)
+    if key not in _KEPT:
+        keep = _collins_gisin_rows(sc)
+        _KEPT[key] = keep, assignment_marginal_matrix(sc)[keep].toarray()
+    return _KEPT[key]
+
+
 class _WarmStart:
     """Tensor-independent solve structure: kept rows and a starting vertex.
 
@@ -181,8 +191,7 @@ class _WarmStart:
 
     def __init__(self, sc: Scenario):
         n_atoms = sc.joint_size
-        self.keep = _collins_gisin_rows(sc)
-        self.a_keep = assignment_marginal_matrix(sc)[self.keep].toarray()
+        self.keep, self.a_keep = _kept_rows(sc)
         basis, at_upper = _crossover_vertex(self.a_keep, np.full(n_atoms, 1.0 / n_atoms))
         self.basis = basis
         self.at_upper = np.append(at_upper, True)  # F starts nonbasic at its upper bound
@@ -328,7 +337,7 @@ class ThresholdSolver:
                 if status != OPTIMAL or core.primal_residual() > self.options.tol_feas:
                     status = None
         else:
-            core.A[:, -1] = mixing_full[ws.keep]
+            core.set_column(core.n - 1, mixing_full[ws.keep])
         if status is None:
             core.set_basis(ws.basis, ws.at_upper)
             status = core.run(self._objective, self._max_pivots)
@@ -416,10 +425,10 @@ def feasible_at(
 
     sc = tensor.scenario
     opts = options or SolverOptions()
-    ws = _warm_start(sc)
+    keep, a_keep = _kept_rows(sc)
     probs = noisy_tensor(tensor, noise_fraction).flat
     n = sc.joint_size
-    lp = LinearProgram(np.zeros(n), ws.a_keep, probs[ws.keep], np.zeros(n), np.ones(n))
+    lp = LinearProgram(np.zeros(n), a_keep, probs[keep], np.zeros(n), np.ones(n))
     sol = solve_full_rank(lp, opts)
     if sol.status == INFEASIBLE:
         return False

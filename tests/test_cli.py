@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from lrthresh import SolverOptions, parse_lp_text, reports
+from lrthresh import SolverOptions, parse_lp_text, reports, search
 from lrthresh.cli import main
 
 GHZ33 = "parties: 3\ndim: 3\nstate: ghz\nsettings: paper-maxent\n"
@@ -87,6 +87,39 @@ def test_verify_replays_report_tolerances(capsys, tmp_path, monkeypatch, tol_fla
     assert main(["verify", str(out_path)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "ok"
     assert replayed == [options, options]
+
+
+@pytest.mark.parametrize("tol_flag, options", [
+    ([], SolverOptions()),
+    (["--tol", "1e-7"], SolverOptions(tol_feas=1e-7, tol_opt=1e-7)),
+])
+def test_optimize_runs_and_replays_report_tolerances(capsys, tmp_path, monkeypatch,
+                                                      tol_flag, options):
+    seen = {"search": [], "verify": []}
+
+    def spy_on(module, name, where):
+        original = getattr(module, name)
+
+        def spy(*args, **kwargs):
+            bound = inspect.signature(original).bind(*args, **kwargs)
+            seen[where].append(bound.arguments.get("options") or SolverOptions())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+
+    spy_on(search, "ThresholdSolver", "search")
+    spy_on(search, "threshold", "search")
+    spy_on(reports, "threshold", "verify")
+    scen = tmp_path / "ghz23.yaml"
+    scen.write_text(GHZ23)
+    out_path = tmp_path / "opt.json"
+    assert main(["optimize", "--scenario", str(scen), "--restarts", "2", "--max-evals", "20",
+                 "--workers", "1", "--out", str(out_path)] + tol_flag) == 0
+    assert json.loads(out_path.read_text())["tolerances"]["tol_opt"] == options.tol_opt
+    assert main(["verify", str(out_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "ok"
+    # two restart solvers and the final certified solve, then the replay
+    assert seen == {"search": [options] * 3, "verify": [options]}
 
 
 def test_optimize_command(capsys, tmp_path):

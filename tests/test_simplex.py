@@ -14,7 +14,7 @@ from lrthresh import (
     parse_lp_text,
     solve_lp,
 )
-from lrthresh.simplex import INFEASIBLE, ITERATION_LIMIT, OPTIMAL, UNBOUNDED
+from lrthresh.simplex import INFEASIBLE, ITERATION_LIMIT, OPTIMAL, UNBOUNDED, _two_phase
 
 from conftest import dual_residual, enumerate_lp_optimum, random_bounded_lp
 
@@ -189,3 +189,77 @@ def test_solver_failure_carries_status():
     err = SolverFailure(INFEASIBLE, "detail text")
     assert err.status == INFEASIBLE
     assert "detail text" in str(err)
+
+
+def sparse_problem(rng, r, n, density=0.04):
+    """[I | sparse 0/1 columns]: the identity gives a starting basis."""
+    cols = (rng.random((r, n - r)) < density).astype(float)
+    A = np.hstack([np.eye(r), cols])
+    return BoundedSimplex(A, np.ones(r), np.zeros(n), np.ones(n), SolverOptions())
+
+
+# the size rule: 150 x 600 at 4% density prices sparsely, 20 x 60 densely
+@pytest.mark.parametrize("r, n, sparse", [(150, 600, True), (20, 60, False)])
+def test_sparse_and_dense_pricing_agree(rng, r, n, sparse):
+    core = sparse_problem(rng, r, n)
+    assert (core._At is not None) == sparse
+    core.set_basis(np.arange(r))
+    reference = core.A.copy()
+
+    def check():
+        for _ in range(3):
+            y = rng.normal(size=r)
+            assert np.max(np.abs(core._price(y) - y @ reference)) < 1e-12
+
+    check()
+    for j in (r + 5, n // 2, 3):  # nonbasic, nonbasic, basic; none of them the last
+        col = rng.normal(size=r)
+        assert core.replace_column(j, col)
+        reference[:, j] = col
+        check()
+    with pytest.raises(ValueError):
+        core.A[:, 0] = 0.0  # writes go through set_column
+
+
+@pytest.mark.parametrize("r, n", [(150, 600), (20, 60)])
+def test_inverse_stays_exact_over_many_updates(rng, r, n):
+    core = sparse_problem(rng, r, n, density=0.1)
+    assert (core._gemm is not None) == (r * n >= 50_000)  # the in-place BLAS update
+    core.set_basis(np.arange(r))
+    updates = 0
+    while updates < 300:
+        if updates % 3 == 2:
+            j = int(rng.choice(core.basis))
+            ok = core.replace_column(j, core.A[:, j] + 0.1 * rng.normal(size=r))
+        else:
+            j = int(rng.choice(np.flatnonzero(~core.in_basis)))
+            w = core.Binv @ core.A[:, j]
+            i = int(np.argmax(np.abs(w)))
+            ok = abs(w[i]) > 0.5
+            if ok:
+                core._exchange(i, j, w)
+        updates += ok
+    assert core.stale_updates == 300
+    assert np.max(np.abs(core.Binv @ core.A[:, core.basis] - np.eye(r))) < 1e-9
+
+
+@pytest.mark.parametrize("r, n", [(150, 600), (20, 60)])
+def test_dual_run_carries_exact_reduced_costs(rng, r, n):
+    A = np.hstack([np.eye(r), (rng.random((r, n - r)) < 0.04) * rng.uniform(0.5, 2, (r, n - r))])
+    c = rng.normal(size=n)
+    x0 = rng.uniform(0.2, 0.8, size=n)
+    opts = SolverOptions(refactor_every=7)  # reprice often
+    status, core, c_ext = _two_phase(A, A @ x0, c, np.zeros(n), np.ones(n), opts, 10_000)
+    assert status == OPTIMAL
+    dual_pivots = 0
+    for _ in range(3):
+        # a new rhs: the optimal basis stays dual feasible, not primal
+        core.b = A @ np.clip(x0 + rng.normal(scale=0.2, size=n), 0.0, 1.0)
+        core.recompute_basics()
+        before = core.pivots
+        assert core.dual_run(c_ext, 10_000) == OPTIMAL
+        dual_pivots += core.pivots - before
+        fresh = c_ext - core.duals(c_ext) @ core.A
+        assert np.max(np.abs(core.reduced_costs - fresh)) < 1e-9
+        assert core.run(c_ext, 10_000) == OPTIMAL
+    assert dual_pivots > 7

@@ -1,5 +1,7 @@
 """Threshold LP construction, solution, certificates, and invariances."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -213,6 +215,21 @@ def test_feasible_at_matches_full_system_solve(parties, dim, rng):
             levels.append(f - 1e-6)
         for noise in levels:
             assert feasible_at(tensor, noise) == full_system_verdict(tensor, noise), noise
+
+
+def test_feasible_at_skips_starting_vertex(monkeypatch):
+    # the noise check needs only the kept rows, not the threshold solve's vertex
+    module = importlib.import_module("lrthresh.threshold")
+    monkeypatch.setattr(module, "_KEPT", {})
+    monkeypatch.setattr(module, "_WARM", {})
+
+    def crossover(*args):
+        raise AssertionError("feasible_at built the starting vertex")
+
+    monkeypatch.setattr(module, "_crossover_vertex", crossover)
+    tensor = ghz_maxent_tensor()  # threshold 0.4
+    assert feasible_at(tensor, 0.41)
+    assert not feasible_at(tensor, 0.39)
 
 
 def test_feasible_at_rejects_tensor_inconsistent_on_dropped_row():

@@ -25,8 +25,9 @@ from .reports import (
 from .scenario_io import ScenarioFileError, load_scenario_file
 from .search import OptimizationConfig, optimize_phases, optimize_state_and_phases
 from .simplex import SolverFailure, SolverOptions, dump_lp_text
-from .threshold import build_threshold_lp, feasible_at, threshold_from_tensor
-from .threshold import threshold  # noqa: F401  unused; perfbench/spans.py patches it here
+from .threshold import build_threshold_lp, threshold_from_tensor
+# unused here, but perfbench/spans.py patches both names in this module
+from .threshold import feasible_at, threshold  # noqa: F401
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -93,15 +94,10 @@ def _cmd_threshold(args, argv: list[str]) -> int:
     start = time.perf_counter()
     tensor = correlation_tensor(sf.state, sf.settings)
     result = threshold_from_tensor(tensor, options=opts)
-    local = None
-    if sf.noise is not None:
-        local = feasible_at(tensor, sf.noise, options=opts)
     wall = time.perf_counter() - start
     print(f"{result.f_thr:.6f}")
     if args.out:
-        report = build_threshold_report(sf, result, argv, wall,
-                                        options=opts or SolverOptions(),
-                                        local_at_noise=local)
+        report = build_threshold_report(sf, result, argv, wall, options=opts)
         write_report(report, args.out)
     return EXIT_OK
 

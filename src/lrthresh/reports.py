@@ -34,7 +34,7 @@ from .threshold import (
     ThresholdResult,
     assignment_marginal_matrix,
     build_threshold_lp,
-    feasible_at,
+    feasible_at,  # noqa: F401  unused; perfbench/spans.py patches it here
     threshold,
     threshold_from_tensor,
 )
@@ -81,8 +81,8 @@ def build_threshold_report(
     command: list[str],
     wall_clock_s: float,
     options: SolverOptions | None = None,
-    local_at_noise: bool | None = None,
 ) -> dict:
+    options = options or SolverOptions()
     report = {
         "report_version": REPORT_VERSION,
         "tool_version": __version__,
@@ -90,7 +90,7 @@ def build_threshold_report(
         "command": list(command),
         "rng_seed": None,
         "wall_clock_s": wall_clock_s,
-        "tolerances": _tolerance_block(options or SolverOptions()),
+        "tolerances": _tolerance_block(options),
         "scenario": _scenario_block(sf),
         "f_thr": result.f_thr,
         "witness": {
@@ -105,9 +105,18 @@ def build_threshold_report(
         },
         "solver": dict(result.solver_stats),
     }
-    if local_at_noise is not None:
-        report["local_at_noise"] = local_at_noise
+    if sf.noise is not None:
+        report["local_at_noise"] = _local_at_noise(sf.noise, result.f_thr, options)
     return report
+
+
+def _local_at_noise(noise: float, f_thr: float, options: SolverOptions) -> bool:
+    """Whether the noisy tensor at this noise fraction admits a local model.
+
+    The local noise fractions form [f_thr, 1]: the set is convex and contains
+    F = 1, so the certified threshold answers this without a second solve.
+    """
+    return float(noise) >= f_thr - options.tol_feas
 
 
 def build_optimize_report(
@@ -227,7 +236,7 @@ def _verify_threshold(report: dict, problems: list[str]) -> None:
 
     noise = report["scenario"].get("noise")
     if noise is not None and "local_at_noise" in report:
-        actual = feasible_at(tensor, float(noise), options)
+        actual = _local_at_noise(noise, recomputed.f_thr, options)
         if bool(report["local_at_noise"]) != actual:
             problems.append(
                 f"local_at_noise says {report['local_at_noise']}, "

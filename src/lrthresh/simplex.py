@@ -3,8 +3,9 @@
 Solves min c.x subject to A x = b, lower <= x <= upper, with a certified
 primal/dual pair on success. Geared to the moderately sized, rank-deficient
 marginal systems this package produces: a presolve pass removes dependent
-equality rows, phase 1 uses auxiliary variables, and callers that know a basic
-feasible point can skip phase 1 entirely via warm start.
+equality rows and phase 1 uses auxiliary variables. Callers that know a
+nonsingular basis skip both and drive BoundedSimplex directly: from a dual
+feasible basis, dual_run restores primal feasibility and run finishes.
 
 The basis inverse is a dense matrix kept current by product-form rank-one
 updates. On large sparse matrices (the 0/1 assignment columns of the

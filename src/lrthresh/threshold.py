@@ -7,11 +7,12 @@ such F is the threshold; it is the optimum of a linear program whose variables
 are the d^(N m) assignment weights plus F itself, with one equality row per
 (setting combination, outcome combination) pair and one normalization row.
 
-The per-scenario structure of that program (the Collins-Gisin rows, which
-span the equality system and are written down in closed form, and a starting
-basis reached from the uniform assignment distribution at F = 1, which is
-feasible for every tensor) does not depend on the tensor, so it is built once
-and cached; each solve then runs only warm-started simplex pivots.
+The per-scenario structure of that program does not depend on the tensor and
+is written down in closed form: the Collins-Gisin rows, which span the
+equality system, and a starting basis of assignment columns whose matrix on
+those rows is a Kronecker product of one small block per party. With F at 0
+that basis is dual feasible for every tensor, so each solve runs only dual
+and primal simplex pivots, from it or from the previous optimum.
 """
 
 from __future__ import annotations
@@ -80,7 +81,6 @@ class ThresholdResult:
 _TABLES: dict[tuple[int, int, int], np.ndarray] = {}
 _MARGINAL: dict[tuple[int, int, int], sp.csr_array] = {}
 _KEPT: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
-_WARM: dict[tuple[int, int, int], "_WarmStart"] = {}
 
 
 def _key(sc: Scenario) -> tuple[int, int, int]:
@@ -178,76 +178,20 @@ def _kept_rows(sc: Scenario) -> tuple[np.ndarray, np.ndarray]:
     return _KEPT[key]
 
 
-class _WarmStart:
-    """Tensor-independent solve structure: kept rows and a starting vertex.
+def _collins_gisin_basis(sc: Scenario) -> np.ndarray:
+    """Assignment columns of the closed-form starting basis, one per kept row.
 
-    The kept rows are the Collins-Gisin set. At F = 1 the equality system
-    reads (model marginal) = 1/d^N for every row, which the uniform assignment
-    distribution satisfies regardless of the tensor. Walking that interior
-    point to a vertex of the F = 1 face, along null directions of the kept
-    marginal rows, yields a starting basis whose basic values the simplex core
-    recomputes from any tensor's rhs.
+    Per party the 2d-1 local strategies (a at s=0, a at s=1) = (k, k) for
+    every k and (0, a) for a >= 1, combined as tensor products in
+    _collins_gisin_rows' digit order. On the kept rows these columns form the
+    Kronecker product of one nonsingular (2d-1) x (2d-1) block per party.
     """
-
-    def __init__(self, sc: Scenario):
-        n_atoms = sc.joint_size
-        self.keep, self.a_keep = _kept_rows(sc)
-        basis, at_upper = _crossover_vertex(self.a_keep, np.full(n_atoms, 1.0 / n_atoms))
-        self.basis = basis
-        self.at_upper = np.append(at_upper, True)  # F starts nonbasic at its upper bound
-
-
-def _crossover_vertex(a: np.ndarray, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Push an interior point of {a x = a x0, 0 <= x <= 1} onto a vertex.
-
-    Each step moves along one null-space direction until a coordinate reaches
-    a bound, fixes that coordinate, and eliminates it from the remaining
-    directions. The free coordinates that survive form a nonsingular basis.
-    """
-    rows, n = a.shape
-    u, s, vt = np.linalg.svd(a)
-    rank = int(np.sum(s > s[0] * max(a.shape) * np.finfo(float).eps))
-    if rank != rows:
-        raise SolverFailure("numerical", f"kept rows not independent (rank {rank} of {rows})")
-    null = vt[rank:].copy()
-    x = x0.astype(float).copy()
-    fixed = np.zeros(n, dtype=bool)
-    at_upper = np.zeros(n, dtype=bool)
-    while null.shape[0]:
-        step = null[0]
-        peak = np.abs(step).max()
-        if peak < 1e-12:
-            raise SolverFailure("numerical", "degenerate null direction during crossover")
-        step = step / peak
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_up = np.where(step > 1e-12, (1.0 - x) / step, np.inf)
-            t_dn = np.where(step < -1e-12, -x / step, np.inf)
-        t_all = np.minimum(t_up, t_dn)
-        t_all[fixed] = np.inf
-        k = int(np.argmin(t_all))
-        t = max(float(t_all[k]), 0.0)
-        x += t * step
-        hit_upper = step[k] > 0
-        x[k] = 1.0 if hit_upper else 0.0
-        at_upper[k] = hit_upper
-        fixed[k] = True
-        rest = null[1:]
-        if rest.shape[0]:
-            rest = rest - np.outer(rest[:, k] / step[k], step)
-            rest[:, k] = 0.0
-        null = rest
-    basis = np.flatnonzero(~fixed)
-    if basis.size != rows:
-        raise SolverFailure("numerical", f"crossover left {basis.size} free coordinates, "
-                                          f"expected {rows}")
-    return basis, at_upper
-
-
-def _warm_start(sc: Scenario) -> _WarmStart:
-    key = _key(sc)
-    if key not in _WARM:
-        _WARM[key] = _WarmStart(sc)
-    return _WARM[key]
+    d = sc.dim
+    local = np.concatenate([np.arange(d) * (d + 1), np.arange(1, d)])  # digits k,k then 0,a
+    basis = np.zeros(1, dtype=np.intp)
+    for _ in range(sc.parties):
+        basis = np.add.outer(basis * d ** sc.settings_per_party, local).ravel()
+    return basis
 
 
 def _package(
@@ -289,10 +233,11 @@ def _package(
 class ThresholdSolver:
     """Repeated-solve engine for one scenario, reusing structure between calls.
 
-    Besides the tensor-independent starting vertex, consecutive solves reuse
-    the previous optimal basis. The objective never changes, so that basis
-    stays dual feasible when the tensor moves, and a short dual-simplex repair
-    followed by a primal cleanup usually finishes in a handful of pivots.
+    The objective never changes, so any basis stays dual feasible when the
+    tensor moves. A cold solve starts from the closed-form Collins-Gisin
+    basis; later solves start from the previous optimal basis. Either way a
+    dual-simplex repair followed by a primal cleanup finishes the solve, after
+    a small tensor step usually in a handful of pivots.
     value() returns just the optimum for tight optimization loops; solve()
     adds the witness and certificate.
     """
@@ -300,10 +245,11 @@ class ThresholdSolver:
     def __init__(self, sc: Scenario, options: SolverOptions | None = None):
         self.scenario = sc
         self.options = options or SolverOptions()
-        self._ws = _warm_start(sc)
+        self._keep, a_keep = _kept_rows(sc)
+        self._basis = _collins_gisin_basis(sc)
         n = sc.joint_size + 1
-        a0 = np.hstack([self._ws.a_keep, np.zeros((self._ws.keep.size, 1))])
-        self._core = BoundedSimplex(a0, np.zeros(self._ws.keep.size),
+        a0 = np.hstack([a_keep, np.zeros((self._keep.size, 1))])
+        self._core = BoundedSimplex(a0, np.zeros(self._keep.size),
                                     np.zeros(n), np.ones(n), self.options)
         self._objective = np.zeros(n)
         self._objective[-1] = 1.0
@@ -312,35 +258,39 @@ class ThresholdSolver:
         self._have_last = False
         self.last_pivots = 0
 
+    def _repair(self) -> str:
+        """Dual pivots to primal feasibility, then a primal cleanup run."""
+        status = self._core.dual_run(self._objective, self._max_pivots)
+        if status == OPTIMAL:
+            status = self._core.run(self._objective, self._max_pivots)
+        return status
+
     def _solve_core(self, tensor: CorrelationTensor) -> BoundedSimplex:
         """Bring the shared core to a verified optimum for this tensor."""
         sc = self.scenario
         if tensor.scenario != sc:
             raise ScenarioMismatchError("tensor does not belong to this solver's scenario")
-        ws = self._ws
         core = self._core
-        probs = tensor.flat
-        rhs_full = np.concatenate([probs, [1.0]])
-        mixing_full = np.append(probs - 1.0 / sc.dim ** sc.parties, 0.0)
-        core.b = rhs_full[ws.keep]
+        core.b = tensor.flat[self._keep]  # kept rows are marginal rows, never normalization
+        mixing = core.b - 1.0 / sc.dim ** sc.parties
         pivots_before = core.pivots
 
         status = None
         if self._have_last:
-            # patch the one changed column into the factorization, then repair
-            # feasibility; the objective is fixed so the basis stays dual feasible
-            if core.replace_column(core.n - 1, mixing_full[ws.keep]):
+            # patch the one changed column into the factorization of the last basis
+            if core.replace_column(core.n - 1, mixing):
                 core.recompute_basics()
-                status = core.dual_run(self._objective, self._max_pivots)
-                if status == OPTIMAL:
-                    status = core.run(self._objective, self._max_pivots)
+                status = self._repair()
                 if status != OPTIMAL or core.primal_residual() > self.options.tol_feas:
                     status = None
         else:
-            core.set_column(core.n - 1, mixing_full[ws.keep])
+            core.set_column(core.n - 1, mixing)
         if status is None:
-            core.set_basis(ws.basis, ws.at_upper)
-            status = core.run(self._objective, self._max_pivots)
+            # with F nonbasic at 0 every basic variable is a weight, so the
+            # duals are 0, the reduced costs equal the objective, and any basis
+            # of assignment columns is dual feasible for min F
+            core.set_basis(self._basis, np.zeros(core.n, dtype=bool))
+            status = self._repair()
         self.last_pivots = core.pivots - pivots_before
         if status != OPTIMAL or core.primal_residual() > self.options.tol_feas:
             raise SolverFailure(status if status != OPTIMAL else "numerical",
@@ -352,7 +302,7 @@ class ThresholdSolver:
         """Fallback after a failed warm solve: two-phase from scratch, or raise.
 
         The core's basis and inverse may be half-updated after a failure, so
-        the next call starts again from the cached vertex.
+        the next call starts again from the closed-form basis.
         """
         self._have_last = False
         sol = solve_lp(lp, self.options)
@@ -382,7 +332,7 @@ class ThresholdSolver:
             return _package(lp, self.scenario, sol.primal, sol.dual, sol.iterations,
                             time.perf_counter() - start, warm=False)
         dual_full = np.zeros(lp.num_rows)
-        dual_full[self._ws.keep] = core.duals(self._objective)
+        dual_full[self._keep] = core.duals(self._objective)
         return _package(lp, self.scenario, core.x.copy(), dual_full, self.last_pivots,
                         time.perf_counter() - start, warm=True)
 

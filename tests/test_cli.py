@@ -3,9 +3,21 @@
 import inspect
 import json
 
+import numpy as np
 import pytest
+import yaml
 
-from lrthresh import SolverOptions, parse_lp_text, reports, search
+from lrthresh import (
+    Scenario,
+    SolverOptions,
+    correlation_tensor,
+    feasible_at,
+    load_scenario_file,
+    parse_lp_text,
+    reports,
+    search,
+    threshold_from_tensor,
+)
 from lrthresh.cli import main
 
 GHZ33 = "parties: 3\ndim: 3\nstate: ghz\nsettings: paper-maxent\n"
@@ -75,18 +87,55 @@ def test_verify_replays_report_tolerances(capsys, tmp_path, monkeypatch, tol_fla
     assert json.loads(out_path.read_text())["tolerances"]["tol_feas"] == options.tol_feas
 
     replayed = []
-    for name in ("threshold_from_tensor", "feasible_at"):
-        original = getattr(reports, name)
+    original = reports.threshold_from_tensor
 
-        def spy(*args, original=original, **kwargs):
-            bound = inspect.signature(original).bind(*args, **kwargs)
-            replayed.append(bound.arguments["options"])
-            return original(*args, **kwargs)
+    def spy(*args, **kwargs):
+        replayed.append(inspect.signature(original).bind(*args, **kwargs).arguments["options"])
+        return original(*args, **kwargs)
 
-        monkeypatch.setattr(reports, name, spy)
+    monkeypatch.setattr(reports, "threshold_from_tensor", spy)
     assert main(["verify", str(out_path)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "ok"
-    assert replayed == [options, options]
+    assert replayed == [options]
+
+
+def test_verify_detects_flipped_local_at_noise(capsys, tmp_path):
+    scen = tmp_path / "ghz33.yaml"
+    scen.write_text(GHZ33 + "noise: 0.5\n")
+    out_path = tmp_path / "report.json"
+    assert main(["threshold", "--scenario", str(scen), "--out", str(out_path)]) == 0
+    report = json.loads(out_path.read_text())
+    assert report["local_at_noise"] is True  # 0.5 lies above the threshold 0.4
+    assert main(["verify", str(out_path)]) == 0
+
+    report["local_at_noise"] = False
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(report))
+    assert main(["verify", str(tampered)]) == 1
+    assert "local_at_noise" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("parties, dim", [(2, 3), (3, 3), (4, 2)])
+def test_local_at_noise_matches_feasibility_check(tmp_path, rng, parties, dim):
+    sc = Scenario(parties=parties, dim=dim, settings_per_party=2)
+    spec = {"parties": parties, "dim": dim,
+            "state": rng.normal(size=sc.state_size).tolist(),
+            "settings": rng.uniform(0.0, 2.0 * np.pi, size=(parties, 2, dim)).tolist()}
+    scen = tmp_path / "random.yaml"
+    scen.write_text(yaml.safe_dump(spec))
+    sf = load_scenario_file(str(scen))
+    tensor = correlation_tensor(sf.state, sf.settings)
+    f_thr = threshold_from_tensor(tensor).f_thr
+
+    out_path = tmp_path / "report.json"
+    for noise in [f_thr - 1e-6, f_thr + 1e-6] + rng.uniform(0.0, 1.0, size=3).tolist():
+        if not 0.0 <= noise <= 1.0:
+            continue
+        scen.write_text(yaml.safe_dump({**spec, "noise": noise}))
+        assert main(["threshold", "--scenario", str(scen), "--out", str(out_path)]) == 0
+        report = json.loads(out_path.read_text())
+        assert report["local_at_noise"] == feasible_at(tensor, noise), noise
+        assert main(["verify", str(out_path)]) == 0
 
 
 @pytest.mark.parametrize("tol_flag, options", [

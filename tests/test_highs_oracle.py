@@ -2,7 +2,8 @@
 
 Random real states and phase walks drive the warm ThresholdSolver.value()
 re-solves (rank-one column patch, dual repair, primal cleanup) and the
-certified solve(); every value must match HiGHS on build_threshold_lp.
+certified solve(); fresh solvers check the cold start from the closed-form
+basis. Every value must match HiGHS on build_threshold_lp.
 """
 
 import numpy as np
@@ -19,6 +20,9 @@ from lrthresh import (
     ThresholdSolver,
     build_threshold_lp,
     correlation_tensor,
+    ghz_state,
+    paper_settings,
+    product_state,
 )
 
 TOL = 1e-7
@@ -71,3 +75,46 @@ def test_five_qubit_values_match_highs(seed):
     rng = np.random.default_rng(seed)
     start = rng.uniform(0.0, 2.0 * np.pi, size=(5, 2, 2))
     check_walk(sc, rng.normal(size=sc.state_size), [start, start + 0.05, start + 2.0])
+
+
+def check_cold(tensor, expected=None):
+    """A fresh solver's certified solve, which starts from the closed-form basis."""
+    f_thr = ThresholdSolver(tensor.scenario).solve(tensor).f_thr
+    assert abs(f_thr - highs_threshold(tensor)) < TOL
+    if expected is not None:
+        assert abs(f_thr - expected) < TOL
+
+
+@pytest.mark.parametrize("parties, dim", [(2, 2), (2, 3), (3, 3), (4, 2), (5, 2)])
+def test_cold_product_state_matches_highs(parties, dim):
+    sc = Scenario(parties=parties, dim=dim, settings_per_party=2)
+    rng = np.random.default_rng(parties * 10 + dim)
+    vectors = rng.normal(size=(parties, dim))
+    state = product_state(sc, vectors / np.linalg.norm(vectors, axis=1, keepdims=True))
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=(parties, 2, dim))
+    check_cold(correlation_tensor(state, PhaseSettings(sc, phases)), expected=0.0)
+
+
+def test_cold_ghz_maxent_anchor_matches_highs():
+    sc = Scenario(parties=3, dim=3, settings_per_party=2)
+    check_cold(correlation_tensor(ghz_state(sc), paper_settings("maxent_3qutrit")),
+               expected=0.4)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cold_five_qubit_values_match_highs(seed):
+    sc = Scenario(parties=5, dim=2, settings_per_party=2)
+    rng = np.random.default_rng(100 + seed)
+    coeffs = rng.normal(size=sc.state_size)
+    state = PureState(sc, coeffs / np.linalg.norm(coeffs))
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=(5, 2, 2))
+    check_cold(correlation_tensor(state, PhaseSettings(sc, phases)))
+
+
+def test_cold_five_qubit_ghz_on_phase_grid_matches_highs():
+    # a highly degenerate LP: GHZ with every phase a multiple of pi/3
+    sc = Scenario(parties=5, dim=2, settings_per_party=2)
+    grid = np.array([[[3, 3], [1, 0]], [[6, 3], [2, 5]], [[0, 6], [1, 6]],
+                     [[2, 5], [0, 1]], [[0, 2], [5, 1]]])
+    check_cold(correlation_tensor(ghz_state(sc), PhaseSettings(sc, grid * (np.pi / 3))),
+               expected=0.2)

@@ -1,6 +1,7 @@
 """Threshold LP construction, solution, certificates, and invariances."""
 
-import importlib
+import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from lrthresh import (
     threshold_from_tensor,
 )
 from lrthresh.simplex import certified_lower_bound, independent_rows
-from lrthresh.threshold import _warm_start, assignment_marginal_matrix
+from lrthresh.threshold import _collins_gisin_basis, _kept_rows, assignment_marginal_matrix
 
 SC33 = Scenario(parties=3, dim=3, settings_per_party=2)
 SC23 = Scenario(parties=2, dim=3, settings_per_party=2)
@@ -197,9 +198,38 @@ def test_kept_rows_are_collins_gisin_set(parties, dim):
     sc = Scenario(parties=parties, dim=dim, settings_per_party=2)
     full = full_feasibility_lp(sc, np.zeros(sc.marginal_rows)).dense_matrix()
     keep, _ = independent_rows(full, np.zeros(full.shape[0]))
-    ws = _warm_start(sc)
-    assert ws.keep.tolist() == keep
-    assert np.array_equal(ws.a_keep, full[keep])
+    kept, a_keep = _kept_rows(sc)
+    assert kept.tolist() == keep
+    assert np.array_equal(a_keep, full[keep])
+
+
+def local_kept_rows(dim):
+    """One party's Collins-Gisin rows as (setting, outcome) pairs."""
+    return [(0, a) for a in range(dim)] + [(1, a) for a in range(dim - 1)]
+
+
+def local_basis_block(dim):
+    """One party's kept rows against its basis strategies (a at s=0, a at s=1)."""
+    strategies = [(k, k) for k in range(dim)] + [(0, a) for a in range(1, dim)]
+    return np.array([[float(strategy[s] == a) for strategy in strategies]
+                     for s, a in local_kept_rows(dim)])
+
+
+@pytest.mark.parametrize("parties, dim",
+                         [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (2, 4), (5, 2)])
+def test_starting_basis_is_kronecker_product_of_local_blocks(parties, dim):
+    sc = Scenario(parties=parties, dim=dim, settings_per_party=2)
+    keep, a_keep = _kept_rows(sc)
+    # the kept rows in tensor-product order: party-major digits of (s, a) pairs
+    product_rows = [
+        sum(s << (parties - 1 - p) for p, (s, _) in enumerate(combo)) * dim ** parties
+        + sum(a * dim ** (parties - 1 - p) for p, (_, a) in enumerate(combo))
+        for combo in itertools.product(local_kept_rows(dim), repeat=parties)
+    ]
+    basis_matrix = a_keep[np.searchsorted(keep, product_rows)][:, _collins_gisin_basis(sc)]
+    expected = functools.reduce(np.kron, [local_basis_block(dim)] * parties)
+    assert np.array_equal(basis_matrix, expected)
+    assert np.linalg.cond(basis_matrix) < 1e3
 
 
 @pytest.mark.parametrize("parties, dim", [(2, 3), (3, 2), (3, 3), (4, 2)])
@@ -217,21 +247,6 @@ def test_feasible_at_matches_full_system_solve(parties, dim, rng):
             assert feasible_at(tensor, noise) == full_system_verdict(tensor, noise), noise
 
 
-def test_feasible_at_skips_starting_vertex(monkeypatch):
-    # the noise check needs only the kept rows, not the threshold solve's vertex
-    module = importlib.import_module("lrthresh.threshold")
-    monkeypatch.setattr(module, "_KEPT", {})
-    monkeypatch.setattr(module, "_WARM", {})
-
-    def crossover(*args):
-        raise AssertionError("feasible_at built the starting vertex")
-
-    monkeypatch.setattr(module, "_crossover_vertex", crossover)
-    tensor = ghz_maxent_tensor()  # threshold 0.4
-    assert feasible_at(tensor, 0.41)
-    assert not feasible_at(tensor, 0.39)
-
-
 def test_feasible_at_rejects_tensor_inconsistent_on_dropped_row():
     # uniform blocks, except that block (s=1, t=1) moves 0.1 from outcome (1, 0)
     # to (0, 1): every block still sums to 1, but party 1's marginal now depends
@@ -240,9 +255,9 @@ def test_feasible_at_rejects_tensor_inconsistent_on_dropped_row():
     probs[1, 1, 0, 1] += 0.1
     probs[1, 1, 1, 0] -= 0.1
     tensor = CorrelationTensor(SC22, probs)
-    ws = _warm_start(SC22)
+    keep, a_keep = _kept_rows(SC22)
     n = SC22.joint_size
-    kept_only = LinearProgram(np.zeros(n), ws.a_keep, tensor.flat[ws.keep],
+    kept_only = LinearProgram(np.zeros(n), a_keep, tensor.flat[keep],
                               np.zeros(n), np.ones(n))
     assert solve_lp(kept_only).status == "optimal"
     for noise in (0.0, 0.5):

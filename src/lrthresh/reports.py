@@ -64,7 +64,6 @@ def _tolerance_block(options: SolverOptions) -> dict:
     return {
         "tol_feas": options.tol_feas,
         "tol_opt": options.tol_opt,
-        "pivot_tol": options.pivot_tol,
     }
 
 

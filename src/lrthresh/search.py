@@ -28,6 +28,8 @@ from .threshold import ThresholdSolver, threshold
 
 STATE_NORM_FLOOR = 1e-8
 FLAT_VALUE = 1e-6  # objective values at or below this count as the local plateau
+SIMPLEX_SPREAD = 0.3  # step from the start to each other initial Nelder-Mead vertex
+CONVERGENCE_TOL = 1e-4  # Nelder-Mead stops once its simplex's objective spread is below this
 
 MODES = ("phases_only", "phases_and_state")
 
@@ -111,17 +113,11 @@ class OptimizationConfig:
     restarts: int = 64
     rng_seed: int = 0
     max_evals_per_restart: int = 2000
-    simplex_spread: float = 0.3
-    convergence_tol: float = 1e-4
     mode: str = "phases_only"
 
     def __post_init__(self):
         if self.restarts <= 0 or self.max_evals_per_restart <= 0:
             raise ValueError("restarts and max_evals_per_restart must be positive")
-        if self.simplex_spread <= 0:
-            raise ValueError("simplex_spread must be positive")
-        if not 0 < self.convergence_tol < 1:
-            raise ValueError("convergence_tol must lie in (0, 1)")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
 
@@ -139,7 +135,7 @@ def nelder_mead(f, start: ParameterVector, config: OptimizationConfig):
     """Maximize f by the reflect/expand/contract/shrink simplex iteration.
 
     Coefficients (1, 2, 0.5, 0.5). Terminates when the objective spread over
-    the simplex drops below convergence_tol or the evaluation cap is reached.
+    the simplex drops below CONVERGENCE_TOL or the evaluation cap is reached.
     Returns (best parameter vector, best value).
     """
     alpha, gamma, beta, delta = 1.0, 2.0, 0.5, 0.5
@@ -155,7 +151,7 @@ def nelder_mead(f, start: ParameterVector, config: OptimizationConfig):
 
     points = np.tile(x0, (n + 1, 1))
     for i in range(n):
-        points[i + 1, i] += config.simplex_spread
+        points[i + 1, i] += SIMPLEX_SPREAD
     values = np.empty(n + 1)
     for i in range(n + 1):
         if evals >= budget:
@@ -171,7 +167,7 @@ def nelder_mead(f, start: ParameterVector, config: OptimizationConfig):
         order = np.argsort(-values, kind="stable")
         points = points[order]
         values = values[order]
-        if values[0] - values[-1] < config.convergence_tol or evals >= budget:
+        if values[0] - values[-1] < CONVERGENCE_TOL or evals >= budget:
             break
         centroid = points[:-1].mean(axis=0)
         reflected = centroid + alpha * (centroid - points[-1])

@@ -21,7 +21,8 @@ index) until a run of degenerate pivots trips Bland's smallest-index rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,6 +39,12 @@ ITERATION_LIMIT = "iteration_limit"
 _SPARSE_MIN_ENTRIES = 50_000
 _SPARSE_MAX_DENSITY = 0.1
 
+_PIVOT_TOL = 1e-10       # smallest |entry| accepted as a pivot
+_DEGEN_TOL = 1e-11       # steps this short count as degenerate
+_BLAND_STREAK = 50       # degenerate pivots before the smallest-index rule kicks in
+_REFACTOR_EVERY = 100    # basis changes between full refactorizations
+_PIVOTS_PER_COLUMN = 100  # each run or dual_run call stops after this many pivots per column
+
 
 class SolverFailure(RuntimeError):
     """Solve ended in a non-optimal status that the caller cannot continue from."""
@@ -49,13 +56,16 @@ class SolverFailure(RuntimeError):
 
 @dataclass
 class SolverOptions:
+    """Feasibility and optimality tolerances; each must be finite and positive."""
+
     tol_feas: float = 1e-9
     tol_opt: float = 1e-9
-    pivot_tol: float = 1e-10
-    degen_tol: float = 1e-11
-    bland_streak: int = 50         # degenerate pivots before smallest-index rule kicks in
-    refactor_every: int = 100      # basis changes between full refactorizations
-    max_pivots: int | None = None  # default 100 * num_vars
+
+    def __post_init__(self):
+        for name in ("tol_feas", "tol_opt"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
 
 
 @dataclass
@@ -112,7 +122,7 @@ class LPSolution:
 def independent_rows(
     matrix: np.ndarray,
     rhs: np.ndarray,
-    pivot_tol: float = 1e-10,
+    pivot_tol: float = _PIVOT_TOL,
     rhs_tol: float = 1e-9,
 ) -> tuple[list[int], bool]:
     """Select a maximal independent subset of equality rows by row echelon.
@@ -153,8 +163,10 @@ class BoundedSimplex:
     """Revised simplex core; callers manage phases and warm starts.
 
     The basis inverse is maintained by product-form updates and rebuilt from
-    scratch every ``refactor_every`` basis changes (and before an optimality
-    claim), which also resets accumulated drift in the basic values.
+    scratch every ``_REFACTOR_EVERY`` basis changes (and before an optimality
+    claim), which also resets accumulated drift in the basic values. Each
+    ``run`` or ``dual_run`` call stops after ``_PIVOTS_PER_COLUMN`` pivots
+    per column of its own; ``pivots`` counts over the core's life.
 
     ``A`` is read-only: every write goes through ``set_column``, which keeps
     the sparse pricing copy in step with it.
@@ -324,9 +336,9 @@ class BoundedSimplex:
                 return None
         return j, (-1 if self.at_upper[j] or z[j] > 0 else +1)
 
-    def run(self, c: np.ndarray, max_pivots: int) -> str:
+    def run(self, c: np.ndarray) -> str:
         """Minimize c.x from the current basic feasible point."""
-        opts = self.opts
+        limit = self.pivots + _PIVOTS_PER_COLUMN * self.n
         fixed = np.flatnonzero(~(self.lower < self.upper))
         free = np.flatnonzero(~np.isfinite(self.lower) & ~np.isfinite(self.upper))
         verified = False  # has optimality been re-checked after a clean refactor
@@ -336,13 +348,13 @@ class BoundedSimplex:
             if pick is None:
                 # a recent factorization is trusted; only re-check after enough
                 # rank-one updates have accumulated to matter
-                if verified or self.r == 0 or self.stale_updates <= self.opts.refactor_every:
+                if verified or self.r == 0 or self.stale_updates <= _REFACTOR_EVERY:
                     return OPTIMAL
                 self.refactor()
                 verified = True
                 continue
             verified = False
-            if self.pivots >= max_pivots:
+            if self.pivots >= limit:
                 return ITERATION_LIMIT
             j, sigma = pick
             w = self.Binv @ self.A[:, j] if self.r else np.empty(0)
@@ -352,8 +364,8 @@ class BoundedSimplex:
             lB = self.lower[self.basis]
             uB = self.upper[self.basis]
             with np.errstate(divide="ignore", invalid="ignore"):
-                t_down = np.where(d < -opts.pivot_tol, (xB - lB) / -d, np.inf)
-                t_up = np.where(d > opts.pivot_tol, (uB - xB) / d, np.inf)
+                t_down = np.where(d < -_PIVOT_TOL, (xB - lB) / -d, np.inf)
+                t_up = np.where(d > _PIVOT_TOL, (uB - xB) / d, np.inf)
             t_rows = np.minimum(t_down, t_up)
             np.maximum(t_rows, 0.0, out=t_rows)  # drift can make a ratio slightly negative
             t_row_min = float(np.min(t_rows)) if self.r else np.inf
@@ -390,7 +402,7 @@ class BoundedSimplex:
 
             self.pivots += 1
             self.basis_changes += 1
-            if self.basis_changes % opts.refactor_every == 0:
+            if self.basis_changes % _REFACTOR_EVERY == 0:
                 self.refactor()
             self._note_step(t)
 
@@ -411,15 +423,15 @@ class BoundedSimplex:
         return leaving
 
     def _note_step(self, t: float) -> None:
-        if t <= self.opts.degen_tol:
+        if t <= _DEGEN_TOL:
             self._degen_streak += 1
-            if self._degen_streak >= self.opts.bland_streak:
+            if self._degen_streak >= _BLAND_STREAK:
                 self._bland = True
         else:
             self._degen_streak = 0
             self._bland = False
 
-    def dual_run(self, c: np.ndarray, max_pivots: int) -> str:
+    def dual_run(self, c: np.ndarray) -> str:
         """Restore primal feasibility by dual pivots, keeping reduced costs sane.
 
         Intended for re-solves after a small rhs or matrix change, starting
@@ -432,9 +444,9 @@ class BoundedSimplex:
         between carried across pivots by z <- z - (z_j / alpha_j) alpha, so a
         pivot prices only its pivot row alpha. They stay in reduced_costs.
         """
-        opts = self.opts
         if self.r == 0:
             return OPTIMAL
+        limit = self.pivots + _PIVOTS_PER_COLUMN * self.n
         movable = self.lower < self.upper
         z = self.reduced_costs = c - self._price(self.duals(c))
         while True:
@@ -443,16 +455,16 @@ class BoundedSimplex:
             above = xB - self.upper[self.basis]
             viol = np.maximum(below, above)
             i_star = int(np.argmax(viol))
-            if viol[i_star] <= opts.tol_feas:
+            if viol[i_star] <= self.opts.tol_feas:
                 return OPTIMAL
-            if self.pivots >= max_pivots:
+            if self.pivots >= limit:
                 return ITERATION_LIMIT
             over_upper = above[i_star] > below[i_star]
 
             alpha = self._price(self.Binv[i_star])
             signed = alpha if over_upper else -alpha
-            ok = movable & ~self.in_basis & np.where(self.at_upper, signed < -opts.pivot_tol,
-                                                     signed > opts.pivot_tol)
+            ok = movable & ~self.in_basis & np.where(self.at_upper, signed < -_PIVOT_TOL,
+                                                     signed > _PIVOT_TOL)
             cand = np.flatnonzero(ok)
             if cand.size == 0:
                 return INFEASIBLE
@@ -475,7 +487,7 @@ class BoundedSimplex:
             self.at_upper[leaving] = over_upper
             self.pivots += 1
             self.basis_changes += 1
-            if self.basis_changes % opts.refactor_every == 0:
+            if self.basis_changes % _REFACTOR_EVERY == 0:
                 self.refactor()
                 z = self.reduced_costs = c - self._price(self.duals(c))
             self._note_step(abs(t))
@@ -495,7 +507,6 @@ def _two_phase(
     lower: np.ndarray,
     upper: np.ndarray,
     opts: SolverOptions,
-    max_pivots: int,
 ) -> tuple[str, BoundedSimplex, np.ndarray]:
     """Phase 1 with auxiliary variables, then phase 2. Returns (status, core, c_ext)."""
     r, n = A.shape
@@ -515,7 +526,7 @@ def _two_phase(
     core.x[n:] = np.abs(res)
 
     c1 = np.concatenate([np.zeros(n), np.ones(r)])
-    status = core.run(c1, max_pivots)
+    status = core.run(c1)
     if status != OPTIMAL:
         return status, core, c1
     if float(c1 @ core.x) > opts.tol_feas:
@@ -537,7 +548,7 @@ def _two_phase(
     core.upper[n:] = 0.0  # artificials can never re-enter
 
     c_ext = np.concatenate([c, np.zeros(r)])
-    status = core.run(c_ext, max_pivots)
+    status = core.run(c_ext)
     return status, core, c_ext
 
 
@@ -547,9 +558,8 @@ def certified_lower_bound(lp: LinearProgram, dual: np.ndarray) -> float:
     For any y: min c.x >= y.b + sum_j min(z_j l_j, z_j u_j) with z = c - A^T y.
     At an optimal basic pair the bound meets the primal objective.
     """
-    a = lp.dense_matrix()
     y = np.asarray(dual, dtype=float)
-    z = lp.objective - y @ a
+    z = lp.objective - lp.eq_matrix.T @ y
     per_var = np.zeros_like(z)
     pos = z > 0
     neg = z < 0
@@ -565,7 +575,7 @@ def solve_lp(lp: LinearProgram, options: SolverOptions | None = None) -> LPSolut
     """
     opts = options or SolverOptions()
     a_full = lp.dense_matrix()
-    keep, consistent = independent_rows(a_full, lp.eq_rhs, opts.pivot_tol)
+    keep, consistent = independent_rows(a_full, lp.eq_rhs)
     if not consistent:
         return LPSolution(INFEASIBLE, None, None, None, 0)
     reduced = LinearProgram(lp.objective, a_full[keep], lp.eq_rhs[keep], lp.lower, lp.upper)
@@ -584,9 +594,8 @@ def solve_full_rank(lp: LinearProgram, options: SolverOptions | None = None) -> 
     """
     opts = options or SolverOptions()
     n = lp.num_vars
-    max_pivots = opts.max_pivots if opts.max_pivots is not None else 100 * n
     status, core, c_ext = _two_phase(lp.dense_matrix(), lp.eq_rhs, lp.objective,
-                                     lp.lower, lp.upper, opts, max_pivots)
+                                     lp.lower, lp.upper, opts)
     iterations = core.pivots
     if status != OPTIMAL:
         return LPSolution(status, None, None, None, iterations)

@@ -253,16 +253,14 @@ class ThresholdSolver:
                                     np.zeros(n), np.ones(n), self.options)
         self._objective = np.zeros(n)
         self._objective[-1] = 1.0
-        self._max_pivots = (self.options.max_pivots if self.options.max_pivots is not None
-                            else 100 * n)
         self._have_last = False
         self.last_pivots = 0
 
     def _repair(self) -> str:
         """Dual pivots to primal feasibility, then a primal cleanup run."""
-        status = self._core.dual_run(self._objective, self._max_pivots)
+        status = self._core.dual_run(self._objective)
         if status == OPTIMAL:
-            status = self._core.run(self._objective, self._max_pivots)
+            status = self._core.run(self._objective)
         return status
 
     def _solve_core(self, tensor: CorrelationTensor) -> BoundedSimplex:
@@ -325,7 +323,7 @@ class ThresholdSolver:
             core = self._solve_core(tensor)
             # certificates come from exact factors, not accumulated updates
             core.refactor()
-            if core.run(self._objective, self._max_pivots) != OPTIMAL:
+            if core.run(self._objective) != OPTIMAL:
                 raise SolverFailure("numerical", "re-verification after refactor failed")
         except SolverFailure:
             sol = self._cold_solve(lp)

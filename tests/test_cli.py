@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import time
 
 import numpy as np
 import pytest
@@ -209,3 +210,22 @@ def test_input_error_exit_codes(capsys, tmp_path):
 def test_bad_flags_exit_two(capsys):
     assert main(["optimize", "--mode", "everything"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_unusable_tolerance_is_an_input_error(capsys, ghz33_file, tol):
+    start = time.perf_counter()
+    assert main(["threshold", "--scenario", ghz33_file, "--tol", tol]) == 2
+    assert time.perf_counter() - start < 1.0  # rejected before any pivot
+    assert "tol_feas" in capsys.readouterr().err
+
+
+def test_verify_rejects_report_with_unusable_tolerance(capsys, tmp_path, ghz33_file):
+    out_path = tmp_path / "report.json"
+    assert main(["threshold", "--scenario", ghz33_file, "--out", str(out_path)]) == 0
+    report = json.loads(out_path.read_text())
+    report["tolerances"]["tol_feas"] = -1
+    out_path.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(["verify", str(out_path)]) == 2
+    assert "tol_feas" in capsys.readouterr().err

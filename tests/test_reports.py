@@ -86,6 +86,19 @@ def test_optimize_report_clean(optimize_report):
     assert len(log) == 3
 
 
+def test_reports_with_retired_settings_still_verify(tmp_path, threshold_report,
+                                                    optimize_report):
+    # reports written before these settings became constants carry them
+    old_threshold = json.loads(json.dumps(threshold_report))
+    old_threshold["tolerances"]["pivot_tol"] = 1e-10
+    old_optimize = json.loads(json.dumps(optimize_report))
+    old_optimize["optimizer"]["config"].update(simplex_spread=0.3, convergence_tol=1e-4)
+    for i, report in enumerate((old_threshold, old_optimize)):
+        path = tmp_path / f"old-{i}.json"
+        write_report(report, path)
+        assert verify_report(load_report(path)) == []
+
+
 def test_tampered_best_value_detected(optimize_report):
     bad = json.loads(json.dumps(optimize_report))
     bad["optimizer"]["best_f_thr"] += 0.05

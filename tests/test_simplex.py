@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from lrthresh import (
     BoundedSimplex,
@@ -12,6 +13,7 @@ from lrthresh import (
     dump_lp_text,
     independent_rows,
     parse_lp_text,
+    simplex,
     solve_lp,
 )
 from lrthresh.simplex import INFEASIBLE, ITERATION_LIMIT, OPTIMAL, UNBOUNDED, _two_phase
@@ -59,11 +61,28 @@ def test_unbounded_detected():
     assert sol.status == UNBOUNDED
 
 
-def test_iteration_limit_reported():
-    rng = np.random.default_rng(5)
-    lp = random_bounded_lp(rng)
-    sol = solve_lp(lp, SolverOptions(max_pivots=1))
-    assert sol.status in (ITERATION_LIMIT, OPTIMAL)  # tiny LPs may finish in one
+def test_iteration_limit_reported(rng, monkeypatch):
+    lp = random_bounded_lp(np.random.default_rng(5))
+    r, n = 20, 60
+    A = np.hstack([np.eye(r), rng.uniform(0.5, 2.0, size=(r, n - r))])
+    c = rng.normal(size=n)
+    status, core, c_ext = _two_phase(A, A @ rng.uniform(0.2, 0.8, size=n), c,
+                                     np.zeros(n), np.ones(n), SolverOptions())
+    assert status == OPTIMAL
+    core.b = A @ rng.uniform(0.2, 0.8, size=n)  # the optimal basis is now primal infeasible
+    core.recompute_basics()
+    assert core.primal_residual() > 1e-3
+
+    monkeypatch.setattr(simplex, "_PIVOTS_PER_COLUMN", 0)
+    assert solve_lp(lp).status == ITERATION_LIMIT
+    assert core.dual_run(c_ext) == ITERATION_LIMIT
+
+
+@pytest.mark.parametrize("field", ["tol_feas", "tol_opt"])
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+def test_solver_options_reject_unusable_tolerances(field, value):
+    with pytest.raises(ValueError, match=field):
+        SolverOptions(**{field: value})
 
 
 def test_validation_errors():
@@ -94,18 +113,21 @@ def test_against_vertex_enumeration(rng):
 
 def test_optimal_solution_certificates(rng):
     for _ in range(20):
-        lp = random_bounded_lp(rng)
-        sol = solve_lp(lp)
-        if sol.status != OPTIMAL:
-            continue
-        x = sol.primal
-        assert np.max(np.abs(lp.dense_matrix() @ x - lp.eq_rhs)) < 1e-9
-        assert np.all(x >= lp.lower - 1e-9)
-        assert np.all(x <= lp.upper + 1e-9)
-        assert dual_residual(lp, x, sol.dual) < 1e-9
-        bound = certified_lower_bound(lp, sol.dual)
-        assert sol.objective_value - bound < 1e-9
-        assert bound - sol.objective_value < 1e-9  # gap closes both ways at optimum
+        dense = random_bounded_lp(rng)
+        sparse = LinearProgram(dense.objective, sp.csr_array(dense.eq_matrix), dense.eq_rhs,
+                               dense.lower, dense.upper)
+        for lp in (dense, sparse):
+            sol = solve_lp(lp)
+            if sol.status != OPTIMAL:
+                continue
+            x = sol.primal
+            assert np.max(np.abs(lp.dense_matrix() @ x - lp.eq_rhs)) < 1e-9
+            assert np.all(x >= lp.lower - 1e-9)
+            assert np.all(x <= lp.upper + 1e-9)
+            assert dual_residual(lp, x, sol.dual) < 1e-9
+            bound = certified_lower_bound(lp, sol.dual)
+            assert sol.objective_value - bound < 1e-9
+            assert bound - sol.objective_value < 1e-9  # gap closes both ways at optimum
 
 
 def test_determinism(rng):
@@ -244,12 +266,12 @@ def test_inverse_stays_exact_over_many_updates(rng, r, n):
 
 
 @pytest.mark.parametrize("r, n", [(150, 600), (20, 60)])
-def test_dual_run_carries_exact_reduced_costs(rng, r, n):
+def test_dual_run_carries_exact_reduced_costs(rng, monkeypatch, r, n):
     A = np.hstack([np.eye(r), (rng.random((r, n - r)) < 0.04) * rng.uniform(0.5, 2, (r, n - r))])
     c = rng.normal(size=n)
     x0 = rng.uniform(0.2, 0.8, size=n)
-    opts = SolverOptions(refactor_every=7)  # reprice often
-    status, core, c_ext = _two_phase(A, A @ x0, c, np.zeros(n), np.ones(n), opts, 10_000)
+    monkeypatch.setattr(simplex, "_REFACTOR_EVERY", 7)  # reprice often
+    status, core, c_ext = _two_phase(A, A @ x0, c, np.zeros(n), np.ones(n), SolverOptions())
     assert status == OPTIMAL
     dual_pivots = 0
     for _ in range(3):
@@ -257,9 +279,9 @@ def test_dual_run_carries_exact_reduced_costs(rng, r, n):
         core.b = A @ np.clip(x0 + rng.normal(scale=0.2, size=n), 0.0, 1.0)
         core.recompute_basics()
         before = core.pivots
-        assert core.dual_run(c_ext, 10_000) == OPTIMAL
+        assert core.dual_run(c_ext) == OPTIMAL
         dual_pivots += core.pivots - before
         fresh = c_ext - core.duals(c_ext) @ core.A
         assert np.max(np.abs(core.reduced_costs - fresh)) < 1e-9
-        assert core.run(c_ext, 10_000) == OPTIMAL
+        assert core.run(c_ext) == OPTIMAL
     assert dual_pivots > 7

@@ -179,6 +179,26 @@ def test_failed_warm_solve_restarts_from_cached_vertex(rng, monkeypatch):
     assert solver.last_pivots == fresh.last_pivots
 
 
+def test_long_lived_solver_keeps_warm_solving():
+    # the pivot limit counts per call: a solver that has pivoted 100 * n times
+    # over its life still re-solves warm instead of falling back to two-phase
+    solver = ThresholdSolver(SC23)
+    fallbacks = []
+    cold = solver._cold_solve
+
+    def spy(lp):
+        fallbacks.append(lp)
+        return cold(lp)
+
+    solver._cold_solve = spy
+    rng = np.random.default_rng(0)
+    st = ghz_state(SC23)
+    for _ in range(400):
+        solver.value(correlation_tensor(st, random_settings(SC23, rng)))
+    assert solver._core.pivots > 100 * solver._core.n
+    assert not fallbacks
+
+
 def full_feasibility_lp(sc, probs):
     """The local-model feasibility LP over every marginal row and normalization."""
     n = sc.joint_size

@@ -9,8 +9,6 @@ from .scenario import (
     Scenario,
     canonical_phases,
     ghz_state,
-    is_unbiased,
-    is_unitary,
     paper_optimal_state,
     paper_settings,
     paper_table_normalization,

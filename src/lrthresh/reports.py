@@ -17,26 +17,20 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .probabilities import correlation_tensor, noisy_tensor
-from .scenario import PhaseSettings, PureState, Scenario
-from .scenario_io import (
-    ScenarioFile,
-    _resolve_settings,
-    _resolve_state,
-    _schema_error,
-    explicit_settings_spec,
-)
+from .probabilities import correlation_tensor
+from .scenario import PhaseSettings, PureState
+from .scenario_io import ScenarioFile, _schema_error, explicit_settings_spec, resolve_scenario
 from .search import OptimizationConfig, OptimizationResult
 from .simplex import SolverOptions, certified_lower_bound
 from .threshold import (
     CERTIFICATE_GAP_TOL,
     WITNESS_MARGINAL_TOL,
     ThresholdResult,
-    assignment_marginal_matrix,
     build_threshold_lp,
     feasible_at,  # noqa: F401  unused; perfbench/spans.py patches it here
     threshold,
     threshold_from_tensor,
+    witness_residual,
 )
 
 REPORT_VERSION = 1
@@ -155,9 +149,13 @@ def write_report(report: dict, path: str | Path) -> None:
     Path(path).write_text(json.dumps(report, indent=2) + "\n")
 
 
+def _reject_constant(token: str):
+    raise ReportError(f"not valid JSON: non-finite number {token}")
+
+
 def load_report(path: str | Path) -> dict:
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(), parse_constant=_reject_constant)
     except OSError as err:
         raise ReportError(f"cannot read {path}: {err}") from None
     except json.JSONDecodeError as err:
@@ -169,19 +167,8 @@ def load_report(path: str | Path) -> dict:
     return raw
 
 
-def _rebuild_scenario(block: dict) -> tuple[Scenario, PureState, PhaseSettings]:
-    sc = Scenario(
-        parties=int(block["parties"]),
-        dim=int(block["dim"]),
-        settings_per_party=int(block.get("settings_per_party", 2)),
-    )
-    state = _resolve_state(sc, block["state"])
-    settings = _resolve_settings(sc, block["settings"])
-    return sc, state, settings
-
-
 def _verify_threshold(report: dict, problems: list[str]) -> None:
-    sc, state, settings = _rebuild_scenario(report["scenario"])
+    sc, state, settings = resolve_scenario(report["scenario"])
     f_rep = float(report["f_thr"])
 
     weights = np.asarray(report["witness"]["weights"], dtype=float)
@@ -211,9 +198,7 @@ def _verify_threshold(report: dict, problems: list[str]) -> None:
 
     # the witness must reproduce the marginals of the noisy correlations at F
     if 0.0 <= f_rep <= 1.0:
-        target = noisy_tensor(tensor, f_rep).flat
-        marg = assignment_marginal_matrix(sc) @ np.clip(weights, 0.0, None)
-        resid = float(np.max(np.abs(marg - target)))
+        resid, _ = witness_residual(tensor, f_rep, np.clip(weights, 0.0, None))
         if resid > WITNESS_MARGINAL_TOL:
             problems.append(
                 f"witness marginal residual {resid:.3e} exceeds {WITNESS_MARGINAL_TOL:.0e}"
@@ -244,7 +229,7 @@ def _verify_threshold(report: dict, problems: list[str]) -> None:
 
 
 def _verify_optimize(report: dict, problems: list[str]) -> None:
-    sc, _, _ = _rebuild_scenario(report["scenario"])
+    sc, _, _ = resolve_scenario(report["scenario"])
     opt = report["optimizer"]
     f_rep = float(opt["best_f_thr"])
     if abs(float(report["f_thr"]) - f_rep) > 1e-12:

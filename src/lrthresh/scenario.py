@@ -15,7 +15,6 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-UNITARITY_TOL = 1e-12
 NORM_TOL = 1e-12
 
 
@@ -76,6 +75,8 @@ class PureState:
             raise ValueError(
                 f"state needs {self.scenario.state_size} coefficients, got {c.size}"
             )
+        if not np.all(np.isfinite(c)):
+            raise ValueError("state coefficients must be finite")
         norm = np.linalg.norm(c)
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state norm {norm!r} is not 1 within {NORM_TOL}")
@@ -141,15 +142,6 @@ def tritter_unitary(dim: int, phases: Sequence[float] | np.ndarray) -> np.ndarra
     j = np.arange(dim)
     fourier = np.exp(2j * np.pi * np.outer(j, j) / dim) / np.sqrt(dim)
     return fourier * np.exp(1j * p)[np.newaxis, :]
-
-
-def is_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
-    return bool(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) <= tol)
-
-
-def is_unbiased(u: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
-    d = u.shape[0]
-    return bool(np.max(np.abs(np.abs(u) ** 2 - 1.0 / d)) <= tol)
 
 
 def setting_unitaries(settings: PhaseSettings) -> np.ndarray:

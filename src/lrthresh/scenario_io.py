@@ -202,6 +202,19 @@ def _resolve_settings(sc: Scenario, spec) -> PhaseSettings:
     )
 
 
+def resolve_scenario(raw: dict) -> tuple[Scenario, PureState, PhaseSettings]:
+    """The scenario, state and settings a schema-valid scenario mapping names.
+
+    Scenario files and the scenario block of a report share this form.
+    """
+    sc = Scenario(
+        parties=int(raw["parties"]),
+        dim=int(raw["dim"]),
+        settings_per_party=int(raw.get("settings_per_party", 2)),
+    )
+    return sc, _resolve_state(sc, raw["state"]), _resolve_settings(sc, raw["settings"])
+
+
 def parse_scenario_file(text: str) -> ScenarioFile:
     try:
         raw = yaml.safe_load(text)
@@ -214,13 +227,7 @@ def parse_scenario_file(text: str) -> ScenarioFile:
         path = ".".join(str(p) for p in err.absolute_path) or "<top level>"
         raise ScenarioFileError(f"field {path}: {err.message}")
 
-    sc = Scenario(
-        parties=int(raw["parties"]),
-        dim=int(raw["dim"]),
-        settings_per_party=int(raw.get("settings_per_party", 2)),
-    )
-    state = _resolve_state(sc, raw["state"])
-    settings = _resolve_settings(sc, raw["settings"])
+    sc, state, settings = resolve_scenario(raw)
     noise = raw.get("noise")
     if noise is not None:
         noise = float(noise)

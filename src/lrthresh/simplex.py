@@ -571,42 +571,26 @@ def certified_lower_bound(lp: LinearProgram, dual: np.ndarray) -> float:
 def solve_lp(lp: LinearProgram, options: SolverOptions | None = None) -> LPSolution:
     """Solve an LP to a certified optimum, or report a definite failure status.
 
-    A singular basis matrix raises SolverFailure with status "numerical".
+    Dependent equality rows are dropped first (their duals are 0), then the
+    two-phase core runs on the rest. A singular basis matrix raises
+    SolverFailure with status "numerical".
     """
     opts = options or SolverOptions()
     a_full = lp.dense_matrix()
     keep, consistent = independent_rows(a_full, lp.eq_rhs)
     if not consistent:
         return LPSolution(INFEASIBLE, None, None, None, 0)
-    reduced = LinearProgram(lp.objective, a_full[keep], lp.eq_rhs[keep], lp.lower, lp.upper)
-    sol = solve_full_rank(reduced, opts)
-    if sol.dual is not None:
-        dual = np.zeros(lp.num_rows)
-        dual[keep] = sol.dual
-        sol.dual = dual
-    return sol
-
-
-def solve_full_rank(lp: LinearProgram, options: SolverOptions | None = None) -> LPSolution:
-    """solve_lp for an LP whose equality rows are already linearly independent.
-
-    Runs the two-phase core without the row pass; duals are per row of lp.
-    """
-    opts = options or SolverOptions()
-    n = lp.num_vars
-    status, core, c_ext = _two_phase(lp.dense_matrix(), lp.eq_rhs, lp.objective,
+    status, core, c_ext = _two_phase(a_full[keep], lp.eq_rhs[keep], lp.objective,
                                      lp.lower, lp.upper, opts)
-    iterations = core.pivots
     if status != OPTIMAL:
-        return LPSolution(status, None, None, None, iterations)
+        return LPSolution(status, None, None, None, core.pivots)
 
-    primal = core.x[:n].copy()
-    dual = core.duals(c_ext)
-    value = float(lp.objective @ primal)
-
+    primal = core.x[:lp.num_vars].copy()
+    dual = np.zeros(lp.num_rows)
+    dual[keep] = core.duals(c_ext)
     if core.primal_residual() > opts.tol_feas:
-        return LPSolution(ITERATION_LIMIT, primal, dual, value, iterations)
-    return LPSolution(OPTIMAL, primal, dual, value, iterations)
+        status = ITERATION_LIMIT
+    return LPSolution(status, primal, dual, float(lp.objective @ primal), core.pivots)
 
 
 # -- plain-text LP interchange --------------------------------------------

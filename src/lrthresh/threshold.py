@@ -26,7 +26,6 @@ import scipy.sparse as sp
 from .probabilities import CorrelationTensor, ScenarioMismatchError
 from .scenario import PhaseSettings, PureState, Scenario, _frozen
 from .simplex import (
-    INFEASIBLE,
     OPTIMAL,
     BoundedSimplex,
     LinearProgram,
@@ -34,7 +33,6 @@ from .simplex import (
     SolverFailure,
     SolverOptions,
     certified_lower_bound,
-    solve_full_rank,
     solve_lp,
 )
 from .simplex import independent_rows  # noqa: F401  unused; perfbench/spans.py patches it here
@@ -194,19 +192,43 @@ def _collins_gisin_basis(sc: Scenario) -> np.ndarray:
     return basis
 
 
+def witness_residual(
+    tensor: CorrelationTensor,
+    noise_fraction: float,
+    weights: np.ndarray,
+) -> tuple[float, float]:
+    """How far assignment weights are from a local model of the noisy tensor.
+
+    Returns (the largest miss of the weights' marginals against
+    (1-q) P + q/d^N over every marginal row, |sum of weights - 1|). Both are 0
+    exactly when the weights reproduce the tensor mixed with noise fraction q.
+    """
+    sc = tensor.scenario
+    q = float(noise_fraction)
+    target = (1.0 - q) * tensor.flat + q * (1.0 / sc.outcome_combos)
+    marginals = assignment_marginal_matrix(sc) @ weights
+    return (float(np.max(np.abs(marginals - target))),
+            abs(float(np.sum(weights)) - 1.0))
+
+
 def _package(
     lp: LinearProgram,
-    sc: Scenario,
+    tensor: CorrelationTensor,
     primal: np.ndarray,
     dual_full: np.ndarray,
     iterations: int,
     runtime: float,
     warm: bool,
 ) -> ThresholdResult:
+    """Check an optimal primal/dual pair and wrap it as a ThresholdResult.
+
+    The weights must be a local model of the tensor at noise f_thr on every
+    marginal row (witness_residual), and the dual must bound the optimum from
+    below to within CERTIFICATE_GAP_TOL; otherwise SolverFailure.
+    """
     f_thr = float(primal[-1])
-    witness = JointDistribution(sc, primal[:-1])
-    a = lp.eq_matrix
-    residual = float(np.max(np.abs(a @ primal - lp.eq_rhs)))
+    witness = JointDistribution(tensor.scenario, primal[:-1])
+    residual = max(witness_residual(tensor, f_thr, primal[:-1]))
     bound = certified_lower_bound(lp, dual_full)
     gap = f_thr - bound
     if residual > WITNESS_MARGINAL_TOL:
@@ -327,11 +349,11 @@ class ThresholdSolver:
                 raise SolverFailure("numerical", "re-verification after refactor failed")
         except SolverFailure:
             sol = self._cold_solve(lp)
-            return _package(lp, self.scenario, sol.primal, sol.dual, sol.iterations,
+            return _package(lp, tensor, sol.primal, sol.dual, sol.iterations,
                             time.perf_counter() - start, warm=False)
         dual_full = np.zeros(lp.num_rows)
         dual_full[self._keep] = core.duals(self._objective)
-        return _package(lp, self.scenario, core.x.copy(), dual_full, self.last_pivots,
+        return _package(lp, tensor, core.x.copy(), dual_full, self.last_pivots,
                         time.perf_counter() - start, warm=True)
 
 
@@ -364,25 +386,22 @@ def feasible_at(
 ) -> bool:
     """Whether the tensor mixed with the given noise fraction admits a local model.
 
-    The LP runs over the cached kept rows only. Its point is then checked
-    against every marginal row and the normalization row: a tensor that is
-    inconsistent on a dropped row (one that signals) has no local model even
-    when the kept rows alone are feasible.
+    Read off the threshold solve, with no LP of its own. Below its optimum F
+    there is no local model. From F up, the optimal weights w mixed as
+    k w + (1-k) uniform, k = (1-q)/(1-F), reproduce the noisy tensor on the
+    kept rows, since the uniform distribution over assignments gives 1/d^N
+    on every row. The mixture is then checked on every marginal row and the
+    normalization row, so a tensor that is inconsistent on a dropped row
+    (one that signals) still has no local model.
     """
-    from .probabilities import noisy_tensor
-
-    sc = tensor.scenario
+    q = float(noise_fraction)
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"noise fraction must lie in [0, 1], got {q}")
     opts = options or SolverOptions()
-    keep, a_keep = _kept_rows(sc)
-    probs = noisy_tensor(tensor, noise_fraction).flat
-    n = sc.joint_size
-    lp = LinearProgram(np.zeros(n), a_keep, probs[keep], np.zeros(n), np.ones(n))
-    sol = solve_full_rank(lp, opts)
-    if sol.status == INFEASIBLE:
+    core = ThresholdSolver(tensor.scenario, opts)._solve_core(tensor)
+    f_thr = float(core.x[-1])
+    if q < f_thr - opts.tol_feas:
         return False
-    if sol.status != OPTIMAL:
-        raise SolverFailure(sol.status, "feasibility check did not finish")
-    x = sol.primal
-    residual = max(float(np.max(np.abs(assignment_marginal_matrix(sc) @ x - probs))),
-                   abs(float(x.sum()) - 1.0))
-    return residual <= opts.tol_feas
+    k = min(1.0, (1.0 - q) / (1.0 - f_thr)) if f_thr < 1.0 else 0.0
+    weights = k * core.x[:-1] + (1.0 - k) / tensor.scenario.joint_size
+    return max(witness_residual(tensor, q, weights)) <= opts.tol_feas

@@ -20,6 +20,15 @@ def rng():
     return np.random.default_rng(20250822)
 
 
+def is_unitary(u: np.ndarray, tol: float = 1e-12) -> bool:
+    return bool(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) <= tol)
+
+
+def is_unbiased(u: np.ndarray, tol: float = 1e-12) -> bool:
+    d = u.shape[0]
+    return bool(np.max(np.abs(np.abs(u) ** 2 - 1.0 / d)) <= tol)
+
+
 def enumerate_lp_optimum(lp: LinearProgram) -> tuple[str, float | None]:
     """Exhaustive optimum of a small finite-bounded LP via basis enumeration.
 

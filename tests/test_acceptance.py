@@ -19,8 +19,6 @@ from lrthresh import (
     correlation_tensor,
     feasible_at,
     ghz_state,
-    is_unbiased,
-    is_unitary,
     optimize_phases,
     optimize_state_and_phases,
     paper_optimal_state,
@@ -33,7 +31,13 @@ from lrthresh import (
 )
 from lrthresh.simplex import OPTIMAL
 
-from conftest import closed_form_probability, enumerate_lp_optimum, random_bounded_lp
+from conftest import (
+    closed_form_probability,
+    enumerate_lp_optimum,
+    is_unbiased,
+    is_unitary,
+    random_bounded_lp,
+)
 
 SC33 = Scenario(parties=3, dim=3, settings_per_party=2)
 SC32 = Scenario(parties=3, dim=2, settings_per_party=2)

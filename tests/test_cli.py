@@ -229,3 +229,32 @@ def test_verify_rejects_report_with_unusable_tolerance(capsys, tmp_path, ghz33_f
     capsys.readouterr()
     assert main(["verify", str(out_path)]) == 2
     assert "tol_feas" in capsys.readouterr().err
+
+
+def test_nonfinite_state_coefficient_is_an_input_error(capsys, tmp_path):
+    spec = {"parties": 3, "dim": 3, "state": [1.0] * 26 + [float("nan")],
+            "settings": "paper-maxent"}
+    scen = tmp_path / "nan.yaml"
+    scen.write_text(yaml.safe_dump(spec))
+    assert ".nan" in scen.read_text()
+    start = time.perf_counter()
+    assert main(["threshold", "--scenario", str(scen)]) == 2
+    assert time.perf_counter() - start < 1.0  # rejected before any pivot
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tamper", ["witness_weights", "dual_entry"])
+def test_verify_rejects_nonfinite_report_numbers(capsys, tmp_path, tamper):
+    scen = tmp_path / "ghz23.yaml"
+    scen.write_text(GHZ23)
+    out_path = tmp_path / "report.json"
+    assert main(["threshold", "--scenario", str(scen), "--out", str(out_path)]) == 0
+    report = json.loads(out_path.read_text())
+    if tamper == "witness_weights":
+        report["witness"]["weights"] = [float("nan")] * len(report["witness"]["weights"])
+    else:
+        report["certificate"]["dual"][0] = float("nan")
+    out_path.write_text(json.dumps(report))  # json writes the bare token NaN
+    capsys.readouterr()
+    assert main(["verify", str(out_path)]) == 2
+    assert "NaN" in capsys.readouterr().err

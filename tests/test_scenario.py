@@ -9,14 +9,14 @@ from lrthresh import (
     Scenario,
     canonical_phases,
     ghz_state,
-    is_unbiased,
-    is_unitary,
     paper_optimal_state,
     paper_settings,
     paper_table_normalization,
     product_state,
     tritter_unitary,
 )
+
+from conftest import is_unbiased, is_unitary
 
 
 def test_scenario_validation():
@@ -158,6 +158,11 @@ def test_pure_state_validation():
         PureState(sc, np.array([1.0, 0.0, 0.0]))  # wrong length
     with pytest.raises(ValueError):
         PureState(sc, np.array([1.0, 1.0, 0.0, 0.0]))  # not normalized
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            PureState(sc, np.array([bad, 0.0, 0.0, 0.0]))
+        with pytest.raises(ValueError):
+            product_state(sc, [[bad, 0.0], [1.0, 0.0]])
 
 
 def test_paper_state_table_values():

@@ -28,7 +28,13 @@ from lrthresh import (
     threshold_from_tensor,
 )
 from lrthresh.simplex import certified_lower_bound, independent_rows
-from lrthresh.threshold import _collins_gisin_basis, _kept_rows, assignment_marginal_matrix
+from lrthresh import simplex
+from lrthresh.threshold import (
+    _collins_gisin_basis,
+    _kept_rows,
+    assignment_marginal_matrix,
+    witness_residual,
+)
 
 SC33 = Scenario(parties=3, dim=3, settings_per_party=2)
 SC23 = Scenario(parties=2, dim=3, settings_per_party=2)
@@ -283,6 +289,31 @@ def test_feasible_at_rejects_tensor_inconsistent_on_dropped_row():
     for noise in (0.0, 0.5):
         assert not full_system_verdict(tensor, noise)
         assert not feasible_at(tensor, noise)
+
+
+def test_feasible_at_runs_no_lp_of_its_own(monkeypatch):
+    def no_two_phase(*args, **kwargs):
+        raise AssertionError("feasible_at ran a two-phase LP")
+
+    monkeypatch.setattr(simplex, "_two_phase", no_two_phase)
+    tensor = ghz_maxent_tensor()
+    assert not feasible_at(tensor, 0.3)
+    assert feasible_at(tensor, 0.5)
+
+
+def test_witness_residual_scores_certified_witness(rng):
+    tensor = correlation_tensor(random_state(SC23, rng), random_settings(SC23, rng))
+    res = threshold_from_tensor(tensor)
+    weights = np.array(res.witness.weights)
+    marginal, normalization = witness_residual(tensor, res.f_thr, weights)
+    assert marginal <= 1e-8 and normalization <= 1e-8
+    # move 1e-6 from the all-0 assignment to the all-(d-1) one: every setting
+    # block misses its all-0 and all-(d-1) outcome rows by 1e-6, the sum holds
+    weights[0] -= 1e-6
+    weights[-1] += 1e-6
+    marginal, normalization = witness_residual(tensor, res.f_thr, weights)
+    assert abs(marginal - 1e-6) < 1e-8
+    assert normalization <= 1e-12
 
 
 def test_threshold_solver_full_result(rng):

@@ -20,7 +20,6 @@ from .probabilities import (
     CorrelationTensor,
     NegativeProbabilityError,
     ScenarioMismatchError,
-    UnsupportedScenarioError,
     correlation_tensor,
     noisy_tensor,
 )

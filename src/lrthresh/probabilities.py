@@ -1,13 +1,14 @@
 """Quantum outcome probabilities for all setting combinations, plus noise.
 
-The production path contracts each party's multiport unitary into the state
-coefficient tensor and works for any (parties, dim). The tests cross-check it
-against the explicit three-qutrit cosine expansion.
+The production path contracts the state coefficient tensor with one party's
+stack of multiport unitaries at a time and works for any (parties, dim). The
+tests cross-check it against an explicit Kronecker product of the unitaries
+applied to the state, at several (parties, dim), and against the three-qutrit
+cosine expansion.
 """
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,10 +22,6 @@ BLOCK_SUM_TOL = 1e-10
 
 class ScenarioMismatchError(ValueError):
     """State and settings belong to different scenarios."""
-
-
-class UnsupportedScenarioError(ValueError):
-    """Operation is only defined for a specific scenario."""
 
 
 class NegativeProbabilityError(RuntimeError):
@@ -63,45 +60,26 @@ class CorrelationTensor:
         return self.probs.reshape(-1)
 
 
-# cached einsum expression and contraction path per scenario shape
-_CONTRACTION_PLANS: dict[tuple[int, int, int], tuple[str, list]] = {}
-
-
-def _contraction_plan(n: int, m: int, d: int) -> tuple[str, list]:
-    key = (n, m, d)
-    plan = _CONTRACTION_PLANS.get(key)
-    if plan is None:
-        letters = string.ascii_letters
-        if 3 * n > len(letters):
-            raise UnsupportedScenarioError(f"too many parties for one contraction: {n}")
-        set_ax, out_ax, ket_ax = letters[:n], letters[n:2 * n], letters[2 * n:3 * n]
-        expr = (
-            ",".join(set_ax[p] + out_ax[p] + ket_ax[p] for p in range(n))
-            + f",{ket_ax}->{set_ax}{out_ax}"
-        )
-        shapes = [np.empty((m, d, d), complex)] * n + [np.empty((d,) * n, complex)]
-        path = np.einsum_path(expr, *shapes, optimize="greedy")[0]
-        plan = (expr, path)
-        _CONTRACTION_PLANS[key] = plan
-    return plan
-
-
 def correlation_tensor(state: PureState, settings: PhaseSettings) -> CorrelationTensor:
     """Born probabilities |<a_1..a_N| U_1 x...x U_N |psi>|^2 for every setting combo.
 
-    All setting combinations are contracted in one einsum: party p contributes
-    its (settings, outcome, ket) unitary stack, the state supplies the ket
-    axes, and the result carries setting axes then outcome axes.
+    All setting combinations come out of one pass over the parties: each step
+    contracts the leading ket axis of the amplitudes with party p's
+    (settings, outcome, ket) unitary stack and appends that party's setting and
+    outcome axes. The axes then alternate (s_1, a_1, s_2, a_2, ...), and one
+    transpose orders them settings first.
     """
     if state.scenario != settings.scenario:
         raise ScenarioMismatchError(
             f"state scenario {state.scenario} != settings scenario {settings.scenario}"
         )
     sc = state.scenario
-    n, m, d = sc.parties, sc.settings_per_party, sc.dim
+    n = sc.parties
     unitaries = setting_unitaries(settings)
-    expr, path = _contraction_plan(n, m, d)
-    amp = np.einsum(expr, *unitaries, state.tensor.astype(complex), optimize=path)
+    amp = state.tensor.astype(complex)
+    for p in range(n):
+        amp = np.tensordot(amp, unitaries[p], axes=([0], [2]))
+    amp = amp.transpose(tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2)))
     return CorrelationTensor(sc, np.abs(amp) ** 2)
 
 

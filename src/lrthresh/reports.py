@@ -167,7 +167,26 @@ def load_report(path: str | Path) -> dict:
     return raw
 
 
+def _nonfinite_fields(report: dict, paths: tuple[str, ...], problems: list[str]) -> bool:
+    """Name each dotted field that holds NaN or an infinity; True if any does.
+
+    load_report rejects such tokens in files, but every check below has the
+    form x > tol, which NaN passes, so an in-memory report is screened here.
+    """
+    bad = False
+    for path in paths:
+        value = report
+        for key in path.split("."):
+            value = value[key]
+        if not np.all(np.isfinite(np.asarray(value, dtype=float))):
+            problems.append(f"field {path} holds a non-finite number")
+            bad = True
+    return bad
+
+
 def _verify_threshold(report: dict, problems: list[str]) -> None:
+    if _nonfinite_fields(report, ("f_thr", "witness.weights", "certificate.dual"), problems):
+        return
     sc, state, settings = resolve_scenario(report["scenario"])
     f_rep = float(report["f_thr"])
 
@@ -229,6 +248,10 @@ def _verify_threshold(report: dict, problems: list[str]) -> None:
 
 
 def _verify_optimize(report: dict, problems: list[str]) -> None:
+    # the best parameters meet the finiteness checks of PhaseSettings and PureState
+    if _nonfinite_fields(report, ("f_thr", "optimizer.best_f_thr", "optimizer.per_restart_log"),
+                         problems):
+        return
     sc, _, _ = resolve_scenario(report["scenario"])
     opt = report["optimizer"]
     f_rep = float(opt["best_f_thr"])

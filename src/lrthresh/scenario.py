@@ -90,15 +90,17 @@ class PureState:
 
 
 def canonical_phases(phases: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Reduce a phase vector to canonical gauge: first entry 0, all in [0, 2*pi).
+    """Reduce phase vectors to canonical gauge: first entry 0, all in [0, 2*pi).
 
-    A uniform shift of all entries is a global phase on the multiport unitary,
-    so it is fixed to zero; the map is idempotent.
+    Works along the last axis, so a whole (parties, settings, d) table is
+    reduced in one call. A uniform shift of one vector's entries is a global
+    phase on its multiport unitary, so it is fixed to zero; the map is
+    idempotent.
     """
-    p = np.array(phases, dtype=float).ravel()
+    p = np.array(phases, dtype=float, ndmin=1)
     if not np.all(np.isfinite(p)):
         raise ValueError("phases must be finite")
-    p = np.mod(p - p[0], TWO_PI)
+    p = np.mod(p - p[..., :1], TWO_PI)
     p[p >= TWO_PI] = 0.0  # mod can round a tiny negative up to exactly 2*pi
     return p
 
@@ -119,43 +121,32 @@ class PhaseSettings:
         t = np.array(self.table, dtype=float)
         if t.shape != (n, m, d):
             raise ValueError(f"settings table must have shape {(n, m, d)}, got {t.shape}")
-        for p in range(n):
-            for s in range(m):
-                t[p, s] = canonical_phases(t[p, s])
-        object.__setattr__(self, "table", _frozen(t))
+        object.__setattr__(self, "table", _frozen(canonical_phases(t)))
 
 
 def tritter_unitary(dim: int, phases: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Unbiased d-port unitary with input-beam phases.
+    """Unbiased d-port unitary with input-beam phases, broadcast over leading axes.
 
     U[j', j] = exp(2i*pi*j'*j/d) / sqrt(d) * exp(i*phases[j]); every element has
     modulus 1/sqrt(d), so the measurement basis is unbiased with respect to the
-    computational one for any choice of phases.
+    computational one for any choice of phases. Phases of shape (..., d) give
+    unitaries of shape (..., d, d).
     """
     if dim < 2:
         raise ValueError(f"need dim >= 2, got {dim}")
-    p = np.asarray(phases, dtype=float).ravel()
-    if p.size != dim:
-        raise ValueError(f"need {dim} phases, got {p.size}")
+    p = np.asarray(phases, dtype=float)
+    if p.ndim == 0 or p.shape[-1] != dim:
+        raise ValueError(f"need {dim} phases along the last axis, got shape {p.shape}")
     if not np.all(np.isfinite(p)):
         raise ValueError("phases must be finite")
     j = np.arange(dim)
     fourier = np.exp(2j * np.pi * np.outer(j, j) / dim) / np.sqrt(dim)
-    return fourier * np.exp(1j * p)[np.newaxis, :]
+    return fourier * np.exp(1j * p)[..., np.newaxis, :]
 
 
 def setting_unitaries(settings: PhaseSettings) -> np.ndarray:
     """Stack of observables' unitaries, shape (parties, settings, d, d)."""
-    n, m, d = (
-        settings.scenario.parties,
-        settings.scenario.settings_per_party,
-        settings.scenario.dim,
-    )
-    out = np.empty((n, m, d, d), dtype=complex)
-    for p in range(n):
-        for s in range(m):
-            out[p, s] = tritter_unitary(d, settings.table[p, s])
-    return out
+    return tritter_unitary(settings.scenario.dim, settings.table)
 
 
 def ghz_state(scenario: Scenario) -> PureState:

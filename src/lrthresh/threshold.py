@@ -17,6 +17,7 @@ and primal simplex pivots, from it or from the previous optimum.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -59,6 +60,8 @@ class JointDistribution:
             raise ValueError(
                 f"expected {self.scenario.joint_size} assignment weights, got shape {w.shape}"
             )
+        if not np.all(np.isfinite(w)):
+            raise ValueError("assignment weights must be finite")
         if w.min(initial=0.0) < -1e-9:
             raise ValueError(f"assignment weights must be nonnegative (min {w.min()})")
         if abs(w.sum() - 1.0) > 1e-8:
@@ -76,51 +79,31 @@ class ThresholdResult:
     solver_stats: dict
 
 
-_TABLES: dict[tuple[int, int, int], np.ndarray] = {}
-_MARGINAL: dict[tuple[int, int, int], sp.csr_array] = {}
-_KEPT: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _key(sc: Scenario) -> tuple[int, int, int]:
-    return (sc.parties, sc.dim, sc.settings_per_party)
-
-
-def _assignment_tables(sc: Scenario) -> np.ndarray:
-    """All assignments as an (assignments, parties, settings) outcome array."""
-    key = _key(sc)
-    if key not in _TABLES:
-        coords = sc.parties * sc.settings_per_party
-        digits = np.unravel_index(np.arange(sc.joint_size), (sc.dim,) * coords)
-        _TABLES[key] = np.stack(digits, axis=1).reshape(sc.joint_size, sc.parties,
-                                                        sc.settings_per_party)
-    return _TABLES[key]
-
-
+@functools.cache
 def assignment_marginal_matrix(sc: Scenario) -> sp.csr_array:
     """0/1 matrix taking assignment weights to stacked per-setting marginals.
 
     Row order matches the flattened correlation tensor: setting combinations
     party-major, then outcome combinations party-major within each block.
+    Built once per scenario.
     """
-    key = _key(sc)
-    if key not in _MARGINAL:
-        tables = _assignment_tables(sc)
-        n_atoms = sc.joint_size
-        d, parties = sc.dim, sc.parties
-        out_size = d ** parties
-        rows = []
-        for block, combo in enumerate(np.ndindex((sc.settings_per_party,) * parties)):
-            ridx = np.zeros(n_atoms, dtype=np.intp)
-            for p, s in enumerate(combo):
-                ridx = ridx * d + tables[:, p, s]
-            rows.append(block * out_size + ridx)
-        row_idx = np.concatenate(rows)
-        col_idx = np.tile(np.arange(n_atoms), sc.setting_combos)
-        data = np.ones(row_idx.size)
-        mat = sp.coo_array((data, (row_idx, col_idx)),
-                           shape=(sc.marginal_rows, n_atoms)).tocsr()
-        _MARGINAL[key] = mat
-    return _MARGINAL[key]
+    n_atoms = sc.joint_size
+    d, parties, m = sc.dim, sc.parties, sc.settings_per_party
+    # every assignment as an (assignments, parties, settings) outcome array
+    digits = np.unravel_index(np.arange(n_atoms), (d,) * (parties * m))
+    tables = np.stack(digits, axis=1).reshape(n_atoms, parties, m)
+    out_size = d ** parties
+    rows = []
+    for block, combo in enumerate(np.ndindex((m,) * parties)):
+        ridx = np.zeros(n_atoms, dtype=np.intp)
+        for p, s in enumerate(combo):
+            ridx = ridx * d + tables[:, p, s]
+        rows.append(block * out_size + ridx)
+    row_idx = np.concatenate(rows)
+    col_idx = np.tile(np.arange(n_atoms), sc.setting_combos)
+    data = np.ones(row_idx.size)
+    return sp.coo_array((data, (row_idx, col_idx)),
+                        shape=(sc.marginal_rows, n_atoms)).tocsr()
 
 
 def build_threshold_lp(tensor: CorrelationTensor) -> LinearProgram:
@@ -167,13 +150,11 @@ def _collins_gisin_rows(sc: Scenario) -> np.ndarray:
     return np.sort(block * d ** sc.parties + outcome)
 
 
+@functools.cache
 def _kept_rows(sc: Scenario) -> tuple[np.ndarray, np.ndarray]:
-    """The Collins-Gisin row indices and their dense marginal rows, cached."""
-    key = _key(sc)
-    if key not in _KEPT:
-        keep = _collins_gisin_rows(sc)
-        _KEPT[key] = keep, assignment_marginal_matrix(sc)[keep].toarray()
-    return _KEPT[key]
+    """The Collins-Gisin row indices and their dense marginal rows, per scenario."""
+    keep = _collins_gisin_rows(sc)
+    return _frozen(keep), _frozen(assignment_marginal_matrix(sc)[keep].toarray())
 
 
 def _collins_gisin_basis(sc: Scenario) -> np.ndarray:

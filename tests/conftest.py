@@ -11,7 +11,6 @@ from lrthresh import (
     LinearProgram,
     PhaseSettings,
     PureState,
-    UnsupportedScenarioError,
 )
 
 
@@ -108,6 +107,26 @@ def dual_residual(lp: LinearProgram, primal: np.ndarray, dual: np.ndarray,
     return float(np.max(viol, initial=0.0))
 
 
+def kronecker_probabilities(state: PureState, settings: PhaseSettings) -> np.ndarray:
+    """Born probabilities indexed [s_1..s_N, a_1..a_N], one setting combination at a time.
+
+    Cross-check oracle only: each party's multiport is written out from its
+    definition, U[j', j] = exp(2i*pi*j'*j/d) exp(i*phase_j) / sqrt(d), and each
+    combination's amplitudes are kron(U_1[s_1], ..., U_N[s_N]) @ psi.
+    """
+    sc = state.scenario
+    n, m, d = sc.parties, sc.settings_per_party, sc.dim
+    j = np.arange(d)
+    fourier = np.exp(2j * np.pi * np.outer(j, j) / d) / np.sqrt(d)
+    probs = np.empty((m,) * n + (d,) * n)
+    for combo in np.ndindex((m,) * n):
+        u = np.ones((1, 1))
+        for p, s in enumerate(combo):
+            u = np.kron(u, fourier @ np.diag(np.exp(1j * settings.table[p, s])))
+        probs[combo] = (np.abs(u @ state.coeffs) ** 2).reshape((d,) * n)
+    return probs
+
+
 def closed_form_probability(
     state: PureState,
     settings: PhaseSettings,
@@ -124,9 +143,7 @@ def closed_form_probability(
     """
     sc = state.scenario
     if (sc.parties, sc.dim) != (3, 3):
-        raise UnsupportedScenarioError(
-            f"closed form is defined for 3 qutrits only, got {sc}"
-        )
+        raise ValueError(f"closed form is defined for 3 qutrits only, got {sc}")
     k, l, mm = setting_combo
     a, b, c = outcomes
     for s in (k, l, mm):

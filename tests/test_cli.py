@@ -18,6 +18,7 @@ from lrthresh import (
     reports,
     search,
     threshold_from_tensor,
+    verify_report,
 )
 from lrthresh.cli import main
 
@@ -252,8 +253,12 @@ def test_verify_rejects_nonfinite_report_numbers(capsys, tmp_path, tamper):
     report = json.loads(out_path.read_text())
     if tamper == "witness_weights":
         report["witness"]["weights"] = [float("nan")] * len(report["witness"]["weights"])
+        field = "witness.weights"
     else:
         report["certificate"]["dual"][0] = float("nan")
+        field = "certificate.dual"
+    # in memory, where load_report's token check does not apply
+    assert verify_report(report) == [f"field {field} holds a non-finite number"]
     out_path.write_text(json.dumps(report))  # json writes the bare token NaN
     capsys.readouterr()
     assert main(["verify", str(out_path)]) == 2

@@ -3,12 +3,16 @@
 perfbench/spans.py wraps names such as ``lrthresh.cli.feasible_at`` and
 ``lrthresh.threshold.independent_rows`` in place. Installing and removing the
 tracer here makes deleting one of those names fail this suite, instead of
-breaking only the benchmark's traced runs.
+breaking only the benchmark's traced runs. A name can also stay in place but
+stop being called, which install() cannot see, so the Born layer's two spans
+are checked on a real call.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+from lrthresh import PhaseSettings, Scenario, ghz_state
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -38,3 +42,19 @@ def test_tracer_installs_and_uninstalls():
         tracer.uninstall()
     for (owner, name), original in zip(watched, originals):
         assert getattr(owner, name) is original, name
+
+
+def test_born_call_records_unitaries_span():
+    probabilities = importlib.import_module("lrthresh.probabilities")
+    sc = Scenario(parties=2, dim=3)
+    settings = PhaseSettings(sc, [[[0.0, 1.0, 2.0]] * 2] * 2)
+
+    tracer = load_spans().Tracer()
+    try:
+        tracer.install()
+        probabilities.correlation_tensor(ghz_state(sc), settings)
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert names == ["probabilities.correlation_tensor", "scenario.setting_unitaries"]
+    assert tracer.spans[1][3] == 0  # the unitaries are built inside the Born call

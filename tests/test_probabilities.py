@@ -1,4 +1,4 @@
-"""Born probabilities: contraction path, closed-form cross-check, noise."""
+"""Born probabilities: per-party contraction, Kronecker and closed-form cross-checks, noise."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from lrthresh import (
     PureState,
     Scenario,
     ScenarioMismatchError,
-    UnsupportedScenarioError,
     correlation_tensor,
     ghz_state,
     noisy_tensor,
@@ -18,7 +17,7 @@ from lrthresh import (
     product_state,
 )
 
-from conftest import closed_form_probability
+from conftest import closed_form_probability, kronecker_probabilities
 
 SCENARIOS = [
     Scenario(parties=2, dim=2, settings_per_party=2),
@@ -62,6 +61,15 @@ def test_scenario_mismatch_raises():
         correlation_tensor(st, se)
 
 
+@pytest.mark.parametrize("parties,dim", [(2, 3), (3, 2), (2, 4), (4, 2), (5, 2)])
+def test_contraction_matches_kronecker_oracle(parties, dim, rng):
+    sc = Scenario(parties=parties, dim=dim, settings_per_party=2)
+    for _ in range(5):
+        st, se = random_state(sc, rng), random_settings(sc, rng)
+        t = correlation_tensor(st, se)
+        assert np.max(np.abs(t.probs - kronecker_probabilities(st, se))) < 1e-12
+
+
 def test_closed_form_matches_contraction_on_paper_settings():
     sc = Scenario(parties=3, dim=3, settings_per_party=2)
     st = ghz_state(sc)
@@ -103,7 +111,7 @@ def test_closed_form_rejects_other_scenarios():
     sc = Scenario(parties=2, dim=3, settings_per_party=2)
     st = ghz_state(sc)
     se = random_settings(sc, np.random.default_rng(1))
-    with pytest.raises(UnsupportedScenarioError):
+    with pytest.raises(ValueError):
         closed_form_probability(st, se, (0, 0, 0), (0, 0, 0))
 
 

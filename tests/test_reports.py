@@ -105,6 +105,8 @@ def test_tampered_best_value_detected(optimize_report):
     bad["f_thr"] = bad["optimizer"]["best_f_thr"]
     problems = verify_report(bad)
     assert any("best_f_thr mismatch" in p for p in problems)
+    bad["optimizer"]["best_f_thr"] = bad["f_thr"] = float("nan")
+    assert "field optimizer.best_f_thr holds a non-finite number" in verify_report(bad)
 
 
 def test_load_report_errors(tmp_path):

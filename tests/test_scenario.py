@@ -90,13 +90,17 @@ def test_uniform_phase_shift_is_global_phase(rng):
 
 
 def test_canonical_phases_idempotent(rng):
-    for _ in range(30):
-        p = rng.uniform(-20, 20, size=int(rng.integers(2, 6)))
+    vectors = [rng.uniform(-20, 20, size=int(rng.integers(2, 6))) for _ in range(30)]
+    table = rng.uniform(-20, 20, size=(4, 2, 3))  # one whole (N, 2, d) table
+    for p in vectors + [table]:
         once = canonical_phases(p)
         twice = canonical_phases(once)
-        assert once[0] == 0.0
+        assert once.shape == p.shape
+        assert np.all(once[..., 0] == 0.0)
         assert np.all((once >= 0) & (once < 2 * np.pi))
         assert np.array_equal(once, twice)
+    rows = np.array([canonical_phases(row) for row in table.reshape(-1, 3)])
+    assert np.array_equal(canonical_phases(table), rows.reshape(table.shape))
 
 
 def test_canonical_phases_rejects_nonfinite():

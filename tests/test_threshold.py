@@ -335,6 +335,8 @@ def test_joint_distribution_validation():
     assert jd.weights.sum() == 1.0
     with pytest.raises(ValueError):
         JointDistribution(SC22, np.zeros(SC22.joint_size))  # sums to 0
+    with pytest.raises(ValueError, match="finite"):
+        JointDistribution(SC22, np.full(SC22.joint_size, np.nan))
     bad = w.copy()
     bad[1] = -1e-3
     with pytest.raises(ValueError):

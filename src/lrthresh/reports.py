@@ -185,7 +185,12 @@ def _nonfinite_fields(report: dict, paths: tuple[str, ...], problems: list[str])
 
 
 def _verify_threshold(report: dict, problems: list[str]) -> None:
-    if _nonfinite_fields(report, ("f_thr", "witness.weights", "certificate.dual"), problems):
+    certificate = report["certificate"]
+    numbers = ("f_thr", "witness.weights", "witness.noise_weight", "certificate.dual",
+               "certificate.lower_bound", "certificate.gap")
+    if "marginal_residual" in certificate:
+        numbers += ("certificate.marginal_residual",)
+    if _nonfinite_fields(report, numbers, problems):
         return
     sc, state, settings = resolve_scenario(report["scenario"])
     f_rep = float(report["f_thr"])
@@ -205,6 +210,9 @@ def _verify_threshold(report: dict, problems: list[str]) -> None:
     total = float(weights.sum())
     if abs(total - 1.0) > 1e-8:
         problems.append(f"witness weights sum to {total:.12f}, expected 1")
+    noise_weight = float(report["witness"]["noise_weight"])
+    if abs(noise_weight - f_rep) > 1e-12:
+        problems.append(f"witness noise_weight {noise_weight!r} differs from f_thr {f_rep!r}")
 
     options = _report_options(report)
     tensor = correlation_tensor(state, settings)
@@ -217,15 +225,21 @@ def _verify_threshold(report: dict, problems: list[str]) -> None:
 
     # the witness must reproduce the marginals of the noisy correlations at F
     if 0.0 <= f_rep <= 1.0:
-        resid, _ = witness_residual(tensor, f_rep, np.clip(weights, 0.0, None))
-        if resid > WITNESS_MARGINAL_TOL:
+        marginal, norm = witness_residual(tensor, f_rep, np.clip(weights, 0.0, None))
+        if marginal > WITNESS_MARGINAL_TOL:
             problems.append(
-                f"witness marginal residual {resid:.3e} exceeds {WITNESS_MARGINAL_TOL:.0e}"
+                f"witness marginal residual {marginal:.3e} exceeds {WITNESS_MARGINAL_TOL:.0e}"
+            )
+        claimed, own = certificate.get("marginal_residual"), max(marginal, norm)
+        if claimed is not None and abs(float(claimed) - own) > WITNESS_MARGINAL_TOL:
+            problems.append(
+                f"certificate marginal_residual {float(claimed):.3e} differs from the "
+                f"witness's own residual {own:.3e}"
             )
     else:
         problems.append(f"reported f_thr {f_rep} outside [0, 1]")
 
-    dual = np.asarray(report["certificate"]["dual"], dtype=float)
+    dual = np.asarray(certificate["dual"], dtype=float)
     lp = build_threshold_lp(tensor)
     if dual.size != lp.num_rows:
         problems.append(f"dual has {dual.size} entries, LP has {lp.num_rows} rows")
@@ -235,6 +249,18 @@ def _verify_threshold(report: dict, problems: list[str]) -> None:
             problems.append(
                 f"certificate bound {bound:.9f} leaves gap {f_rep - bound:.3e} "
                 f"below the reported threshold"
+            )
+        claimed_bound = float(certificate["lower_bound"])
+        if abs(claimed_bound - bound) > RECOMPUTE_TOL:
+            problems.append(
+                f"certificate lower_bound says {claimed_bound:.9f}, "
+                f"its dual gives {bound:.9f}"
+            )
+        claimed_gap = float(certificate["gap"])
+        if abs(claimed_gap - (f_rep - bound)) > RECOMPUTE_TOL:
+            problems.append(
+                f"certificate gap says {claimed_gap:.3e}, f_thr minus its dual's "
+                f"bound is {f_rep - bound:.3e}"
             )
 
     noise = report["scenario"].get("noise")

@@ -1,4 +1,4 @@
-"""Derivative-free maximization of the noise threshold over phases and states.
+"""Maximization of the noise threshold over phases and states.
 
 The objective is an LP value function of the phase tables (and optionally the
 state coefficients): continuous and piecewise smooth, but non-convex, and
@@ -7,6 +7,17 @@ admit a local model. Multi-start Nelder-Mead handles the non-convexity; the
 zero plateau is handled inside each restart, which redraws its starting point
 from its own random stream for as long as the simplex lands flat and budget
 remains.
+
+Off the plateau, Nelder-Mead hands over once it stalls: when its best value
+has risen by less than CONVERGENCE_TOL over the last n + 1 evaluations. The
+rest of the restart's budget goes to a quasi-Newton gradient ascent with
+Armijo backtracking. The gradient is exact and costs no extra LP solve. With
+y the optimal duals of the solve on the kept rows, the envelope theorem gives
+dF/dtheta = (1 - F) y . dP_keep/dtheta, because the tensor enters both the
+right-hand side and the F column. The Born layer pulls that weight vector back
+to the phases and state in one backward pass (correlation_tensor_vjp). At a
+degenerate optimum the gradient is one subgradient of several, so the
+restart keeps the Nelder-Mead point unless a step ascends.
 
 Restart streams use counter-based keys (base seed, restart index), so results
 do not depend on scheduling order and any subset of restarts can be
@@ -20,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .probabilities import correlation_tensor
+from .probabilities import correlation_tensor, correlation_tensor_vjp
 from .scenario import PhaseSettings, PureState, Scenario, ghz_state, paper_optimal_state, \
     paper_settings
 from .simplex import SolverOptions
@@ -30,6 +41,9 @@ STATE_NORM_FLOOR = 1e-8
 FLAT_VALUE = 1e-6  # objective values at or below this count as the local plateau
 SIMPLEX_SPREAD = 0.3  # step from the start to each other initial Nelder-Mead vertex
 CONVERGENCE_TOL = 1e-4  # Nelder-Mead stops once its simplex's objective spread is below this
+ARMIJO = 1e-4  # an ascent step t*Hg must gain at least ARMIJO * t * g.Hg
+POLISH_MIN_GAIN = 1e-6  # the ascent stops after an accepted step that gains less
+POLISH_MIN_STEP = 1e-7  # ... or once a trial step is shorter than this
 
 MODES = ("phases_only", "phases_and_state")
 
@@ -95,6 +109,19 @@ class ParameterVector:
             return ParameterVector(self.scenario, values[:npp])
         return ParameterVector(self.scenario, values[:npp], values[npp:])
 
+    def pullback(self, table_grad: np.ndarray, coeff_grad: np.ndarray) -> np.ndarray:
+        """A gradient on the decoded phase table and state, in flat() coordinates.
+
+        The gauge-fixed phases drop out. The state part passes through the
+        decode normalization s -> s/|s|, whose Jacobian is (I - psi psi^T)/|s|.
+        """
+        phase = table_grad[:, :, 1:].ravel()
+        if self.state_params is None:
+            return phase
+        norm = float(np.linalg.norm(self.state_params))
+        psi = self.state_params / norm
+        return np.concatenate([phase, (coeff_grad - psi * (psi @ coeff_grad)) / norm])
+
 
 def encode(settings: PhaseSettings, state: PureState | None = None) -> ParameterVector:
     """Inverse of decoding: strip the gauge-fixed leading phase of each setting."""
@@ -135,19 +162,29 @@ def nelder_mead(f, start: ParameterVector, config: OptimizationConfig):
     """Maximize f by the reflect/expand/contract/shrink simplex iteration.
 
     Coefficients (1, 2, 0.5, 0.5). Terminates when the objective spread over
-    the simplex drops below CONVERGENCE_TOL or the evaluation cap is reached.
-    Returns (best parameter vector, best value).
+    the simplex drops below CONVERGENCE_TOL, when the best value is above
+    FLAT_VALUE and rose by less than CONVERGENCE_TOL over the last n + 1
+    evaluations (the search has stalled off the plateau), or when the
+    evaluation cap is reached. Returns (best parameter vector, best value).
     """
     alpha, gamma, beta, delta = 1.0, 2.0, 0.5, 0.5
     x0 = start.flat()
     n = x0.size
     budget = config.max_evals_per_restart
     evals = 0
+    best_so_far = []  # the best value after each evaluation
 
     def call(x):
         nonlocal evals
         evals += 1
-        return f(start.with_flat(x))
+        value = f(start.with_flat(x))
+        best_so_far.append(max(best_so_far[-1], value) if best_so_far else value)
+        return value
+
+    def stalled():
+        if len(best_so_far) < n + 2 or best_so_far[-1] <= FLAT_VALUE:
+            return False
+        return best_so_far[-1] - best_so_far[-n - 2] < CONVERGENCE_TOL
 
     points = np.tile(x0, (n + 1, 1))
     for i in range(n):
@@ -167,7 +204,7 @@ def nelder_mead(f, start: ParameterVector, config: OptimizationConfig):
         order = np.argsort(-values, kind="stable")
         points = points[order]
         values = values[order]
-        if values[0] - values[-1] < CONVERGENCE_TOL or evals >= budget:
+        if values[0] - values[-1] < CONVERGENCE_TOL or evals >= budget or stalled():
             break
         centroid = points[:-1].mean(axis=0)
         reflected = centroid + alpha * (centroid - points[-1])
@@ -203,6 +240,53 @@ def nelder_mead(f, start: ParameterVector, config: OptimizationConfig):
 
     i_best = int(np.argmax(values))
     return start.with_flat(points[i_best]), float(values[i_best])
+
+
+def _polish(objective, gradient, params: ParameterVector, value: float, budget: int):
+    """Quasi-Newton gradient ascent with Armijo backtracking from a Nelder-Mead endpoint.
+
+    objective(p) solves the LP at p, and gradient(p) then reads the exact
+    gradient there off that solve (None when it has none), so the ascent
+    first re-solves at the endpoint. Each step goes along H g, where H is the
+    BFGS inverse-curvature estimate built from the gradients of the accepted
+    points (the identity at first, so the first step is plain steepest
+    ascent). A step that does not gain its Armijo share ARMIJO * t * g.Hg is
+    halved; an accepted one updates H and the next step starts at full
+    length. The ascent stops after an accepted step that gains less than
+    POLISH_MIN_GAIN, when a trial step is shorter than POLISH_MIN_STEP, or
+    when the budget of evaluations is spent. At a degenerate optimum the
+    gradient is one subgradient of several and may ascend nowhere; the
+    endpoint then comes back unchanged. Returns (params, value, evaluations).
+    """
+    point, current = params, objective(params)
+    evals = 1
+    grad = gradient(params)
+    inverse = None if grad is None else np.eye(grad.size)
+    step = 1.0
+    while grad is not None and evals < budget:
+        direction = inverse @ grad
+        if step * float(np.linalg.norm(direction)) < POLISH_MIN_STEP:
+            break
+        trial = point.with_flat(point.flat() + step * direction)
+        trial_value = objective(trial)
+        evals += 1
+        if trial_value < current + ARMIJO * step * float(grad @ direction):
+            step *= 0.5
+            continue
+        gain = trial_value - current
+        point, current = trial, trial_value
+        new_grad = gradient(trial)
+        if gain < POLISH_MIN_GAIN or new_grad is None:
+            break
+        s, y = step * direction, grad - new_grad  # y: the change in the gradient of -F
+        sy = float(s @ y)
+        if sy > 0.0:  # the update keeps H positive definite only under this curvature condition
+            left = np.eye(s.size) - np.outer(s, y) / sy
+            inverse = left @ inverse @ left.T + np.outer(s, s) / sy
+        grad, step = new_grad, 1.0
+    if point is params or current <= value:
+        return params, value, evals
+    return point, current, evals
 
 
 def _restart_start(
@@ -250,8 +334,44 @@ def _restart_start(
     return ParameterVector(sc, random_phases()), None
 
 
+def _objectives(solver: ThresholdSolver, pinned_state: PureState | None):
+    """A restart's objective over parameter vectors, and its exact gradient.
+
+    objective(params) is the threshold at the decoded state and settings
+    (-1 when they do not decode). gradient(params) reads dF/dparams off the
+    solve that objective just made at params: the solver's tensor gradient
+    pulled back through the Born rule and the decoding; None when that solve
+    fell back to a cold one.
+    """
+    def decode(params: ParameterVector) -> tuple[PhaseSettings, PureState]:
+        settings = params.decode_settings()
+        state = pinned_state if pinned_state is not None else params.decode_state()
+        return settings, state
+
+    def objective(params: ParameterVector) -> float:
+        try:
+            settings, state = decode(params)
+        except InvalidParameterError:
+            return -1.0
+        return solver.value(correlation_tensor(state, settings))
+
+    def gradient(params: ParameterVector) -> np.ndarray | None:
+        weights = solver.tensor_gradient()
+        if weights is None:
+            return None
+        settings, state = decode(params)
+        return params.pullback(*correlation_tensor_vjp(state, settings, weights))
+
+    return objective, gradient
+
+
 def _run_restart(args):
-    """One restart: Nelder-Mead with plateau redraws until the budget is spent."""
+    """One restart: Nelder-Mead with plateau redraws, then a gradient polish.
+
+    Nelder-Mead redraws its start for as long as it ends on the plateau and
+    budget remains. Once it ends above it, the rest of the budget goes to
+    gradient ascent from its best point.
+    """
     sc, config, index, fixed_coeffs, options = args
     rng = np.random.Generator(np.random.Philox(key=[config.rng_seed, index]))
     solver = ThresholdSolver(sc, options)
@@ -261,14 +381,7 @@ def _run_restart(args):
         pinned_coeffs = fixed_coeffs
     pinned_state = PureState(sc, pinned_coeffs) if pinned_coeffs is not None else None
 
-    def fast_objective(params: ParameterVector) -> float:
-        try:
-            settings = params.decode_settings()
-            state = pinned_state if pinned_state is not None else params.decode_state()
-        except InvalidParameterError:
-            return -1.0
-        return solver.value(correlation_tensor(state, settings))
-
+    fast_objective, gradient = _objectives(solver, pinned_state)
     best_params, best_value = start, -np.inf
     spent = 0
     while spent < config.max_evals_per_restart:
@@ -290,6 +403,10 @@ def _run_restart(args):
         start, _ = _restart_start(sc, config.mode, -1, rng)
         if pinned_state is not None and config.mode == "phases_and_state":
             start = ParameterVector(sc, start.phase_params)
+    if best_value > FLAT_VALUE and spent < config.max_evals_per_restart:
+        best_params, best_value, used = _polish(fast_objective, gradient, best_params,
+                                                best_value, config.max_evals_per_restart - spent)
+        spent += used
     table = best_params.decode_settings().table
     if pinned_state is not None:
         coeffs = pinned_state.coeffs.real

@@ -260,10 +260,16 @@ class ThresholdSolver:
         self.last_pivots = 0
 
     def _repair(self) -> str:
-        """Dual pivots to primal feasibility, then a primal cleanup run."""
+        """Dual pivots to primal feasibility, then a primal cleanup run.
+
+        An optimum whose basic values miss the equality rows or the bounds by
+        more than tol_feas comes back as "numerical".
+        """
         status = self._core.dual_run(self._objective)
         if status == OPTIMAL:
             status = self._core.run(self._objective)
+        if status == OPTIMAL and self._core.primal_residual() > self.options.tol_feas:
+            status = "numerical"
         return status
 
     def _solve_core(self, tensor: CorrelationTensor) -> BoundedSimplex:
@@ -282,7 +288,7 @@ class ThresholdSolver:
             if core.replace_column(core.n - 1, mixing):
                 core.recompute_basics()
                 status = self._repair()
-                if status != OPTIMAL or core.primal_residual() > self.options.tol_feas:
+                if status != OPTIMAL:
                     status = None
         else:
             core.set_column(core.n - 1, mixing)
@@ -293,9 +299,8 @@ class ThresholdSolver:
             core.set_basis(self._basis, np.zeros(core.n, dtype=bool))
             status = self._repair()
         self.last_pivots = core.pivots - pivots_before
-        if status != OPTIMAL or core.primal_residual() > self.options.tol_feas:
-            raise SolverFailure(status if status != OPTIMAL else "numerical",
-                                "warm-started threshold solve did not reach an optimum")
+        if status != OPTIMAL:
+            raise SolverFailure(status, "warm-started threshold solve did not reach an optimum")
         self._have_last = True
         return core
 
@@ -318,6 +323,23 @@ class ThresholdSolver:
         except SolverFailure:
             return float(self._cold_solve(build_threshold_lp(tensor)).primal[-1])
         return float(core.x[-1])
+
+    def tensor_gradient(self) -> np.ndarray | None:
+        """dF/dP at the tensor of the last value() call, one entry per flat-tensor entry.
+
+        With y the optimal duals on the kept rows, the tensor enters both the
+        right-hand side and the F column, so by the envelope theorem
+        dF = (1 - F) y . dP_keep; the dropped rows get 0. At a degenerate
+        optimum the duals are not unique and this is one subgradient of
+        several. None when the last call fell back to a cold solve, which
+        leaves no valid basis behind.
+        """
+        if not self._have_last:
+            return None
+        core = self._core
+        grad = np.zeros(self.scenario.marginal_rows)
+        grad[self._keep] = (1.0 - core.x[-1]) * core.duals(self._objective)
+        return grad
 
     def solve(self, tensor: CorrelationTensor) -> ThresholdResult:
         start = time.perf_counter()

@@ -127,17 +127,17 @@ def test_criterion_5_three_qutrits_state_and_phases(verdict):
     res = optimize_state_and_phases(SC33, default_config("phases_and_state"), workers=1)
     elapsed = time.perf_counter() - start
     pinned_best = res.per_restart_log[0][1]  # tabulated-state deterministic restart
-    ok = res.best_f_thr >= 0.569 and pinned_best >= 0.569 and elapsed <= 1800.0
+    ok = res.best_f_thr >= 0.569 and pinned_best >= 0.5705 and elapsed <= 1800.0
     note = ""
     if res.best_f_thr > 0.571:
         note = "; exceeds the 0.571 target - reported, not failed"
     verdict(f"criterion 5: {'PASS' if ok else 'FAIL'} "
             f"((3,3) state+phases best={res.best_f_thr:.6f} >= 0.569 "
-            f"(target 0.571), tabulated-state restart {pinned_best:.6f} >= 0.569, "
+            f"(target 0.571), tabulated-state restart {pinned_best:.6f} >= 0.5705, "
             f"{elapsed:.0f}s <= 1800s{note})")
     RESULTS["c5"] = res.best_f_thr
     assert res.best_f_thr >= 0.569
-    assert pinned_best >= 0.569
+    assert pinned_best >= 0.5705
     assert elapsed <= 1800.0
 
 

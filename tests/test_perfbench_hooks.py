@@ -5,14 +5,14 @@ perfbench/spans.py wraps names such as ``lrthresh.cli.feasible_at`` and
 tracer here makes deleting one of those names fail this suite, instead of
 breaking only the benchmark's traced runs. A name can also stay in place but
 stop being called, which install() cannot see, so the Born layer's two spans
-are checked on a real call.
+and the search's spans are checked on real calls.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
-from lrthresh import PhaseSettings, Scenario, ghz_state
+from lrthresh import OptimizationConfig, PhaseSettings, Scenario, ghz_state
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -58,3 +58,23 @@ def test_born_call_records_unitaries_span():
     names = [span[0] for span in tracer.spans]
     assert names == ["probabilities.correlation_tensor", "scenario.setting_unitaries"]
     assert tracer.spans[1][3] == 0  # the unitaries are built inside the Born call
+
+
+def test_traced_optimize_records_search_spans():
+    search = importlib.import_module("lrthresh.search")
+    cfg = OptimizationConfig(restarts=2, rng_seed=7, max_evals_per_restart=200,
+                             mode="phases_and_state")
+    tracer = load_spans().Tracer()
+    try:
+        tracer.install()
+        result = search.optimize_state_and_phases(Scenario(parties=2, dim=3), cfg)
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert "search.nelder_mead" in names
+    assert "probabilities.correlation_tensor" in names
+    assert names.count("threshold.value") >= result.evals
+    # the spans count Nelder-Mead's evaluations only; the gradient polish
+    # spends the rest of the budget, and result.evals counts both
+    nelder_mead_evals = sum(span[5][0] for span in tracer.spans if span[0] == "search.nelder_mead")
+    assert result.evals > nelder_mead_evals

@@ -17,6 +17,8 @@ from lrthresh import (
     product_state,
 )
 
+from lrthresh.probabilities import correlation_tensor_vjp
+
 from conftest import closed_form_probability, kronecker_probabilities
 
 SCENARIOS = [
@@ -68,6 +70,38 @@ def test_contraction_matches_kronecker_oracle(parties, dim, rng):
         st, se = random_state(sc, rng), random_settings(sc, rng)
         t = correlation_tensor(st, se)
         assert np.max(np.abs(t.probs - kronecker_probabilities(st, se))) < 1e-12
+
+
+@pytest.mark.parametrize("parties,dim", [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2)])
+def test_vjp_matches_central_differences(parties, dim, rng):
+    sc = Scenario(parties=parties, dim=dim, settings_per_party=2)
+    state, settings = random_state(sc, rng), random_settings(sc, rng)
+    weights = rng.normal(size=sc.marginal_rows)
+
+    def weighted(table, coeffs):
+        return float(weights @ correlation_tensor(PureState(sc, coeffs),
+                                                  PhaseSettings(sc, table)).flat)
+
+    table_grad, coeff_grad = correlation_tensor_vjp(state, settings, weights)
+    assert table_grad.shape == settings.table.shape
+    h = 1e-6
+    for idx in np.ndindex(settings.table.shape):
+        if idx[2] == 0:
+            continue  # the gauge-fixed phase
+        step = np.zeros(settings.table.shape)
+        step[idx] = h
+        fd = (weighted(settings.table + step, state.coeffs)
+              - weighted(settings.table - step, state.coeffs)) / (2 * h)
+        assert abs(fd - table_grad[idx]) < 1e-7
+    # the state moves on the unit sphere: compare along random tangent directions
+    psi = state.coeffs
+    for _ in range(5):
+        tangent = rng.normal(size=psi.size)
+        tangent -= psi * (psi @ tangent)
+        up, down = psi + h * tangent, psi - h * tangent
+        fd = (weighted(settings.table, up / np.linalg.norm(up))
+              - weighted(settings.table, down / np.linalg.norm(down))) / (2 * h)
+        assert abs(fd - tangent @ coeff_grad) < 1e-7
 
 
 def test_closed_form_matches_contraction_on_paper_settings():

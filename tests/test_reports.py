@@ -79,6 +79,19 @@ def test_tampered_dual_detected(threshold_report):
     assert any("certificate" in p for p in problems)
 
 
+@pytest.mark.parametrize("block, field, value", [
+    ("certificate", "lower_bound", 5.0),
+    ("certificate", "gap", -3.0),
+    ("certificate", "marginal_residual", 1.0),
+    ("witness", "noise_weight", 0.9),
+])
+def test_tampered_certificate_field_detected(threshold_report, block, field, value):
+    bad = json.loads(json.dumps(threshold_report))
+    bad[block][field] = value
+    problems = verify_report(bad)
+    assert any(field in p for p in problems), problems
+
+
 def test_optimize_report_clean(optimize_report):
     assert verify_report(optimize_report) == []
     assert optimize_report["rng_seed"] == 11

@@ -10,6 +10,7 @@ from lrthresh import (
     PhaseSettings,
     PureState,
     Scenario,
+    ThresholdSolver,
     encode,
     ghz_state,
     nelder_mead,
@@ -23,6 +24,7 @@ from lrthresh import (
 
 SC33 = Scenario(parties=3, dim=3, settings_per_party=2)
 SC23 = Scenario(parties=2, dim=3, settings_per_party=2)
+SC32 = Scenario(parties=3, dim=2, settings_per_party=2)
 
 QUICK = OptimizationConfig(restarts=4, rng_seed=7, max_evals_per_restart=80,
                            mode="phases_only")
@@ -199,3 +201,128 @@ def test_mode_mismatch_rejected():
         optimize_phases(st, OptimizationConfig(mode="phases_and_state"))
     with pytest.raises(ValueError):
         optimize_state_and_phases(SC23, OptimizationConfig(mode="phases_only"))
+
+
+def _point_off_plateau(sc, rng, objective):
+    """A seeded random (phases, state) point with threshold above 0.01."""
+    for _ in range(50):
+        phases = rng.uniform(0, 2 * np.pi, size=sc.parties * sc.settings_per_party * (sc.dim - 1))
+        coeffs = ghz_state(sc).coeffs + 0.2 * rng.normal(size=sc.state_size)
+        params = ParameterVector(sc, phases, coeffs)
+        if objective(params) > 0.01:
+            return params
+    raise AssertionError("no random point off the plateau")
+
+
+@pytest.mark.parametrize("sc", [SC33, SC23, SC32], ids=["n3d3", "n2d3", "n3d2"])
+def test_polish_gradient_matches_central_differences(rng, sc):
+    objective, gradient = search._objectives(ThresholdSolver(sc), None)
+    params = _point_off_plateau(sc, rng, objective)
+    grad = gradient(params)
+    x = params.flat()
+    h = 1e-6
+    fd = np.empty_like(x)
+    for i in range(x.size):
+        step = np.zeros_like(x)
+        step[i] = h
+        fd[i] = (objective(params.with_flat(x + step))
+                 - objective(params.with_flat(x - step))) / (2 * h)
+    assert grad.shape == x.shape
+    assert np.max(np.abs(grad - fd)) < 1e-6
+
+
+def test_pinned_state_gradient_is_the_phase_block(rng):
+    solver = ThresholdSolver(SC33)
+    objective, gradient = search._objectives(solver, None)
+    params = _point_off_plateau(SC33, rng, objective)
+    joint = gradient(params)
+    objective, gradient = search._objectives(solver, params.decode_state())
+    phases = ParameterVector(SC33, params.phase_params)
+    objective(phases)
+    assert np.allclose(gradient(phases), joint[:phases.phase_params.size], rtol=0, atol=1e-9)
+
+
+def test_polish_keeps_the_endpoint_when_no_step_ascends():
+    start = ParameterVector(SC23, np.ones(8))
+
+    def objective(p):
+        return -float(np.sum(p.phase_params ** 2))
+
+    def downhill(p):
+        return 2.0 * p.phase_params  # points away from the ascent direction
+
+    params, value, evals = search._polish(objective, downhill, start, -8.0, budget=50)
+    assert params is start and value == -8.0
+    assert evals <= 50
+
+
+def test_polish_climbs_a_concave_quadratic():
+    weights = np.arange(1, 9) / 4.0
+    peak = np.linspace(0.5, 2.0, 8)
+    start = ParameterVector(SC23, np.zeros(8))
+
+    def objective(p):
+        return -float(np.sum(weights * (p.phase_params - peak) ** 2))
+
+    def exact(p):
+        return -2.0 * weights * (p.phase_params - peak)
+
+    params, value, evals = search._polish(objective, exact, start, objective(start), budget=200)
+    assert value > -1e-6
+    assert np.max(np.abs(params.phase_params - peak)) < 1e-3
+    assert evals < 200
+
+
+def test_polish_never_lowers_a_restart(monkeypatch):
+    cfg = OptimizationConfig(restarts=4, rng_seed=7, max_evals_per_restart=200,
+                             mode="phases_and_state")
+    polished = optimize_state_and_phases(SC23, cfg)
+    monkeypatch.setattr(search, "_polish",
+                        lambda objective, gradient, params, value, budget: (params, value, 0))
+    plain = optimize_state_and_phases(SC23, cfg)
+    pairs = list(zip(polished.per_restart_log, plain.per_restart_log))
+    assert all(a >= b for (_, a), (_, b) in pairs)
+    assert any(a > b + 1e-6 for (_, a), (_, b) in pairs)
+    assert polished.best_f_thr >= plain.best_f_thr
+
+
+# at (3,2) with 40 and (3,3) with 90 evaluations the cap cuts the polish short
+@pytest.mark.parametrize("sc, cap", [(SC23, 30), (SC32, 40), (SC33, 90), (SC33, 150)],
+                         ids=["n2d3-30", "n3d2-40", "n3d3-90", "n3d3-150"])
+def test_restart_evaluations_stay_within_the_cap(monkeypatch, sc, cap):
+    calls = []
+    original = ThresholdSolver.value
+
+    def counted(self, tensor):
+        calls.append(1)
+        return original(self, tensor)
+
+    monkeypatch.setattr(ThresholdSolver, "value", counted)
+    cfg = OptimizationConfig(restarts=3, rng_seed=5, max_evals_per_restart=cap,
+                             mode="phases_and_state")
+    for index in range(3):
+        calls.clear()
+        _, _, _, _, spent = search._run_restart((sc, cfg, index, None, None))
+        assert spent == len(calls) <= cap
+
+
+def test_flat_restart_redraws_without_polish(monkeypatch):
+    state = product_state(SC23, [[1, 0, 0], [0, 1, 0]])  # threshold 0 under any phases
+    runs = []
+    original = search.nelder_mead
+
+    def counted(f, start, config):
+        runs.append(1)
+        return original(f, start, config)
+
+    def no_polish(*args):
+        raise AssertionError("a flat restart must not polish")
+
+    monkeypatch.setattr(search, "nelder_mead", counted)
+    monkeypatch.setattr(search, "_polish", no_polish)
+    cfg = OptimizationConfig(restarts=1, rng_seed=0, max_evals_per_restart=80,
+                             mode="phases_only")
+    res = optimize_phases(state, cfg)
+    assert res.best_f_thr < 1e-9
+    assert len(runs) > 1
+    assert res.evals == 80

@@ -185,6 +185,41 @@ def test_failed_warm_solve_restarts_from_cached_vertex(rng, monkeypatch):
     assert solver.last_pivots == fresh.last_pivots
 
 
+def test_tensor_gradient_needs_a_warm_basis(rng, monkeypatch):
+    st = ghz_state(SC23)
+    t1, t2 = (correlation_tensor(st, random_settings(SC23, rng)) for _ in range(2))
+    solver = ThresholdSolver(SC23)
+    assert solver.tensor_gradient() is None  # nothing solved yet
+    solver.value(t1)
+    grad = solver.tensor_gradient()
+    assert grad.shape == (SC23.marginal_rows,)
+    dropped = np.setdiff1d(np.arange(SC23.marginal_rows), _kept_rows(SC23)[0])
+    assert not np.any(grad[dropped])
+
+    def fail(*args):
+        raise SolverFailure("numerical", "injected")
+
+    monkeypatch.setattr(solver._core, "dual_run", fail)
+    solver.value(t2)  # answered by the cold fallback, which leaves no basis
+    assert solver.tensor_gradient() is None
+
+
+def test_warm_value_checks_the_primal_residual_once(rng):
+    solver = ThresholdSolver(SC33)
+    st = ghz_state(SC33)
+    solver.value(correlation_tensor(st, random_settings(SC33, rng)))
+    calls = []
+    residual = solver._core.primal_residual
+
+    def counted():
+        calls.append(1)
+        return residual()
+
+    solver._core.primal_residual = counted
+    solver.value(correlation_tensor(st, random_settings(SC33, rng)))
+    assert len(calls) == 1
+
+
 def test_long_lived_solver_keeps_warm_solving():
     # the pivot limit counts per call: a solver that has pivoted 100 * n times
     # over its life still re-solves warm instead of falling back to two-phase

@@ -422,10 +422,13 @@ def _optimize(
     workers: int,
     options: SolverOptions | None,
 ) -> OptimizationResult:
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     fixed_coeffs = fixed_state.coeffs.real if fixed_state is not None else None
     tasks = [(sc, config, i, fixed_coeffs, options) for i in range(config.restarts)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    pool_size = min(workers, config.restarts)
+    if pool_size > 1:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             outcomes = list(pool.map(_run_restart, tasks))
     else:
         outcomes = [_run_restart(t) for t in tasks]

@@ -196,7 +196,8 @@ class BoundedSimplex:
         entries = self.r * self.n
         self._At = None      # CSR copy of A^T for pricing, on the sparse path only
         self._gemm = None
-        self._dense_cols = np.empty(0, dtype=np.intp)  # columns priced from A itself
+        self._dense_cols = np.empty(0, dtype=np.intp)  # columns written by set_column
+        self._dense_block = np.empty((self.r, 0))  # their entries, priced densely
         if (entries >= _SPARSE_MIN_ENTRIES
                 and np.count_nonzero(self._A) <= _SPARSE_MAX_DENSITY * entries):
             from scipy.linalg.blas import dgemm
@@ -244,12 +245,19 @@ class BoundedSimplex:
         """Overwrite A[:, j], leaving the factorization alone.
 
         On the sparse path the column leaves the CSR copy (its stored entries
-        are zeroed) and is priced from A from then on.
+        are zeroed) and is priced from then on from a contiguous block that
+        holds every column written here.
         """
         self._A[:, j] = col
-        if self._At is not None and j not in self._dense_cols:
+        if self._At is None:
+            return
+        slot = np.flatnonzero(self._dense_cols == j)
+        if slot.size:
+            self._dense_block[:, slot[0]] = self._A[:, j]
+        else:
             self._At.data[self._At.indptr[j]:self._At.indptr[j + 1]] = 0.0
             self._dense_cols = np.append(self._dense_cols, j)
+            self._dense_block = np.hstack([self._dense_block, self._A[:, j:j + 1]])
 
     def replace_column(self, j: int, col: np.ndarray) -> bool:
         """Overwrite A[:, j] and patch the factorization in place.
@@ -294,7 +302,7 @@ class BoundedSimplex:
             return y @ self.A
         out = self._At @ y
         if self._dense_cols.size:
-            out[self._dense_cols] = y @ self.A[:, self._dense_cols]
+            out[self._dense_cols] = y @ self._dense_block
         return out
 
     def duals(self, c: np.ndarray) -> np.ndarray:
@@ -443,48 +451,68 @@ class BoundedSimplex:
         The reduced costs are priced on entry and after every refactor, and in
         between carried across pivots by z <- z - (z_j / alpha_j) alpha, so a
         pivot prices only its pivot row alpha. They stay in reduced_costs.
+        The basics' bounds, the mask of columns that may enter and the side
+        each nonbasic sits on are built once per call and updated for the two
+        exchanged columns only.
         """
         if self.r == 0:
             return OPTIMAL
         limit = self.pivots + _PIVOTS_PER_COLUMN * self.n
         movable = self.lower < self.upper
+        lB = self.lower[self.basis]
+        uB = self.upper[self.basis]
+        eligible = movable & ~self.in_basis
+        side = np.where(self.at_upper, -1.0, 1.0)  # moving off the bound: +1 up, -1 down
+        scratch = np.empty(self.n)
+        ok = np.empty(self.n, dtype=bool)
         z = self.reduced_costs = c - self._price(self.duals(c))
         while True:
             xB = self.x[self.basis]
-            below = self.lower[self.basis] - xB
-            above = xB - self.upper[self.basis]
+            below = lB - xB
+            above = xB - uB
             viol = np.maximum(below, above)
-            i_star = int(np.argmax(viol))
+            i_star = int(viol.argmax())
             if viol[i_star] <= self.opts.tol_feas:
                 return OPTIMAL
             if self.pivots >= limit:
                 return ITERATION_LIMIT
             over_upper = above[i_star] > below[i_star]
 
+            # admissible: moving the column off its bound moves the violated
+            # basic toward that bound
             alpha = self._price(self.Binv[i_star])
-            signed = alpha if over_upper else -alpha
-            ok = movable & ~self.in_basis & np.where(self.at_upper, signed < -_PIVOT_TOL,
-                                                     signed > _PIVOT_TOL)
-            cand = np.flatnonzero(ok)
+            np.multiply(alpha, side, out=scratch)
+            if over_upper:
+                np.greater(scratch, _PIVOT_TOL, out=ok)
+            else:
+                np.less(scratch, -_PIVOT_TOL, out=ok)
+            ok &= eligible
+            cand = ok.nonzero()[0]
             if cand.size == 0:
                 return INFEASIBLE
             ratios = np.abs(z[cand] / alpha[cand])
-            best = float(np.min(ratios))
+            best = float(ratios.min())
             ties = cand[ratios <= best + 1e-12]
             if self._bland:
                 j = int(ties.min())
             else:
-                j = int(ties[np.argmax(np.abs(alpha[ties]))])
+                j = int(ties[np.abs(alpha[ties]).argmax()])
 
-            bound = self.upper[self.basis[i_star]] if over_upper else self.lower[self.basis[i_star]]
+            bound = uB[i_star] if over_upper else lB[i_star]
             t = (xB[i_star] - bound) / alpha[j]
-            z -= (z[j] / alpha[j]) * alpha
+            np.multiply(alpha, z[j] / alpha[j], out=scratch)
+            z -= scratch
             w = self.Binv @ self.A[:, j]
             self.x[j] += t
             self.x[self.basis] = xB - t * w
             leaving = self._exchange(i_star, j, w)
             self.x[leaving] = bound
             self.at_upper[leaving] = over_upper
+            lB[i_star] = self.lower[j]
+            uB[i_star] = self.upper[j]
+            eligible[j] = False
+            eligible[leaving] = movable[leaving]
+            side[leaving] = -1.0 if over_upper else 1.0
             self.pivots += 1
             self.basis_changes += 1
             if self.basis_changes % _REFACTOR_EVERY == 0:

@@ -12,7 +12,7 @@ is written down in closed form: the Collins-Gisin rows, which span the
 equality system, and a starting basis of assignment columns whose matrix on
 those rows is a Kronecker product of one small block per party. With F at 0
 that basis is dual feasible for every tensor, so each solve runs only dual
-and primal simplex pivots, from it or from the previous optimum.
+and primal simplex pivots, from it or from a recent optimum.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .simplex import independent_rows  # noqa: F401  unused; perfbench/spans.py 
 
 WITNESS_MARGINAL_TOL = 1e-8
 CERTIFICATE_GAP_TOL = 1e-8
+_RING_SIZE = 16  # optimal warm states a ThresholdSolver keeps to start value() from
 
 
 @dataclass(frozen=True)
@@ -233,14 +234,63 @@ def _package(
     return ThresholdResult(f_thr, witness, certificate, stats)
 
 
+class _BasisRing:
+    """The last few optimal states of a BoundedSimplex, keyed by their rhs.
+
+    A state is what a warm re-solve starts from: basis, at-upper flags,
+    values, basis inverse, the last column (the one each re-solve patches)
+    and the stale-update count. Slots are filled round-robin and restored by
+    in-place copies.
+    """
+
+    def __init__(self, size: int, core: BoundedSimplex):
+        r, n = core.r, core.n
+        self.count = 0
+        self.keys = np.empty((size, r))
+        self.basis = np.empty((size, r), dtype=core.basis.dtype)
+        self.at_upper = np.empty((size, n), dtype=bool)
+        self.x = np.empty((size, n))
+        self.binv = np.empty((size, r, r))
+        self.cols = np.empty((size, r))
+        self.stale = np.empty(size, dtype=int)
+
+    def save(self, core: BoundedSimplex) -> int:
+        k = self.count % self.keys.shape[0]
+        self.count += 1
+        self.keys[k] = core.b
+        self.basis[k] = core.basis
+        self.at_upper[k] = core.at_upper
+        self.x[k] = core.x
+        self.binv[k] = core.Binv
+        self.cols[k] = core.A[:, -1]
+        self.stale[k] = core.stale_updates
+        return k
+
+    def nearest(self, key: np.ndarray) -> int:
+        """The filled slot whose key is closest to key in L1."""
+        filled = min(self.count, self.keys.shape[0])
+        return int(np.argmin(np.abs(self.keys[:filled] - key).sum(axis=1)))
+
+    def restore(self, k: int, core: BoundedSimplex) -> None:
+        core.basis[:] = self.basis[k]
+        core.in_basis[:] = False
+        core.in_basis[core.basis] = True
+        core.at_upper[:] = self.at_upper[k]
+        core.x[:] = self.x[k]
+        core.Binv[...] = self.binv[k]
+        core.set_column(core.n - 1, self.cols[k])
+        core.stale_updates = int(self.stale[k])
+
+
 class ThresholdSolver:
     """Repeated-solve engine for one scenario, reusing structure between calls.
 
     The objective never changes, so any basis stays dual feasible when the
     tensor moves. A cold solve starts from the closed-form Collins-Gisin
-    basis; later solves start from the previous optimal basis. Either way a
-    dual-simplex repair followed by a primal cleanup finishes the solve, after
-    a small tensor step usually in a handful of pivots.
+    basis. value() starts from whichever of its last _RING_SIZE optimal
+    states has the nearest tensor (L1 over the kept rows); solve() starts
+    from the previous optimum. Either way a dual-simplex repair followed by a
+    primal cleanup finishes the solve.
     value() returns just the optimum for tight optimization loops; solve()
     adds the witness and certificate.
     """
@@ -257,6 +307,7 @@ class ThresholdSolver:
         self._objective = np.zeros(n)
         self._objective[-1] = 1.0
         self._have_last = False
+        self._ring: _BasisRing | None = None  # allocated by the first warm value()
         self.last_pivots = 0
 
     def _repair(self) -> str:
@@ -272,14 +323,33 @@ class ThresholdSolver:
             status = "numerical"
         return status
 
-    def _solve_core(self, tensor: CorrelationTensor) -> BoundedSimplex:
-        """Bring the shared core to a verified optimum for this tensor."""
+    def _restore_nearest(self, b: np.ndarray) -> None:
+        """Move the core to the ring's optimal state nearest to rhs b.
+
+        The core's current state, the last optimum, joins the ring first.
+        """
+        if self._ring is None:
+            self._ring = _BasisRing(_RING_SIZE, self._core)
+        last = self._ring.save(self._core)
+        k = self._ring.nearest(b)
+        if k != last:
+            self._ring.restore(k, self._core)
+
+    def _solve_core(self, tensor: CorrelationTensor, nearest: bool = False) -> BoundedSimplex:
+        """Bring the shared core to a verified optimum for this tensor.
+
+        With nearest, a warm start begins from the ring's nearest state
+        instead of the last optimum.
+        """
         sc = self.scenario
         if tensor.scenario != sc:
             raise ScenarioMismatchError("tensor does not belong to this solver's scenario")
         core = self._core
-        core.b = tensor.flat[self._keep]  # kept rows are marginal rows, never normalization
-        mixing = core.b - 1.0 / sc.dim ** sc.parties
+        b = tensor.flat[self._keep]  # kept rows are marginal rows, never normalization
+        if nearest and self._have_last:
+            self._restore_nearest(b)
+        core.b = b
+        mixing = b - 1.0 / sc.dim ** sc.parties
         pivots_before = core.pivots
 
         status = None
@@ -308,9 +378,12 @@ class ThresholdSolver:
         """Fallback after a failed warm solve: two-phase from scratch, or raise.
 
         The core's basis and inverse may be half-updated after a failure, so
-        the next call starts again from the closed-form basis.
+        the next call starts again from the closed-form basis, and the ring
+        of saved states is emptied.
         """
         self._have_last = False
+        if self._ring is not None:
+            self._ring.count = 0
         sol = solve_lp(lp, self.options)
         if sol.status != OPTIMAL:
             raise SolverFailure(sol.status, "threshold solve did not reach an optimum")
@@ -319,7 +392,7 @@ class ThresholdSolver:
     def value(self, tensor: CorrelationTensor) -> float:
         """The threshold alone, without witness or certificate packaging."""
         try:
-            core = self._solve_core(tensor)
+            core = self._solve_core(tensor, nearest=True)
         except SolverFailure:
             return float(self._cold_solve(build_threshold_lp(tensor)).primal[-1])
         return float(core.x[-1])

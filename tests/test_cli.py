@@ -191,6 +191,19 @@ def test_optimize_command(capsys, tmp_path):
     assert main(["verify", str(out_path)]) == 0
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_optimize_rejects_fewer_than_one_worker(capsys, tmp_path, workers):
+    scen = tmp_path / "ghz23.yaml"
+    scen.write_text(GHZ23)
+    start = time.perf_counter()
+    assert main(["optimize", "--scenario", str(scen), "--restarts", "2",
+                 "--workers", workers]) == 2
+    assert time.perf_counter() - start < 1.0  # rejected before any restart runs
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "workers" in captured.err
+
+
 def test_dump_lp(capsys, ghz33_file):
     assert main(["dump-lp", "--scenario", ghz33_file]) == 0
     text = capsys.readouterr().out

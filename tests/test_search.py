@@ -155,6 +155,39 @@ def test_optimize_workers_match_serial():
     assert serial.per_restart_log == pooled.per_restart_log
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+def test_optimize_rejects_fewer_than_one_worker(workers):
+    with pytest.raises(ValueError, match="workers"):
+        optimize_phases(ghz_state(SC23), QUICK, workers=workers)
+
+
+def test_pool_is_no_larger_than_the_restart_count(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", SerialPool)
+    st = ghz_state(SC23)
+    serial = optimize_phases(st, QUICK, workers=1)
+    assert sizes == []  # one worker runs in-process
+    pooled = optimize_phases(st, QUICK, workers=64)
+    assert sizes == [QUICK.restarts]
+    assert pooled.per_restart_log == serial.per_restart_log
+
+
 def test_restart_aggregation_monotone():
     st = ghz_state(SC23)
     small = optimize_phases(

@@ -1,6 +1,7 @@
 """Threshold LP construction, solution, certificates, and invariances."""
 
 import functools
+import importlib
 import itertools
 
 import numpy as np
@@ -35,6 +36,8 @@ from lrthresh.threshold import (
     assignment_marginal_matrix,
     witness_residual,
 )
+
+threshold_module = importlib.import_module("lrthresh.threshold")  # the package's threshold is a function
 
 SC33 = Scenario(parties=3, dim=3, settings_per_party=2)
 SC23 = Scenario(parties=2, dim=3, settings_per_party=2)
@@ -168,11 +171,13 @@ def test_threshold_solver_warm_matches_cold(rng):
 
 def test_failed_warm_solve_restarts_from_cached_vertex(rng, monkeypatch):
     st = ghz_state(SC23)
-    t1, t2 = (correlation_tensor(st, random_settings(SC23, rng)) for _ in range(2))
+    t1, t2, t3, t4 = (correlation_tensor(st, random_settings(SC23, rng)) for _ in range(4))
     fresh = ThresholdSolver(SC23)
     want = fresh.value(t2)
     solver = ThresholdSolver(SC23)
-    solver.value(t1)
+    for t in (t1, t3, t4, t1):
+        solver.value(t)
+    assert solver._ring.count >= 3  # the ring holds other optimal states
 
     def fail(*args):
         raise SolverFailure("numerical", "injected")
@@ -180,9 +185,69 @@ def test_failed_warm_solve_restarts_from_cached_vertex(rng, monkeypatch):
     monkeypatch.setattr(solver._core, "dual_run", fail)
     assert abs(solver.value(t2) - want) < 1e-9  # answered by the cold fallback
     monkeypatch.undo()
-    # the half-repaired basis of the failed call is not reused
+    assert solver._ring.count == 0
+    # neither the half-repaired basis of the failed call nor a saved state is reused
     assert solver.value(t2) == want
     assert solver.last_pivots == fresh.last_pivots
+
+
+def revisiting_walk(sc, seed, steps):
+    """Tensors along a phase walk that, like Nelder-Mead, keeps coming back.
+
+    Each step perturbs either the last point or a random earlier one.
+    """
+    rng = np.random.default_rng(seed)
+    coeffs = ghz_state(sc).coeffs.real + 0.2 * rng.normal(size=sc.state_size)
+    state = PureState(sc, coeffs / np.linalg.norm(coeffs))
+    points = [rng.uniform(0, 2 * np.pi, size=(sc.parties, sc.settings_per_party, sc.dim))]
+    for _ in range(steps):
+        anchor = points[rng.integers(len(points))] if rng.random() < 0.5 else points[-1]
+        points.append(anchor + 0.05 * rng.normal(size=anchor.shape))
+    return [correlation_tensor(state, PhaseSettings(sc, p)) for p in points]
+
+
+@pytest.mark.parametrize("sc, steps", [(SC33, 40), (SC23, 100)], ids=["n3d3", "n2d3"])
+def test_nearest_saved_basis_start(monkeypatch, sc, steps):
+    tensors = revisiting_walk(sc, 3, steps)
+    solver = ThresholdSolver(sc)
+    for t in tensors:
+        assert abs(solver.value(t) - ThresholdSolver(sc).solve(t).f_thr) < 1e-12
+    # a ring of one always restarts from the last optimum
+    monkeypatch.setattr(threshold_module, "_RING_SIZE", 1)
+    last_only = ThresholdSolver(sc)
+    for t in tensors:
+        last_only.value(t)
+    assert solver._core.pivots < last_only._core.pivots
+
+
+def test_tensor_gradient_after_a_restored_start(rng, monkeypatch):
+    st = random_state(SC23, rng)
+    while True:
+        table = random_settings(SC23, rng).table
+        if ThresholdSolver(SC23).value(correlation_tensor(st, PhaseSettings(SC23, table))) > 0.01:
+            break
+    solver = ThresholdSolver(SC23)
+    solver.value(correlation_tensor(st, PhaseSettings(SC23, table)))
+    solver.value(correlation_tensor(st, random_settings(SC23, rng)))
+    restored = []
+    restore = solver._ring.restore
+
+    def checked_restore(k, core):
+        restore(k, core)
+        # F is basic at the saved optimum, so its column must come back with Binv
+        restored.append(np.max(np.abs(core.Binv @ core.A[:, core.basis] - np.eye(core.r))))
+
+    monkeypatch.setattr(solver._ring, "restore", checked_restore)
+    table = table + 0.01 * rng.normal(size=table.shape)
+    solver.value(correlation_tensor(st, PhaseSettings(SC23, table)))
+    assert len(restored) == 1 and restored[0] < 1e-9  # started from the first optimum
+    grad = solver.tensor_gradient()
+    h = 1e-6
+    direction = rng.normal(size=table.shape)
+    plus, minus = (correlation_tensor(st, PhaseSettings(SC23, table + s * h * direction))
+                   for s in (1, -1))
+    fd = (ThresholdSolver(SC23).value(plus) - ThresholdSolver(SC23).value(minus)) / (2 * h)
+    assert abs(grad @ (plus.flat - minus.flat) / (2 * h) - fd) < 1e-6
 
 
 def test_tensor_gradient_needs_a_warm_basis(rng, monkeypatch):
@@ -234,7 +299,7 @@ def test_long_lived_solver_keeps_warm_solving():
     solver._cold_solve = spy
     rng = np.random.default_rng(0)
     st = ghz_state(SC23)
-    for _ in range(400):
+    for _ in range(600):  # long enough to pass 100 * n pivots from the nearest saved basis
         solver.value(correlation_tensor(st, random_settings(SC23, rng)))
     assert solver._core.pivots > 100 * solver._core.n
     assert not fallbacks

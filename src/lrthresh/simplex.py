@@ -196,8 +196,7 @@ class BoundedSimplex:
         entries = self.r * self.n
         self._At = None      # CSR copy of A^T for pricing, on the sparse path only
         self._gemm = None
-        self._dense_cols = np.empty(0, dtype=np.intp)  # columns written by set_column
-        self._dense_block = np.empty((self.r, 0))  # their entries, priced densely
+        self._dense_cols = np.empty(0, dtype=np.intp)  # columns priced from A itself
         if (entries >= _SPARSE_MIN_ENTRIES
                 and np.count_nonzero(self._A) <= _SPARSE_MAX_DENSITY * entries):
             from scipy.linalg.blas import dgemm
@@ -245,19 +244,12 @@ class BoundedSimplex:
         """Overwrite A[:, j], leaving the factorization alone.
 
         On the sparse path the column leaves the CSR copy (its stored entries
-        are zeroed) and is priced from then on from a contiguous block that
-        holds every column written here.
+        are zeroed) and is priced from A from then on.
         """
         self._A[:, j] = col
-        if self._At is None:
-            return
-        slot = np.flatnonzero(self._dense_cols == j)
-        if slot.size:
-            self._dense_block[:, slot[0]] = self._A[:, j]
-        else:
+        if self._At is not None and j not in self._dense_cols:
             self._At.data[self._At.indptr[j]:self._At.indptr[j + 1]] = 0.0
             self._dense_cols = np.append(self._dense_cols, j)
-            self._dense_block = np.hstack([self._dense_block, self._A[:, j:j + 1]])
 
     def replace_column(self, j: int, col: np.ndarray) -> bool:
         """Overwrite A[:, j] and patch the factorization in place.
@@ -302,7 +294,7 @@ class BoundedSimplex:
             return y @ self.A
         out = self._At @ y
         if self._dense_cols.size:
-            out[self._dense_cols] = y @ self._dense_block
+            out[self._dense_cols] = y @ self.A[:, self._dense_cols]
         return out
 
     def duals(self, c: np.ndarray) -> np.ndarray:

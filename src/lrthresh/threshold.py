@@ -40,7 +40,7 @@ from .simplex import independent_rows  # noqa: F401  unused; perfbench/spans.py 
 
 WITNESS_MARGINAL_TOL = 1e-8
 CERTIFICATE_GAP_TOL = 1e-8
-_RING_SIZE = 16  # optimal warm states a ThresholdSolver keeps to start value() from
+_RING_SIZE = 16  # optimal states a ThresholdSolver keeps to start warm solves from
 
 
 @dataclass(frozen=True)
@@ -238,20 +238,21 @@ class _BasisRing:
     """The last few optimal states of a BoundedSimplex, keyed by their rhs.
 
     A state is what a warm re-solve starts from: basis, at-upper flags,
-    values, basis inverse, the last column (the one each re-solve patches)
-    and the stale-update count. Slots are filled round-robin and restored by
-    in-place copies.
+    basis inverse and stale-update count. The rest follows from these: the
+    last column (the one each re-solve patches) is the key less the uniform
+    shift, the nonbasic values sit on the bounds the flags name, and the
+    caller recomputes the basic values after patching the column. Slots are
+    filled round-robin and restored by in-place copies.
     """
 
-    def __init__(self, size: int, core: BoundedSimplex):
+    def __init__(self, size: int, core: BoundedSimplex, shift: float):
         r, n = core.r, core.n
+        self.shift = shift
         self.count = 0
         self.keys = np.empty((size, r))
         self.basis = np.empty((size, r), dtype=core.basis.dtype)
         self.at_upper = np.empty((size, n), dtype=bool)
-        self.x = np.empty((size, n))
         self.binv = np.empty((size, r, r))
-        self.cols = np.empty((size, r))
         self.stale = np.empty(size, dtype=int)
 
     def save(self, core: BoundedSimplex) -> int:
@@ -260,9 +261,7 @@ class _BasisRing:
         self.keys[k] = core.b
         self.basis[k] = core.basis
         self.at_upper[k] = core.at_upper
-        self.x[k] = core.x
         self.binv[k] = core.Binv
-        self.cols[k] = core.A[:, -1]
         self.stale[k] = core.stale_updates
         return k
 
@@ -272,13 +271,14 @@ class _BasisRing:
         return int(np.argmin(np.abs(self.keys[:filled] - key).sum(axis=1)))
 
     def restore(self, k: int, core: BoundedSimplex) -> None:
+        """Put slot k back into the core; its basic values are left stale."""
         core.basis[:] = self.basis[k]
         core.in_basis[:] = False
         core.in_basis[core.basis] = True
         core.at_upper[:] = self.at_upper[k]
-        core.x[:] = self.x[k]
+        np.copyto(core.x, np.where(core.at_upper, core.upper, core.lower))
         core.Binv[...] = self.binv[k]
-        core.set_column(core.n - 1, self.cols[k])
+        core.set_column(core.n - 1, self.keys[k] - self.shift)
         core.stale_updates = int(self.stale[k])
 
 
@@ -287,10 +287,10 @@ class ThresholdSolver:
 
     The objective never changes, so any basis stays dual feasible when the
     tensor moves. A cold solve starts from the closed-form Collins-Gisin
-    basis. value() starts from whichever of its last _RING_SIZE optimal
-    states has the nearest tensor (L1 over the kept rows); solve() starts
-    from the previous optimum. Either way a dual-simplex repair followed by a
-    primal cleanup finishes the solve.
+    basis. A warm solve starts from whichever of the solver's last
+    _RING_SIZE optimal states has the nearest tensor (L1 over the kept
+    rows). Either way a dual-simplex repair followed by a primal cleanup
+    finishes the solve.
     value() returns just the optimum for tight optimization loops; solve()
     adds the witness and certificate.
     """
@@ -307,7 +307,8 @@ class ThresholdSolver:
         self._objective = np.zeros(n)
         self._objective[-1] = 1.0
         self._have_last = False
-        self._ring: _BasisRing | None = None  # allocated by the first warm value()
+        self._shift = 1.0 / sc.dim ** sc.parties  # each kept row's uniform-noise entry
+        self._ring: _BasisRing | None = None  # allocated by the first warm solve
         self.last_pivots = 0
 
     def _repair(self) -> str:
@@ -329,27 +330,22 @@ class ThresholdSolver:
         The core's current state, the last optimum, joins the ring first.
         """
         if self._ring is None:
-            self._ring = _BasisRing(_RING_SIZE, self._core)
+            self._ring = _BasisRing(_RING_SIZE, self._core, self._shift)
         last = self._ring.save(self._core)
         k = self._ring.nearest(b)
         if k != last:
             self._ring.restore(k, self._core)
 
-    def _solve_core(self, tensor: CorrelationTensor, nearest: bool = False) -> BoundedSimplex:
-        """Bring the shared core to a verified optimum for this tensor.
-
-        With nearest, a warm start begins from the ring's nearest state
-        instead of the last optimum.
-        """
-        sc = self.scenario
-        if tensor.scenario != sc:
+    def _solve_core(self, tensor: CorrelationTensor) -> BoundedSimplex:
+        """Bring the shared core to a verified optimum for this tensor."""
+        if tensor.scenario != self.scenario:
             raise ScenarioMismatchError("tensor does not belong to this solver's scenario")
         core = self._core
         b = tensor.flat[self._keep]  # kept rows are marginal rows, never normalization
-        if nearest and self._have_last:
+        if self._have_last:
             self._restore_nearest(b)
         core.b = b
-        mixing = b - 1.0 / sc.dim ** sc.parties
+        mixing = b - self._shift
         pivots_before = core.pivots
 
         status = None
@@ -392,7 +388,7 @@ class ThresholdSolver:
     def value(self, tensor: CorrelationTensor) -> float:
         """The threshold alone, without witness or certificate packaging."""
         try:
-            core = self._solve_core(tensor, nearest=True)
+            core = self._solve_core(tensor)
         except SolverFailure:
             return float(self._cold_solve(build_threshold_lp(tensor)).primal[-1])
         return float(core.x[-1])

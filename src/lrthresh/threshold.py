@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
@@ -191,6 +192,62 @@ def witness_residual(
     marginals = assignment_marginal_matrix(sc) @ weights
     return (float(np.max(np.abs(marginals - target))),
             abs(float(np.sum(weights)) - 1.0))
+
+
+@functools.cache
+def _marginal_supports(sc: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """Per marginal row, the assignments it sums; per assignment, the rows it enters.
+
+    Every row of assignment_marginal_matrix has d^(N(m-1)) ones and every
+    column m^N, so both fit in rectangular index arrays.
+    """
+    marg = assignment_marginal_matrix(sc)
+    rows = marg.indices.reshape(sc.marginal_rows, -1)
+    cols = marg.tocsc().indices.reshape(sc.joint_size, -1)
+    return _frozen(rows), _frozen(cols)
+
+
+def exact_bracket(
+    tensor: CorrelationTensor,
+    dual: np.ndarray,
+    weights: np.ndarray,
+    noise_fraction: float,
+) -> tuple[Fraction, Fraction, Fraction]:
+    """The certificate's bound and the witness's residuals, in exact arithmetic.
+
+    Returns, as exact rationals over the float inputs:
+    - the weak-duality bound y.b + sum_j min(0, z_j), z = c - A^T y, of the
+      dual on the full threshold LP (build_threshold_lp; every variable in
+      [0, 1]), which no feasible point beats;
+    - the largest miss of the weights' marginals against (1-q) P + q/d^N;
+    - |sum of weights - 1|.
+    A float is an integer times a power of two, so every input is scaled to a
+    Python integer by one common 2^s, and the 1/d^N terms by d^N as well.
+    Each assignment column is 0/1 with m^N ones plus the normalization
+    entry, so the sums run over gathered integers with no rounding at all.
+    """
+    sc = tensor.scenario
+    rows, cols = _marginal_supports(sc)
+    mant, exp = np.frexp(np.concatenate([tensor.flat, dual, weights, [noise_fraction]]))
+    s = int(np.max(53 - exp[mant != 0], initial=0))  # 2^s times each input is an integer
+    ints = ((mant * 2.0 ** 53).astype(np.int64).astype(object)
+            << np.maximum(exp - 53 + s, 0).astype(object))
+    p, y, w = np.split(ints[:-1], [sc.marginal_rows, 2 * sc.marginal_rows + 1])
+    q = int(ints[-1])
+    one, combos = 1 << s, sc.outcome_combos
+    y_rows, y_norm = y[:-1], int(y[-1])
+
+    # numerators over combos * 2^2s
+    y_dot_p = int(y_rows.dot(p))
+    z_weights = -(y_rows[cols].sum(axis=1) + y_norm)  # over 2^s
+    z_noise = combos * (one * one - y_dot_p) + int(y_rows.sum()) * one
+    bound = (combos * (y_dot_p + y_norm * one + int(np.minimum(z_weights, 0).sum()) * one)
+             + min(z_noise, 0))
+    misses = combos * (w[rows].sum(axis=1) * one - (one - q) * p) - q * one
+    scale = combos * one * one
+    return (Fraction(bound, scale),
+            Fraction(int(np.max(np.abs(misses))), scale),
+            Fraction(abs(int(w.sum()) - one), one))
 
 
 def _package(

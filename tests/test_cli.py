@@ -11,12 +11,14 @@ import yaml
 from lrthresh import (
     Scenario,
     SolverOptions,
+    ThresholdSolver,
     correlation_tensor,
     feasible_at,
     load_scenario_file,
     parse_lp_text,
     reports,
     search,
+    simplex,
     threshold_from_tensor,
     verify_report,
 )
@@ -82,23 +84,33 @@ def test_threshold_report_and_verify(capsys, tmp_path, ghz33_file):
     (["--tol", "1e-7"], SolverOptions(tol_feas=1e-7, tol_opt=1e-7)),
 ])
 def test_verify_replays_report_tolerances(capsys, tmp_path, monkeypatch, tol_flag, options):
-    scen = tmp_path / "ghz23.yaml"
-    scen.write_text(GHZ23 + "noise: 0.5\n")
+    scen = tmp_path / "ghz33.yaml"
+    scen.write_text(GHZ33 + "noise: 0.5\n")
     out_path = tmp_path / "report.json"
     assert main(["threshold", "--scenario", str(scen), "--out", str(out_path)] + tol_flag) == 0
-    assert json.loads(out_path.read_text())["tolerances"]["tol_feas"] == options.tol_feas
+    report = json.loads(out_path.read_text())
+    assert report["tolerances"]["tol_feas"] == options.tol_feas
 
-    replayed = []
-    original = reports.threshold_from_tensor
+    # the witness and the dual bracket the optimum, so verify runs no LP
+    built = []
+    for cls in (ThresholdSolver, simplex.BoundedSimplex):
+        def spy(self, *args, _original=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _original(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", spy)
 
-    def spy(*args, **kwargs):
-        replayed.append(inspect.signature(original).bind(*args, **kwargs).arguments["options"])
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(reports, "threshold_from_tensor", spy)
-    assert main(["verify", str(out_path)]) == 0
+    # a noise level 5e-8 below f_thr is local within tol_feas 1e-7, not within 1e-9
+    report["scenario"]["noise"] = report["f_thr"] - 5e-8
+    report["local_at_noise"] = options.tol_feas > 5e-8
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(report))
+    assert main(["verify", str(edited)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "ok"
-    assert replayed == [options]
+    report["local_at_noise"] = not report["local_at_noise"]
+    edited.write_text(json.dumps(report))
+    assert main(["verify", str(edited)]) == 1
+    assert "local_at_noise" in capsys.readouterr().out
+    assert built == []
 
 
 def test_verify_detects_flipped_local_at_noise(capsys, tmp_path):

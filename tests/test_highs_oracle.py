@@ -3,7 +3,9 @@
 Random real states and phase walks drive the warm ThresholdSolver.value()
 re-solves (rank-one column patch, dual repair, primal cleanup) and the
 certified solve(); fresh solvers check the cold start from the closed-form
-basis. Every value must match HiGHS on build_threshold_lp.
+basis. Every value must match HiGHS on build_threshold_lp. The exact bracket
+that verify checks must agree with the solver's float certificate, and its
+bound must stay below HiGHS's optimum for any dual.
 """
 
 import numpy as np
@@ -24,6 +26,8 @@ from lrthresh import (
     paper_settings,
     product_state,
 )
+from lrthresh.simplex import certified_lower_bound
+from lrthresh.threshold import exact_bracket, witness_residual
 
 TOL = 1e-7
 SCENARIOS = [Scenario(parties=n, dim=d, settings_per_party=2)
@@ -118,3 +122,43 @@ def test_cold_five_qubit_ghz_on_phase_grid_matches_highs():
                      [[2, 5], [0, 1]], [[0, 2], [5, 1]]])
     check_cold(correlation_tensor(ghz_state(sc), PhaseSettings(sc, grid * (np.pi / 3))),
                expected=0.2)
+
+
+@pytest.mark.parametrize("parties, dim", [(2, 3), (3, 3), (4, 2), (5, 2)])
+def test_exact_bracket_matches_float_certificate(parties, dim):
+    sc = Scenario(parties=parties, dim=dim, settings_per_party=2)
+    rng = np.random.default_rng(parties * 10 + dim)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=(parties, 2, dim))
+    tensor = correlation_tensor(ghz_state(sc), PhaseSettings(sc, phases))
+    res = ThresholdSolver(sc).solve(tensor)
+    assert res.f_thr > 0.01  # a dual that is not all zero
+    dual = np.asarray(res.certificate["dual"])
+    weights = np.asarray(res.witness.weights)
+    bound, marginal, norm = exact_bracket(tensor, dual, weights, res.f_thr)
+    assert abs(bound - certified_lower_bound(build_threshold_lp(tensor), dual)) < 1e-12
+    assert abs(bound - res.certificate["lower_bound"]) < 1e-12
+    float_marginal, float_norm = witness_residual(tensor, res.f_thr, weights)
+    assert abs(marginal - float_marginal) < 1e-12
+    assert abs(norm - float_norm) < 1e-12
+    assert res.f_thr - bound <= 1e-8
+
+
+@pytest.mark.parametrize("sc", SCENARIOS, ids=str)
+def test_exact_bound_of_any_dual_stays_below_highs(sc):
+    # weak duality holds for every dual vector, including ones with weight on
+    # the rows the solver drops and on the normalization row
+    rng = np.random.default_rng(sc.parties * 10 + sc.dim)
+    coeffs = rng.normal(size=sc.state_size)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=(sc.parties, 2, sc.dim))
+    tensor = correlation_tensor(PureState(sc, coeffs / np.linalg.norm(coeffs)),
+                                PhaseSettings(sc, phases))
+    optimum = highs_threshold(tensor)
+    certified = np.asarray(ThresholdSolver(sc).solve(tensor).certificate["dual"])
+    weights = np.full(sc.joint_size, 1.0 / sc.joint_size)
+    for scale in (1e-9, 1e-6, 1e-3, 1.0):
+        for _ in range(5):
+            dual = certified + scale * rng.normal(size=certified.size)
+            bound, _, _ = exact_bracket(tensor, dual, weights, optimum)
+            assert bound <= optimum + 1e-12
+    bound, _, _ = exact_bracket(tensor, rng.normal(size=certified.size), weights, optimum)
+    assert bound <= optimum + 1e-12

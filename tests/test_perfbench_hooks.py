@@ -29,7 +29,9 @@ def test_tracer_installs_and_uninstalls():
     reports = importlib.import_module("lrthresh.reports")
     threshold = importlib.import_module("lrthresh.threshold")
     watched = [(cli, "feasible_at"), (cli, "threshold"), (reports, "feasible_at"),
-               (threshold, "independent_rows"), (threshold.ThresholdSolver, "solve")]
+               (reports, "build_threshold_lp"), (reports, "certified_lower_bound"),
+               (reports, "correlation_tensor"), (threshold, "independent_rows"),
+               (threshold.ThresholdSolver, "solve")]
     originals = [getattr(owner, name) for owner, name in watched]
 
     tracer = load_spans().Tracer()

@@ -9,12 +9,14 @@ import pytest
 from lrthresh import (
     OptimizationConfig,
     ReportError,
+    Scenario,
     build_optimize_report,
     build_threshold_report,
     ghz_state,
     load_report,
     load_scenario_file,
     optimize_phases,
+    paper_settings,
     parse_scenario_file,
     threshold,
     verify_report,
@@ -29,6 +31,17 @@ GHZ23 = "parties: 2\ndim: 3\nstate: ghz\nsettings: zero\n"
 @pytest.fixture(scope="module")
 def threshold_report():
     sf = parse_scenario_file(GHZ33)
+    res = threshold(sf.state, sf.settings)
+    return build_threshold_report(sf, res, ["threshold", "--scenario", "x.yaml"], 1.0)
+
+
+@pytest.fixture(scope="module")
+def explicit_report():
+    """GHZ(3,3) under the bundled phases, with state and phases written out as numbers."""
+    sc = Scenario(parties=3, dim=3)
+    spec = {"parties": 3, "dim": 3, "state": ghz_state(sc).coeffs.tolist(),
+            "settings": paper_settings("maxent_3qutrit").table.tolist()}
+    sf = parse_scenario_file(json.dumps(spec))
     res = threshold(sf.state, sf.settings)
     return build_threshold_report(sf, res, ["threshold", "--scenario", "x.yaml"], 1.0)
 
@@ -61,6 +74,28 @@ def test_tampered_f_thr_detected(threshold_report):
     bad["f_thr"] += 0.01
     problems = verify_report(bad)
     assert any("f_thr mismatch" in p for p in problems)
+
+
+def test_f_thr_raised_past_the_certificate_gap_detected(threshold_report):
+    # the witness still passes at f_thr + 1e-7 (its residual grows by at most
+    # 1e-7 |P - 1/27|), so only the dual's bound, 1e-7 below, catches this
+    bad = json.loads(json.dumps(threshold_report))
+    bad["f_thr"] += 1e-7
+    bad["witness"]["noise_weight"] += 1e-7
+    problems = verify_report(bad)
+    assert any("f_thr mismatch" in p for p in problems), problems
+
+
+@pytest.mark.parametrize("path", [("settings", 1, 0, 2), ("state", 0)])
+def test_edited_scenario_detected(explicit_report, path):
+    assert verify_report(explicit_report) == []
+    bad = json.loads(json.dumps(explicit_report))
+    entry = bad["scenario"]
+    for key in path[:-1]:
+        entry = entry[key]
+    entry[path[-1]] += 0.1
+    problems = verify_report(bad)
+    assert any("witness marginal residual" in p for p in problems), problems
 
 
 def test_negated_witness_entry_detected(threshold_report):

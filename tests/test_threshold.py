@@ -3,6 +3,7 @@
 import functools
 import importlib
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from lrthresh.threshold import (
     _collins_gisin_basis,
     _kept_rows,
     assignment_marginal_matrix,
+    exact_bracket,
     witness_residual,
 )
 
@@ -414,6 +416,32 @@ def test_witness_residual_scores_certified_witness(rng):
     marginal, normalization = witness_residual(tensor, res.f_thr, weights)
     assert abs(marginal - 1e-6) < 1e-8
     assert normalization <= 1e-12
+
+
+@pytest.mark.parametrize("sc", [SC22, SC23], ids=str)
+def test_exact_bracket_equals_rational_arithmetic(sc, rng):
+    # the bound and residuals recomputed entry by entry in Fraction over the
+    # full LP; the dual mixes ordinary, tiny and subnormal magnitudes
+    tensor = correlation_tensor(random_state(sc, rng), random_settings(sc, rng))
+    dual = rng.normal(size=sc.marginal_rows + 1) * rng.choice([1.0, 1e-30, 5e-324],
+                                                             size=sc.marginal_rows + 1)
+    weights = rng.dirichlet(np.ones(sc.joint_size))
+    q = 0.3
+    bound, marginal, norm = exact_bracket(tensor, dual, weights, q)
+
+    marg = assignment_marginal_matrix(sc).toarray()
+    probs = [Fraction(p) for p in tensor.flat]
+    y, w = [Fraction(v) for v in dual], [Fraction(v) for v in weights]
+    u, q = Fraction(1, sc.outcome_combos), Fraction(q)
+    z = [-sum(y[r] for r in np.flatnonzero(marg[:, j])) - y[-1] for j in range(sc.joint_size)]
+    z_noise = 1 - sum(y[r] * (probs[r] - u) for r in range(sc.marginal_rows))
+    expected = (sum(y[r] * probs[r] for r in range(sc.marginal_rows)) + y[-1]
+                + sum(min(0, v) for v in z) + min(0, z_noise))
+    assert bound == expected
+    misses = [sum(w[j] for j in np.flatnonzero(marg[r])) - (1 - q) * probs[r] - q * u
+              for r in range(sc.marginal_rows)]
+    assert marginal == max(abs(m) for m in misses)
+    assert norm == abs(sum(w) - 1)
 
 
 def test_threshold_solver_full_result(rng):

@@ -9,6 +9,7 @@ are a stable contract: 0 success, 1 verification failure, 2 input error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import time
@@ -88,6 +89,15 @@ def _solver_options(args) -> SolverOptions | None:
     return SolverOptions(tol_feas=args.tol, tol_opt=args.tol)
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """Turn a failed write to an --out path into an input error naming it."""
+    try:
+        yield
+    except OSError as err:
+        raise ValueError(f"cannot write {path}: {err}") from None
+
+
 def _cmd_threshold(args, argv: list[str]) -> int:
     sf = load_scenario_file(args.scenario)
     opts = _solver_options(args)
@@ -98,7 +108,8 @@ def _cmd_threshold(args, argv: list[str]) -> int:
     print(f"{result.f_thr:.6f}")
     if args.out:
         report = build_threshold_report(sf, result, argv, wall, options=opts)
-        write_report(report, args.out)
+        with _writing(args.out):
+            write_report(report, args.out)
     return EXIT_OK
 
 
@@ -124,7 +135,8 @@ def _cmd_optimize(args, argv: list[str]) -> int:
     if args.out:
         report = build_optimize_report(sf, result, config, argv, wall,
                                        options=opts or SolverOptions())
-        write_report(report, args.out)
+        with _writing(args.out):
+            write_report(report, args.out)
     return EXIT_OK
 
 
@@ -144,7 +156,7 @@ def _cmd_dump_lp(args) -> int:
     tensor = correlation_tensor(sf.state, sf.settings)
     text = dump_lp_text(build_threshold_lp(tensor))
     if args.out:
-        with open(args.out, "w") as fh:
+        with _writing(args.out), open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -161,9 +161,11 @@ def _reject_constant(token: str):
 
 def load_report(path: str | Path) -> dict:
     try:
-        raw = json.loads(Path(path).read_text(), parse_constant=_reject_constant)
-    except OSError as err:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as err:
         raise ReportError(f"cannot read {path}: {err}") from None
+    try:
+        raw = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as err:
         raise ReportError(f"not valid JSON: {err}") from None
     err = _schema_error(raw, "report.schema.json")

@@ -94,14 +94,32 @@ def format_angle(radians: float) -> float | str:
     return float(radians)
 
 
+_NUMBER_ITEMS = {"type": "number"}
+_NUMBER_TYPES = {int, float}
+
+
 @functools.cache
 def _validator(schema_file: str):
-    """The validator for one bundled schema; the schema is checked once per process."""
+    """The validator for one bundled schema; the schema is checked once per process.
+
+    Its items keyword passes a list of plain ints and floats against
+    {"type": "number"} in one type scan instead of one descent per item (a
+    report's witness holds hundreds). Every other case, an invalid list
+    included, goes to the stock keyword, so the errors are jsonschema's own.
+    """
     text = resources.files("lrthresh.schemas").joinpath(schema_file).read_text()
     schema = json.loads(text)
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)
-    return cls(schema)
+    stock_items = cls.VALIDATORS["items"]
+
+    def items(validator, items, instance, schema):
+        if (items == _NUMBER_ITEMS and type(instance) is list
+                and set(map(type, instance)) <= _NUMBER_TYPES):
+            return
+        yield from stock_items(validator, items, instance, schema)
+
+    return jsonschema.validators.extend(cls, {"items": items})(schema)
 
 
 def _schema_error(raw, schema_file: str) -> jsonschema.ValidationError | None:
@@ -160,7 +178,10 @@ def _resolve_state(sc: Scenario, spec) -> PureState:
             raise ScenarioFileError(
                 f"explicit state needs {want} coefficients, got {len(coeffs)}"
             )
-        return PureState(sc, np.asarray(coeffs) / np.linalg.norm(coeffs))
+        norm = np.linalg.norm(coeffs)
+        if norm == 0:
+            raise ScenarioFileError("explicit state has zero norm")
+        return PureState(sc, np.asarray(coeffs) / norm)
     raise ScenarioFileError(f"cannot interpret state spec of type {type(spec).__name__}")
 
 
@@ -215,9 +236,21 @@ def resolve_scenario(raw: dict) -> tuple[Scenario, PureState, PhaseSettings]:
     return sc, _resolve_state(sc, raw["state"]), _resolve_settings(sc, raw["settings"])
 
 
+def _load_yaml(text: str):
+    """yaml.safe_load through libyaml when PyYAML has it.
+
+    A document libyaml rejects is parsed again by the pure-Python loader, so
+    every error message is that loader's.
+    """
+    try:
+        return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    except yaml.YAMLError:
+        return yaml.load(text, Loader=yaml.SafeLoader)
+
+
 def parse_scenario_file(text: str) -> ScenarioFile:
     try:
-        raw = yaml.safe_load(text)
+        raw = _load_yaml(text)
     except yaml.YAMLError as err:
         raise ScenarioFileError(f"not valid YAML: {err}") from None
     if not isinstance(raw, dict):
@@ -259,7 +292,7 @@ def serialize_scenario_file(sf: ScenarioFile) -> str:
 def load_scenario_file(path: str | Path) -> ScenarioFile:
     try:
         text = Path(path).read_text()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ScenarioFileError(f"cannot read {path}: {err}") from None
     return parse_scenario_file(text)
 

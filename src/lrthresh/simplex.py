@@ -196,17 +196,26 @@ class BoundedSimplex:
         entries = self.r * self.n
         self._At = None      # CSR copy of A^T for pricing, on the sparse path only
         self._gemm = None
+        self._matvec = None
         self._dense_cols = np.empty(0, dtype=np.intp)  # columns priced from A itself
         if (entries >= _SPARSE_MIN_ENTRIES
                 and np.count_nonzero(self._A) <= _SPARSE_MAX_DENSITY * entries):
             from scipy.linalg.blas import dgemm
+            from scipy.sparse._sparsetools import csr_matvec
 
             self._At = sp.csr_array(self._A.T)
             self._gemm = dgemm
+            self._matvec = csr_matvec
 
     # -- basis bookkeeping -------------------------------------------------
 
-    def set_basis(self, basis: np.ndarray, at_upper: np.ndarray | None = None) -> None:
+    def set_basis(self, basis: np.ndarray, at_upper: np.ndarray | None = None,
+                  binv: np.ndarray | None = None) -> None:
+        """Install a basis and put every nonbasic on its bound.
+
+        ``binv``, when the caller knows the basis matrix's inverse, is copied
+        in instead of refactoring.
+        """
         self.basis = np.asarray(basis, dtype=int).copy()
         if self.basis.size != self.r:
             raise ValueError(f"basis needs {self.r} columns, got {self.basis.size}")
@@ -220,7 +229,12 @@ class BoundedSimplex:
         )
         free = nonbasic & ~np.isfinite(self.x)
         self.x[free] = 0.0
-        self.refactor()
+        if binv is None:
+            self.refactor()
+        else:
+            self.Binv = binv.copy()  # C order, as the in-place update needs
+            self.stale_updates = 0
+            self.recompute_basics()
 
     def refactor(self) -> None:
         if self.r == 0:
@@ -292,7 +306,10 @@ class BoundedSimplex:
         """The row product y @ A."""
         if self._At is None:
             return y @ self.A
-        out = self._At @ y
+        # the kernel At @ y reaches, without scipy's dispatch and checks
+        At = self._At
+        out = np.zeros(self.n)
+        self._matvec(self.n, self.r, At.indptr, At.indices, At.data, y, out)
         if self._dense_cols.size:
             out[self._dense_cols] = y @ self.A[:, self._dense_cols]
         return out

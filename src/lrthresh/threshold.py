@@ -175,6 +175,18 @@ def _collins_gisin_basis(sc: Scenario) -> np.ndarray:
     return basis
 
 
+@functools.cache
+def _collins_gisin_inverse(sc: Scenario) -> np.ndarray:
+    """The inverse of the starting basis's matrix on the kept rows, read-only.
+
+    The matrix does not depend on the tensor, so every cold start installs a
+    copy of this instead of inverting it again. Its entries are exactly
+    -1, 0 and 1.
+    """
+    _, a_keep = _kept_rows(sc)
+    return _frozen(np.linalg.inv(a_keep[:, _collins_gisin_basis(sc)]))
+
+
 def witness_residual(
     tensor: CorrelationTensor,
     noise_fraction: float,
@@ -419,7 +431,8 @@ class ThresholdSolver:
             # with F nonbasic at 0 every basic variable is a weight, so the
             # duals are 0, the reduced costs equal the objective, and any basis
             # of assignment columns is dual feasible for min F
-            core.set_basis(self._basis, np.zeros(core.n, dtype=bool))
+            core.set_basis(self._basis, np.zeros(core.n, dtype=bool),
+                           _collins_gisin_inverse(self.scenario))
             status = self._repair()
         self.last_pivots = core.pivots - pivots_before
         if status != OPTIMAL:

@@ -289,3 +289,37 @@ def test_verify_rejects_nonfinite_report_numbers(capsys, tmp_path, tamper):
     capsys.readouterr()
     assert main(["verify", str(out_path)]) == 2
     assert "NaN" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["threshold"],
+    ["optimize", "--restarts", "1", "--max-evals", "5", "--workers", "1"],
+    ["dump-lp"],
+])
+def test_unwritable_out_path_is_an_input_error(capsys, tmp_path, command):
+    scen = tmp_path / "ghz23.yaml"
+    scen.write_text(GHZ23)
+    out_path = tmp_path / "missing" / "out.txt"
+    code = main(command[:1] + ["--scenario", str(scen), "--out", str(out_path)] + command[1:])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out_path}: ")
+    assert "Traceback" not in err
+
+
+def test_non_utf8_files_name_their_path(capsys, tmp_path):
+    scen = tmp_path / "latin1.yaml"
+    scen.write_bytes("parties: 2 # \xe9\n".encode("latin-1"))
+    report = tmp_path / "latin1.json"
+    report.write_bytes(b'{"kind": "\xff"}')
+    assert main(["threshold", "--scenario", str(scen)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {scen}: ")
+    assert main(["verify", str(report)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {report}: ")
+
+
+def test_zero_state_is_an_input_error_without_a_warning(capsys, tmp_path):
+    scen = tmp_path / "zero.yaml"
+    scen.write_text("parties: 2\ndim: 2\nstate: [0, 0, 0, 0]\nsettings: zero\n")
+    assert main(["threshold", "--scenario", str(scen)]) == 2
+    assert capsys.readouterr().err == "error: explicit state has zero norm\n"

@@ -1,6 +1,7 @@
 """Report construction and the verify replay, including tamper detection."""
 
 import json
+from importlib import resources
 
 import jsonschema
 import numpy as np
@@ -22,7 +23,7 @@ from lrthresh import (
     verify_report,
     write_report,
 )
-from lrthresh.scenario_io import _validator
+from lrthresh.scenario_io import _schema_error, _validator
 
 GHZ33 = "parties: 3\ndim: 3\nstate: ghz\nsettings: paper-maxent\n"
 GHZ23 = "parties: 2\ndim: 3\nstate: ghz\nsettings: zero\n"
@@ -195,3 +196,97 @@ def test_schemas_compile_once_per_process(tmp_path, monkeypatch, threshold_repor
         write_report(threshold_report, report)
         load_report(report)
     assert sorted(compiled) == ["Run report", "Scenario file"]
+
+
+def _stock_validator(schema_file):
+    schema = json.loads(resources.files("lrthresh.schemas").joinpath(schema_file).read_text())
+    return jsonschema.validators.validator_for(schema)(schema)
+
+
+def _all_errors(validator, doc):
+    return [(list(e.absolute_path), e.validator, e.message,
+             [(list(c.absolute_path), c.message) for c in e.context])
+            for e in validator.iter_errors(doc)]
+
+
+def _mutations(doc, paths):
+    """doc with one list under each path broken: a bad item, or a whole new list."""
+    items = [True, False, "0.5", None, [0.5], {"x": 1}]
+    lists = [[], [1, 0, 2], [True], [1.0, "x"], "not a list", 3]
+    for path in paths:
+        for index, value in [(0, v) for v in items] + [(-1, v) for v in items[:2]] + [
+                (None, v) for v in lists]:
+            bad = json.loads(json.dumps(doc))
+            parent = bad
+            for key in path[:-1]:
+                parent = parent[key]
+            if index is None:
+                parent[path[-1]] = value
+            else:
+                parent[path[-1]][index] = value
+            yield bad
+
+
+@pytest.fixture(scope="module")
+def reports_by_scenario():
+    """A threshold and an optimize report, as loaded from disk, per scenario."""
+    docs = []
+    for parties, dim in ((2, 3), (3, 3), (4, 2)):
+        sc = Scenario(parties=parties, dim=dim)
+        state = ghz_state(sc)
+        spec = {"parties": parties, "dim": dim, "state": state.coeffs.tolist(),
+                "settings": "zero", "noise": 0.5}
+        sf = parse_scenario_file(json.dumps(spec))
+        docs.append(build_threshold_report(sf, threshold(sf.state, sf.settings),
+                                           ["threshold"], 1.0))
+        cfg = OptimizationConfig(restarts=1, rng_seed=3, max_evals_per_restart=10,
+                                 mode="phases_only")
+        docs.append(build_optimize_report(sf, optimize_phases(sf.state, cfg, workers=1),
+                                          cfg, ["optimize"], 1.0))
+    return [json.loads(json.dumps(doc)) for doc in docs]
+
+
+def test_report_validator_matches_stock_jsonschema(reports_by_scenario):
+    stock = _stock_validator("report.schema.json")
+    ours = _validator("report.schema.json")
+    assert type(ours) is not type(stock)  # the extended class is in use
+    paths = {"threshold": [("witness", "weights"), ("certificate", "dual"),
+                           ("scenario", "state")],
+             "optimize": [("optimizer", "best_state"), ("scenario", "state")]}
+    checked = 0
+    for doc in reports_by_scenario:
+        assert _all_errors(ours, doc) == [] and _schema_error(doc, "report.schema.json") is None
+        for bad in _mutations(doc, paths[doc["kind"]]):
+            want = jsonschema.exceptions.best_match(stock.iter_errors(bad))
+            got = _schema_error(bad, "report.schema.json")
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert (list(got.absolute_path), got.message) == (
+                    list(want.absolute_path), want.message)
+                checked += 1
+            assert _all_errors(ours, bad) == _all_errors(stock, bad)
+    assert checked > 50
+
+
+def test_scenario_validator_matches_stock_jsonschema():
+    stock = _stock_validator("scenario.schema.json")
+    ours = _validator("scenario.schema.json")
+    docs = [
+        {"parties": 2, "dim": 3, "state": [1, 0, 0, 0, 1, 0, 0, 0, 1.0],
+         "settings": [[[0, "1/2 pi", 0.5], [0, 0, 0]]] * 2, "noise": 0.25},
+        {"parties": 3, "dim": 3, "state": ghz_state(Scenario(3, 3)).coeffs.tolist(),
+         "settings": "paper-maxent"},
+        {"parties": 4, "dim": 2, "state": {"product": [[1, 0], [0, 1.0], [1, 1], [0.5, 0]]},
+         "settings": "zero"},
+    ]
+    for doc in docs:
+        assert _all_errors(ours, doc) == []
+        paths = [("state",)] if isinstance(doc["state"], list) else [("state", "product", 0)]
+        for bad in _mutations(doc, paths):
+            want = jsonschema.exceptions.best_match(stock.iter_errors(bad))
+            got = _schema_error(bad, "scenario.schema.json")
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert (list(got.absolute_path), got.message) == (
+                    list(want.absolute_path), want.message)
+            assert _all_errors(ours, bad) == _all_errors(stock, bad)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import yaml
 
 from lrthresh import (
     Scenario,
@@ -112,18 +113,31 @@ def test_round_trip_preserves_semantics():
         assert again.state_spec == sf.state_spec
 
 
+MALFORMED = [
+    ("state: ghz\nsettings: zero\n", "parties"),  # missing required fields
+    ("parties: 3\ndim: 3\nstate: nope\nsettings: zero\n", "state"),
+    ("parties: 3\ndim: 3\nstate: ghz\nsettings: wrong\n", "settings"),
+    ("parties: 3\ndim: 3\nstate: ghz\nsettings: zero\nnoise: 1.5\n", "noise"),
+    ("parties: 2\ndim: 2\nstate: [1, 0]\nsettings: zero\n", ""),  # short list
+    ("parties: 2\ndim: 2\nstate: ghz\nsettings: [[[0, 0]]]\n", ""),  # bad shape
+    ("- just\n- a list\n", ""),
+    ("parties: [3\n", ""),
+]
+# YAML syntax errors beyond the one above, for the loader comparison
+BAD_YAML = [
+    "parties: 3\n\tdim: 3\n",
+    "parties: 'three\n",
+    "parties: 3\n  dim: 3\n",
+    "state: [1, 0\nsettings: zero\n",
+    "a: b: c\n",
+    "{parties: 3\n",
+    "parties: *missing\n",
+    "- x\ny: 1\n",
+]
+
+
 def test_rejects_malformed_files():
-    cases = [
-        ("state: ghz\nsettings: zero\n", "parties"),  # missing required fields
-        ("parties: 3\ndim: 3\nstate: nope\nsettings: zero\n", "state"),
-        ("parties: 3\ndim: 3\nstate: ghz\nsettings: wrong\n", "settings"),
-        ("parties: 3\ndim: 3\nstate: ghz\nsettings: zero\nnoise: 1.5\n", "noise"),
-        ("parties: 2\ndim: 2\nstate: [1, 0]\nsettings: zero\n", ""),  # short list
-        ("parties: 2\ndim: 2\nstate: ghz\nsettings: [[[0, 0]]]\n", ""),  # bad shape
-        ("- just\n- a list\n", ""),
-        ("parties: [3\n", ""),
-    ]
-    for text, hint in cases:
+    for text, hint in MALFORMED:
         with pytest.raises(ScenarioFileError) as err:
             parse_scenario_file(text)
         if hint:
@@ -137,3 +151,36 @@ def test_keyword_scenario_mismatches():
         parse_scenario_file("parties: 2\ndim: 2\nstate: ghz\nsettings: paper-maxent\n")
     with pytest.raises(ScenarioFileError):
         parse_scenario_file("parties: 3\ndim: 3\nstate: product\nsettings: zero\n")
+
+
+def _outcome(text):
+    """What parse_scenario_file makes of text: its specs and arrays, or its error."""
+    try:
+        sf = parse_scenario_file(text)
+    except ScenarioFileError as err:
+        return str(err)
+    return (sf.scenario, sf.state_spec, sf.settings_spec, sf.noise,
+            sf.state.coeffs.tolist(), sf.settings.table.tolist())
+
+
+VALID = [
+    GHZ33,
+    "parties: 2\ndim: 3\nstate: ghz\nsettings: zero\nnoise: 0.1\n",
+    "parties: 2\ndim: 2\nstate: [1, 0, 0, 1.5e-1]\n"
+    "settings: [[[0, '1/2 pi'], [0, 0]], [[0, 'pi'], [-0.0, .25]]]\n",
+    "parties: 2\ndim: 3\nstate:\n  product:\n    - [1, 0, 0]\n    - [0, 1, 0]\n"
+    "settings: zero\n",
+]
+
+
+def test_loader_choice_leaves_every_outcome(monkeypatch):
+    texts = VALID + [text for text, _ in MALFORMED] + BAD_YAML
+    with_libyaml = [_outcome(text) for text in texts]
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    assert [_outcome(text) for text in texts] == with_libyaml
+    # every YAML syntax error carries the pure-Python loader's message
+    for text in BAD_YAML + ["parties: [3\n"]:
+        with pytest.raises(yaml.YAMLError) as err:
+            yaml.load(text, Loader=yaml.SafeLoader)
+        assert _outcome(text) == f"not valid YAML: {err.value}"
+

@@ -243,6 +243,23 @@ def test_sparse_and_dense_pricing_agree(rng, r, n, sparse):
         core.A[:, 0] = 0.0  # writes go through set_column
 
 
+def test_sparse_pricing_is_bit_equal_to_scipy_matmul(rng):
+    core = sparse_problem(rng, 150, 600)
+    core.set_basis(np.arange(150))
+
+    def scipy_price(y):
+        out = core._At @ y
+        out[core._dense_cols] = y @ core.A[:, core._dense_cols]
+        return out
+
+    for j in (None, 200, 7, 599):
+        if j is not None:
+            core.set_column(j, rng.normal(size=150))
+        # a contiguous vector, a strided one, and a row of the inverse
+        for y in (rng.normal(size=150), rng.normal(size=(150, 2))[:, 1], core.Binv[3]):
+            assert np.array_equal(core._price(y), scipy_price(y))
+
+
 @pytest.mark.parametrize("r, n", [(150, 600), (20, 60)])
 def test_inverse_stays_exact_over_many_updates(rng, r, n):
     core = sparse_problem(rng, r, n, density=0.1)

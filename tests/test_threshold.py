@@ -33,6 +33,7 @@ from lrthresh.simplex import certified_lower_bound, independent_rows
 from lrthresh import simplex
 from lrthresh.threshold import (
     _collins_gisin_basis,
+    _collins_gisin_inverse,
     _kept_rows,
     assignment_marginal_matrix,
     exact_bracket,
@@ -358,6 +359,38 @@ def test_starting_basis_is_kronecker_product_of_local_blocks(parties, dim):
     expected = functools.reduce(np.kron, [local_basis_block(dim)] * parties)
     assert np.array_equal(basis_matrix, expected)
     assert np.linalg.cond(basis_matrix) < 1e3
+
+
+@pytest.mark.parametrize("parties, dim", [(2, 2), (2, 3), (3, 3), (4, 2), (5, 2)])
+def test_cached_starting_inverse_is_exact_and_read_only(parties, dim):
+    sc = Scenario(parties=parties, dim=dim, settings_per_party=2)
+    _, a_keep = _kept_rows(sc)
+    cached = _collins_gisin_inverse(sc)
+    fresh = np.linalg.inv(a_keep[:, _collins_gisin_basis(sc)])
+    assert cached.tobytes() == fresh.tobytes()
+    assert set(np.unique(cached)) <= {-1.0, 0.0, 1.0}
+    assert not cached.flags.writeable
+    assert _collins_gisin_inverse(sc) is cached
+
+
+@pytest.mark.parametrize("sc", [SC23, SC33], ids=["n2d3", "n3d3"])
+def test_cold_start_installs_the_cached_inverse(sc, rng, monkeypatch):
+    tensor = correlation_tensor(random_state(sc, rng), random_settings(sc, rng))
+    solver = ThresholdSolver(sc)
+    refactors = []
+    original = solver._core.refactor
+    monkeypatch.setattr(solver._core, "refactor", lambda: refactors.append(1) or original())
+    value = solver.value(tensor)
+    # only the periodic refactors of the pivots themselves, none for the start
+    assert len(refactors) == solver._core.basis_changes // simplex._REFACTOR_EVERY
+    assert solver._core.Binv is not _collins_gisin_inverse(sc)
+    # the same solve, bit for bit, as one that inverts the starting basis itself
+    monkeypatch.setattr(threshold_module, "_collins_gisin_inverse", lambda sc: None)
+    inverted = ThresholdSolver(sc)
+    assert inverted.value(tensor) == value
+    assert inverted.last_pivots == solver.last_pivots
+    assert np.array_equal(inverted._core.x, solver._core.x)
+    assert np.array_equal(inverted._core.Binv, solver._core.Binv)
 
 
 @pytest.mark.parametrize("parties, dim", [(2, 3), (3, 2), (3, 3), (4, 2)])

@@ -178,6 +178,8 @@ def _resolve_state(sc: Scenario, spec) -> PureState:
             raise ScenarioFileError(
                 f"explicit state needs {want} coefficients, got {len(coeffs)}"
             )
+        if not np.all(np.isfinite(coeffs)):
+            raise ScenarioFileError("state coefficients must be finite")
         norm = np.linalg.norm(coeffs)
         if norm == 0:
             raise ScenarioFileError("explicit state has zero norm")

@@ -9,9 +9,10 @@ feasible basis, dual_run restores primal feasibility and run finishes.
 
 The basis inverse is a dense matrix kept current by product-form rank-one
 updates. On large sparse matrices (the 0/1 assignment columns of the
-threshold LP from (3,3) up) row pricing y @ A runs through a CSR copy of A^T
-and each rank-one update is one in-place BLAS call; small or dense
-matrices keep plain numpy, which is faster there. The choice is made once per
+threshold LP from (3,3) up) row pricing y @ A runs through a CSR copy of A^T,
+each rank-one update is one in-place BLAS call, and a refactor inverts
+through a LAPACK LU factorization; small or dense matrices keep plain
+numpy, which is faster there. The choice is made once per
 matrix from its shape and nonzero count and does not change pivot rules.
 
 Determinism: identical inputs take identical pivot sequences. Entering
@@ -33,7 +34,7 @@ UNBOUNDED = "unbounded"
 ITERATION_LIMIT = "iteration_limit"
 
 
-# Sparse pricing and the BLAS update pay off from about this many matrix
+# Sparse pricing and the BLAS/LAPACK routines pay off from about this many matrix
 # entries on (measured: dense wins up to r*n = 21k, sparse from 91k), and only
 # on matrices at most this dense.
 _SPARSE_MIN_ENTRIES = 50_000
@@ -196,15 +197,18 @@ class BoundedSimplex:
         entries = self.r * self.n
         self._At = None      # CSR copy of A^T for pricing, on the sparse path only
         self._gemm = None
+        self._getrf = self._getri = None
         self._matvec = None
-        self._dense_cols = np.empty(0, dtype=np.intp)  # columns priced from A itself
         if (entries >= _SPARSE_MIN_ENTRIES
                 and np.count_nonzero(self._A) <= _SPARSE_MAX_DENSITY * entries):
+            # scipy.linalg.blas loads scipy.linalg, and with it the lapack module
             from scipy.linalg.blas import dgemm
+            from scipy.linalg.lapack import dgetrf, dgetri
             from scipy.sparse._sparsetools import csr_matvec
 
             self._At = sp.csr_array(self._A.T)
             self._gemm = dgemm
+            self._getrf, self._getri = dgetrf, dgetri
             self._matvec = csr_matvec
 
     # -- basis bookkeeping -------------------------------------------------
@@ -239,10 +243,23 @@ class BoundedSimplex:
     def refactor(self) -> None:
         if self.r == 0:
             return
-        try:
-            self.Binv = np.linalg.inv(self.A[:, self.basis])
-        except np.linalg.LinAlgError:
-            raise SolverFailure("numerical", "singular basis matrix") from None
+        basis_matrix = self.A[:, self.basis]
+        if self._getrf is None:
+            try:
+                self.Binv = np.linalg.inv(basis_matrix)
+            except np.linalg.LinAlgError:
+                raise SolverFailure("numerical", "singular basis matrix") from None
+        else:
+            # getrf + getri inverts in about 2/3 of the flops np.linalg.inv
+            # spends solving against the identity. The transpose of the
+            # C-ordered copy is the Fortran array LAPACK factors in place, and
+            # the transpose of its Fortran-ordered inverse is a C-ordered Binv.
+            lu, piv, info = self._getrf(basis_matrix.T, overwrite_a=True)
+            if info == 0:
+                inv, info = self._getri(lu, piv, overwrite_lu=True)
+            if info != 0:
+                raise SolverFailure("numerical", "singular basis matrix")
+            self.Binv = inv.T
         self.stale_updates = 0
         self.recompute_basics()
 
@@ -257,13 +274,25 @@ class BoundedSimplex:
     def set_column(self, j: int, col: np.ndarray) -> None:
         """Overwrite A[:, j], leaving the factorization alone.
 
-        On the sparse path the column leaves the CSR copy (its stored entries
-        are zeroed) and is priced from A from then on.
+        On the sparse path the first write gives column j a full row of r
+        stored entries in the CSR copy of A^T, zeros included, so that every
+        later write only overwrites that row's values.
         """
         self._A[:, j] = col
-        if self._At is not None and j not in self._dense_cols:
-            self._At.data[self._At.indptr[j]:self._At.indptr[j + 1]] = 0.0
-            self._dense_cols = np.append(self._dense_cols, j)
+        At = self._At
+        if At is None:
+            return
+        start, end = At.indptr[j], At.indptr[j + 1]
+        if end - start != self.r:
+            indptr = At.indptr.copy()
+            indptr[j + 1:] += self.r - (end - start)
+            indices = np.concatenate([At.indices[:start],
+                                      np.arange(self.r, dtype=At.indices.dtype),
+                                      At.indices[end:]])
+            data = np.concatenate([At.data[:start], np.zeros(self.r), At.data[end:]])
+            self._At = At = sp.csr_array((data, indices, indptr), shape=At.shape)
+            end = start + self.r
+        At.data[start:end] = self._A[:, j]
 
     def replace_column(self, j: int, col: np.ndarray) -> bool:
         """Overwrite A[:, j] and patch the factorization in place.
@@ -310,8 +339,6 @@ class BoundedSimplex:
         At = self._At
         out = np.zeros(self.n)
         self._matvec(self.n, self.r, At.indptr, At.indices, At.data, y, out)
-        if self._dense_cols.size:
-            out[self._dense_cols] = y @ self.A[:, self._dense_cols]
         return out
 
     def duals(self, c: np.ndarray) -> np.ndarray:
@@ -462,11 +489,14 @@ class BoundedSimplex:
         pivot prices only its pivot row alpha. They stay in reduced_costs.
         The basics' bounds, the mask of columns that may enter and the side
         each nonbasic sits on are built once per call and updated for the two
-        exchanged columns only.
+        exchanged columns only. The basic values live in a local vector, in
+        basis order, and go back into x on every exit and before each
+        refactor.
         """
         if self.r == 0:
             return OPTIMAL
         limit = self.pivots + _PIVOTS_PER_COLUMN * self.n
+        tol = self.opts.tol_feas
         movable = self.lower < self.upper
         lB = self.lower[self.basis]
         uB = self.upper[self.basis]
@@ -474,17 +504,22 @@ class BoundedSimplex:
         side = np.where(self.at_upper, -1.0, 1.0)  # moving off the bound: +1 up, -1 down
         scratch = np.empty(self.n)
         ok = np.empty(self.n, dtype=bool)
+        below = np.empty(self.r)
+        above = np.empty(self.r)
+        viol = np.empty(self.r)
+        xB = self.x[self.basis]
         z = self.reduced_costs = c - self._price(self.duals(c))
         while True:
-            xB = self.x[self.basis]
-            below = lB - xB
-            above = xB - uB
-            viol = np.maximum(below, above)
+            np.subtract(lB, xB, out=below)
+            np.subtract(xB, uB, out=above)
+            np.maximum(below, above, out=viol)
             i_star = int(viol.argmax())
-            if viol[i_star] <= self.opts.tol_feas:
-                return OPTIMAL
+            if viol[i_star] <= tol:
+                status = OPTIMAL
+                break
             if self.pivots >= limit:
-                return ITERATION_LIMIT
+                status = ITERATION_LIMIT
+                break
             over_upper = above[i_star] > below[i_star]
 
             # admissible: moving the column off its bound moves the violated
@@ -498,7 +533,8 @@ class BoundedSimplex:
             ok &= eligible
             cand = ok.nonzero()[0]
             if cand.size == 0:
-                return INFEASIBLE
+                status = INFEASIBLE
+                break
             ratios = np.abs(z[cand] / alpha[cand])
             best = float(ratios.min())
             ties = cand[ratios <= best + 1e-12]
@@ -509,11 +545,12 @@ class BoundedSimplex:
 
             bound = uB[i_star] if over_upper else lB[i_star]
             t = (xB[i_star] - bound) / alpha[j]
-            np.multiply(alpha, z[j] / alpha[j], out=scratch)
-            z -= scratch
+            if z[j] != 0.0:  # almost every warm pivot is dual degenerate
+                np.multiply(alpha, z[j] / alpha[j], out=scratch)
+                z -= scratch
             w = self.Binv @ self.A[:, j]
-            self.x[j] += t
-            self.x[self.basis] = xB - t * w
+            xB -= t * w
+            xB[i_star] = self.x[j] + t  # j takes the leaving column's slot
             leaving = self._exchange(i_star, j, w)
             self.x[leaving] = bound
             self.at_upper[leaving] = over_upper
@@ -525,9 +562,13 @@ class BoundedSimplex:
             self.pivots += 1
             self.basis_changes += 1
             if self.basis_changes % _REFACTOR_EVERY == 0:
+                self.x[self.basis] = xB
                 self.refactor()
+                xB = self.x[self.basis]
                 z = self.reduced_costs = c - self._price(self.duals(c))
             self._note_step(abs(t))
+        self.x[self.basis] = xB
+        return status
 
 
 def _crash_values(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

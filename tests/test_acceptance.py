@@ -103,6 +103,7 @@ def test_criterion_3_two_qutrits_phases(verdict):
     assert elapsed < 120.0
 
 
+@pytest.mark.slow
 def test_criterion_4_two_qutrits_state_and_phases(verdict):
     start = time.perf_counter()
     res = optimize_state_and_phases(SC23, default_config("phases_and_state"), workers=1)
@@ -122,6 +123,7 @@ def test_criterion_4_two_qutrits_state_and_phases(verdict):
     assert elapsed < 600.0
 
 
+@pytest.mark.slow
 def test_criterion_5_three_qutrits_state_and_phases(verdict):
     start = time.perf_counter()
     res = optimize_state_and_phases(SC33, default_config("phases_and_state"), workers=1)
@@ -141,6 +143,7 @@ def test_criterion_5_three_qutrits_state_and_phases(verdict):
     assert elapsed <= 1800.0
 
 
+@pytest.mark.slow  # reads criterion 5's result
 def test_criterion_6_near_optimal_pairing(verdict):
     res = threshold(paper_optimal_state(), paper_settings("near_optimal_3qutrit"))
     within = abs(res.f_thr - 0.570) <= 0.002
@@ -160,6 +163,7 @@ def test_criterion_6_near_optimal_pairing(verdict):
     assert fallback_ok
 
 
+@pytest.mark.slow  # reads criterion 5's result
 def test_criterion_7_threshold_ordering(verdict):
     c3, c1, c2, c5 = (RESULTS[k] for k in ("c3", "c1", "c2", "c5"))
     ok = c3 < c1 < c2 < c5

@@ -2,12 +2,17 @@
 
 import inspect
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import lrthresh
 from lrthresh import (
     Scenario,
     SolverOptions,
@@ -77,6 +82,27 @@ def test_threshold_report_and_verify(capsys, tmp_path, ghz33_file):
     tampered.write_text(json.dumps(report))
     assert main(["verify", str(tampered)]) == 1
     assert "mismatch" in capsys.readouterr().out
+
+
+def test_dense_path_scenarios_never_load_scipy_linalg(tmp_path):
+    # (2,3) and (4,2) take the plain-numpy path, which needs no BLAS or LAPACK
+    # wrapper; loading scipy.linalg would cost them about 8 MB of RSS
+    scen = tmp_path / "ghz42.yaml"
+    scen.write_text("parties: 4\ndim: 2\nstate: ghz\nsettings: zero\n")
+    (tmp_path / "ghz23.yaml").write_text(GHZ23)
+    code = (
+        "import sys\n"
+        "from lrthresh.cli import main\n"
+        "for name in ('ghz23', 'ghz42'):\n"
+        "    assert main(['threshold', '--scenario', name + '.yaml', '--out', name + '.json']) == 0\n"
+        "    assert main(['verify', name + '.json']) == 0\n"
+        "print('scipy.linalg' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(lrthresh.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["0.000000", "ok", "0.000000", "ok", "False"]
 
 
 @pytest.mark.parametrize("tol_flag, options", [
@@ -268,6 +294,14 @@ def test_nonfinite_state_coefficient_is_an_input_error(capsys, tmp_path):
     assert main(["threshold", "--scenario", str(scen)]) == 2
     assert time.perf_counter() - start < 1.0  # rejected before any pivot
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [".inf", "-.inf", ".nan"])
+def test_nonfinite_state_is_an_input_error_without_a_warning(capsys, tmp_path, bad):
+    scen = tmp_path / "bad.yaml"
+    scen.write_text(f"parties: 2\ndim: 2\nstate: [{bad}, 0, 0, 1]\nsettings: zero\n")
+    assert main(["threshold", "--scenario", str(scen)]) == 2
+    assert capsys.readouterr().err == "error: state coefficients must be finite\n"
 
 
 @pytest.mark.parametrize("tamper", ["witness_weights", "dual_entry"])

@@ -246,18 +246,52 @@ def test_sparse_and_dense_pricing_agree(rng, r, n, sparse):
 def test_sparse_pricing_is_bit_equal_to_scipy_matmul(rng):
     core = sparse_problem(rng, 150, 600)
     core.set_basis(np.arange(150))
-
-    def scipy_price(y):
-        out = core._At @ y
-        out[core._dense_cols] = y @ core.A[:, core._dense_cols]
-        return out
-
-    for j in (None, 200, 7, 599):
+    # untouched, then column 200 written once and again, then other columns
+    for j in (None, 200, 200, 7, 599, 200):
         if j is not None:
             core.set_column(j, rng.normal(size=150))
         # a contiguous vector, a strided one, and a row of the inverse
         for y in (rng.normal(size=150), rng.normal(size=(150, 2))[:, 1], core.Binv[3]):
-            assert np.array_equal(core._price(y), scipy_price(y))
+            price = core._price(y)
+            assert np.array_equal(price, core._At @ y)
+            assert np.max(np.abs(price - y @ core.A)) < 1e-12
+
+
+def test_written_column_keeps_one_full_row(rng):
+    core = sparse_problem(rng, 150, 600)
+    j = 599
+    core.set_column(j, rng.normal(size=150))
+    nnz = core._At.nnz
+    row = slice(core._At.indptr[j], core._At.indptr[j + 1])
+    assert np.array_equal(core._At.indices[row], np.arange(150))
+    for col in (np.zeros(150), rng.normal(size=150)):
+        core.set_column(j, col)
+        assert core._At.nnz == nnz
+        assert np.array_equal(core._At.data[row], col)
+
+
+def test_sparse_refactor_inverts_the_basis(rng):
+    core = sparse_problem(rng, 150, 600, density=0.1)
+    assert core._getrf is not None
+    core.set_basis(np.arange(150))
+    while core.stale_updates < 60:  # move well away from the identity
+        j = int(rng.choice(np.flatnonzero(~core.in_basis)))
+        w = core.Binv @ core.A[:, j]
+        i = int(np.argmax(np.abs(w)))
+        if abs(w[i]) > 0.5:
+            core._exchange(i, j, w)
+    core.refactor()
+    assert core.stale_updates == 0
+    assert core.Binv.flags.c_contiguous  # the in-place update needs C order
+    assert np.max(np.abs(core.Binv @ core.A[:, core.basis] - np.eye(150))) < 1e-12
+
+
+def test_singular_sparse_basis_raises_solver_failure(rng):
+    core = sparse_problem(rng, 150, 600)
+    core.set_column(0, np.zeros(150))
+    with pytest.raises(SolverFailure) as err:
+        core.set_basis(np.arange(150))
+    assert err.value.status == "numerical"
 
 
 @pytest.mark.parametrize("r, n", [(150, 600), (20, 60)])
@@ -302,3 +336,23 @@ def test_dual_run_carries_exact_reduced_costs(rng, monkeypatch, r, n):
         assert np.max(np.abs(core.reduced_costs - fresh)) < 1e-9
         assert core.run(c_ext) == OPTIMAL
     assert dual_pivots > 7
+
+
+@pytest.mark.parametrize("r, n", [(150, 600), (20, 60)])
+def test_dual_run_leaves_consistent_values_at_the_pivot_limit(rng, monkeypatch, r, n):
+    A = np.hstack([np.eye(r), (rng.random((r, n - r)) < 0.04) * rng.uniform(0.5, 2, (r, n - r))])
+    c = rng.normal(size=n)
+    x0 = rng.uniform(0.2, 0.8, size=n)
+    status, core, c_ext = _two_phase(A, A @ x0, c, np.zeros(n), np.ones(n), SolverOptions())
+    assert status == OPTIMAL
+    core.b = A @ rng.uniform(0.2, 0.8, size=n)  # the optimal basis is now primal infeasible
+    core.recompute_basics()
+    monkeypatch.setattr(simplex, "_PIVOTS_PER_COLUMN", 3.5 / core.n)  # stop after 4 pivots
+    before = core.pivots
+    assert core.dual_run(c_ext) == ITERATION_LIMIT
+    assert core.pivots - before == 4
+    nonbasic = np.flatnonzero(~core.in_basis)
+    on_bound = np.where(core.at_upper, core.upper, core.lower)
+    assert np.array_equal(core.x[nonbasic], on_bound[nonbasic])
+    rhs = core.b - core.A[:, nonbasic] @ core.x[nonbasic]
+    assert np.max(np.abs(core.x[core.basis] - core.Binv @ rhs)) < 1e-12

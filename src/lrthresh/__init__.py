@@ -21,7 +21,6 @@ from .probabilities import (
     NegativeProbabilityError,
     ScenarioMismatchError,
     correlation_tensor,
-    noisy_tensor,
 )
 from .simplex import (
     BoundedSimplex,
@@ -32,7 +31,6 @@ from .simplex import (
     certified_lower_bound,
     dump_lp_text,
     independent_rows,
-    parse_lp_text,
     solve_lp,
 )
 from .threshold import (
@@ -65,7 +63,6 @@ from .scenario_io import (
     load_scenario_file,
     parse_angle,
     parse_scenario_file,
-    serialize_scenario_file,
 )
 from .reports import (
     ReportError,

@@ -135,11 +135,3 @@ def correlation_tensor_vjp(
     coeff_grad = (grad.conj() * phase).real.sum(axis=tuple(range(n)))
     return table_grad, coeff_grad.ravel()
 
-
-def noisy_tensor(tensor: CorrelationTensor, noise_fraction: float) -> CorrelationTensor:
-    """Admix white noise: entrywise (1-F) p + F / d^N."""
-    f = float(noise_fraction)
-    if not 0.0 <= f <= 1.0:
-        raise ValueError(f"noise fraction must lie in [0, 1], got {f}")
-    uniform = 1.0 / tensor.scenario.outcome_combos
-    return CorrelationTensor(tensor.scenario, (1.0 - f) * tensor.probs + f * uniform)

@@ -278,19 +278,6 @@ def parse_scenario_file(text: str) -> ScenarioFile:
     )
 
 
-def serialize_scenario_file(sf: ScenarioFile) -> str:
-    doc: dict = {
-        "parties": sf.scenario.parties,
-        "dim": sf.scenario.dim,
-        "settings_per_party": sf.scenario.settings_per_party,
-        "state": sf.state_spec,
-        "settings": sf.settings_spec,
-    }
-    if sf.noise is not None:
-        doc["noise"] = sf.noise
-    return yaml.safe_dump(doc, sort_keys=False, default_flow_style=None)
-
-
 def load_scenario_file(path: str | Path) -> ScenarioFile:
     try:
         text = Path(path).read_text()

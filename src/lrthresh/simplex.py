@@ -1,11 +1,13 @@
-"""Revised simplex for equality-constrained LPs with variable bounds.
+"""Revised simplex for equality-constrained LPs with finite variable bounds.
 
 Solves min c.x subject to A x = b, lower <= x <= upper, with a certified
-primal/dual pair on success. Geared to the moderately sized, rank-deficient
-marginal systems this package produces: a presolve pass removes dependent
-equality rows and phase 1 uses auxiliary variables. Callers that know a
-nonsingular basis skip both and drive BoundedSimplex directly: from a dual
-feasible basis, dual_run restores primal feasibility and run finishes.
+primal/dual pair on success. Every variable is boxed, so any nonsingular
+basis is dual feasible once each nonbasic sits on the bound its reduced cost
+favours, and every solve runs the same way: dual_run restores primal
+feasibility from such a basis and run finishes (BoundedSimplex.repair).
+solve_lp takes its starting basis from the row elimination that drops
+dependent equality rows; callers that know a dual feasible basis, or a
+recent optimum, drive BoundedSimplex directly.
 
 The basis inverse is a dense matrix kept current by product-form rank-one
 updates. On large sparse matrices (the 0/1 assignment columns of the
@@ -30,7 +32,6 @@ import scipy.sparse as sp
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 ITERATION_LIMIT = "iteration_limit"
 
 
@@ -125,17 +126,19 @@ def independent_rows(
     rhs: np.ndarray,
     pivot_tol: float = _PIVOT_TOL,
     rhs_tol: float = 1e-9,
-) -> tuple[list[int], bool]:
+) -> tuple[list[int], list[int], bool]:
     """Select a maximal independent subset of equality rows by row echelon.
 
-    Returns (kept row indices, consistent). A dependent row whose eliminated
-    rhs residual exceeds rhs_tol marks the system inconsistent (infeasible);
-    dependent consistent rows are safe to drop, with their duals set to 0.
+    Returns (kept row indices in ascending order, the pivot column of each
+    kept row, consistent). The pivot columns form a nonsingular basis on the
+    kept rows. A dependent row whose eliminated rhs residual exceeds rhs_tol
+    marks the system inconsistent (infeasible); dependent consistent rows are
+    safe to drop, with their duals set to 0.
     """
     work = np.hstack([np.asarray(matrix, dtype=float), np.asarray(rhs, float).reshape(-1, 1)])
     r, n1 = work.shape
     active = np.ones(r, dtype=bool)
-    keep: list[int] = []
+    pivot_col: dict[int, int] = {}  # kept row -> its pivot column
     for col in range(n1 - 1):
         if not active.any():
             break
@@ -145,7 +148,7 @@ def independent_rows(
         piv = work[piv_row, col]
         if abs(piv) <= pivot_tol:
             continue
-        keep.append(piv_row)
+        pivot_col[int(piv_row)] = col
         active[piv_row] = False
         rows = np.flatnonzero(active)
         if rows.size:
@@ -156,12 +159,12 @@ def independent_rows(
         if abs(work[row, -1]) > rhs_tol:
             consistent = False
             break
-    keep.sort()
-    return keep, consistent
+    keep = sorted(pivot_col)
+    return keep, [pivot_col[row] for row in keep], consistent
 
 
 class BoundedSimplex:
-    """Revised simplex core; callers manage phases and warm starts.
+    """Revised simplex core over boxed variables; callers pick the starting basis.
 
     The basis inverse is maintained by product-form updates and rebuilt from
     scratch every ``_REFACTOR_EVERY`` basis changes (and before an optimality
@@ -181,6 +184,8 @@ class BoundedSimplex:
         self.b = np.asarray(b, dtype=float).ravel()
         self.lower = np.asarray(lower, dtype=float).ravel()
         self.upper = np.asarray(upper, dtype=float).ravel()
+        if not (np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper))):
+            raise ValueError("every variable needs a finite lower and upper bound")
         self.opts = opts
         self.r, self.n = self.A.shape
         self.basis = np.empty(0, dtype=int)
@@ -231,8 +236,6 @@ class BoundedSimplex:
         self.x[nonbasic] = np.where(
             self.at_upper[nonbasic], self.upper[nonbasic], self.lower[nonbasic]
         )
-        free = nonbasic & ~np.isfinite(self.x)
-        self.x[free] = 0.0
         if binv is None:
             self.refactor()
         else:
@@ -356,16 +359,13 @@ class BoundedSimplex:
 
     # -- the simplex loop --------------------------------------------------
 
-    def _entering(self, z: np.ndarray, fixed: np.ndarray,
-                  free: np.ndarray) -> tuple[int, int] | None:
+    def _entering(self, z: np.ndarray, fixed: np.ndarray) -> tuple[int, int] | None:
         """Pick the entering column; returns (index, direction) or None at optimality.
 
-        ``fixed`` (lower == upper) and ``free`` (no finite bound) are index
-        arrays from the bounds, which stay put for a whole run.
+        ``fixed`` (lower == upper) is an index array from the bounds, which
+        stay put for a whole run.
         """
         gain = np.where(self.at_upper, z, -z)  # cost decrease per unit step off the bound
-        if free.size:
-            gain[free] = np.abs(z[free])
         gain[self.in_basis] = -1.0
         gain[fixed] = -1.0
         tol = self.opts.tol_opt
@@ -378,17 +378,16 @@ class BoundedSimplex:
             j = int(np.argmax(gain))
             if gain[j] <= tol:
                 return None
-        return j, (-1 if self.at_upper[j] or z[j] > 0 else +1)
+        return j, (-1 if self.at_upper[j] else +1)
 
     def run(self, c: np.ndarray) -> str:
         """Minimize c.x from the current basic feasible point."""
         limit = self.pivots + _PIVOTS_PER_COLUMN * self.n
         fixed = np.flatnonzero(~(self.lower < self.upper))
-        free = np.flatnonzero(~np.isfinite(self.lower) & ~np.isfinite(self.upper))
         verified = False  # has optimality been re-checked after a clean refactor
         while True:
             z = c - self._price(self.duals(c))
-            pick = self._entering(z, fixed, free)
+            pick = self._entering(z, fixed)
             if pick is None:
                 # a recent factorization is trusted; only re-check after enough
                 # rank-one updates have accumulated to matter
@@ -424,8 +423,6 @@ class BoundedSimplex:
                 self.pivots += 1
                 self._note_step(t_bound)
                 continue
-            if not np.isfinite(t_row_min):
-                return UNBOUNDED
 
             ties = np.flatnonzero(t_rows <= t_row_min + 1e-15)
             if self._bland:
@@ -478,8 +475,8 @@ class BoundedSimplex:
     def dual_run(self, c: np.ndarray) -> str:
         """Restore primal feasibility by dual pivots, keeping reduced costs sane.
 
-        Intended for re-solves after a small rhs or matrix change, starting
-        from a basis that was optimal before the change: each pivot drives one
+        Starts from a dual feasible basis, such as one that was optimal
+        before a small rhs or matrix change: each pivot drives one
         out-of-bounds basic variable to its violated bound. Returns OPTIMAL
         once the basics are within bounds (the caller should confirm with a
         primal run), INFEASIBLE if a violated row has no admissible column.
@@ -570,64 +567,18 @@ class BoundedSimplex:
         self.x[self.basis] = xB
         return status
 
+    def repair(self, c: np.ndarray) -> str:
+        """Minimize c.x from a dual feasible basis: dual pivots, then a primal cleanup run.
 
-def _crash_values(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nonbasic placement for phase 1: finite lower bound, else upper, else 0."""
-    x = np.where(np.isfinite(lower), lower, np.where(np.isfinite(upper), upper, 0.0))
-    at_upper = ~np.isfinite(lower) & np.isfinite(upper)
-    return x, at_upper
-
-
-def _two_phase(
-    A: np.ndarray,
-    b: np.ndarray,
-    c: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    opts: SolverOptions,
-) -> tuple[str, BoundedSimplex, np.ndarray]:
-    """Phase 1 with auxiliary variables, then phase 2. Returns (status, core, c_ext)."""
-    r, n = A.shape
-    x0, at_up0 = _crash_values(lower, upper)
-    res = b - A @ x0
-    sgn = np.where(res >= 0, 1.0, -1.0)
-    A_ext = np.hstack([A, np.diag(sgn)])
-    l_ext = np.concatenate([lower, np.zeros(r)])
-    u_ext = np.concatenate([upper, np.full(r, np.inf)])
-    core = BoundedSimplex(A_ext, b, l_ext, u_ext, opts)
-    core.at_upper[:n] = at_up0
-    core.x[:n] = x0
-    core.basis = np.arange(n, n + r)
-    core.in_basis[:] = False
-    core.in_basis[core.basis] = True
-    core.Binv = np.diag(sgn)  # the artificial basis is its own inverse
-    core.x[n:] = np.abs(res)
-
-    c1 = np.concatenate([np.zeros(n), np.ones(r)])
-    status = core.run(c1)
-    if status != OPTIMAL:
-        return status, core, c1
-    if float(c1 @ core.x) > opts.tol_feas:
-        return INFEASIBLE, core, c1
-
-    # Pivot remaining zero-valued artificials out of the basis where possible;
-    # a row with no eligible pivot is dependent and keeps its artificial pinned.
-    for i in range(r):
-        if core.basis[i] < n:
-            continue
-        row = core.Binv[i] @ A
-        row[core.in_basis[:n]] = 0.0
-        j = int(np.argmax(np.abs(row)))
-        if abs(row[j]) > 1e-7:
-            leaving = core._exchange(i, j, core.Binv @ A_ext[:, j])
-            core.x[leaving] = 0.0
-            core.refactor()
-    core.lower[n:] = 0.0
-    core.upper[n:] = 0.0  # artificials can never re-enter
-
-    c_ext = np.concatenate([c, np.zeros(r)])
-    status = core.run(c_ext)
-    return status, core, c_ext
+        An optimum whose values miss the equality rows or the bounds by more
+        than tol_feas comes back as "numerical".
+        """
+        status = self.dual_run(c)
+        if status == OPTIMAL:
+            status = self.run(c)
+        if status == OPTIMAL and self.primal_residual() > self.opts.tol_feas:
+            status = "numerical"
+        return status
 
 
 def certified_lower_bound(lp: LinearProgram, dual: np.ndarray) -> float:
@@ -647,28 +598,31 @@ def certified_lower_bound(lp: LinearProgram, dual: np.ndarray) -> float:
 
 
 def solve_lp(lp: LinearProgram, options: SolverOptions | None = None) -> LPSolution:
-    """Solve an LP to a certified optimum, or report a definite failure status.
+    """Solve a boxed LP to a certified optimum, or report a definite failure status.
 
-    Dependent equality rows are dropped first (their duals are 0), then the
-    two-phase core runs on the rest. A singular basis matrix raises
-    SolverFailure with status "numerical".
+    Dependent equality rows are dropped first (their duals are 0). The pivot
+    columns of that elimination are the starting basis, and each nonbasic
+    starts on the bound its reduced cost favours, which makes the basis dual
+    feasible; BoundedSimplex.repair finishes. A non-finite bound raises
+    ValueError, a singular basis matrix SolverFailure with status "numerical".
     """
     opts = options or SolverOptions()
     a_full = lp.dense_matrix()
-    keep, consistent = independent_rows(a_full, lp.eq_rhs)
+    c = lp.objective
+    keep, cols, consistent = independent_rows(a_full, lp.eq_rhs)
+    # built before the consistency check, so a non-finite bound always raises
+    core = BoundedSimplex(a_full[keep], lp.eq_rhs[keep], lp.lower, lp.upper, opts)
     if not consistent:
         return LPSolution(INFEASIBLE, None, None, None, 0)
-    status, core, c_ext = _two_phase(a_full[keep], lp.eq_rhs[keep], lp.objective,
-                                     lp.lower, lp.upper, opts)
+    core.set_basis(cols)
+    z = c - core._price(core.duals(c))
+    core.set_basis(cols, z < 0, core.Binv)
+    status = core.repair(c)
     if status != OPTIMAL:
         return LPSolution(status, None, None, None, core.pivots)
-
-    primal = core.x[:lp.num_vars].copy()
     dual = np.zeros(lp.num_rows)
-    dual[keep] = core.duals(c_ext)
-    if core.primal_residual() > opts.tol_feas:
-        status = ITERATION_LIMIT
-    return LPSolution(status, primal, dual, float(lp.objective @ primal), core.pivots)
+    dual[keep] = core.duals(c)
+    return LPSolution(status, core.x.copy(), dual, float(c @ core.x), core.pivots)
 
 
 # -- plain-text LP interchange --------------------------------------------
@@ -692,24 +646,3 @@ def dump_lp_text(lp: LinearProgram) -> str:
         lines.append((fmt % lo) + " " + (fmt % up))
     return "\n".join(lines) + "\n"
 
-
-def parse_lp_text(text: str) -> LinearProgram:
-    toks = text.split("\n")
-    toks = [line for line in toks if line.strip()]
-    n, r = (int(v) for v in toks[0].split())
-    objective = np.array([float(v) for v in toks[1].split()])
-    nnz = int(toks[2])
-    rows = np.empty(nnz, dtype=int)
-    cols = np.empty(nnz, dtype=int)
-    vals = np.empty(nnz)
-    for i in range(nnz):
-        a, b, v = toks[3 + i].split()
-        rows[i], cols[i], vals[i] = int(a), int(b), float(v)
-    rhs = np.array([float(v) for v in toks[3 + nnz].split()])
-    lower = np.empty(n)
-    upper = np.empty(n)
-    for j in range(n):
-        lo, up = toks[4 + nnz + j].split()
-        lower[j], upper[j] = float(lo), float(up)
-    matrix = sp.csr_array((vals, (rows, cols)), shape=(r, n))
-    return LinearProgram(objective, matrix, rhs, lower, upper)

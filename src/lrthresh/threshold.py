@@ -380,19 +380,6 @@ class ThresholdSolver:
         self._ring: _BasisRing | None = None  # allocated by the first warm solve
         self.last_pivots = 0
 
-    def _repair(self) -> str:
-        """Dual pivots to primal feasibility, then a primal cleanup run.
-
-        An optimum whose basic values miss the equality rows or the bounds by
-        more than tol_feas comes back as "numerical".
-        """
-        status = self._core.dual_run(self._objective)
-        if status == OPTIMAL:
-            status = self._core.run(self._objective)
-        if status == OPTIMAL and self._core.primal_residual() > self.options.tol_feas:
-            status = "numerical"
-        return status
-
     def _restore_nearest(self, b: np.ndarray) -> None:
         """Move the core to the ring's optimal state nearest to rhs b.
 
@@ -422,7 +409,7 @@ class ThresholdSolver:
             # patch the one changed column into the factorization of the last basis
             if core.replace_column(core.n - 1, mixing):
                 core.recompute_basics()
-                status = self._repair()
+                status = core.repair(self._objective)
                 if status != OPTIMAL:
                     status = None
         else:
@@ -433,7 +420,7 @@ class ThresholdSolver:
             # of assignment columns is dual feasible for min F
             core.set_basis(self._basis, np.zeros(core.n, dtype=bool),
                            _collins_gisin_inverse(self.scenario))
-            status = self._repair()
+            status = core.repair(self._objective)
         self.last_pivots = core.pivots - pivots_before
         if status != OPTIMAL:
             raise SolverFailure(status, "warm-started threshold solve did not reach an optimum")
@@ -441,7 +428,7 @@ class ThresholdSolver:
         return core
 
     def _cold_solve(self, lp: LinearProgram) -> LPSolution:
-        """Fallback after a failed warm solve: two-phase from scratch, or raise.
+        """Fallback after a failed warm solve: solve_lp from scratch, or raise.
 
         The core's basis and inverse may be half-updated after a failure, so
         the next call starts again from the closed-form basis, and the ring

@@ -6,11 +6,16 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import yaml
+from scipy.optimize import linprog
 
 from lrthresh import (
+    CorrelationTensor,
     LinearProgram,
     PhaseSettings,
     PureState,
+    ScenarioFile,
 )
 
 
@@ -88,6 +93,16 @@ def random_bounded_lp(rng: np.random.Generator, feasible: bool = True) -> Linear
         b = b + rng.choice([-1.0, 1.0], size=r) * rng.uniform(50.0, 100.0, size=r)
     c = rng.normal(size=n)
     return LinearProgram(objective=c, eq_matrix=A, eq_rhs=b, lower=lower, upper=upper)
+
+
+def highs_lp(lp: LinearProgram, **options):
+    """scipy's bundled HiGHS on the same LP, as an independent oracle.
+
+    Returns scipy's OptimizeResult: status 0 is an optimum, 2 infeasible.
+    """
+    return linprog(lp.objective, A_eq=lp.eq_matrix, b_eq=lp.eq_rhs,
+                   bounds=np.column_stack([lp.lower, lp.upper]), method="highs",
+                   options=options)
 
 
 def dual_residual(lp: LinearProgram, primal: np.ndarray, dual: np.ndarray,
@@ -169,3 +184,48 @@ def closed_form_probability(
     # full double sum: the diagonal contributes sum(d^2)/27 = 1/27
     val = (np.outer(coeffs, coeffs) * np.cos(np.subtract.outer(theta, theta))).sum() / 27.0
     return float(val)
+
+
+def noisy_tensor(tensor: CorrelationTensor, noise_fraction: float) -> CorrelationTensor:
+    """Admix white noise: entrywise (1-F) p + F / d^N."""
+    f = float(noise_fraction)
+    if not 0.0 <= f <= 1.0:
+        raise ValueError(f"noise fraction must lie in [0, 1], got {f}")
+    uniform = 1.0 / tensor.scenario.outcome_combos
+    return CorrelationTensor(tensor.scenario, (1.0 - f) * tensor.probs + f * uniform)
+
+
+def serialize_scenario_file(sf: ScenarioFile) -> str:
+    """A scenario file's YAML text, the inverse of parse_scenario_file."""
+    doc: dict = {
+        "parties": sf.scenario.parties,
+        "dim": sf.scenario.dim,
+        "settings_per_party": sf.scenario.settings_per_party,
+        "state": sf.state_spec,
+        "settings": sf.settings_spec,
+    }
+    if sf.noise is not None:
+        doc["noise"] = sf.noise
+    return yaml.safe_dump(doc, sort_keys=False, default_flow_style=None)
+
+
+def parse_lp_text(text: str) -> LinearProgram:
+    """Read the plain-text LP format that dump_lp_text writes."""
+    toks = [line for line in text.split("\n") if line.strip()]
+    n, r = (int(v) for v in toks[0].split())
+    objective = np.array([float(v) for v in toks[1].split()])
+    nnz = int(toks[2])
+    rows = np.empty(nnz, dtype=int)
+    cols = np.empty(nnz, dtype=int)
+    vals = np.empty(nnz)
+    for i in range(nnz):
+        a, b, v = toks[3 + i].split()
+        rows[i], cols[i], vals[i] = int(a), int(b), float(v)
+    rhs = np.array([float(v) for v in toks[3 + nnz].split()])
+    lower = np.empty(n)
+    upper = np.empty(n)
+    for j in range(n):
+        lo, up = toks[4 + nnz + j].split()
+        lower[j], upper[j] = float(lo), float(up)
+    matrix = sp.csr_array((vals, (rows, cols)), shape=(r, n))
+    return LinearProgram(objective, matrix, rhs, lower, upper)

@@ -1,8 +1,9 @@
 """Acceptance gate: every published benchmark at its stated tolerance.
 
 Each criterion prints one verdict line (bypassing capture so the line is
-always visible in the run log) and then asserts. Later criteria reuse values
-stashed by earlier ones, so this file is meant to run in order.
+always visible in the run log) and then asserts. The values several criteria
+read come from module-scoped fixtures, computed once by whichever criterion
+asks first, so any criterion can run on its own.
 """
 
 import sys
@@ -43,9 +44,6 @@ SC33 = Scenario(parties=3, dim=3, settings_per_party=2)
 SC32 = Scenario(parties=3, dim=2, settings_per_party=2)
 SC23 = Scenario(parties=2, dim=3, settings_per_party=2)
 
-RESULTS: dict[str, float] = {}
-
-
 @pytest.fixture
 def verdict(request):
     """Writer for the per-criterion verdict line, bypassing output capture."""
@@ -63,51 +61,67 @@ def default_config(mode: str) -> OptimizationConfig:
     return OptimizationConfig(rng_seed=0, mode=mode)
 
 
-def test_criterion_1_ghz_maxent_threshold(verdict):
+def timed(fn, *args, **kwargs):
+    """(fn's result, its wall time in seconds)."""
     start = time.perf_counter()
-    res = threshold(ghz_state(SC33), paper_settings("maxent_3qutrit"))
-    elapsed = time.perf_counter() - start
+    res = fn(*args, **kwargs)
+    return res, time.perf_counter() - start
+
+
+@pytest.fixture(scope="module")
+def c1():
+    return timed(threshold, ghz_state(SC33), paper_settings("maxent_3qutrit"))
+
+
+@pytest.fixture(scope="module")
+def c2():
+    return timed(optimize_phases, ghz_state(SC32), default_config("phases_only"), workers=1)
+
+
+@pytest.fixture(scope="module")
+def c3():
+    return timed(optimize_phases, ghz_state(SC23), default_config("phases_only"), workers=1)
+
+
+@pytest.fixture(scope="module")
+def c5():
+    return timed(optimize_state_and_phases, SC33, default_config("phases_and_state"), workers=1)
+
+
+def test_criterion_1_ghz_maxent_threshold(verdict, c1):
+    res, elapsed = c1
     ok = abs(res.f_thr - 0.400) <= 0.001 and elapsed < 5.0
     verdict(f"criterion 1: {'PASS' if ok else 'FAIL'} "
             f"(ghz(3,3)+maxent f_thr={res.f_thr:.6f} vs 0.400±0.001, "
             f"{elapsed:.2f}s < 5s)")
-    RESULTS["c1"] = res.f_thr
-    RESULTS["c1_result"] = res
     assert abs(res.f_thr - 0.400) <= 0.001
     assert elapsed < 5.0
 
 
-def test_criterion_2_three_qubits_phases(verdict):
-    start = time.perf_counter()
-    res = optimize_phases(ghz_state(SC32), default_config("phases_only"), workers=1)
-    elapsed = time.perf_counter() - start
+def test_criterion_2_three_qubits_phases(verdict, c2):
+    res, elapsed = c2
     ok = abs(res.best_f_thr - 0.500) <= 0.002 and elapsed < 120.0
     verdict(f"criterion 2: {'PASS' if ok else 'FAIL'} "
             f"(ghz(3,2) phases best={res.best_f_thr:.6f} vs 0.500±0.002, "
             f"{elapsed:.1f}s < 120s)")
-    RESULTS["c2"] = res.best_f_thr
     assert abs(res.best_f_thr - 0.500) <= 0.002
     assert elapsed < 120.0
 
 
-def test_criterion_3_two_qutrits_phases(verdict):
-    start = time.perf_counter()
-    res = optimize_phases(ghz_state(SC23), default_config("phases_only"), workers=1)
-    elapsed = time.perf_counter() - start
+def test_criterion_3_two_qutrits_phases(verdict, c3):
+    res, elapsed = c3
     ok = abs(res.best_f_thr - 0.3038) <= 0.002 and elapsed < 120.0
     verdict(f"criterion 3: {'PASS' if ok else 'FAIL'} "
             f"(ghz(2,3) phases best={res.best_f_thr:.6f} vs 0.3038±0.002, "
             f"{elapsed:.1f}s < 120s)")
-    RESULTS["c3"] = res.best_f_thr
     assert abs(res.best_f_thr - 0.3038) <= 0.002
     assert elapsed < 120.0
 
 
 @pytest.mark.slow
 def test_criterion_4_two_qutrits_state_and_phases(verdict):
-    start = time.perf_counter()
-    res = optimize_state_and_phases(SC23, default_config("phases_and_state"), workers=1)
-    elapsed = time.perf_counter() - start
+    res, elapsed = timed(optimize_state_and_phases, SC23, default_config("phases_and_state"),
+                         workers=1)
     # the search reliably lands above the published benchmark; exceeding it
     # is reported, not failed
     floor_ok = res.best_f_thr >= 0.3139 - 0.002
@@ -118,16 +132,13 @@ def test_criterion_4_two_qutrits_state_and_phases(verdict):
     verdict(f"criterion 4: {'PASS' if ok else 'FAIL'} "
             f"((2,3) state+phases best={res.best_f_thr:.6f} vs 0.3139±0.002, "
             f"{elapsed:.1f}s < 600s{note})")
-    RESULTS["c4"] = res.best_f_thr
     assert floor_ok
     assert elapsed < 600.0
 
 
 @pytest.mark.slow
-def test_criterion_5_three_qutrits_state_and_phases(verdict):
-    start = time.perf_counter()
-    res = optimize_state_and_phases(SC33, default_config("phases_and_state"), workers=1)
-    elapsed = time.perf_counter() - start
+def test_criterion_5_three_qutrits_state_and_phases(verdict, c5):
+    res, elapsed = c5
     pinned_best = res.per_restart_log[0][1]  # tabulated-state deterministic restart
     ok = res.best_f_thr >= 0.569 and pinned_best >= 0.5705 and elapsed <= 1800.0
     note = ""
@@ -137,14 +148,13 @@ def test_criterion_5_three_qutrits_state_and_phases(verdict):
             f"((3,3) state+phases best={res.best_f_thr:.6f} >= 0.569 "
             f"(target 0.571), tabulated-state restart {pinned_best:.6f} >= 0.5705, "
             f"{elapsed:.0f}s <= 1800s{note})")
-    RESULTS["c5"] = res.best_f_thr
     assert res.best_f_thr >= 0.569
     assert pinned_best >= 0.5705
     assert elapsed <= 1800.0
 
 
 @pytest.mark.slow  # reads criterion 5's result
-def test_criterion_6_near_optimal_pairing(verdict):
+def test_criterion_6_near_optimal_pairing(verdict, request):
     res = threshold(paper_optimal_state(), paper_settings("near_optimal_3qutrit"))
     within = abs(res.f_thr - 0.570) <= 0.002
     if within:
@@ -155,24 +165,25 @@ def test_criterion_6_near_optimal_pairing(verdict):
     # optimum; the tabulated-state pairing is genuinely local (the witness
     # reproduces its correlations exactly), so the criterion falls back to
     # criterion 5 as specified. Logged against the open question on pairing.
-    fallback_ok = RESULTS.get("c5", 0.0) >= 0.569
+    c5_best = request.getfixturevalue("c5")[0].best_f_thr
+    fallback_ok = c5_best >= 0.569
     verdict(f"criterion 6: {'PASS' if fallback_ok else 'FAIL'} via fallback "
             f"(pairing gives f_thr={res.f_thr:.6f}, outside 0.570±0.002; "
             f"discrepancy logged against the unpublished-state open question; "
-            f"criterion 5 best={RESULTS.get('c5', float('nan')):.6f} >= 0.569)")
+            f"criterion 5 best={c5_best:.6f} >= 0.569)")
     assert fallback_ok
 
 
 @pytest.mark.slow  # reads criterion 5's result
-def test_criterion_7_threshold_ordering(verdict):
-    c3, c1, c2, c5 = (RESULTS[k] for k in ("c3", "c1", "c2", "c5"))
+def test_criterion_7_threshold_ordering(verdict, c1, c2, c3, c5):
+    c1, c2, c3, c5 = c1[0].f_thr, c2[0].best_f_thr, c3[0].best_f_thr, c5[0].best_f_thr
     ok = c3 < c1 < c2 < c5
     verdict(f"criterion 7: {'PASS' if ok else 'FAIL'} "
             f"(ordering {c3:.4f} < {c1:.4f} < {c2:.4f} < {c5:.4f})")
     assert ok
 
 
-def test_criterion_8_property_suites(rng, verdict):
+def test_criterion_8_property_suites(rng, verdict, c1):
     failures = []
 
     for _ in range(20):
@@ -211,7 +222,7 @@ def test_criterion_8_property_suites(rng, verdict):
     if threshold(st, rand_settings(SC33)).f_thr > 1e-9:
         failures.append("product-state threshold zero")
 
-    res = RESULTS["c1_result"]
+    res = c1[0]
     tensor = correlation_tensor(ghz_state(SC33), paper_settings("maxent_3qutrit"))
     for eps in (1e-3, 1e-2):
         if feasible_at(tensor, res.f_thr - eps) or not feasible_at(tensor, res.f_thr + eps):

@@ -20,7 +20,6 @@ from lrthresh import (
     correlation_tensor,
     feasible_at,
     load_scenario_file,
-    parse_lp_text,
     reports,
     search,
     simplex,
@@ -28,6 +27,8 @@ from lrthresh import (
     verify_report,
 )
 from lrthresh.cli import main
+
+from conftest import parse_lp_text
 
 GHZ33 = "parties: 3\ndim: 3\nstate: ghz\nsettings: paper-maxent\n"
 GHZ23 = "parties: 2\ndim: 3\nstate: ghz\nsettings: zero\n"

@@ -3,7 +3,8 @@
 Random real states and phase walks drive the warm ThresholdSolver.value()
 re-solves (rank-one column patch, dual repair, primal cleanup) and the
 certified solve(); fresh solvers check the cold start from the closed-form
-basis. Every value must match HiGHS on build_threshold_lp. The exact bracket
+basis, and solve_lp, the solver's cold fallback, runs on the full LP. Every
+value must match HiGHS on build_threshold_lp. The exact bracket
 that verify checks must agree with the solver's float certificate, and its
 bound must stay below HiGHS's optimum for any dual.
 """
@@ -13,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.optimize import linprog
 
 from lrthresh import (
     PhaseSettings,
@@ -25,9 +25,12 @@ from lrthresh import (
     ghz_state,
     paper_settings,
     product_state,
+    solve_lp,
 )
 from lrthresh.simplex import certified_lower_bound
 from lrthresh.threshold import exact_bracket, witness_residual
+
+from conftest import highs_lp
 
 TOL = 1e-7
 SCENARIOS = [Scenario(parties=n, dim=d, settings_per_party=2)
@@ -35,9 +38,7 @@ SCENARIOS = [Scenario(parties=n, dim=d, settings_per_party=2)
 
 
 def highs_threshold(tensor) -> float:
-    lp = build_threshold_lp(tensor)
-    res = linprog(lp.objective, A_eq=lp.eq_matrix, b_eq=lp.eq_rhs,
-                  bounds=np.column_stack([lp.lower, lp.upper]), method="highs")
+    res = highs_lp(build_threshold_lp(tensor))
     assert res.status == 0, res.message
     return float(res.fun)
 
@@ -122,6 +123,24 @@ def test_cold_five_qubit_ghz_on_phase_grid_matches_highs():
                      [[2, 5], [0, 1]], [[0, 2], [5, 1]]])
     check_cold(correlation_tensor(ghz_state(sc), PhaseSettings(sc, grid * (np.pi / 3))),
                expected=0.2)
+
+
+@pytest.mark.parametrize("parties, dim", [(2, 3), (3, 2), (4, 2), (3, 3), (5, 2)])
+def test_solve_lp_matches_highs(parties, dim):
+    # every row of the full LP, dependent ones included, and a start from the
+    # row elimination's pivot columns instead of the closed-form basis
+    sc = Scenario(parties=parties, dim=dim, settings_per_party=2)
+    rng = np.random.default_rng(parties * 10 + dim + 1)
+    for k in range(5):
+        coeffs = rng.normal(size=sc.state_size)
+        state = ghz_state(sc) if k % 2 == 0 else PureState(sc, coeffs / np.linalg.norm(coeffs))
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=(parties, 2, dim))
+        tensor = correlation_tensor(state, PhaseSettings(sc, phases))
+        lp = build_threshold_lp(tensor)
+        sol = solve_lp(lp)
+        assert sol.status == "optimal"
+        assert abs(sol.objective_value - highs_threshold(tensor)) < 1e-9
+        assert sol.objective_value - certified_lower_bound(lp, sol.dual) < 1e-9
 
 
 @pytest.mark.parametrize("parties, dim", [(2, 3), (3, 3), (4, 2), (5, 2)])

@@ -4,15 +4,16 @@ perfbench/spans.py wraps names such as ``lrthresh.cli.feasible_at`` and
 ``lrthresh.threshold.independent_rows`` in place. Installing and removing the
 tracer here makes deleting one of those names fail this suite, instead of
 breaking only the benchmark's traced runs. A name can also stay in place but
-stop being called, which install() cannot see, so the Born layer's two spans
-and the search's spans are checked on real calls.
+stop being called, which install() cannot see, so the Born layer's two spans,
+the search's spans and a cold fallback's spans are checked on real calls.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
-from lrthresh import OptimizationConfig, PhaseSettings, Scenario, ghz_state
+from lrthresh import (OptimizationConfig, PhaseSettings, Scenario, SolverFailure,
+                      ThresholdSolver, correlation_tensor, ghz_state)
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -80,3 +81,33 @@ def test_traced_optimize_records_search_spans():
     # spends the rest of the budget, and result.evals counts both
     nelder_mead_evals = sum(span[5][0] for span in tracer.spans if span[0] == "search.nelder_mead")
     assert result.evals > nelder_mead_evals
+
+
+def test_cold_fallback_in_value_records_solve_lp_spans():
+    threshold = importlib.import_module("lrthresh.threshold")
+    sc = Scenario(parties=2, dim=3)
+    tensor = correlation_tensor(ghz_state(sc), PhaseSettings(sc, [[[0.0, 1.0, 2.0]] * 2] * 2))
+    expected = ThresholdSolver(sc).value(tensor)
+
+    def fail(_):
+        raise SolverFailure("numerical", "forced fallback")
+
+    spans = load_spans()
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        solver = threshold.ThresholdSolver(sc)
+        solver._solve_core = fail
+        value = solver.value(tensor)
+    finally:
+        tracer.uninstall()
+    assert abs(value - expected) < 1e-9
+    names = [span[0] for span in tracer.spans]
+    value_span = names.index("threshold.value")
+    solve_lp_span = names.index("simplex.solve_lp")
+    assert tracer.spans[solve_lp_span][3] == value_span
+    children = [span[0] for span in tracer.spans if span[3] == solve_lp_span]
+    assert "simplex.dual_run" in children
+    assert "simplex.run" in children
+    metrics = spans.layer_metrics(tracer.spans, 1, 1, 0.0, {})
+    assert metrics["threshold.value_cold_fallbacks"] == 1

@@ -12,14 +12,13 @@ from lrthresh import (
     ScenarioMismatchError,
     correlation_tensor,
     ghz_state,
-    noisy_tensor,
     paper_settings,
     product_state,
 )
 
 from lrthresh.probabilities import correlation_tensor_vjp
 
-from conftest import closed_form_probability, kronecker_probabilities
+from conftest import closed_form_probability, kronecker_probabilities, noisy_tensor
 
 SCENARIOS = [
     Scenario(parties=2, dim=2, settings_per_party=2),

@@ -13,8 +13,9 @@ from lrthresh import (
     paper_settings,
     parse_angle,
     parse_scenario_file,
-    serialize_scenario_file,
 )
+
+from conftest import serialize_scenario_file
 
 GHZ33 = """
 parties: 3

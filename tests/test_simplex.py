@@ -12,13 +12,26 @@ from lrthresh import (
     certified_lower_bound,
     dump_lp_text,
     independent_rows,
-    parse_lp_text,
     simplex,
     solve_lp,
 )
-from lrthresh.simplex import INFEASIBLE, ITERATION_LIMIT, OPTIMAL, UNBOUNDED, _two_phase
+from lrthresh.simplex import INFEASIBLE, ITERATION_LIMIT, OPTIMAL
 
-from conftest import dual_residual, enumerate_lp_optimum, random_bounded_lp
+from conftest import dual_residual, enumerate_lp_optimum, parse_lp_text, random_bounded_lp
+
+
+def optimal_core(A, b, c):
+    """A core at the optimum of min c.x, A x = b, 0 <= x <= 1, for A = [I | cols].
+
+    The identity columns start as the basis, with duals c_B, and each
+    nonbasic starts on the bound its reduced cost favours, so that basis is
+    dual feasible and the shared repair solves from it.
+    """
+    r, n = A.shape
+    core = BoundedSimplex(A, b, np.zeros(n), np.ones(n), SolverOptions())
+    core.set_basis(np.arange(r), c - c[:r] @ A < 0)
+    assert core.repair(c) == OPTIMAL
+    return core
 
 
 def test_bound_only_minimum():
@@ -54,11 +67,14 @@ def test_infeasible_detected():
     assert sol.status == INFEASIBLE
 
 
-def test_unbounded_detected():
-    lp = LinearProgram(objective=[-1.0, 0.0], eq_matrix=[[0.0, 1.0]], eq_rhs=[0.5],
-                       lower=[0.0, 0.0], upper=[np.inf, 1.0])
-    sol = solve_lp(lp)
-    assert sol.status == UNBOUNDED
+def test_infinite_bound_rejected():
+    for lower, upper in (([0.0, 0.0], [np.inf, 1.0]), ([-np.inf, 0.0], [1.0, 1.0])):
+        lp = LinearProgram(objective=[-1.0, 0.0], eq_matrix=[[0.0, 1.0]], eq_rhs=[0.5],
+                           lower=lower, upper=upper)
+        with pytest.raises(ValueError, match="finite"):
+            solve_lp(lp)
+        with pytest.raises(ValueError, match="finite"):
+            BoundedSimplex(lp.dense_matrix(), lp.eq_rhs, lp.lower, lp.upper, SolverOptions())
 
 
 def test_iteration_limit_reported(rng, monkeypatch):
@@ -66,16 +82,14 @@ def test_iteration_limit_reported(rng, monkeypatch):
     r, n = 20, 60
     A = np.hstack([np.eye(r), rng.uniform(0.5, 2.0, size=(r, n - r))])
     c = rng.normal(size=n)
-    status, core, c_ext = _two_phase(A, A @ rng.uniform(0.2, 0.8, size=n), c,
-                                     np.zeros(n), np.ones(n), SolverOptions())
-    assert status == OPTIMAL
+    core = optimal_core(A, A @ rng.uniform(0.2, 0.8, size=n), c)
     core.b = A @ rng.uniform(0.2, 0.8, size=n)  # the optimal basis is now primal infeasible
     core.recompute_basics()
     assert core.primal_residual() > 1e-3
 
     monkeypatch.setattr(simplex, "_PIVOTS_PER_COLUMN", 0)
     assert solve_lp(lp).status == ITERATION_LIMIT
-    assert core.dual_run(c_ext) == ITERATION_LIMIT
+    assert core.dual_run(c) == ITERATION_LIMIT
 
 
 @pytest.mark.parametrize("field", ["tol_feas", "tol_opt"])
@@ -154,13 +168,24 @@ def test_redundant_rows_presolved():
     assert sol_bad.status == INFEASIBLE
 
 
-def test_independent_rows():
+def test_independent_rows(rng):
     m = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    keep, consistent = independent_rows(m, np.array([1.0, 2.0, 3.0]))
+    keep, cols, consistent = independent_rows(m, np.array([1.0, 2.0, 3.0]))
     assert consistent
     assert list(keep) == [0, 1]
-    keep, consistent = independent_rows(m, np.array([1.0, 2.0, 4.0]))
+    assert list(cols) == [0, 1]
+    keep, cols, consistent = independent_rows(m, np.array([1.0, 2.0, 4.0]))
     assert not consistent
+    # the pivot columns are a nonsingular basis on the kept rows
+    for _ in range(20):
+        r, n = int(rng.integers(2, 7)), int(rng.integers(7, 12))
+        m = rng.normal(size=(r, n)) * (rng.random((r, n)) < 0.6)
+        m = np.vstack([m, rng.normal(size=(2, r)) @ m])  # two dependent rows
+        keep, cols, consistent = independent_rows(m, m @ rng.uniform(size=n))
+        assert consistent
+        assert len(cols) == len(keep) == np.linalg.matrix_rank(m)
+        assert len(set(cols)) == len(cols)
+        assert np.linalg.cond(m[np.ix_(keep, cols)]) < 1e8
 
 
 def test_dump_parse_round_trip(rng):
@@ -322,19 +347,18 @@ def test_dual_run_carries_exact_reduced_costs(rng, monkeypatch, r, n):
     c = rng.normal(size=n)
     x0 = rng.uniform(0.2, 0.8, size=n)
     monkeypatch.setattr(simplex, "_REFACTOR_EVERY", 7)  # reprice often
-    status, core, c_ext = _two_phase(A, A @ x0, c, np.zeros(n), np.ones(n), SolverOptions())
-    assert status == OPTIMAL
+    core = optimal_core(A, A @ x0, c)
     dual_pivots = 0
     for _ in range(3):
         # a new rhs: the optimal basis stays dual feasible, not primal
         core.b = A @ np.clip(x0 + rng.normal(scale=0.2, size=n), 0.0, 1.0)
         core.recompute_basics()
         before = core.pivots
-        assert core.dual_run(c_ext) == OPTIMAL
+        assert core.dual_run(c) == OPTIMAL
         dual_pivots += core.pivots - before
-        fresh = c_ext - core.duals(c_ext) @ core.A
+        fresh = c - core.duals(c) @ core.A
         assert np.max(np.abs(core.reduced_costs - fresh)) < 1e-9
-        assert core.run(c_ext) == OPTIMAL
+        assert core.run(c) == OPTIMAL
     assert dual_pivots > 7
 
 
@@ -343,13 +367,12 @@ def test_dual_run_leaves_consistent_values_at_the_pivot_limit(rng, monkeypatch, 
     A = np.hstack([np.eye(r), (rng.random((r, n - r)) < 0.04) * rng.uniform(0.5, 2, (r, n - r))])
     c = rng.normal(size=n)
     x0 = rng.uniform(0.2, 0.8, size=n)
-    status, core, c_ext = _two_phase(A, A @ x0, c, np.zeros(n), np.ones(n), SolverOptions())
-    assert status == OPTIMAL
+    core = optimal_core(A, A @ x0, c)
     core.b = A @ rng.uniform(0.2, 0.8, size=n)  # the optimal basis is now primal infeasible
     core.recompute_basics()
     monkeypatch.setattr(simplex, "_PIVOTS_PER_COLUMN", 3.5 / core.n)  # stop after 4 pivots
     before = core.pivots
-    assert core.dual_run(c_ext) == ITERATION_LIMIT
+    assert core.dual_run(c) == ITERATION_LIMIT
     assert core.pivots - before == 4
     nonbasic = np.flatnonzero(~core.in_basis)
     on_bound = np.where(core.at_upper, core.upper, core.lower)

@@ -22,10 +22,8 @@ from lrthresh import (
     correlation_tensor,
     feasible_at,
     ghz_state,
-    noisy_tensor,
     paper_settings,
     product_state,
-    solve_lp,
     threshold,
     threshold_from_tensor,
 )
@@ -39,6 +37,8 @@ from lrthresh.threshold import (
     exact_bracket,
     witness_residual,
 )
+
+from conftest import highs_lp, noisy_tensor
 
 threshold_module = importlib.import_module("lrthresh.threshold")  # the package's threshold is a function
 
@@ -167,8 +167,9 @@ def test_threshold_solver_warm_matches_cold(rng):
         se = random_settings(SC23, rng)
         t = correlation_tensor(st, se)
         warm = solver.value(t)
-        cold = solve_lp(build_threshold_lp(t)).primal[-1]
-        worst = max(worst, abs(warm - cold))
+        cold = highs_lp(build_threshold_lp(t))
+        assert cold.status == 0, cold.message
+        worst = max(worst, abs(warm - cold.fun))
     assert worst < 1e-9
 
 
@@ -290,7 +291,7 @@ def test_warm_value_checks_the_primal_residual_once(rng):
 
 def test_long_lived_solver_keeps_warm_solving():
     # the pivot limit counts per call: a solver that has pivoted 100 * n times
-    # over its life still re-solves warm instead of falling back to two-phase
+    # over its life still re-solves warm instead of falling back to solve_lp
     solver = ThresholdSolver(SC23)
     fallbacks = []
     cold = solver._cold_solve
@@ -316,8 +317,9 @@ def full_feasibility_lp(sc, probs):
 
 
 def full_system_verdict(tensor, noise):
+    """HiGHS's verdict on the full feasibility LP, at a feasibility tolerance under tol_feas."""
     lp = full_feasibility_lp(tensor.scenario, noisy_tensor(tensor, noise).flat)
-    return solve_lp(lp).status == "optimal"
+    return highs_lp(lp, primal_feasibility_tolerance=1e-10).status == 0
 
 
 @pytest.mark.parametrize("parties, dim",
@@ -326,7 +328,7 @@ def test_kept_rows_are_collins_gisin_set(parties, dim):
     # oracle: row echelon on the full marginal system plus the normalization row
     sc = Scenario(parties=parties, dim=dim, settings_per_party=2)
     full = full_feasibility_lp(sc, np.zeros(sc.marginal_rows)).dense_matrix()
-    keep, _ = independent_rows(full, np.zeros(full.shape[0]))
+    keep, _, _ = independent_rows(full, np.zeros(full.shape[0]))
     kept, a_keep = _kept_rows(sc)
     assert kept.tolist() == keep
     assert np.array_equal(a_keep, full[keep])
@@ -420,17 +422,17 @@ def test_feasible_at_rejects_tensor_inconsistent_on_dropped_row():
     n = SC22.joint_size
     kept_only = LinearProgram(np.zeros(n), a_keep, tensor.flat[keep],
                               np.zeros(n), np.ones(n))
-    assert solve_lp(kept_only).status == "optimal"
+    assert highs_lp(kept_only).status == 0
     for noise in (0.0, 0.5):
         assert not full_system_verdict(tensor, noise)
         assert not feasible_at(tensor, noise)
 
 
 def test_feasible_at_runs_no_lp_of_its_own(monkeypatch):
-    def no_two_phase(*args, **kwargs):
-        raise AssertionError("feasible_at ran a two-phase LP")
+    def no_solve_lp(*args, **kwargs):
+        raise AssertionError("feasible_at ran an LP of its own")
 
-    monkeypatch.setattr(simplex, "_two_phase", no_two_phase)
+    monkeypatch.setattr(threshold_module, "solve_lp", no_solve_lp)
     tensor = ghz_maxent_tensor()
     assert not feasible_at(tensor, 0.3)
     assert feasible_at(tensor, 0.5)

@@ -4,20 +4,21 @@ The objective is an LP value function of the phase tables (and optionally the
 state coefficients): continuous and piecewise smooth, but non-convex, and
 exactly zero on the full-dimensional region where the correlations already
 admit a local model. Multi-start Nelder-Mead handles the non-convexity; the
-zero plateau is handled inside each restart, which redraws its starting point
-from its own random stream for as long as the simplex lands flat and budget
-remains.
+zero plateau is handled inside each restart before Nelder-Mead runs: each
+drawn start costs one evaluation, and a start on the plateau is redrawn from
+the restart's own random stream for as long as budget remains.
 
-Off the plateau, Nelder-Mead hands over once it stalls: when its best value
-has risen by less than CONVERGENCE_TOL over the last n + 1 evaluations. The
-rest of the restart's budget goes to a quasi-Newton gradient ascent with
-Armijo backtracking. The gradient is exact and costs no extra LP solve. With
-y the optimal duals of the solve on the kept rows, the envelope theorem gives
-dF/dtheta = (1 - F) y . dP_keep/dtheta, because the tensor enters both the
-right-hand side and the F column. The Born layer pulls that weight vector back
-to the phases and state in one backward pass (correlation_tensor_vjp). At a
-degenerate optimum the gradient is one subgradient of several, so the
-restart keeps the Nelder-Mead point unless a step ascends.
+Nelder-Mead runs once, from the first start off the plateau, and hands over
+once it stalls: when its best value has risen by less than CONVERGENCE_TOL
+over the last n + 1 evaluations. The rest of the restart's budget goes to a
+quasi-Newton gradient ascent with Armijo backtracking. The gradient is exact
+and costs no extra LP solve. With y the optimal duals of the solve on the
+kept rows, the envelope theorem gives dF/dtheta = (1 - F) y . dP_keep/dtheta,
+because the tensor enters both the right-hand side and the F column. The
+Born layer pulls that weight vector back to the phases and state in one
+backward pass (correlation_tensor_vjp). At a degenerate optimum the gradient
+is one subgradient of several, so the restart keeps the Nelder-Mead point
+unless a step ascends.
 
 Restart streams use counter-based keys (base seed, restart index), so results
 do not depend on scheduling order and any subset of restarts can be
@@ -147,6 +148,8 @@ class OptimizationConfig:
             raise ValueError("restarts and max_evals_per_restart must be positive")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
+        if not 0 <= self.rng_seed < 2**64:
+            raise ValueError(f"rng_seed must be in [0, 2**64), got {self.rng_seed}")
 
 
 @dataclass(frozen=True)
@@ -366,14 +369,18 @@ def _objectives(solver: ThresholdSolver, pinned_state: PureState | None):
 
 
 def _run_restart(args):
-    """One restart: Nelder-Mead with plateau redraws, then a gradient polish.
+    """One restart: flat draws redrawn, then Nelder-Mead, then a gradient polish.
 
-    Nelder-Mead redraws its start for as long as it ends on the plateau and
-    budget remains. Once it ends above it, the rest of the budget goes to
-    gradient ascent from its best point.
+    Each drawn start costs one evaluation. While its value is on the plateau
+    and budget remains, the start is redrawn from the restart's own stream (a
+    pinned state stays pinned). Nelder-Mead then runs once, from the first
+    start off the plateau, with the budget that is left, and the polish takes
+    what Nelder-Mead leaves. A restart whose every draw is flat returns its
+    last draw. Draws, Nelder-Mead and polish share max_evals_per_restart.
     """
     sc, config, index, fixed_coeffs, options = args
-    rng = np.random.Generator(np.random.Philox(key=[config.rng_seed, index]))
+    key = np.array([config.rng_seed, index], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
     solver = ThresholdSolver(sc, options)
 
     start, pinned_coeffs = _restart_start(sc, config.mode, index, rng)
@@ -381,38 +388,32 @@ def _run_restart(args):
         pinned_coeffs = fixed_coeffs
     pinned_state = PureState(sc, pinned_coeffs) if pinned_coeffs is not None else None
 
-    fast_objective, gradient = _objectives(solver, pinned_state)
-    best_params, best_value = start, -np.inf
+    objective, gradient = _objectives(solver, pinned_state)
+    budget = config.max_evals_per_restart
     spent = 0
-    while spent < config.max_evals_per_restart:
-        counter = 0
 
-        def counting(params):
-            nonlocal counter
-            counter += 1
-            return fast_objective(params)
+    def counted(params):
+        nonlocal spent
+        spent += 1
+        return objective(params)
 
-        sub = replace(config, max_evals_per_restart=config.max_evals_per_restart - spent)
-        params, value = nelder_mead(counting, start, sub)
-        spent += counter
-        if value > best_value:
-            best_params, best_value = params, value
-        if best_value > FLAT_VALUE:
-            break
-        # flat start: redraw from this restart's own stream and try again
-        start, _ = _restart_start(sc, config.mode, -1, rng)
+    params, value = start, counted(start)
+    while value <= FLAT_VALUE and spent < budget:
+        params, _ = _restart_start(sc, config.mode, -1, rng)
         if pinned_state is not None and config.mode == "phases_and_state":
-            start = ParameterVector(sc, start.phase_params)
-    if best_value > FLAT_VALUE and spent < config.max_evals_per_restart:
-        best_params, best_value, used = _polish(fast_objective, gradient, best_params,
-                                                best_value, config.max_evals_per_restart - spent)
-        spent += used
-    table = best_params.decode_settings().table
+            params = ParameterVector(sc, params.phase_params)
+        value = counted(params)
+    if value > FLAT_VALUE and spent < budget:
+        params, value = nelder_mead(
+            counted, params, replace(config, max_evals_per_restart=budget - spent))
+    if value > FLAT_VALUE and spent < budget:
+        params, value, _ = _polish(counted, gradient, params, value, budget - spent)
+    table = params.decode_settings().table
     if pinned_state is not None:
         coeffs = pinned_state.coeffs.real
     else:
-        coeffs = best_params.decode_state().coeffs.real
-    return index, best_value, table, coeffs, spent
+        coeffs = params.decode_state().coeffs.real
+    return index, value, table, coeffs, spent
 
 
 def _optimize(

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -242,6 +243,27 @@ def test_optimize_rejects_fewer_than_one_worker(capsys, monkeypatch, tmp_path, w
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "workers" in captured.err
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_optimize_rejects_a_seed_outside_the_key_range(capsys, tmp_path, seed):
+    scen = tmp_path / "ghz23.yaml"
+    scen.write_text(GHZ23)
+    assert main(["optimize", "--scenario", str(scen), "--seed", str(seed), "--restarts", "1",
+                 "--max-evals", "5", "--workers", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(seed) in captured.err
+
+
+def test_optimize_takes_the_largest_seed_without_a_warning(capsys, tmp_path):
+    scen = tmp_path / "ghz23.yaml"
+    scen.write_text(GHZ23)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["optimize", "--scenario", str(scen), "--seed", str(2**64 - 1),
+                     "--restarts", "1", "--max-evals", "5", "--workers", "1"]) == 0
+    float(capsys.readouterr().out)
 
 
 def test_dump_lp(capsys, ghz33_file):

@@ -135,6 +135,10 @@ def test_optimize_config_validation():
         OptimizationConfig(restarts=0)
     with pytest.raises(ValueError):
         OptimizationConfig(mode="nope")
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=str(seed)):
+            OptimizationConfig(rng_seed=seed)
+    OptimizationConfig(rng_seed=2**64 - 1)
 
 
 def test_optimize_phases_deterministic_bitwise():
@@ -153,6 +157,17 @@ def test_optimize_workers_match_serial():
     pooled = optimize_phases(st, QUICK, workers=2)
     assert serial.best_f_thr == pooled.best_f_thr
     assert serial.per_restart_log == pooled.per_restart_log
+
+
+def test_joint_optimize_workers_match_serial():
+    cfg = OptimizationConfig(restarts=4, rng_seed=7, max_evals_per_restart=120,
+                             mode="phases_and_state")
+    serial = optimize_state_and_phases(SC23, cfg, workers=1)
+    pooled = optimize_state_and_phases(SC23, cfg, workers=2)
+    assert serial.best_f_thr == pooled.best_f_thr
+    assert serial.per_restart_log == pooled.per_restart_log
+    assert serial.best_settings.table.tobytes() == pooled.best_settings.table.tobytes()
+    assert serial.best_state.coeffs.tobytes() == pooled.best_state.coeffs.tobytes()
 
 
 @pytest.mark.parametrize("workers", [0, -1])
@@ -341,21 +356,73 @@ def test_restart_evaluations_stay_within_the_cap(monkeypatch, sc, cap):
 
 def test_flat_restart_redraws_without_polish(monkeypatch):
     state = product_state(SC23, [[1, 0, 0], [0, 1, 0]])  # threshold 0 under any phases
-    runs = []
-    original = search.nelder_mead
+    values = []
+    original = ThresholdSolver.value
 
-    def counted(f, start, config):
-        runs.append(1)
-        return original(f, start, config)
+    def counted(self, tensor):
+        values.append(original(self, tensor))
+        return values[-1]
 
-    def no_polish(*args):
-        raise AssertionError("a flat restart must not polish")
+    def never(*args):
+        raise AssertionError("a flat restart must neither run Nelder-Mead nor polish")
 
-    monkeypatch.setattr(search, "nelder_mead", counted)
-    monkeypatch.setattr(search, "_polish", no_polish)
+    monkeypatch.setattr(ThresholdSolver, "value", counted)
+    monkeypatch.setattr(search, "nelder_mead", never)
+    monkeypatch.setattr(search, "_polish", never)
     cfg = OptimizationConfig(restarts=1, rng_seed=0, max_evals_per_restart=80,
                              mode="phases_only")
-    res = optimize_phases(state, cfg)
-    assert res.best_f_thr < 1e-9
-    assert len(runs) > 1
-    assert res.evals == 80
+    _, value, _, _, spent = search._run_restart((SC23, cfg, 0, state.coeffs.real, None))
+    assert value < 1e-9
+    assert spent == 80
+    # one solve per draw: the start and 79 redraws, each on the plateau
+    assert len(values) == 80
+    assert max(values) <= search.FLAT_VALUE
+
+
+# command 13 of the optimize_joint_23 benchmark's seed-1 stream: two of its
+# four restarts draw flat starts before they leave the plateau
+JOINT23 = OptimizationConfig(restarts=4, rng_seed=1777477784, max_evals_per_restart=500,
+                             mode="phases_and_state")
+
+
+def test_nelder_mead_starts_off_the_plateau(monkeypatch):
+    values, draws, runs = [], [], []
+    original_value = ThresholdSolver.value
+    original_start = search._restart_start
+    original_nelder_mead = search.nelder_mead
+
+    def counted_value(self, tensor):
+        values.append(original_value(self, tensor))
+        return values[-1]
+
+    def counted_start(*args):
+        draws.append(len(values))
+        return original_start(*args)
+
+    def watched(f, start, config):
+        runs.append((len(values), threshold(start.decode_state(), start.decode_settings()).f_thr))
+        return original_nelder_mead(f, start, config)
+
+    monkeypatch.setattr(ThresholdSolver, "value", counted_value)
+    monkeypatch.setattr(search, "_restart_start", counted_start)
+    monkeypatch.setattr(search, "nelder_mead", watched)
+    flat_draws = 0
+    for index in range(JOINT23.restarts):
+        values.clear()
+        draws.clear()
+        runs.clear()
+        search._run_restart((SC23, JOINT23, index, None, None))
+        assert len(runs) == 1
+        solves, start_value = runs[0]
+        assert start_value > search.FLAT_VALUE
+        # each draw was solved once, and only the last one left the plateau
+        assert draws == list(range(solves))
+        assert max(values[:solves - 1], default=0.0) <= search.FLAT_VALUE < values[solves - 1]
+        flat_draws += solves - 1
+    assert flat_draws > 0
+
+
+def test_joint_search_leaves_the_plateau_on_every_restart():
+    result = optimize_state_and_phases(SC23, JOINT23)
+    assert result.best_f_thr >= 0.3178
+    assert all(value > search.FLAT_VALUE for _, value in result.per_restart_log)

@@ -133,8 +133,7 @@ def _cmd_optimize(args, argv: list[str]) -> int:
     wall = time.perf_counter() - start
     print(f"{result.best_f_thr:.6f}")
     if args.out:
-        report = build_optimize_report(sf, result, config, argv, wall,
-                                       options=opts or SolverOptions())
+        report = build_optimize_report(sf, result, config, argv, wall, options=opts)
         with _writing(args.out):
             write_report(report, args.out)
     return EXIT_OK

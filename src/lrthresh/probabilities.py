@@ -47,7 +47,7 @@ class CorrelationTensor:
         low = p.min()
         if low < -CLAMP_TOL:
             raise NegativeProbabilityError(
-                f"probability entry {low!r} below clamping threshold -{CLAMP_TOL}"
+                f"probability entry {float(low)!r} below clamping threshold -{CLAMP_TOL}"
             )
         np.clip(p, 0.0, None, out=p)
         outcome_axes = tuple(range(sc.parties, 2 * sc.parties))

@@ -1,16 +1,16 @@
 """Run reports: JSON records that make every published number auditable.
 
 A report embeds the command echo, the scenario, the seed, the headline
-threshold, and either the full witness/certificate (threshold runs) or the
-best parameters and per-restart log (optimization runs). verify_report
-rebuilds the correlation tensor from the echoed inputs. For a threshold
-report it checks, in exact arithmetic, that the witness is a local model at
-the reported threshold (so the optimum is no larger) and that the dual's
+threshold, and the witness and dual certificate of that threshold. An
+optimization report adds the best parameters and the per-restart log; its
+witness and certificate are those of the certified solve at the best
+parameters. verify_report rebuilds the correlation tensor, from the scenario
+of a threshold report or from the best parameters of an optimization report,
+and checks in exact arithmetic that the witness is a local model at the
+reported threshold (so the optimum is no larger) and that the dual's
 weak-duality bound lies within the certificate gap below it (so the optimum
-is no smaller); that bracket needs no second solve. An optimization report
-carries no certificate, so its best value is solved again at the reported
-parameters. Tampering with any numeric field is detectable from the file
-alone.
+is no smaller). That bracket needs no LP. Tampering with any numeric field is
+detectable from the file alone.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .probabilities import correlation_tensor
+from .probabilities import CorrelationTensor, correlation_tensor
 from .scenario import PhaseSettings, PureState
 from .scenario_io import ScenarioFile, _schema_error, explicit_settings_spec, resolve_scenario
 from .search import OptimizationConfig, OptimizationResult
@@ -36,10 +36,10 @@ from .threshold import (
     build_threshold_lp,  # noqa: F401  unused; perfbench/spans.py patches it here
     exact_bracket,
     feasible_at,  # noqa: F401  unused; perfbench/spans.py patches it here
-    threshold,
+    threshold,  # noqa: F401  unused; perfbench/spans.py patches it here
 )
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 RECOMPUTE_TOL = 1e-6
 
 
@@ -126,29 +126,20 @@ def build_optimize_report(
     wall_clock_s: float,
     options: SolverOptions | None = None,
 ) -> dict:
-    return {
-        "report_version": REPORT_VERSION,
-        "tool_version": __version__,
-        "kind": "optimize",
-        "command": list(command),
-        "rng_seed": config.rng_seed,
-        "wall_clock_s": wall_clock_s,
-        "tolerances": _tolerance_block(options or SolverOptions()),
-        "scenario": _scenario_block(sf),
-        "f_thr": result.best_f_thr,
-        "optimizer": {
-            "config": asdict(config),
-            "best_f_thr": result.best_f_thr,
-            "best_settings": [
-                [[float(a) for a in row] for row in party]
-                for party in result.best_settings.table
-            ],
-            "best_settings_pretty": explicit_settings_spec(result.best_settings),
-            "best_state": [float(c) for c in result.best_state.coeffs],
-            "evals": result.evals,
-            "per_restart_log": [[int(i), float(v)] for i, v in result.per_restart_log],
-        },
-    }
+    report = build_threshold_report(sf, result.certified, command, wall_clock_s, options)
+    report.update(kind="optimize", rng_seed=config.rng_seed, optimizer={
+        "config": asdict(config),
+        "best_f_thr": result.best_f_thr,
+        "best_settings": [
+            [[float(a) for a in row] for row in party]
+            for party in result.best_settings.table
+        ],
+        "best_settings_pretty": explicit_settings_spec(result.best_settings),
+        "best_state": [float(c) for c in result.best_state.coeffs],
+        "evals": result.evals,
+        "per_restart_log": [[int(i), float(v)] for i, v in result.per_restart_log],
+    })
+    return report
 
 
 def write_report(report: dict, path: str | Path) -> None:
@@ -192,7 +183,8 @@ def _nonfinite_fields(report: dict, paths: tuple[str, ...], problems: list[str])
     return bad
 
 
-def _verify_threshold(report: dict, problems: list[str]) -> None:
+def _verify_certificate(report: dict, tensor: CorrelationTensor, problems: list[str]) -> None:
+    """Check that the witness and the dual bracket f_thr for this tensor's threshold."""
     certificate = report["certificate"]
     numbers = ("f_thr", "witness.weights", "witness.noise_weight", "certificate.dual",
                "certificate.lower_bound", "certificate.gap")
@@ -200,7 +192,7 @@ def _verify_threshold(report: dict, problems: list[str]) -> None:
         numbers += ("certificate.marginal_residual",)
     if _nonfinite_fields(report, numbers, problems):
         return
-    sc, state, settings = resolve_scenario(report["scenario"])
+    sc = tensor.scenario
     f_rep = float(report["f_thr"])
 
     weights = np.asarray(report["witness"]["weights"], dtype=float)
@@ -227,7 +219,6 @@ def _verify_threshold(report: dict, problems: list[str]) -> None:
     if dual.size != sc.marginal_rows + 1:
         problems.append(f"dual has {dual.size} entries, LP has {sc.marginal_rows + 1} rows")
         return
-    tensor = correlation_tensor(state, settings)
     bound, marginal, norm = exact_bracket(tensor, dual, np.clip(weights, 0.0, None), f_rep)
 
     # the witness must reproduce the marginals of the noisy correlations at F,
@@ -277,31 +268,17 @@ def _verify_threshold(report: dict, problems: list[str]) -> None:
             )
 
 
-def _verify_optimize(report: dict, problems: list[str]) -> None:
+def _best_point(report: dict, problems: list[str]) -> tuple[PureState, PhaseSettings] | None:
+    """An optimize report's best parameters, after the checks only that kind needs."""
     # the best parameters meet the finiteness checks of PhaseSettings and PureState
     if _nonfinite_fields(report, ("f_thr", "optimizer.best_f_thr", "optimizer.per_restart_log"),
                          problems):
-        return
+        return None
     sc, _, _ = resolve_scenario(report["scenario"])
     opt = report["optimizer"]
     f_rep = float(opt["best_f_thr"])
     if abs(float(report["f_thr"]) - f_rep) > 1e-12:
         problems.append("headline f_thr differs from optimizer best_f_thr")
-
-    table = np.asarray(opt["best_settings"], dtype=float)
-    coeffs = np.asarray(opt["best_state"], dtype=float)
-    try:
-        settings = PhaseSettings(sc, table)
-        state = PureState(sc, coeffs)
-    except ValueError as err:
-        problems.append(f"best parameters do not fit the scenario: {err}")
-        return
-    recomputed = threshold(state, settings, _report_options(report))
-    if abs(recomputed.f_thr - f_rep) > RECOMPUTE_TOL:
-        problems.append(
-            f"best_f_thr mismatch: report says {f_rep:.9f}, "
-            f"recomputation at the reported parameters gives {recomputed.f_thr:.9f}"
-        )
 
     log = opt["per_restart_log"]
     if log:
@@ -310,6 +287,12 @@ def _verify_optimize(report: dict, problems: list[str]) -> None:
             problems.append(
                 f"per-restart log peaks at {log_best:.9f} but best_f_thr is {f_rep:.9f}"
             )
+    try:
+        return (PureState(sc, np.asarray(opt["best_state"], dtype=float)),
+                PhaseSettings(sc, np.asarray(opt["best_settings"], dtype=float)))
+    except ValueError as err:
+        problems.append(f"best parameters do not fit the scenario: {err}")
+        return None
 
 
 def verify_report(report: dict) -> list[str]:
@@ -317,9 +300,13 @@ def verify_report(report: dict) -> list[str]:
     problems: list[str] = []
     kind = report.get("kind")
     if kind == "threshold":
-        _verify_threshold(report, problems)
+        _, state, settings = resolve_scenario(report["scenario"])
     elif kind == "optimize":
-        _verify_optimize(report, problems)
+        point = _best_point(report, problems)
+        if point is None:
+            return problems
+        state, settings = point
     else:
-        problems.append(f"unknown report kind {kind!r}")
+        return [f"unknown report kind {kind!r}"]
+    _verify_certificate(report, correlation_tensor(state, settings), problems)
     return problems

@@ -79,7 +79,7 @@ class PureState:
             raise ValueError("state coefficients must be finite")
         norm = np.linalg.norm(c)
         if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"state norm {norm!r} is not 1 within {NORM_TOL}")
+            raise ValueError(f"state norm {float(norm)!r} is not 1 within {NORM_TOL}")
         object.__setattr__(self, "coeffs", _frozen(c))
 
     @property

@@ -36,7 +36,7 @@ from .probabilities import correlation_tensor, correlation_tensor_vjp
 from .scenario import PhaseSettings, PureState, Scenario, ghz_state, paper_optimal_state, \
     paper_settings
 from .simplex import SolverOptions
-from .threshold import ThresholdSolver, threshold
+from .threshold import ThresholdResult, ThresholdSolver, threshold
 
 STATE_NORM_FLOOR = 1e-8
 FLAT_VALUE = 1e-6  # objective values at or below this count as the local plateau
@@ -154,11 +154,17 @@ class OptimizationConfig:
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    best_f_thr: float
+    """Best parameters found, and the certified solve there, witness and dual included."""
+
+    certified: ThresholdResult
     best_settings: PhaseSettings
     best_state: PureState
     evals: int
     per_restart_log: tuple
+
+    @property
+    def best_f_thr(self) -> float:
+        return self.certified.f_thr
 
 
 def nelder_mead(f, start: ParameterVector, config: OptimizationConfig):
@@ -423,6 +429,7 @@ def _optimize(
     workers: int,
     options: SolverOptions | None,
 ) -> OptimizationResult:
+    """Run every restart, then certify the best point with one cold solve."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     fixed_coeffs = fixed_state.coeffs.real if fixed_state is not None else None
@@ -443,8 +450,8 @@ def _optimize(
 
     settings = PhaseSettings(sc, table)
     state = fixed_state if fixed_state is not None else _canonical_sign(PureState(sc, coeffs))
-    final = threshold(state, settings, options).f_thr
-    return OptimizationResult(final, settings, state, total_evals, log)
+    certified = threshold(state, settings, options)
+    return OptimizationResult(certified, settings, state, total_evals, log)
 
 
 def _canonical_sign(state: PureState) -> PureState:

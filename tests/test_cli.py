@@ -209,8 +209,41 @@ def test_optimize_runs_and_replays_report_tolerances(capsys, tmp_path, monkeypat
     assert json.loads(out_path.read_text())["tolerances"]["tol_opt"] == options.tol_opt
     assert main(["verify", str(out_path)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "ok"
-    # two restart solvers and the final certified solve, then the replay
-    assert seen == {"search": [options] * 3, "verify": [options]}
+    # two restart solvers and the final certified solve; verify checks that
+    # solve's certificate and makes none
+    assert seen == {"search": [options] * 3, "verify": []}
+
+
+def test_optimize_report_carries_local_at_noise_at_its_best_point(capsys, tmp_path):
+    scen = tmp_path / "ghz23.yaml"
+    scen.write_text(GHZ23 + "noise: 0.3\n")
+    out_path = tmp_path / "opt.json"
+    assert main(["optimize", "--scenario", str(scen), "--restarts", "2", "--max-evals", "40",
+                 "--workers", "1", "--out", str(out_path)]) == 0
+    report = json.loads(out_path.read_text())
+    assert report["local_at_noise"] == (0.3 >= report["f_thr"] - SolverOptions().tol_feas)
+    assert main(["verify", str(out_path)]) == 0
+    report["local_at_noise"] = not report["local_at_noise"]
+    out_path.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(["verify", str(out_path)]) == 1
+    assert "local_at_noise says" in capsys.readouterr().out
+
+
+def test_verify_messages_print_plain_floats(capsys, tmp_path):
+    scen = tmp_path / "ghz23.yaml"
+    scen.write_text(GHZ23)
+    out_path = tmp_path / "opt.json"
+    assert main(["optimize", "--scenario", str(scen), "--restarts", "1", "--max-evals", "10",
+                 "--workers", "1", "--out", str(out_path)]) == 0
+    report = json.loads(out_path.read_text())
+    report["optimizer"]["best_state"][0] += 0.01
+    out_path.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(["verify", str(out_path)]) == 1
+    out = capsys.readouterr().out
+    assert "best parameters do not fit the scenario: state norm 1.00" in out
+    assert "np.float64" not in out
 
 
 def test_optimize_command(capsys, tmp_path):

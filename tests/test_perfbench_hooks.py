@@ -31,7 +31,8 @@ def test_tracer_installs_and_uninstalls():
     threshold = importlib.import_module("lrthresh.threshold")
     watched = [(cli, "feasible_at"), (cli, "threshold"), (reports, "feasible_at"),
                (reports, "build_threshold_lp"), (reports, "certified_lower_bound"),
-               (reports, "correlation_tensor"), (threshold, "independent_rows"),
+               (reports, "threshold"), (reports, "correlation_tensor"),
+               (threshold, "independent_rows"),
                (threshold.ThresholdSolver, "solve")]
     originals = [getattr(owner, name) for owner, name in watched]
 

@@ -1,5 +1,6 @@
 """Report construction and the verify replay, including tamper detection."""
 
+import importlib
 import json
 from importlib import resources
 
@@ -23,7 +24,14 @@ from lrthresh import (
     verify_report,
     write_report,
 )
+from lrthresh import reports
+from lrthresh.cli import main
 from lrthresh.scenario_io import _schema_error, _validator
+from lrthresh.simplex import BoundedSimplex
+from lrthresh.threshold import ThresholdSolver
+
+# the package's function named threshold shadows the submodule attribute
+threshold_module = importlib.import_module("lrthresh.threshold")
 
 GHZ33 = "parties: 3\ndim: 3\nstate: ghz\nsettings: paper-maxent\n"
 GHZ23 = "parties: 2\ndim: 3\nstate: ghz\nsettings: zero\n"
@@ -152,10 +160,70 @@ def test_tampered_best_value_detected(optimize_report):
     bad = json.loads(json.dumps(optimize_report))
     bad["optimizer"]["best_f_thr"] += 0.05
     bad["f_thr"] = bad["optimizer"]["best_f_thr"]
+    bad["witness"]["noise_weight"] = bad["f_thr"]
     problems = verify_report(bad)
-    assert any("best_f_thr mismatch" in p for p in problems)
+    # the certificate of the best point bounds the threshold 0.05 lower
+    assert any("f_thr mismatch" in p for p in problems), problems
     bad["optimizer"]["best_f_thr"] = bad["f_thr"] = float("nan")
     assert "field optimizer.best_f_thr holds a non-finite number" in verify_report(bad)
+
+
+@pytest.fixture
+def no_lp(monkeypatch):
+    """Records every solver built and every threshold() call while a test runs."""
+    calls = []
+    for cls in (ThresholdSolver, BoundedSimplex):
+        def spy(self, *args, _original=cls.__init__, **kwargs):
+            calls.append(type(self).__name__)
+            _original(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", spy)
+    for module in (reports, threshold_module):
+        def spy_threshold(*args, _original=module.threshold, **kwargs):
+            calls.append("threshold")
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, "threshold", spy_threshold)
+    return calls
+
+
+def test_verify_runs_no_lp_for_either_kind(threshold_report, optimize_report, no_lp):
+    assert verify_report(threshold_report) == []
+    assert verify_report(optimize_report) == []
+    assert no_lp == []
+
+
+@pytest.mark.parametrize("edit", ["settings_entry", "state_swap"])
+def test_edited_best_parameters_detected_from_the_file(tmp_path, capsys, optimize_report,
+                                                        no_lp, edit):
+    bad = json.loads(json.dumps(optimize_report))
+    opt = bad["optimizer"]
+    if edit == "settings_entry":
+        opt["best_settings"][1][0][2] += 0.1
+    else:
+        # same norm, so the parameters still fit the scenario
+        coeffs = np.asarray(opt["best_state"])
+        i, j = int(np.argmax(np.abs(coeffs))), int(np.argmin(np.abs(coeffs)))
+        opt["best_state"][i], opt["best_state"][j] = opt["best_state"][j], opt["best_state"][i]
+    path = tmp_path / "edited.json"
+    write_report(bad, path)
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "witness marginal residual" in out or "f_thr mismatch" in out, out
+    assert no_lp == []
+
+
+def test_version_1_optimize_report_is_rejected(tmp_path, capsys, threshold_report,
+                                               optimize_report):
+    old_threshold = {**threshold_report, "report_version": 1}
+    old_optimize = {k: v for k, v in optimize_report.items()
+                    if k not in ("witness", "certificate", "solver", "local_at_noise")}
+    old_optimize["report_version"] = 1
+    for name, report in (("threshold", old_threshold), ("optimize", old_optimize)):
+        write_report(report, tmp_path / f"{name}.json")
+    capsys.readouterr()
+    assert main(["verify", str(tmp_path / "threshold.json")]) == 0
+    assert main(["verify", str(tmp_path / "optimize.json")]) == 2
+    assert "'witness' is a required property" in capsys.readouterr().err
 
 
 def test_load_report_errors(tmp_path):
@@ -252,7 +320,8 @@ def test_report_validator_matches_stock_jsonschema(reports_by_scenario):
     assert type(ours) is not type(stock)  # the extended class is in use
     paths = {"threshold": [("witness", "weights"), ("certificate", "dual"),
                            ("scenario", "state")],
-             "optimize": [("optimizer", "best_state"), ("scenario", "state")]}
+             "optimize": [("optimizer", "best_state"), ("witness", "weights"),
+                          ("certificate", "dual"), ("scenario", "state")]}
     checked = 0
     for doc in reports_by_scenario:
         assert _all_errors(ours, doc) == [] and _schema_error(doc, "report.schema.json") is None

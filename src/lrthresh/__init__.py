@@ -49,7 +49,6 @@ from .search import (
     OptimizationResult,
     ParameterVector,
     encode,
-    nelder_mead,
     optimize_phases,
     optimize_state_and_phases,
 )

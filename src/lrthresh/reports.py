@@ -274,7 +274,7 @@ def _best_point(report: dict, problems: list[str]) -> tuple[PureState, PhaseSett
     if _nonfinite_fields(report, ("f_thr", "optimizer.best_f_thr", "optimizer.per_restart_log"),
                          problems):
         return None
-    sc, _, _ = resolve_scenario(report["scenario"])
+    sc, own_state, _ = resolve_scenario(report["scenario"])
     opt = report["optimizer"]
     f_rep = float(opt["best_f_thr"])
     if abs(float(report["f_thr"]) - f_rep) > 1e-12:
@@ -288,11 +288,16 @@ def _best_point(report: dict, problems: list[str]) -> tuple[PureState, PhaseSett
                 f"per-restart log peaks at {log_best:.9f} but best_f_thr is {f_rep:.9f}"
             )
     try:
-        return (PureState(sc, np.asarray(opt["best_state"], dtype=float)),
-                PhaseSettings(sc, np.asarray(opt["best_settings"], dtype=float)))
+        state = PureState(sc, np.asarray(opt["best_state"], dtype=float))
+        settings = PhaseSettings(sc, np.asarray(opt["best_settings"], dtype=float))
     except ValueError as err:
         problems.append(f"best parameters do not fit the scenario: {err}")
         return None
+    # a phases-only search keeps the scenario's own state
+    if (opt["config"].get("mode") == "phases_only"
+            and np.max(np.abs(state.coeffs - own_state.coeffs)) > 1e-12):
+        problems.append("phases_only report's best_state is not the scenario's state")
+    return state, settings
 
 
 def verify_report(report: dict) -> list[str]:

@@ -3,22 +3,20 @@
 The objective is an LP value function of the phase tables (and optionally the
 state coefficients): continuous and piecewise smooth, but non-convex, and
 exactly zero on the full-dimensional region where the correlations already
-admit a local model. Multi-start Nelder-Mead handles the non-convexity; the
-zero plateau is handled inside each restart before Nelder-Mead runs: each
-drawn start costs one evaluation, and a start on the plateau is redrawn from
-the restart's own random stream for as long as budget remains.
+admit a local model. Many restarts handle the non-convexity. The zero plateau
+is handled inside each restart: each drawn start costs one evaluation, and a
+start on the plateau is redrawn from the restart's own random stream for as
+long as budget remains.
 
-Nelder-Mead runs once, from the first start off the plateau, and hands over
-once it stalls: when its best value has risen by less than CONVERGENCE_TOL
-over the last n + 1 evaluations. The rest of the restart's budget goes to a
-quasi-Newton gradient ascent with Armijo backtracking. The gradient is exact
-and costs no extra LP solve. With y the optimal duals of the solve on the
-kept rows, the envelope theorem gives dF/dtheta = (1 - F) y . dP_keep/dtheta,
-because the tensor enters both the right-hand side and the F column. The
-Born layer pulls that weight vector back to the phases and state in one
-backward pass (correlation_tensor_vjp). At a degenerate optimum the gradient
-is one subgradient of several, so the restart keeps the Nelder-Mead point
-unless a step ascends.
+From the first start off the plateau, the rest of the restart's budget goes
+to a quasi-Newton gradient ascent with Armijo backtracking. The gradient is
+exact and costs no extra LP solve. With y the optimal duals of the solve on
+the kept rows, the envelope theorem gives dF/dtheta = (1 - F) y .
+dP_keep/dtheta, because the tensor enters both the right-hand side and the F
+column. The Born layer pulls that weight vector back to the phases and state
+in one backward pass (correlation_tensor_vjp). At a degenerate optimum the
+gradient is one subgradient of several, so the restart keeps its start unless
+a step ascends.
 
 Restart streams use counter-based keys (base seed, restart index), so results
 do not depend on scheduling order and any subset of restarts can be
@@ -28,7 +26,7 @@ reproduced in isolation.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -170,6 +168,11 @@ class OptimizationResult:
 def nelder_mead(f, start: ParameterVector, config: OptimizationConfig):
     """Maximize f by the reflect/expand/contract/shrink simplex iteration.
 
+    No restart calls it: a restart goes from its drawn start straight into the
+    gradient ascent (_polish), which reached the same bests with a fraction of
+    the evaluations. It stays because the benchmark's tracer
+    (perfbench/spans.py) looks this name up when it installs.
+
     Coefficients (1, 2, 0.5, 0.5). Terminates when the objective spread over
     the simplex drops below CONVERGENCE_TOL, when the best value is above
     FLAT_VALUE and rose by less than CONVERGENCE_TOL over the last n + 1
@@ -252,23 +255,25 @@ def nelder_mead(f, start: ParameterVector, config: OptimizationConfig):
 
 
 def _polish(objective, gradient, params: ParameterVector, value: float, budget: int):
-    """Quasi-Newton gradient ascent with Armijo backtracking from a Nelder-Mead endpoint.
+    """Quasi-Newton gradient ascent with Armijo backtracking from a restart's start.
 
-    objective(p) solves the LP at p, and gradient(p) then reads the exact
-    gradient there off that solve (None when it has none), so the ascent
-    first re-solves at the endpoint. Each step goes along H g, where H is the
-    BFGS inverse-curvature estimate built from the gradients of the accepted
-    points (the identity at first, so the first step is plain steepest
-    ascent). A step that does not gain its Armijo share ARMIJO * t * g.Hg is
-    halved; an accepted one updates H and the next step starts at full
-    length. The ascent stops after an accepted step that gains less than
-    POLISH_MIN_GAIN, when a trial step is shorter than POLISH_MIN_STEP, or
-    when the budget of evaluations is spent. At a degenerate optimum the
-    gradient is one subgradient of several and may ascend nowhere; the
-    endpoint then comes back unchanged. Returns (params, value, evaluations).
+    value is objective(params), and the caller's latest objective call must
+    have been the one at params: gradient(p) reads the exact gradient at p off
+    the solver state that the last objective(p) left (None when it has none),
+    so the ascent starts without re-solving its start. Each step goes along
+    H g, where H is the BFGS inverse-curvature estimate built from the
+    gradients of the accepted points (the identity at first, so the first
+    step is plain steepest ascent). A step that does not gain its Armijo share
+    ARMIJO * t * g.Hg is halved; an accepted one updates H and the next step
+    starts at full length. The ascent stops after an accepted step that gains
+    less than POLISH_MIN_GAIN, when a trial step is shorter than
+    POLISH_MIN_STEP, or when the budget of evaluations is spent. At a
+    degenerate optimum the gradient is one subgradient of several and may
+    ascend nowhere; the start then comes back unchanged. Returns (params,
+    value, evaluations), the evaluations counting trial steps only.
     """
-    point, current = params, objective(params)
-    evals = 1
+    point, current = params, value
+    evals = 0
     grad = gradient(params)
     inverse = None if grad is None else np.eye(grad.size)
     step = 1.0
@@ -375,14 +380,15 @@ def _objectives(solver: ThresholdSolver, pinned_state: PureState | None):
 
 
 def _run_restart(args):
-    """One restart: flat draws redrawn, then Nelder-Mead, then a gradient polish.
+    """One restart: flat draws redrawn, then the exact-gradient ascent.
 
     Each drawn start costs one evaluation. While its value is on the plateau
     and budget remains, the start is redrawn from the restart's own stream (a
-    pinned state stays pinned). Nelder-Mead then runs once, from the first
-    start off the plateau, with the budget that is left, and the polish takes
-    what Nelder-Mead leaves. A restart whose every draw is flat returns its
-    last draw. Draws, Nelder-Mead and polish share max_evals_per_restart.
+    pinned state stays pinned). The ascent (_polish) then climbs from the
+    first start off the plateau with the budget that is left, taking that
+    start's value and gradient from the evaluation that accepted it. A
+    restart whose every draw is flat returns its last draw. Draws and ascent
+    share max_evals_per_restart.
     """
     sc, config, index, fixed_coeffs, options = args
     key = np.array([config.rng_seed, index], dtype=np.uint64)
@@ -409,9 +415,6 @@ def _run_restart(args):
         if pinned_state is not None and config.mode == "phases_and_state":
             params = ParameterVector(sc, params.phase_params)
         value = counted(params)
-    if value > FLAT_VALUE and spent < budget:
-        params, value = nelder_mead(
-            counted, params, replace(config, max_evals_per_restart=budget - spent))
     if value > FLAT_VALUE and spent < budget:
         params, value, _ = _polish(counted, gradient, params, value, budget - spent)
     table = params.decode_settings().table

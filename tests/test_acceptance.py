@@ -1,9 +1,10 @@
 """Acceptance gate: every published benchmark at its stated tolerance.
 
 Each criterion prints one verdict line (bypassing capture so the line is
-always visible in the run log) and then asserts. The values several criteria
-read come from module-scoped fixtures, computed once by whichever criterion
-asks first, so any criterion can run on its own.
+always visible in the run log) and then asserts. A search's line also gives
+the evaluations (LP solves) it spent. The values several criteria read come
+from module-scoped fixtures, computed once by whichever criterion asks first,
+so any criterion can run on its own.
 """
 
 import sys
@@ -103,7 +104,7 @@ def test_criterion_2_three_qubits_phases(verdict, c2):
     ok = abs(res.best_f_thr - 0.500) <= 0.002 and elapsed < 120.0
     verdict(f"criterion 2: {'PASS' if ok else 'FAIL'} "
             f"(ghz(3,2) phases best={res.best_f_thr:.6f} vs 0.500±0.002, "
-            f"{elapsed:.1f}s < 120s)")
+            f"{res.evals} evaluations, {elapsed:.1f}s < 120s)")
     assert abs(res.best_f_thr - 0.500) <= 0.002
     assert elapsed < 120.0
 
@@ -113,7 +114,7 @@ def test_criterion_3_two_qutrits_phases(verdict, c3):
     ok = abs(res.best_f_thr - 0.3038) <= 0.002 and elapsed < 120.0
     verdict(f"criterion 3: {'PASS' if ok else 'FAIL'} "
             f"(ghz(2,3) phases best={res.best_f_thr:.6f} vs 0.3038±0.002, "
-            f"{elapsed:.1f}s < 120s)")
+            f"{res.evals} evaluations, {elapsed:.1f}s < 120s)")
     assert abs(res.best_f_thr - 0.3038) <= 0.002
     assert elapsed < 120.0
 
@@ -131,7 +132,7 @@ def test_criterion_4_two_qutrits_state_and_phases(verdict):
     ok = floor_ok and elapsed < 600.0
     verdict(f"criterion 4: {'PASS' if ok else 'FAIL'} "
             f"((2,3) state+phases best={res.best_f_thr:.6f} vs 0.3139±0.002, "
-            f"{elapsed:.1f}s < 600s{note})")
+            f"{res.evals} evaluations, {elapsed:.1f}s < 600s{note})")
     assert floor_ok
     assert elapsed < 600.0
 
@@ -147,7 +148,7 @@ def test_criterion_5_three_qutrits_state_and_phases(verdict, c5):
     verdict(f"criterion 5: {'PASS' if ok else 'FAIL'} "
             f"((3,3) state+phases best={res.best_f_thr:.6f} >= 0.569 "
             f"(target 0.571), tabulated-state restart {pinned_best:.6f} >= 0.5705, "
-            f"{elapsed:.0f}s <= 1800s{note})")
+            f"{res.evals} evaluations, {elapsed:.0f}s <= 1800s{note})")
     assert res.best_f_thr >= 0.569
     assert pinned_best >= 0.5705
     assert elapsed <= 1800.0

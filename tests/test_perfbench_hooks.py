@@ -75,13 +75,9 @@ def test_traced_optimize_records_search_spans():
     finally:
         tracer.uninstall()
     names = [span[0] for span in tracer.spans]
-    assert "search.nelder_mead" in names
     assert "probabilities.correlation_tensor" in names
-    assert names.count("threshold.value") >= result.evals
-    # the spans count Nelder-Mead's evaluations only; the gradient polish
-    # spends the rest of the budget, and result.evals counts both
-    nelder_mead_evals = sum(span[5][0] for span in tracer.spans if span[0] == "search.nelder_mead")
-    assert result.evals > nelder_mead_evals
+    # every evaluation is one warm re-solve: draws and ascent steps alike
+    assert names.count("threshold.value") == result.evals
 
 
 def test_cold_fallback_in_value_records_solve_lp_spans():

@@ -10,6 +10,9 @@ import pytest
 
 from lrthresh import (
     OptimizationConfig,
+    OptimizationResult,
+    PhaseSettings,
+    PureState,
     ReportError,
     Scenario,
     build_optimize_report,
@@ -166,6 +169,22 @@ def test_tampered_best_value_detected(optimize_report):
     assert any("f_thr mismatch" in p for p in problems), problems
     bad["optimizer"]["best_f_thr"] = bad["f_thr"] = float("nan")
     assert "field optimizer.best_f_thr holds a non-finite number" in verify_report(bad)
+
+
+def test_phases_only_report_with_another_state_detected(optimize_report):
+    # a consistent report for a state the phases-only search never looked at
+    sf = parse_scenario_file(GHZ23)
+    coeffs = np.random.default_rng(3).normal(size=9)
+    state = PureState(sf.scenario, coeffs / np.linalg.norm(coeffs))
+    settings = PhaseSettings(sf.scenario, np.asarray(optimize_report["optimizer"]["best_settings"]))
+    res = threshold(state, settings)
+    cfg = OptimizationConfig(restarts=1, rng_seed=11, max_evals_per_restart=120,
+                             mode="phases_only")
+    forged = build_optimize_report(
+        sf, OptimizationResult(res, settings, state, 120, ((0, res.f_thr),)), cfg,
+        ["optimize", "--seed", "11"], 2.0)
+    assert verify_report(forged) == [
+        "phases_only report's best_state is not the scenario's state"]
 
 
 @pytest.fixture

@@ -1,4 +1,4 @@
-"""Parameter encoding, Nelder-Mead, and the multi-start threshold maximizer."""
+"""Parameter encoding, the restart search, and the multi-start threshold maximizer."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from lrthresh import (
     ThresholdSolver,
     encode,
     ghz_state,
-    nelder_mead,
     optimize_phases,
     optimize_state_and_phases,
     paper_settings,
@@ -21,6 +20,7 @@ from lrthresh import (
     search,
     threshold,
 )
+from lrthresh.search import nelder_mead
 
 SC33 = Scenario(parties=3, dim=3, settings_per_party=2)
 SC23 = Scenario(parties=2, dim=3, settings_per_party=2)
@@ -385,11 +385,11 @@ JOINT23 = OptimizationConfig(restarts=4, rng_seed=1777477784, max_evals_per_rest
                              mode="phases_and_state")
 
 
-def test_nelder_mead_starts_off_the_plateau(monkeypatch):
-    values, draws, runs = [], [], []
+def test_ascent_starts_at_the_first_draw_off_the_plateau(monkeypatch):
+    values, draws, ascents = [], [], []
     original_value = ThresholdSolver.value
     original_start = search._restart_start
-    original_nelder_mead = search.nelder_mead
+    original_polish = search._polish
 
     def counted_value(self, tensor):
         values.append(original_value(self, tensor))
@@ -399,25 +399,31 @@ def test_nelder_mead_starts_off_the_plateau(monkeypatch):
         draws.append(len(values))
         return original_start(*args)
 
-    def watched(f, start, config):
-        runs.append((len(values), threshold(start.decode_state(), start.decode_settings()).f_thr))
-        return original_nelder_mead(f, start, config)
+    def watched(objective, gradient, params, value, budget):
+        solves = len(values)
+        outcome = original_polish(objective, gradient, params, value, budget)
+        exact = threshold(params.decode_state(), params.decode_settings()).f_thr
+        ascents.append((solves, value, exact, outcome[2]))
+        return outcome
 
     monkeypatch.setattr(ThresholdSolver, "value", counted_value)
     monkeypatch.setattr(search, "_restart_start", counted_start)
-    monkeypatch.setattr(search, "nelder_mead", watched)
+    monkeypatch.setattr(search, "_polish", watched)
     flat_draws = 0
     for index in range(JOINT23.restarts):
         values.clear()
         draws.clear()
-        runs.clear()
-        search._run_restart((SC23, JOINT23, index, None, None))
-        assert len(runs) == 1
-        solves, start_value = runs[0]
-        assert start_value > search.FLAT_VALUE
-        # each draw was solved once, and only the last one left the plateau
+        ascents.clear()
+        _, _, _, _, spent = search._run_restart((SC23, JOINT23, index, None, None))
+        assert len(ascents) == 1
+        solves, start_value, exact, ascent_evals = ascents[0]
+        # the ascent starts from the last draw, the only one off the plateau
         assert draws == list(range(solves))
-        assert max(values[:solves - 1], default=0.0) <= search.FLAT_VALUE < values[solves - 1]
+        assert start_value == values[solves - 1] > search.FLAT_VALUE
+        assert abs(start_value - exact) < 1e-9
+        assert max(values[:solves - 1], default=0.0) <= search.FLAT_VALUE
+        # that draw is solved once: the ascent's evaluations are its own steps
+        assert spent == solves + ascent_evals == len(values)
         flat_draws += solves - 1
     assert flat_draws > 0
 

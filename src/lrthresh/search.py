@@ -259,25 +259,25 @@ def _polish(objective, gradient, params: ParameterVector, value: float, budget: 
 
     value is objective(params), and the caller's latest objective call must
     have been the one at params: gradient(p) reads the exact gradient at p off
-    the solver state that the last objective(p) left (None when it has none),
-    so the ascent starts without re-solving its start. Each step goes along
-    H g, where H is the BFGS inverse-curvature estimate built from the
-    gradients of the accepted points (the identity at first, so the first
-    step is plain steepest ascent). A step that does not gain its Armijo share
-    ARMIJO * t * g.Hg is halved; an accepted one updates H and the next step
-    starts at full length. The ascent stops after an accepted step that gains
-    less than POLISH_MIN_GAIN, when a trial step is shorter than
-    POLISH_MIN_STEP, or when the budget of evaluations is spent. At a
-    degenerate optimum the gradient is one subgradient of several and may
-    ascend nowhere; the start then comes back unchanged. Returns (params,
-    value, evaluations), the evaluations counting trial steps only.
+    the solver state that the last objective(p) left, so the ascent starts
+    without re-solving its start. Each step goes along H g, where H is the
+    BFGS inverse-curvature estimate built from the gradients of the accepted
+    points (the identity at first, so the first step is plain steepest
+    ascent). A step that does not gain its Armijo share ARMIJO * t * g.Hg is
+    halved; an accepted one updates H and the next step starts at full
+    length. The ascent stops after an accepted step that gains less than
+    POLISH_MIN_GAIN, when a trial step is shorter than POLISH_MIN_STEP, or
+    when the budget of evaluations is spent. At a degenerate optimum the
+    gradient is one subgradient of several and may ascend nowhere; the start
+    then comes back unchanged. Returns (params, value, evaluations), the
+    evaluations counting trial steps only.
     """
     point, current = params, value
     evals = 0
     grad = gradient(params)
-    inverse = None if grad is None else np.eye(grad.size)
+    inverse = np.eye(grad.size)
     step = 1.0
-    while grad is not None and evals < budget:
+    while evals < budget:
         direction = inverse @ grad
         if step * float(np.linalg.norm(direction)) < POLISH_MIN_STEP:
             break
@@ -289,9 +289,9 @@ def _polish(objective, gradient, params: ParameterVector, value: float, budget: 
             continue
         gain = trial_value - current
         point, current = trial, trial_value
-        new_grad = gradient(trial)
-        if gain < POLISH_MIN_GAIN or new_grad is None:
+        if gain < POLISH_MIN_GAIN:
             break
+        new_grad = gradient(trial)
         s, y = step * direction, grad - new_grad  # y: the change in the gradient of -F
         sy = float(s @ y)
         if sy > 0.0:  # the update keeps H positive definite only under this curvature condition
@@ -354,8 +354,8 @@ def _objectives(solver: ThresholdSolver, pinned_state: PureState | None):
     objective(params) is the threshold at the decoded state and settings
     (-1 when they do not decode). gradient(params) reads dF/dparams off the
     solve that objective just made at params: the solver's tensor gradient
-    pulled back through the Born rule and the decoding; None when that solve
-    fell back to a cold one.
+    pulled back through the Born rule and the decoding. Call it only after
+    objective(params) returned a threshold; a failed solve raises instead.
     """
     def decode(params: ParameterVector) -> tuple[PhaseSettings, PureState]:
         settings = params.decode_settings()
@@ -369,10 +369,8 @@ def _objectives(solver: ThresholdSolver, pinned_state: PureState | None):
             return -1.0
         return solver.value(correlation_tensor(state, settings))
 
-    def gradient(params: ParameterVector) -> np.ndarray | None:
+    def gradient(params: ParameterVector) -> np.ndarray:
         weights = solver.tensor_gradient()
-        if weights is None:
-            return None
         settings, state = decode(params)
         return params.pullback(*correlation_tensor_vjp(state, settings, weights))
 

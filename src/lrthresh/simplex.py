@@ -53,7 +53,13 @@ class SolverFailure(RuntimeError):
 
     def __init__(self, status: str, detail: str = ""):
         self.status = status
+        self.detail = detail
         super().__init__(f"LP solve failed with status {status!r}" + (f": {detail}" if detail else ""))
+
+    def __reduce__(self):
+        # unpickling (a worker process's failure) calls __init__ with these,
+        # not with the formatted message
+        return type(self), (self.status, self.detail)
 
 
 @dataclass

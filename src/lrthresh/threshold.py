@@ -31,13 +31,11 @@ from .simplex import (
     OPTIMAL,
     BoundedSimplex,
     LinearProgram,
-    LPSolution,
     SolverFailure,
     SolverOptions,
     certified_lower_bound,
-    solve_lp,
 )
-from .simplex import independent_rows  # noqa: F401  unused; perfbench/spans.py patches it here
+from .simplex import independent_rows, solve_lp  # noqa: F401  perfbench/spans.py patches these
 
 WITNESS_MARGINAL_TOL = 1e-8
 CERTIFICATE_GAP_TOL = 1e-8
@@ -262,47 +260,6 @@ def exact_bracket(
             Fraction(abs(int(w.sum()) - one), one))
 
 
-def _package(
-    lp: LinearProgram,
-    tensor: CorrelationTensor,
-    primal: np.ndarray,
-    dual_full: np.ndarray,
-    iterations: int,
-    runtime: float,
-    warm: bool,
-) -> ThresholdResult:
-    """Check an optimal primal/dual pair and wrap it as a ThresholdResult.
-
-    The weights must be a local model of the tensor at noise f_thr on every
-    marginal row (witness_residual), and the dual must bound the optimum from
-    below to within CERTIFICATE_GAP_TOL; otherwise SolverFailure.
-    """
-    f_thr = float(primal[-1])
-    witness = JointDistribution(tensor.scenario, primal[:-1])
-    residual = max(witness_residual(tensor, f_thr, primal[:-1]))
-    bound = certified_lower_bound(lp, dual_full)
-    gap = f_thr - bound
-    if residual > WITNESS_MARGINAL_TOL:
-        raise SolverFailure("numerical", f"witness marginal residual {residual:.3e}")
-    if gap > CERTIFICATE_GAP_TOL:
-        raise SolverFailure("numerical", f"certificate gap {gap:.3e}")
-    certificate = {
-        "dual": dual_full,
-        "lower_bound": bound,
-        "gap": gap,
-        "marginal_residual": residual,
-    }
-    stats = {
-        "status": OPTIMAL,
-        "iterations": iterations,
-        "runtime_s": runtime,
-        "warm_start": warm,
-        "rows": lp.num_rows,
-        "variables": lp.num_vars,
-    }
-    return ThresholdResult(f_thr, witness, certificate, stats)
-
-
 class _BasisRing:
     """The last few optimal states of a BoundedSimplex, keyed by their rhs.
 
@@ -359,7 +316,8 @@ class ThresholdSolver:
     basis. A warm solve starts from whichever of the solver's last
     _RING_SIZE optimal states has the nearest tensor (L1 over the kept
     rows). Either way a dual-simplex repair followed by a primal cleanup
-    finishes the solve.
+    finishes the solve. A failed warm repair is retried once from the
+    closed-form basis; a failed retry raises SolverFailure.
     value() returns just the optimum for tight optimization loops; solve()
     adds the witness and certificate.
     """
@@ -379,6 +337,7 @@ class ThresholdSolver:
         self._shift = 1.0 / sc.dim ** sc.parties  # each kept row's uniform-noise entry
         self._ring: _BasisRing | None = None  # allocated by the first warm solve
         self.last_pivots = 0
+        self.last_warm = False  # whether the last solve finished from a saved state
 
     def _restore_nearest(self, b: np.ndarray) -> None:
         """Move the core to the ring's optimal state nearest to rhs b.
@@ -392,8 +351,19 @@ class ThresholdSolver:
         if k != last:
             self._ring.restore(k, self._core)
 
+    def _forget(self) -> None:
+        """After a failure the core may be half updated: start the next call cold."""
+        self._have_last = False
+        if self._ring is not None:
+            self._ring.count = 0
+
     def _solve_core(self, tensor: CorrelationTensor) -> BoundedSimplex:
-        """Bring the shared core to a verified optimum for this tensor."""
+        """Bring the shared core to a verified optimum for this tensor.
+
+        A warm repair that stops short of an optimum, or raises, is retried
+        from the closed-form basis. If the retry fails as well, the solver
+        forgets its saved states and SolverFailure is raised.
+        """
         if tensor.scenario != self.scenario:
             raise ScenarioMismatchError("tensor does not belong to this solver's scenario")
         core = self._core
@@ -404,51 +374,38 @@ class ThresholdSolver:
         mixing = b - self._shift
         pivots_before = core.pivots
 
-        status = None
+        warm = False
         if self._have_last:
             # patch the one changed column into the factorization of the last basis
             if core.replace_column(core.n - 1, mixing):
                 core.recompute_basics()
-                status = core.repair(self._objective)
-                if status != OPTIMAL:
-                    status = None
+                try:
+                    warm = core.repair(self._objective) == OPTIMAL
+                except SolverFailure:
+                    pass  # a singular refactor mid-repair; the retry below starts afresh
         else:
             core.set_column(core.n - 1, mixing)
-        if status is None:
+        if not warm:
             # with F nonbasic at 0 every basic variable is a weight, so the
             # duals are 0, the reduced costs equal the objective, and any basis
             # of assignment columns is dual feasible for min F
-            core.set_basis(self._basis, np.zeros(core.n, dtype=bool),
-                           _collins_gisin_inverse(self.scenario))
-            status = core.repair(self._objective)
+            try:
+                core.set_basis(self._basis, np.zeros(core.n, dtype=bool),
+                               _collins_gisin_inverse(self.scenario))
+                status = core.repair(self._objective)
+                if status != OPTIMAL:
+                    raise SolverFailure(status, "threshold solve did not reach an optimum")
+            except SolverFailure:
+                self._forget()
+                raise
         self.last_pivots = core.pivots - pivots_before
-        if status != OPTIMAL:
-            raise SolverFailure(status, "warm-started threshold solve did not reach an optimum")
+        self.last_warm = warm
         self._have_last = True
         return core
 
-    def _cold_solve(self, lp: LinearProgram) -> LPSolution:
-        """Fallback after a failed warm solve: solve_lp from scratch, or raise.
-
-        The core's basis and inverse may be half-updated after a failure, so
-        the next call starts again from the closed-form basis, and the ring
-        of saved states is emptied.
-        """
-        self._have_last = False
-        if self._ring is not None:
-            self._ring.count = 0
-        sol = solve_lp(lp, self.options)
-        if sol.status != OPTIMAL:
-            raise SolverFailure(sol.status, "threshold solve did not reach an optimum")
-        return sol
-
     def value(self, tensor: CorrelationTensor) -> float:
         """The threshold alone, without witness or certificate packaging."""
-        try:
-            core = self._solve_core(tensor)
-        except SolverFailure:
-            return float(self._cold_solve(build_threshold_lp(tensor)).primal[-1])
-        return float(core.x[-1])
+        return float(self._solve_core(tensor).x[-1])
 
     def tensor_gradient(self) -> np.ndarray | None:
         """dF/dP at the tensor of the last value() call, one entry per flat-tensor entry.
@@ -457,8 +414,8 @@ class ThresholdSolver:
         right-hand side and the F column, so by the envelope theorem
         dF = (1 - F) y . dP_keep; the dropped rows get 0. At a degenerate
         optimum the duals are not unique and this is one subgradient of
-        several. None when the last call fell back to a cold solve, which
-        leaves no valid basis behind.
+        several. None before the first solve and after a solve that raised
+        SolverFailure; every call that returns leaves an optimal basis.
         """
         if not self._have_last:
             return None
@@ -468,22 +425,50 @@ class ThresholdSolver:
         return grad
 
     def solve(self, tensor: CorrelationTensor) -> ThresholdResult:
+        """The threshold with its witness and dual certificate.
+
+        The optimum is refactored and re-checked first, so the certificate
+        comes from exact factors, not accumulated updates. The weights must
+        be a local model of the tensor at noise f_thr on every marginal row
+        (witness_residual), and the dual must bound the optimum from below to
+        within CERTIFICATE_GAP_TOL; otherwise SolverFailure.
+        """
         start = time.perf_counter()
         lp = build_threshold_lp(tensor)
+        core = self._solve_core(tensor)
         try:
-            core = self._solve_core(tensor)
-            # certificates come from exact factors, not accumulated updates
             core.refactor()
             if core.run(self._objective) != OPTIMAL:
                 raise SolverFailure("numerical", "re-verification after refactor failed")
         except SolverFailure:
-            sol = self._cold_solve(lp)
-            return _package(lp, tensor, sol.primal, sol.dual, sol.iterations,
-                            time.perf_counter() - start, warm=False)
-        dual_full = np.zeros(lp.num_rows)
-        dual_full[self._keep] = core.duals(self._objective)
-        return _package(lp, tensor, core.x.copy(), dual_full, self.last_pivots,
-                        time.perf_counter() - start, warm=True)
+            self._forget()
+            raise
+        dual = np.zeros(lp.num_rows)
+        dual[self._keep] = core.duals(self._objective)
+        f_thr = float(core.x[-1])
+        witness = JointDistribution(tensor.scenario, core.x[:-1])  # copies the weights
+        residual = max(witness_residual(tensor, f_thr, core.x[:-1]))
+        bound = certified_lower_bound(lp, dual)
+        gap = f_thr - bound
+        if residual > WITNESS_MARGINAL_TOL:
+            raise SolverFailure("numerical", f"witness marginal residual {residual:.3e}")
+        if gap > CERTIFICATE_GAP_TOL:
+            raise SolverFailure("numerical", f"certificate gap {gap:.3e}")
+        certificate = {
+            "dual": dual,
+            "lower_bound": bound,
+            "gap": gap,
+            "marginal_residual": residual,
+        }
+        stats = {
+            "status": OPTIMAL,
+            "iterations": self.last_pivots,
+            "runtime_s": time.perf_counter() - start,
+            "warm_start": self.last_warm,
+            "rows": lp.num_rows,
+            "variables": lp.num_vars,
+        }
+        return ThresholdResult(f_thr, witness, certificate, stats)
 
 
 def threshold_from_tensor(

@@ -316,6 +316,24 @@ def test_input_error_exit_codes(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", [
+    ["threshold"],
+    ["optimize", "--mode", "phases", "--restarts", "2", "--max-evals", "50", "--workers", "1"],
+], ids=["threshold", "optimize"])
+def test_solver_failure_exits_three(capsys, monkeypatch, tmp_path, command):
+    scen = tmp_path / "ghz23.yaml"
+    scen.write_text(GHZ23)
+
+    def fail(*args):
+        raise simplex.SolverFailure("iteration_limit", "injected")
+
+    monkeypatch.setattr(simplex.BoundedSimplex, "dual_run", fail)
+    assert main([command[0], "--scenario", str(scen), *command[1:]]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "solver error: LP solve failed with status 'iteration_limit': injected\n"
+
+
 def test_bad_flags_exit_two(capsys):
     assert main(["optimize", "--mode", "everything"]) == 2
     capsys.readouterr()

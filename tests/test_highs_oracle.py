@@ -3,7 +3,7 @@
 Random real states and phase walks drive the warm ThresholdSolver.value()
 re-solves (rank-one column patch, dual repair, primal cleanup) and the
 certified solve(); fresh solvers check the cold start from the closed-form
-basis, and solve_lp, the solver's cold fallback, runs on the full LP. Every
+basis, and solve_lp, the general LP entry point, runs on the full LP. Every
 value must match HiGHS on build_threshold_lp. The exact bracket
 that verify checks must agree with the solver's float certificate, and its
 bound must stay below HiGHS's optimum for any dual.

@@ -5,15 +5,17 @@ perfbench/spans.py wraps names such as ``lrthresh.cli.feasible_at`` and
 tracer here makes deleting one of those names fail this suite, instead of
 breaking only the benchmark's traced runs. A name can also stay in place but
 stop being called, which install() cannot see, so the Born layer's two spans,
-the search's spans and a cold fallback's spans are checked on real calls.
+the search's spans and the spans of a failed solve are checked on real calls.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from lrthresh import (OptimizationConfig, PhaseSettings, Scenario, SolverFailure,
-                      ThresholdSolver, correlation_tensor, ghz_state)
+                      correlation_tensor, ghz_state)
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -80,31 +82,31 @@ def test_traced_optimize_records_search_spans():
     assert names.count("threshold.value") == result.evals
 
 
-def test_cold_fallback_in_value_records_solve_lp_spans():
+def test_failed_value_closes_its_spans(monkeypatch):
+    simplex = importlib.import_module("lrthresh.simplex")
     threshold = importlib.import_module("lrthresh.threshold")
     sc = Scenario(parties=2, dim=3)
     tensor = correlation_tensor(ghz_state(sc), PhaseSettings(sc, [[[0.0, 1.0, 2.0]] * 2] * 2))
-    expected = ThresholdSolver(sc).value(tensor)
 
-    def fail(_):
-        raise SolverFailure("numerical", "forced fallback")
+    def fail(*args):
+        raise SolverFailure("numerical", "injected")
 
+    monkeypatch.setattr(simplex.BoundedSimplex, "dual_run", fail)
     spans = load_spans()
     tracer = spans.Tracer()
     try:
         tracer.install()
         solver = threshold.ThresholdSolver(sc)
-        solver._solve_core = fail
-        value = solver.value(tensor)
+        with pytest.raises(SolverFailure, match="injected"):
+            solver.value(tensor)
+        assert not tracer._stack  # every span the failure crossed was popped
     finally:
         tracer.uninstall()
-    assert abs(value - expected) < 1e-9
     names = [span[0] for span in tracer.spans]
-    value_span = names.index("threshold.value")
-    solve_lp_span = names.index("simplex.solve_lp")
-    assert tracer.spans[solve_lp_span][3] == value_span
-    children = [span[0] for span in tracer.spans if span[3] == solve_lp_span]
-    assert "simplex.dual_run" in children
-    assert "simplex.run" in children
+    assert names == ["threshold.solver_init", "threshold.value", "simplex.dual_run"]
+    value_span, dual_span = tracer.spans[1], tracer.spans[2]
+    assert dual_span[3] == 1  # the failed repair ran inside value
+    assert value_span[1] <= dual_span[1] <= dual_span[2] <= value_span[2]
     metrics = spans.layer_metrics(tracer.spans, 1, 1, 0.0, {})
-    assert metrics["threshold.value_cold_fallbacks"] == 1
+    assert metrics["threshold.value_cold_fallbacks"] == 0
+    assert metrics["simplex.solve_lp_calls"] == 0

@@ -1,5 +1,7 @@
 """In-repo bounded-variable simplex: statuses, oracle agreement, dump format."""
 
+import pickle
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -236,6 +238,10 @@ def test_solver_failure_carries_status():
     err = SolverFailure(INFEASIBLE, "detail text")
     assert err.status == INFEASIBLE
     assert "detail text" in str(err)
+    # a failure in a restart worker reaches the caller pickled; its message is not wrapped again
+    back = pickle.loads(pickle.dumps(err))
+    assert back.status == INFEASIBLE
+    assert str(back) == str(err)
 
 
 def sparse_problem(rng, r, n, density=0.04):

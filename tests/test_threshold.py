@@ -12,6 +12,7 @@ from lrthresh import (
     CorrelationTensor,
     JointDistribution,
     LinearProgram,
+    OptimizationConfig,
     PhaseSettings,
     PureState,
     Scenario,
@@ -22,6 +23,7 @@ from lrthresh import (
     correlation_tensor,
     feasible_at,
     ghz_state,
+    optimize_state_and_phases,
     paper_settings,
     product_state,
     threshold,
@@ -60,6 +62,10 @@ def random_settings(sc, rng):
 
 def ghz_maxent_tensor():
     return correlation_tensor(ghz_state(SC33), paper_settings("maxent_3qutrit"))
+
+
+def no_solve_lp(*args, **kwargs):
+    raise AssertionError("the threshold solver ran solve_lp")
 
 
 def test_lp_dimensions_three_qutrits():
@@ -186,13 +192,78 @@ def test_failed_warm_solve_restarts_from_cached_vertex(rng, monkeypatch):
     def fail(*args):
         raise SolverFailure("numerical", "injected")
 
+    monkeypatch.setattr(threshold_module, "solve_lp", no_solve_lp)
     monkeypatch.setattr(solver._core, "dual_run", fail)
-    assert abs(solver.value(t2) - want) < 1e-9  # answered by the cold fallback
+    with pytest.raises(SolverFailure, match="injected"):  # the closed-form retry fails too
+        solver.value(t2)
     monkeypatch.undo()
     assert solver._ring.count == 0
     # neither the half-repaired basis of the failed call nor a saved state is reused
     assert solver.value(t2) == want
     assert solver.last_pivots == fresh.last_pivots
+    assert not solver.last_warm
+
+
+@pytest.mark.parametrize("failure", ["raises", "stops short"])
+def test_failed_warm_repair_is_retried_from_the_closed_form(rng, monkeypatch, failure):
+    st = ghz_state(SC23)
+    t1, t2 = (correlation_tensor(st, random_settings(SC23, rng)) for _ in range(2))
+    fresh = ThresholdSolver(SC23)
+    want = fresh.value(t2)
+    solver = ThresholdSolver(SC23)
+    solver.value(t1)
+    dual_run = solver._core.dual_run
+    failed = []
+
+    def fail_once(c):
+        if failed:
+            return dual_run(c)
+        failed.append(c)
+        if failure == "raises":
+            raise SolverFailure("numerical", "injected")
+        return "iteration_limit"
+
+    monkeypatch.setattr(solver._core, "dual_run", fail_once)
+    assert solver.value(t2) == want
+    assert solver.last_pivots == fresh.last_pivots
+    assert not solver.last_warm
+    assert solver._ring.count == 1  # a recovered failure keeps the saved states
+
+
+@pytest.mark.parametrize("broken", ["dual_run", "refactor"])
+def test_failed_certified_solve_raises_and_forgets(rng, monkeypatch, broken):
+    # dual_run fails the repair itself, refactor the re-check after it
+    st = ghz_state(SC23)
+    t1, t2, t3 = (correlation_tensor(st, random_settings(SC23, rng)) for _ in range(3))
+    want = ThresholdSolver(SC23).solve(t2)
+    solver = ThresholdSolver(SC23)
+    for t in (t1, t3, t1):
+        solver.solve(t)
+
+    def fail(*args):
+        raise SolverFailure("numerical", "injected")
+
+    monkeypatch.setattr(threshold_module, "solve_lp", no_solve_lp)
+    monkeypatch.setattr(solver._core, broken, fail)
+    with pytest.raises(SolverFailure, match="injected"):
+        solver.solve(t2)
+    monkeypatch.undo()
+    assert solver._ring.count == 0
+    assert solver.tensor_gradient() is None
+    got = solver.solve(t2)
+    assert got.f_thr == want.f_thr
+    assert got.solver_stats["iterations"] == want.solver_stats["iterations"]
+    assert not got.solver_stats["warm_start"]
+
+
+def test_solve_reports_whether_it_started_warm(rng):
+    settings = paper_settings("maxent_3qutrit")
+    assert not threshold(ghz_state(SC33), settings).solver_stats["warm_start"]
+    solver = ThresholdSolver(SC33)
+    nearby = PhaseSettings(SC33, settings.table + 0.01 * rng.normal(size=settings.table.shape))
+    stats = [solver.solve(correlation_tensor(ghz_state(SC33), s)).solver_stats
+             for s in (settings, nearby)]
+    assert [s["warm_start"] for s in stats] == [False, True]
 
 
 def revisiting_walk(sc, seed, steps):
@@ -269,7 +340,8 @@ def test_tensor_gradient_needs_a_warm_basis(rng, monkeypatch):
         raise SolverFailure("numerical", "injected")
 
     monkeypatch.setattr(solver._core, "dual_run", fail)
-    solver.value(t2)  # answered by the cold fallback, which leaves no basis
+    with pytest.raises(SolverFailure):  # a raised failure leaves no basis
+        solver.value(t2)
     assert solver.tensor_gradient() is None
 
 
@@ -291,22 +363,16 @@ def test_warm_value_checks_the_primal_residual_once(rng):
 
 def test_long_lived_solver_keeps_warm_solving():
     # the pivot limit counts per call: a solver that has pivoted 100 * n times
-    # over its life still re-solves warm instead of falling back to solve_lp
+    # over its life still re-solves warm instead of restarting from the closed form
     solver = ThresholdSolver(SC23)
-    fallbacks = []
-    cold = solver._cold_solve
-
-    def spy(lp):
-        fallbacks.append(lp)
-        return cold(lp)
-
-    solver._cold_solve = spy
     rng = np.random.default_rng(0)
     st = ghz_state(SC23)
+    cold = 0
     for _ in range(600):  # long enough to pass 100 * n pivots from the nearest saved basis
         solver.value(correlation_tensor(st, random_settings(SC23, rng)))
+        cold += not solver.last_warm
     assert solver._core.pivots > 100 * solver._core.n
-    assert not fallbacks
+    assert cold == 1  # the first call, with no saved state to start from
 
 
 def full_feasibility_lp(sc, probs):
@@ -429,13 +495,16 @@ def test_feasible_at_rejects_tensor_inconsistent_on_dropped_row():
 
 
 def test_feasible_at_runs_no_lp_of_its_own(monkeypatch):
-    def no_solve_lp(*args, **kwargs):
-        raise AssertionError("feasible_at ran an LP of its own")
-
     monkeypatch.setattr(threshold_module, "solve_lp", no_solve_lp)
+    monkeypatch.setattr(simplex, "solve_lp", no_solve_lp)
     tensor = ghz_maxent_tensor()
     assert not feasible_at(tensor, 0.3)
     assert feasible_at(tensor, 0.5)
+    # nor does a certified solve or a search
+    assert abs(threshold(ghz_state(SC33), paper_settings("maxent_3qutrit")).f_thr - 0.4) < 1e-9
+    cfg = OptimizationConfig(restarts=2, rng_seed=1, max_evals_per_restart=60,
+                             mode="phases_and_state")
+    assert optimize_state_and_phases(SC23, cfg).best_f_thr > 0.0
 
 
 def test_witness_residual_scores_certified_witness(rng):

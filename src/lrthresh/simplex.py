@@ -10,12 +10,17 @@ dependent equality rows; callers that know a dual feasible basis, or a
 recent optimum, drive BoundedSimplex directly.
 
 The basis inverse is a dense matrix kept current by product-form rank-one
-updates. On large sparse matrices (the 0/1 assignment columns of the
-threshold LP from (3,3) up) row pricing y @ A runs through a CSR copy of A^T,
-each rank-one update is one in-place BLAS call, and a refactor inverts
-through a LAPACK LU factorization; small or dense matrices keep plain
-numpy, which is faster there. The choice is made once per
-matrix from its shape and nonzero count and does not change pivot rules.
+updates. It is rebuilt only where that is needed: when a cheap probe every
+_REFACTOR_EVERY basis changes finds it has drifted, and when run re-checks
+an optimum before claiming it on more than _REFACTOR_EVERY updates. Neither
+ratio test pivots on rounding noise: a chosen pivot entry under
+_SMALL_PIVOT is chosen again among the entries that are not tiny next to
+the largest. On large sparse matrices (the 0/1 assignment columns of the
+threshold LP from (3,3) up) row pricing y @ A runs through a CSR copy of
+A^T, each rank-one update is one in-place BLAS call, and a refactor
+inverts through a LAPACK LU factorization; small or dense matrices keep
+plain numpy, which is faster there. The choice is made once per matrix
+from its shape and nonzero count and does not change pivot rules.
 
 Determinism: identical inputs take identical pivot sequences. Entering
 variables are picked by most-negative reduced cost (ties to the smallest
@@ -24,6 +29,7 @@ index) until a run of degenerate pivots trips Bland's smallest-index rule.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,9 +48,12 @@ _SPARSE_MIN_ENTRIES = 50_000
 _SPARSE_MAX_DENSITY = 0.1
 
 _PIVOT_TOL = 1e-10       # smallest |entry| accepted as a pivot
+_SMALL_PIVOT = 1e-7      # a chosen pivot below this is checked against its row's largest entry
+_NOISE_FLOOR = 1e-9      # ... and entries under this fraction of that largest one are left out
 _DEGEN_TOL = 1e-11       # steps this short count as degenerate
 _BLAND_STREAK = 50       # degenerate pivots before the smallest-index rule kicks in
-_REFACTOR_EVERY = 100    # basis changes between full refactorizations
+_REFACTOR_EVERY = 100    # basis changes between drift probes of the inverse
+_DRIFT_TOL = 1e-9        # a probe missing by more than this rebuilds the inverse
 _PIVOTS_PER_COLUMN = 100  # each run or dual_run call stops after this many pivots per column
 
 
@@ -169,21 +178,69 @@ def independent_rows(
     return keep, [pivot_col[row] for row in keep], consistent
 
 
+def pricing_copy(A: np.ndarray, full_rows=()) -> sp.csr_array | None:
+    """The CSR copy of A^T that BoundedSimplex prices through, or None.
+
+    None where plain numpy is faster: below _SPARSE_MIN_ENTRIES matrix
+    entries, or above _SPARSE_MAX_DENSITY of them nonzero. Each column in
+    full_rows gets a full row of the copy, zeros included, so that writes to
+    that column only overwrite values.
+    """
+    entries = A.size
+    if entries < _SPARSE_MIN_ENTRIES or np.count_nonzero(A) > _SPARSE_MAX_DENSITY * entries:
+        return None
+    At = sp.csr_array(A.T)
+    for j in full_rows:
+        At = _with_full_row(At, j)
+    return At
+
+
+def _with_full_row(At: sp.csr_array, j: int) -> sp.csr_array:
+    """At with row j stored in full, one entry per column, values unchanged."""
+    r = At.shape[1]
+    start, end = At.indptr[j], At.indptr[j + 1]
+    row = np.zeros(r)
+    row[At.indices[start:end]] = At.data[start:end]
+    indptr = At.indptr.copy()
+    indptr[j + 1:] += r - (end - start)
+    indices = np.concatenate([At.indices[:start], np.arange(r, dtype=At.indices.dtype),
+                              At.indices[end:]])
+    data = np.concatenate([At.data[:start], row, At.data[end:]])
+    return sp.csr_array((data, indices, indptr), shape=At.shape)
+
+
+@functools.cache
+def _probe_vector(r: int) -> np.ndarray:
+    """The fixed vector v of the drift probe ||Binv (B v) - v||, one per size."""
+    v = np.random.default_rng(0).uniform(-1.0, 1.0, r)
+    v.flags.writeable = False
+    return v
+
+
 class BoundedSimplex:
     """Revised simplex core over boxed variables; callers pick the starting basis.
 
-    The basis inverse is maintained by product-form updates and rebuilt from
-    scratch every ``_REFACTOR_EVERY`` basis changes (and before an optimality
-    claim), which also resets accumulated drift in the basic values. Each
-    ``run`` or ``dual_run`` call stops after ``_PIVOTS_PER_COLUMN`` pivots
-    per column of its own; ``pivots`` counts over the core's life.
+    The basis inverse is maintained by product-form updates. Every
+    ``_REFACTOR_EVERY`` basis changes a probe measures its drift,
+    ||Binv (B v) - v|| for one fixed vector v, and only a miss above
+    ``_DRIFT_TOL`` rebuilds it from scratch. ``run`` also refactors and
+    re-checks before it claims an optimum once more than
+    ``_REFACTOR_EVERY`` updates have piled up. Both ratio tests refuse a
+    pivot on rounding noise: a chosen pivot entry below ``_SMALL_PIVOT`` is
+    chosen again among the entries above ``_NOISE_FLOOR`` times the largest
+    one. Each ``run`` or ``dual_run`` call stops after
+    ``_PIVOTS_PER_COLUMN`` pivots per column of its own; ``pivots`` counts
+    over the core's life.
 
     ``A`` is read-only: every write goes through ``set_column``, which keeps
-    the sparse pricing copy in step with it.
+    the sparse pricing copy in step with it. ``pricing``, a
+    ``pricing_copy`` of A built ahead, saves building one here: the core
+    shares its index arrays and copies only its values.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, lower: np.ndarray,
-                 upper: np.ndarray, opts: SolverOptions):
+                 upper: np.ndarray, opts: SolverOptions,
+                 pricing: sp.csr_array | None = None):
         self._A = np.array(A, dtype=float, order="C")
         self.A = self._A.view()
         self.A.flags.writeable = False
@@ -205,19 +262,18 @@ class BoundedSimplex:
         self.stale_updates = 0  # eta/rank-1 updates applied since the last true refactor
         self._degen_streak = 0
         self._bland = False
-        entries = self.r * self.n
         self._At = None      # CSR copy of A^T for pricing, on the sparse path only
         self._gemm = None
         self._getrf = self._getri = None
         self._matvec = None
-        if (entries >= _SPARSE_MIN_ENTRIES
-                and np.count_nonzero(self._A) <= _SPARSE_MAX_DENSITY * entries):
+        At = pricing_copy(self._A) if pricing is None else pricing
+        if At is not None:
             # scipy.linalg.blas loads scipy.linalg, and with it the lapack module
             from scipy.linalg.blas import dgemm
             from scipy.linalg.lapack import dgetrf, dgetri
             from scipy.sparse._sparsetools import csr_matvec
 
-            self._At = sp.csr_array(self._A.T)
+            self._At = sp.csr_array((At.data.copy(), At.indices, At.indptr), shape=At.shape)
             self._gemm = dgemm
             self._getrf, self._getri = dgetrf, dgetri
             self._matvec = csr_matvec
@@ -272,6 +328,22 @@ class BoundedSimplex:
         self.stale_updates = 0
         self.recompute_basics()
 
+    def _refactor_if_drifted(self) -> bool:
+        """Refactor when the updated inverse has drifted; True when it did.
+
+        The probe is ||Binv (B v) - v||_inf for the fixed _probe_vector v, two
+        matrix-vector products against the r^3 flops of a refactor. A miss
+        above _DRIFT_TOL refactors.
+        """
+        v = _probe_vector(self.r)
+        u = np.zeros(self.n)
+        u[self.basis] = v
+        drift = np.max(np.abs(self.Binv @ (self.A @ u) - v))
+        if drift <= _DRIFT_TOL:
+            return False
+        self.refactor()
+        return True
+
     def recompute_basics(self) -> None:
         if self.r == 0:
             return
@@ -293,13 +365,7 @@ class BoundedSimplex:
             return
         start, end = At.indptr[j], At.indptr[j + 1]
         if end - start != self.r:
-            indptr = At.indptr.copy()
-            indptr[j + 1:] += self.r - (end - start)
-            indices = np.concatenate([At.indices[:start],
-                                      np.arange(self.r, dtype=At.indices.dtype),
-                                      At.indices[end:]])
-            data = np.concatenate([At.data[:start], np.zeros(self.r), At.data[end:]])
-            self._At = At = sp.csr_array((data, indices, indptr), shape=At.shape)
+            self._At = At = _with_full_row(At, j)
             end = start + self.r
         At.data[start:end] = self._A[:, j]
 
@@ -412,12 +478,15 @@ class BoundedSimplex:
             xB = self.x[self.basis]
             lB = self.lower[self.basis]
             uB = self.upper[self.basis]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t_down = np.where(d < -_PIVOT_TOL, (xB - lB) / -d, np.inf)
-                t_up = np.where(d > _PIVOT_TOL, (uB - xB) / d, np.inf)
-            t_rows = np.minimum(t_down, t_up)
-            np.maximum(t_rows, 0.0, out=t_rows)  # drift can make a ratio slightly negative
-            t_row_min = float(np.min(t_rows)) if self.r else np.inf
+            if self.r:
+                t_row_min, t, i_star = self._leaving_row(d, xB, lB, uB, _PIVOT_TOL)
+                if abs(d[i_star]) < _SMALL_PIVOT:
+                    # d_i may be rounding noise: leave out the rows that are
+                    # noise next to the largest entry
+                    floor = max(_PIVOT_TOL, _NOISE_FLOOR * float(np.abs(d).max()))
+                    t_row_min, t, i_star = self._leaving_row(d, xB, lB, uB, floor)
+            else:
+                t_row_min = np.inf
 
             t_bound = self.upper[j] - self.lower[j]
             if t_bound < t_row_min:
@@ -429,13 +498,6 @@ class BoundedSimplex:
                 self.pivots += 1
                 self._note_step(t_bound)
                 continue
-
-            ties = np.flatnonzero(t_rows <= t_row_min + 1e-15)
-            if self._bland:
-                i_star = int(ties[np.argmin(self.basis[ties])])
-            else:
-                i_star = int(ties[np.argmax(np.abs(d[ties]))])
-            t = float(t_rows[i_star])
 
             self.x[j] += sigma * t
             self.x[self.basis] = xB + t * d
@@ -450,8 +512,42 @@ class BoundedSimplex:
             self.pivots += 1
             self.basis_changes += 1
             if self.basis_changes % _REFACTOR_EVERY == 0:
-                self.refactor()
+                self._refactor_if_drifted()
             self._note_step(t)
+
+    def _leaving_row(self, d: np.ndarray, xB: np.ndarray, lB: np.ndarray,
+                     uB: np.ndarray, tol: float) -> tuple[float, float, int]:
+        """Primal ratio test over the entries |d_i| > tol.
+
+        Returns (the smallest step a row allows, the step the leaving row
+        allows, the leaving row): among the rows within 1e-15 of the
+        smallest step, the largest |d_i|, or under Bland's rule the smallest
+        basic index.
+        """
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_down = np.where(d < -tol, (xB - lB) / -d, np.inf)
+            t_up = np.where(d > tol, (uB - xB) / d, np.inf)
+        t_rows = np.minimum(t_down, t_up)
+        np.maximum(t_rows, 0.0, out=t_rows)  # drift can make a ratio slightly negative
+        t_row_min = float(np.min(t_rows))
+        ties = np.flatnonzero(t_rows <= t_row_min + 1e-15)
+        if self._bland:
+            i = int(ties[np.argmin(self.basis[ties])])
+        else:
+            i = int(ties[np.argmax(np.abs(d[ties]))])
+        return t_row_min, float(t_rows[i]), i
+
+    def _entering_column(self, cand: np.ndarray, z: np.ndarray, alpha: np.ndarray) -> int:
+        """Dual ratio test over the admissible columns cand.
+
+        Among the columns within 1e-12 of the smallest |z_j / alpha_j|, the
+        largest |alpha_j|, or under Bland's rule the smallest index.
+        """
+        ratios = np.abs(z[cand] / alpha[cand])
+        ties = cand[ratios <= float(ratios.min()) + 1e-12]
+        if self._bland:
+            return int(ties.min())
+        return int(ties[np.abs(alpha[ties]).argmax()])
 
     def _exchange(self, i: int, j: int, w: np.ndarray) -> int:
         """Swap column j into basis position i; returns the leaving column.
@@ -487,14 +583,18 @@ class BoundedSimplex:
         once the basics are within bounds (the caller should confirm with a
         primal run), INFEASIBLE if a violated row has no admissible column.
 
-        The reduced costs are priced on entry and after every refactor, and in
-        between carried across pivots by z <- z - (z_j / alpha_j) alpha, so a
-        pivot prices only its pivot row alpha. They stay in reduced_costs.
-        The basics' bounds, the mask of columns that may enter and the side
-        each nonbasic sits on are built once per call and updated for the two
+        The entering column has the smallest ratio |z_j / alpha_j|. When
+        its alpha_j is under _SMALL_PIVOT it may be rounding noise, so the
+        choice is made again without the entries under _NOISE_FLOOR times the
+        row's largest. The reduced costs are priced on entry and after every
+        rebuild of the inverse (when a probe finds drift), and in between
+        carried across pivots by z <- z - (z_j / alpha_j) alpha, so a pivot
+        prices only its pivot row alpha. They stay in reduced_costs. The
+        basics' bounds, the mask of columns that may enter and the side each
+        nonbasic sits on are built once per call and updated for the two
         exchanged columns only. The basic values live in a local vector, in
-        basis order, and go back into x on every exit and before each
-        refactor.
+        basis order, and go back into x on every exit; a rebuild recomputes
+        them from the nonbasic values.
         """
         if self.r == 0:
             return OPTIMAL
@@ -538,13 +638,13 @@ class BoundedSimplex:
             if cand.size == 0:
                 status = INFEASIBLE
                 break
-            ratios = np.abs(z[cand] / alpha[cand])
-            best = float(ratios.min())
-            ties = cand[ratios <= best + 1e-12]
-            if self._bland:
-                j = int(ties.min())
-            else:
-                j = int(ties[np.abs(alpha[ties]).argmax()])
+            j = self._entering_column(cand, z, alpha)
+            if abs(alpha[j]) < _SMALL_PIVOT:
+                # alpha_j may be rounding noise, and a pivot on it wrecks the
+                # inverse: choose again among the entries that are not noise
+                # next to the row's largest
+                size = np.abs(alpha[cand])
+                j = self._entering_column(cand[size > _NOISE_FLOOR * size.max()], z, alpha)
 
             bound = uB[i_star] if over_upper else lB[i_star]
             t = (xB[i_star] - bound) / alpha[j]
@@ -564,10 +664,8 @@ class BoundedSimplex:
             side[leaving] = -1.0 if over_upper else 1.0
             self.pivots += 1
             self.basis_changes += 1
-            if self.basis_changes % _REFACTOR_EVERY == 0:
-                self.x[self.basis] = xB
-                self.refactor()
-                xB = self.x[self.basis]
+            if self.basis_changes % _REFACTOR_EVERY == 0 and self._refactor_if_drifted():
+                xB = self.x[self.basis]  # the refactor recomputed them
                 z = self.reduced_costs = c - self._price(self.duals(c))
             self._note_step(abs(t))
         self.x[self.basis] = xB

@@ -34,6 +34,7 @@ from .simplex import (
     SolverFailure,
     SolverOptions,
     certified_lower_bound,
+    pricing_copy,
 )
 from .simplex import independent_rows, solve_lp  # noqa: F401  perfbench/spans.py patches these
 
@@ -155,6 +156,27 @@ def _kept_rows(sc: Scenario) -> tuple[np.ndarray, np.ndarray]:
     """The Collins-Gisin row indices and their dense marginal rows, per scenario."""
     keep = _collins_gisin_rows(sc)
     return _frozen(keep), _frozen(assignment_marginal_matrix(sc)[keep].toarray())
+
+
+def _with_f_column(a_keep: np.ndarray) -> np.ndarray:
+    """The kept rows with a zero F column appended: a new solver's matrix."""
+    return np.hstack([a_keep, np.zeros((a_keep.shape[0], 1))])
+
+
+@functools.cache
+def _kept_pricing(sc: Scenario) -> sp.csr_array | None:
+    """The pricing copy of a new solver's matrix, the F column's row full, per scenario.
+
+    Its arrays are read-only: each solver copies the values, the only part
+    it writes, and shares the index arrays. None where the solver prices
+    with plain numpy.
+    """
+    _, a_keep = _kept_rows(sc)
+    At = pricing_copy(_with_f_column(a_keep), full_rows=[sc.joint_size])
+    if At is not None:
+        for part in (At.data, At.indices, At.indptr):
+            part.flags.writeable = False
+    return At
 
 
 def _collins_gisin_basis(sc: Scenario) -> np.ndarray:
@@ -328,9 +350,9 @@ class ThresholdSolver:
         self._keep, a_keep = _kept_rows(sc)
         self._basis = _collins_gisin_basis(sc)
         n = sc.joint_size + 1
-        a0 = np.hstack([a_keep, np.zeros((self._keep.size, 1))])
-        self._core = BoundedSimplex(a0, np.zeros(self._keep.size),
-                                    np.zeros(n), np.ones(n), self.options)
+        self._core = BoundedSimplex(_with_f_column(a_keep), np.zeros(self._keep.size),
+                                    np.zeros(n), np.ones(n), self.options,
+                                    pricing=_kept_pricing(sc))
         self._objective = np.zeros(n)
         self._objective[-1] = 1.0
         self._have_last = False
@@ -428,7 +450,9 @@ class ThresholdSolver:
         """The threshold with its witness and dual certificate.
 
         The optimum is refactored and re-checked first, so the certificate
-        comes from exact factors, not accumulated updates. The weights must
+        comes from exact factors, not accumulated updates; an optimum whose
+        inverse is already fresh (run's re-check before its claim has just
+        refactored) is not refactored again. The weights must
         be a local model of the tensor at noise f_thr on every marginal row
         (witness_residual), and the dual must bound the optimum from below to
         within CERTIFICATE_GAP_TOL; otherwise SolverFailure.
@@ -437,7 +461,8 @@ class ThresholdSolver:
         lp = build_threshold_lp(tensor)
         core = self._solve_core(tensor)
         try:
-            core.refactor()
+            if core.stale_updates:
+                core.refactor()
             if core.run(self._objective) != OPTIMAL:
                 raise SolverFailure("numerical", "re-verification after refactor failed")
         except SolverFailure:

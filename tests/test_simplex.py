@@ -9,9 +9,14 @@ import scipy.sparse as sp
 from lrthresh import (
     BoundedSimplex,
     LinearProgram,
+    PhaseSettings,
+    PureState,
+    Scenario,
     SolverFailure,
     SolverOptions,
+    ThresholdSolver,
     certified_lower_bound,
+    correlation_tensor,
     dump_lp_text,
     independent_rows,
     simplex,
@@ -301,6 +306,23 @@ def test_written_column_keeps_one_full_row(rng):
         assert np.array_equal(core._At.data[row], col)
 
 
+def test_pricing_copy_reserves_full_rows_with_their_values(rng):
+    A = np.hstack([np.eye(150), (rng.random((150, 450)) < 0.04) * rng.normal(size=(150, 450))])
+    A[:, 599] = 0.0
+    At = simplex.pricing_copy(A, full_rows=[200, 599])
+    for j in (200, 599):
+        row = slice(At.indptr[j], At.indptr[j + 1])
+        assert np.array_equal(At.indices[row], np.arange(150))
+    assert np.array_equal(At.toarray(), A.T)
+    assert simplex.pricing_copy(A[:20, :60]) is None  # below the size rule
+    core = BoundedSimplex(A, np.ones(150), np.zeros(600), np.ones(600), SolverOptions(),
+                          pricing=At)
+    core.set_column(599, rng.normal(size=150))
+    assert np.shares_memory(core._At.indices, At.indices)
+    assert np.array_equal(At.toarray(), A.T)  # the core wrote its own values only
+    assert np.array_equal(core._At.toarray(), core.A.T)
+
+
 def test_sparse_refactor_inverts_the_basis(rng):
     core = sparse_problem(rng, 150, 600, density=0.1)
     assert core._getrf is not None
@@ -352,20 +374,30 @@ def test_dual_run_carries_exact_reduced_costs(rng, monkeypatch, r, n):
     A = np.hstack([np.eye(r), (rng.random((r, n - r)) < 0.04) * rng.uniform(0.5, 2, (r, n - r))])
     c = rng.normal(size=n)
     x0 = rng.uniform(0.2, 0.8, size=n)
-    monkeypatch.setattr(simplex, "_REFACTOR_EVERY", 7)  # reprice often
+    monkeypatch.setattr(simplex, "_REFACTOR_EVERY", 7)  # probe often
     core = optimal_core(A, A @ x0, c)
-    dual_pivots = 0
-    for _ in range(3):
-        # a new rhs: the optimal basis stays dual feasible, not primal
-        core.b = A @ np.clip(x0 + rng.normal(scale=0.2, size=n), 0.0, 1.0)
-        core.recompute_basics()
-        before = core.pivots
-        assert core.dual_run(c) == OPTIMAL
-        dual_pivots += core.pivots - before
-        fresh = c - core.duals(c) @ core.A
-        assert np.max(np.abs(core.reduced_costs - fresh)) < 1e-9
-        assert core.run(c) == OPTIMAL
-    assert dual_pivots > 7
+    refactors = []
+    original = core.refactor
+    monkeypatch.setattr(core, "refactor", lambda: refactors.append(1) or original())
+    # a clean inverse passes every probe: the reduced costs are carried
+    # across every pivot with no repricing; then every probe rebuilds the
+    # inverse, and the reduced costs are repriced after each rebuild
+    for drift_tol, rebuilds in ((simplex._DRIFT_TOL, False), (-1.0, True)):
+        monkeypatch.setattr(simplex, "_DRIFT_TOL", drift_tol)
+        probes = 0
+        refactors.clear()
+        for _ in range(3):
+            # a new rhs: the optimal basis stays dual feasible, not primal
+            core.b = A @ np.clip(x0 + rng.normal(scale=0.2, size=n), 0.0, 1.0)
+            core.recompute_basics()
+            before, rebuilt = core.basis_changes, len(refactors)
+            assert core.dual_run(c) == OPTIMAL
+            probes += core.basis_changes // 7 - before // 7
+            assert len(refactors) - rebuilt == (core.basis_changes // 7 - before // 7) * rebuilds
+            fresh = c - core.duals(c) @ core.A
+            assert np.max(np.abs(core.reduced_costs - fresh)) < 1e-9
+            assert core.run(c) == OPTIMAL
+        assert probes > 1
 
 
 @pytest.mark.parametrize("r, n", [(150, 600), (20, 60)])
@@ -385,3 +417,55 @@ def test_dual_run_leaves_consistent_values_at_the_pivot_limit(rng, monkeypatch, 
     assert np.array_equal(core.x[nonbasic], on_bound[nonbasic])
     rhs = core.b - core.A[:, nonbasic] @ core.x[nonbasic]
     assert np.max(np.abs(core.x[core.basis] - core.Binv @ rhs)) < 1e-12
+
+
+def test_dual_ratio_test_refuses_a_noise_pivot(monkeypatch):
+    # x0 = -0.5 is below its bound. Column 2 ties at ratio 0 with a pivot
+    # entry of rounding-noise size; column 3 has ratio 0.1 and entry -10.
+    A = np.array([[1.0, 0.0, -1.5e-10, -10.0],
+                  [0.0, 1.0, 0.0, 0.0]])
+    c = np.array([0.0, 0.0, 0.0, 1.0])
+    core = BoundedSimplex(A, np.array([-0.5, 0.5]), np.zeros(4), np.ones(4), SolverOptions())
+    core.set_basis(np.arange(2))
+    monkeypatch.setattr(simplex, "_PIVOTS_PER_COLUMN", 0.5 / core.n)  # one pivot
+    assert core.dual_run(c) == OPTIMAL
+    assert sorted(core.basis) == [1, 3]
+    assert abs(core.x[3] - 0.05) < 1e-15
+    assert core.primal_residual() <= core.opts.tol_feas
+
+
+def test_primal_ratio_test_refuses_a_noise_pivot():
+    # column 2 enters; row 0 blocks at once through a rounding-noise entry,
+    # row 1 after a step of 0.05 through an entry of 10
+    A = np.array([[1.0, 0.0, 2e-10],
+                  [0.0, 1.0, 10.0]])
+    c = np.array([0.0, 0.0, -1.0])
+    core = BoundedSimplex(A, np.array([0.0, 0.5]), np.zeros(3), np.ones(3), SolverOptions())
+    core.set_basis(np.arange(2))
+    assert core.run(c) == OPTIMAL
+    assert core.pivots == 1
+    assert sorted(core.basis) == [0, 2]
+    assert abs(core.x[2] - 0.05) < 1e-15
+    assert core.primal_residual() <= core.opts.tol_feas
+
+
+def test_five_qubit_solve_takes_no_noise_pivot(monkeypatch):
+    # a certify input on which a cold solve once entered a column with a
+    # pivot entry of 1.5e-10 and lost its inverse
+    sc = Scenario(parties=5, dim=2, settings_per_party=2)
+    rng = np.random.default_rng([3, 29])
+    state = rng.normal(size=32)
+    table = [[rng.uniform(0.0, 2.0 * np.pi, size=2) for _ in range(2)] for _ in range(5)]
+    tensor = correlation_tensor(PureState(sc, state / np.linalg.norm(state)),
+                                PhaseSettings(sc, np.array(table)))
+    pivot_sizes = []
+    exchange = BoundedSimplex._exchange
+
+    def recorded(core, i, j, w):
+        pivot_sizes.append(abs(w[i]))
+        return exchange(core, i, j, w)
+
+    monkeypatch.setattr(BoundedSimplex, "_exchange", recorded)
+    result = ThresholdSolver(sc).solve(tensor)
+    assert f"{result.f_thr:.6f}" == "0.281991"
+    assert min(pivot_sizes) >= 1e-7

@@ -449,8 +449,9 @@ def test_cold_start_installs_the_cached_inverse(sc, rng, monkeypatch):
     original = solver._core.refactor
     monkeypatch.setattr(solver._core, "refactor", lambda: refactors.append(1) or original())
     value = solver.value(tensor)
-    # only the periodic refactors of the pivots themselves, none for the start
-    assert len(refactors) == solver._core.basis_changes // simplex._REFACTOR_EVERY
+    # none for the start: only run's re-check before it claims the optimum,
+    # once more than _REFACTOR_EVERY updates have piled up (no probe finds drift)
+    assert len(refactors) == (solver._core.basis_changes > simplex._REFACTOR_EVERY)
     assert solver._core.Binv is not _collins_gisin_inverse(sc)
     # the same solve, bit for bit, as one that inverts the starting basis itself
     monkeypatch.setattr(threshold_module, "_collins_gisin_inverse", lambda sc: None)
@@ -459,6 +460,69 @@ def test_cold_start_installs_the_cached_inverse(sc, rng, monkeypatch):
     assert inverted.last_pivots == solver.last_pivots
     assert np.array_equal(inverted._core.x, solver._core.x)
     assert np.array_equal(inverted._core.Binv, solver._core.Binv)
+
+
+def test_drifted_inverse_is_rebuilt_at_the_next_probe(rng, monkeypatch):
+    tensor = correlation_tensor(random_state(SC33, rng), random_settings(SC33, rng))
+    solver = ThresholdSolver(SC33)
+    core = solver._core
+    probes = []  # (basis changes, whether the probe refactored)
+    probe = core._refactor_if_drifted
+    monkeypatch.setattr(core, "_refactor_if_drifted",
+                        lambda: probes.append((core.basis_changes, probe())) or probes[-1][1])
+    exchange = core._exchange
+
+    def corrupting(i, j, w):
+        if core.basis_changes == 150:  # between the probes at 100 and 200
+            core.Binv[0, 0] += 1e-6
+        return exchange(i, j, w)
+
+    monkeypatch.setattr(core, "_exchange", corrupting)
+    value = solver.value(tensor)
+    assert core.basis_changes > 200
+    assert probes[:2] == [(100, False), (200, True)]
+    assert not any(rebuilt for _, rebuilt in probes[2:])
+    assert abs(value - highs_lp(build_threshold_lp(tensor)).fun) < 1e-9
+
+
+def test_cold_certified_five_qubit_solve_refactors_once(monkeypatch):
+    sc = Scenario(parties=5, dim=2, settings_per_party=2)
+    rng = np.random.default_rng(7)
+    tensor = correlation_tensor(random_state(sc, rng), random_settings(sc, rng))
+    solver = ThresholdSolver(sc)
+    refactors = []
+    original = solver._core.refactor
+    monkeypatch.setattr(solver._core, "refactor", lambda: refactors.append(1) or original())
+    result = solver.solve(tensor)
+    assert solver._core.basis_changes > 5 * simplex._REFACTOR_EVERY
+    assert len(refactors) == 1
+    assert abs(result.f_thr - highs_lp(build_threshold_lp(tensor)).fun) < 1e-9
+
+
+def test_solvers_of_one_scenario_share_pricing_indices_only(rng):
+    tensors = [correlation_tensor(random_state(SC33, rng), random_settings(SC33, rng))
+               for _ in range(6)]
+    first, second = ThresholdSolver(SC33), ThresholdSolver(SC33)
+    for part in ("indices", "indptr"):
+        assert np.shares_memory(getattr(first._core._At, part), getattr(second._core._At, part))
+    assert not np.shares_memory(first._core._At.data, second._core._At.data)
+
+    def outcome(solver, tensor, certify):
+        if certify:
+            res = solver.solve(tensor)
+            return res.f_thr, res.certificate["dual"].tobytes(), solver.last_pivots
+        return solver.value(tensor), solver._core.x.tobytes(), solver.last_pivots
+
+    calls = [(k % 2, tensor, k >= 4) for k, tensor in enumerate(tensors)]
+    interleaved = [outcome(first if who == 0 else second, tensor, certify)
+                   for who, tensor, certify in calls]
+    alone = {}
+    for who in (0, 1):
+        fresh = ThresholdSolver(SC33)
+        for k, (caller, tensor, certify) in enumerate(calls):
+            if caller == who:
+                alone[k] = outcome(fresh, tensor, certify)
+    assert interleaved == [alone[k] for k in range(len(calls))]
 
 
 @pytest.mark.parametrize("parties, dim", [(2, 3), (3, 2), (3, 3), (4, 2)])

@@ -6,7 +6,9 @@ exactly zero on the full-dimensional region where the correlations already
 admit a local model. Many restarts handle the non-convexity. The zero plateau
 is handled inside each restart: each drawn start costs one evaluation, and a
 start on the plateau is redrawn from the restart's own random stream for as
-long as budget remains.
+long as budget remains. Most draws land on the plateau. Where the LP is small
+and dense, redraws come in blocks, and noiseless_local proves most flat ones
+local in one pass over the block instead of solving each one.
 
 From the first start off the plateau, the rest of the restart's budget goes
 to a quasi-Newton gradient ascent with Armijo backtracking. The gradient is
@@ -30,11 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .probabilities import correlation_tensor, correlation_tensor_vjp
+from .probabilities import CorrelationTensor, correlation_tensor, correlation_tensor_vjp
 from .scenario import PhaseSettings, PureState, Scenario, ghz_state, paper_optimal_state, \
     paper_settings
 from .simplex import SolverOptions
-from .threshold import ThresholdResult, ThresholdSolver, threshold
+from .threshold import ThresholdResult, ThresholdSolver, noiseless_local, threshold
 
 STATE_NORM_FLOOR = 1e-8
 FLAT_VALUE = 1e-6  # objective values at or below this count as the local plateau
@@ -43,6 +45,7 @@ CONVERGENCE_TOL = 1e-4  # Nelder-Mead stops once its simplex's objective spread 
 ARMIJO = 1e-4  # an ascent step t*Hg must gain at least ARMIJO * t * g.Hg
 POLISH_MIN_GAIN = 1e-6  # the ascent stops after an accepted step that gains less
 POLISH_MIN_STEP = 1e-7  # ... or once a trial step is shorter than this
+_DRAW_BLOCK = 16  # the most plateau draws a restart classifies in one pass
 
 MODES = ("phases_only", "phases_and_state")
 
@@ -348,30 +351,42 @@ def _restart_start(
     return ParameterVector(sc, random_phases()), None
 
 
+def _decode(params: ParameterVector,
+            pinned_state: PureState | None) -> tuple[PhaseSettings, PureState]:
+    """The settings and state at params; raises InvalidParameterError if they do not decode."""
+    settings = params.decode_settings()
+    state = pinned_state if pinned_state is not None else params.decode_state()
+    return settings, state
+
+
+def _born(params: ParameterVector, pinned_state: PureState | None) -> CorrelationTensor | None:
+    """The correlation tensor at params, or None where they do not decode."""
+    try:
+        settings, state = _decode(params, pinned_state)
+    except InvalidParameterError:
+        return None
+    return correlation_tensor(state, settings)
+
+
 def _objectives(solver: ThresholdSolver, pinned_state: PureState | None):
     """A restart's objective over parameter vectors, and its exact gradient.
 
     objective(params) is the threshold at the decoded state and settings
-    (-1 when they do not decode). gradient(params) reads dF/dparams off the
-    solve that objective just made at params: the solver's tensor gradient
-    pulled back through the Born rule and the decoding. Call it only after
-    objective(params) returned a threshold; a failed solve raises instead.
+    (-1 when they do not decode); objective(params, tensor) takes the Born
+    tensor at params instead of contracting it again. gradient(params) reads
+    dF/dparams off the solve that objective just made at params: the
+    solver's tensor gradient pulled back through the Born rule and the
+    decoding. Call it only after objective(params) returned a threshold; a
+    failed solve raises instead.
     """
-    def decode(params: ParameterVector) -> tuple[PhaseSettings, PureState]:
-        settings = params.decode_settings()
-        state = pinned_state if pinned_state is not None else params.decode_state()
-        return settings, state
-
-    def objective(params: ParameterVector) -> float:
-        try:
-            settings, state = decode(params)
-        except InvalidParameterError:
-            return -1.0
-        return solver.value(correlation_tensor(state, settings))
+    def objective(params: ParameterVector, tensor: CorrelationTensor | None = None) -> float:
+        if tensor is None:
+            tensor = _born(params, pinned_state)
+        return -1.0 if tensor is None else solver.value(tensor)
 
     def gradient(params: ParameterVector) -> np.ndarray:
         weights = solver.tensor_gradient()
-        settings, state = decode(params)
+        settings, state = _decode(params, pinned_state)
         return params.pullback(*correlation_tensor_vjp(state, settings, weights))
 
     return objective, gradient
@@ -387,6 +402,18 @@ def _run_restart(args):
     start's value and gradient from the evaluation that accepted it. A
     restart whose every draw is flat returns its last draw. Draws and ascent
     share max_evals_per_restart.
+
+    The first start is solved. Where the solver prices densely, the redraws
+    then come in blocks of 2, 4, 8 and then _DRAW_BLOCK, in stream order and
+    never past the budget. noiseless_local proves most flat draws local in
+    one pass over the block; such a draw counts its evaluation and is not
+    solved. The others are solved in order, the first one off the plateau
+    is accepted and the rest of the block is dropped uncounted. The draw
+    that spends the budget's last evaluation is always solved, so the value
+    returned is a solve's. Accepted draws and evaluation counts are the ones
+    that solving every draw gives, and values are too up to rounding: the
+    solver's saved warm states no longer include flat optima. On sparse
+    scenarios each draw is solved on its own.
     """
     sc, config, index, fixed_coeffs, options = args
     key = np.array([config.rng_seed, index], dtype=np.uint64)
@@ -402,17 +429,39 @@ def _run_restart(args):
     budget = config.max_evals_per_restart
     spent = 0
 
-    def counted(params):
+    def counted(params, tensor=None):
         nonlocal spent
         spent += 1
-        return objective(params)
+        return objective(params, tensor)
 
-    params, value = start, counted(start)
-    while value <= FLAT_VALUE and spent < budget:
+    def draw():
         params, _ = _restart_start(sc, config.mode, -1, rng)
         if pinned_state is not None and config.mode == "phases_and_state":
             params = ParameterVector(sc, params.phase_params)
-        value = counted(params)
+        return params
+
+    params, value = start, counted(start)
+    size = 1
+    while value <= FLAT_VALUE and spent < budget:
+        if not solver.prices_densely:
+            params = draw()
+            value = counted(params)
+            continue
+        size = min(2 * size, _DRAW_BLOCK)
+        draws = [draw() for _ in range(min(size, budget - spent))]
+        tensors = [_born(p, pinned_state) for p in draws]
+        # the draw that spends the last evaluation is solved whatever it is
+        tried = [k for k, t in enumerate(tensors)
+                 if t is not None and spent + k + 1 < budget]
+        proven = np.zeros(len(draws), dtype=bool)
+        proven[tried] = noiseless_local([tensors[k] for k in tried], options)
+        for params, tensor, local in zip(draws, tensors, proven):
+            if local:
+                spent += 1
+                continue
+            value = counted(params, tensor)
+            if value > FLAT_VALUE:
+                break
     if value > FLAT_VALUE and spent < budget:
         params, value, _ = _polish(counted, gradient, params, value, budget - spent)
     table = params.decode_settings().table

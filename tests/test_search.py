@@ -11,6 +11,7 @@ from lrthresh import (
     PureState,
     Scenario,
     ThresholdSolver,
+    correlation_tensor,
     encode,
     ghz_state,
     optimize_phases,
@@ -21,6 +22,8 @@ from lrthresh import (
     threshold,
 )
 from lrthresh.search import nelder_mead
+
+from conftest import counted_proofs, noisy_tensor, record_proofs
 
 SC33 = Scenario(parties=3, dim=3, settings_per_party=2)
 SC23 = Scenario(parties=2, dim=3, settings_per_party=2)
@@ -338,20 +341,26 @@ def test_polish_never_lowers_a_restart(monkeypatch):
 @pytest.mark.parametrize("sc, cap", [(SC23, 30), (SC32, 40), (SC33, 90), (SC33, 150)],
                          ids=["n2d3-30", "n3d2-40", "n3d3-90", "n3d3-150"])
 def test_restart_evaluations_stay_within_the_cap(monkeypatch, sc, cap):
-    calls = []
+    solved = []
     original = ThresholdSolver.value
 
     def counted(self, tensor):
-        calls.append(1)
-        return original(self, tensor)
+        solved.append((tensor, original(self, tensor)))
+        return solved[-1][1]
 
     monkeypatch.setattr(ThresholdSolver, "value", counted)
+    blocks = record_proofs(monkeypatch)
     cfg = OptimizationConfig(restarts=3, rng_seed=5, max_evals_per_restart=cap,
                              mode="phases_and_state")
     for index in range(3):
-        calls.clear()
+        solved.clear()
+        blocks.clear()
         _, _, _, _, spent = search._run_restart((sc, cfg, index, None, None))
-        assert spent == len(calls) <= cap
+        # every evaluation is a solve or a draw proven local, and the sparse
+        # path solves every draw
+        assert spent == len(solved) + counted_proofs(blocks, solved) <= cap
+        assert bool(blocks) <= ThresholdSolver(sc).prices_densely
+    assert ThresholdSolver(sc).prices_densely == (sc is not SC33)
 
 
 def test_flat_restart_redraws_without_polish(monkeypatch):
@@ -367,16 +376,20 @@ def test_flat_restart_redraws_without_polish(monkeypatch):
         raise AssertionError("a flat restart must neither run Nelder-Mead nor polish")
 
     monkeypatch.setattr(ThresholdSolver, "value", counted)
+    blocks = record_proofs(monkeypatch)
     monkeypatch.setattr(search, "nelder_mead", never)
     monkeypatch.setattr(search, "_polish", never)
     cfg = OptimizationConfig(restarts=1, rng_seed=0, max_evals_per_restart=80,
                              mode="phases_only")
     _, value, _, _, spent = search._run_restart((SC23, cfg, 0, state.coeffs.real, None))
-    assert value < 1e-9
     assert spent == 80
-    # one solve per draw: the start and 79 redraws, each on the plateau
-    assert len(values) == 80
+    # the start and the draw that spends the last evaluation are solved; the
+    # 78 draws between come in blocks of 2, 4, 8 and 16, each proven local
+    assert [len(tensors) for tensors, _ in blocks if tensors] == [2, 4, 8, 16, 16, 16, 16]
+    assert all(proven.all() for _, proven in blocks)
+    assert len(values) == 2
     assert max(values) <= search.FLAT_VALUE
+    assert value == values[-1] < 1e-9
 
 
 # command 13 of the optimize_joint_23 benchmark's seed-1 stream: two of its
@@ -386,46 +399,146 @@ JOINT23 = OptimizationConfig(restarts=4, rng_seed=1777477784, max_evals_per_rest
 
 
 def test_ascent_starts_at_the_first_draw_off_the_plateau(monkeypatch):
-    values, draws, ascents = [], [], []
+    solved, draws, ascents = [], [], []
     original_value = ThresholdSolver.value
     original_start = search._restart_start
     original_polish = search._polish
 
     def counted_value(self, tensor):
-        values.append(original_value(self, tensor))
-        return values[-1]
+        solved.append((tensor, original_value(self, tensor)))
+        return solved[-1][1]
 
     def counted_start(*args):
-        draws.append(len(values))
-        return original_start(*args)
+        draws.append(original_start(*args)[0])
+        return draws[-1], None
 
     def watched(objective, gradient, params, value, budget):
-        solves = len(values)
+        solves = len(solved)
         outcome = original_polish(objective, gradient, params, value, budget)
-        exact = threshold(params.decode_state(), params.decode_settings()).f_thr
-        ascents.append((solves, value, exact, outcome[2]))
+        ascents.append((params, solves, value, outcome[2]))
         return outcome
 
     monkeypatch.setattr(ThresholdSolver, "value", counted_value)
     monkeypatch.setattr(search, "_restart_start", counted_start)
     monkeypatch.setattr(search, "_polish", watched)
+    blocks = record_proofs(monkeypatch)
     flat_draws = 0
     for index in range(JOINT23.restarts):
-        values.clear()
+        solved.clear()
         draws.clear()
         ascents.clear()
+        blocks.clear()
         _, _, _, _, spent = search._run_restart((SC23, JOINT23, index, None, None))
         assert len(ascents) == 1
-        solves, start_value, exact, ascent_evals = ascents[0]
-        # the ascent starts from the last draw, the only one off the plateau
-        assert draws == list(range(solves))
-        assert start_value == values[solves - 1] > search.FLAT_VALUE
-        assert abs(start_value - exact) < 1e-9
-        assert max(values[:solves - 1], default=0.0) <= search.FLAT_VALUE
+        start, solves, start_value, ascent_evals = ascents[0]
+        # the ascent starts from the first draw off the plateau, in stream
+        # order; the draws after it in its block were dropped
+        accepted = next(k for k, params in enumerate(draws) if params is start)
+        exact = [threshold(p.decode_state(), p.decode_settings()).f_thr
+                 for p in draws[:accepted + 1]]
+        assert max(exact[:-1], default=0.0) <= search.FLAT_VALUE
+        assert start_value == solved[solves - 1][1] > search.FLAT_VALUE
+        assert abs(start_value - exact[-1]) < 1e-9
+        # every draw up to it is one evaluation, solved or proven local, and
         # that draw is solved once: the ascent's evaluations are its own steps
-        assert spent == solves + ascent_evals == len(values)
-        flat_draws += solves - 1
+        proofs = counted_proofs(blocks, solved)
+        assert solves + proofs == accepted + 1
+        assert spent == accepted + 1 + ascent_evals == len(solved) + proofs
+        flat_draws += accepted
     assert flat_draws > 0
+
+
+def reference_restart(sc, config, index):
+    """A restart that solves every draw: the same stream, the same ascent."""
+    key = np.array([config.rng_seed, index], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    objective, gradient = search._objectives(ThresholdSolver(sc), None)
+    budget = config.max_evals_per_restart
+    params, _ = search._restart_start(sc, config.mode, index, rng)
+    value, spent = objective(params), 1
+    while value <= search.FLAT_VALUE and spent < budget:
+        params, _ = search._restart_start(sc, config.mode, -1, rng)
+        value, spent = objective(params), spent + 1
+    accepted = params
+    if value > search.FLAT_VALUE and spent < budget:
+        params, value, steps = search._polish(objective, gradient, params, value, budget - spent)
+        spent += steps
+    return accepted, params, value, spent
+
+
+# 10 evaluations end every restart of this config inside its third block
+@pytest.mark.parametrize("budget", [500, 10])
+def test_restart_matches_solving_every_draw(monkeypatch, budget):
+    accepted = []
+    original_polish = search._polish
+
+    def watched(objective, gradient, params, value, budget):
+        accepted.append(params)
+        return original_polish(objective, gradient, params, value, budget)
+
+    monkeypatch.setattr(search, "_polish", watched)
+    cfg = OptimizationConfig(restarts=JOINT23.restarts, rng_seed=JOINT23.rng_seed,
+                             max_evals_per_restart=budget, mode=JOINT23.mode)
+    for index in range(cfg.restarts):
+        accepted.clear()
+        _, value, table, coeffs, spent = search._run_restart((SC23, cfg, index, None, None))
+        ref_start, ref, ref_value, ref_spent = reference_restart(SC23, cfg, index)
+        assert spent == ref_spent
+        assert abs(value - ref_value) < 1e-12
+        if accepted:
+            # the same draw starts the ascent; the ascent's gradients come from
+            # warm optima that differ by rounding, and so may its endpoint
+            assert np.array_equal(accepted[0].flat(), ref_start.flat())
+            assert np.allclose(table, ref.decode_settings().table, rtol=0, atol=1e-9)
+            assert np.allclose(coeffs, ref.decode_state().coeffs.real, rtol=0, atol=1e-9)
+        else:
+            assert ref_spent == budget and ref_value <= search.FLAT_VALUE
+            assert np.array_equal(table, ref.decode_settings().table)
+            assert np.array_equal(coeffs, ref.decode_state().coeffs.real)
+
+
+def test_a_draw_just_off_the_local_set_is_solved_and_stays_flat(monkeypatch):
+    # GHZ under the CGLMP settings (threshold 0.3038), mixed with white noise
+    # down to a threshold of 5e-7: above 0, at most FLAT_VALUE
+    alpha = np.array([[0.0, 0.5], [0.25, -0.25]])
+    settings = PhaseSettings(SC23, 2 * np.pi * alpha[:, :, None] * np.arange(3) / 3)
+    tensor = correlation_tensor(ghz_state(SC23), settings)
+    f_thr = threshold(ghz_state(SC23), settings).f_thr
+    q = 1.0 - (1.0 - f_thr) / (1.0 - 5e-7)
+    edge = noisy_tensor(tensor, q)
+    state = product_state(SC23, [[1, 0, 0], [0, 1, 0]])  # every other draw is local
+    solved = []
+    original_value = ThresholdSolver.value
+    original_born = search._born
+    born = []
+
+    def first_redraw_is_the_edge(params, pinned_state):
+        born.append(params)
+        return edge if len(born) == 2 else original_born(params, pinned_state)
+
+    def counted(self, tensor):
+        solved.append((tensor, original_value(self, tensor)))
+        return solved[-1][1]
+
+    def never(*args):
+        raise AssertionError("a draw on the plateau must not start an ascent")
+
+    monkeypatch.setattr(search, "_born", first_redraw_is_the_edge)
+    monkeypatch.setattr(ThresholdSolver, "value", counted)
+    monkeypatch.setattr(search, "_polish", never)
+    cfg = OptimizationConfig(restarts=1, rng_seed=0, max_evals_per_restart=20,
+                             mode="phases_only")
+    _, value, table, _, spent = search._run_restart((SC23, cfg, 0, state.coeffs.real, None))
+    # the edge is not proven local, so it is solved, and being flat it is redrawn
+    edge_values = [v for t, v in solved if t is edge]
+    assert len(edge_values) == 1
+    assert 0.0 < edge_values[0] <= search.FLAT_VALUE
+    assert spent == 20 and value <= search.FLAT_VALUE
+    assert solved[-1][0] is not edge
+    # and no draw was skipped: the restart ends on the stream's 20th draw
+    rng = np.random.Generator(np.random.Philox(key=np.array([0, 0], dtype=np.uint64)))
+    draws = [search._restart_start(SC23, cfg.mode, -1 if k else 0, rng)[0] for k in range(20)]
+    assert np.array_equal(table, draws[-1].decode_settings().table)
 
 
 def test_joint_search_leaves_the_plateau_on_every_restart():

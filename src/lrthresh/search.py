@@ -6,17 +6,21 @@ exactly zero on the full-dimensional region where the correlations already
 admit a local model. Many restarts handle the non-convexity. The zero plateau
 is handled inside each restart: each drawn start costs one evaluation, and a
 start on the plateau is redrawn from the restart's own random stream for as
-long as budget remains. Most draws land on the plateau. Where the LP is small
-and dense, redraws come in blocks, and noiseless_local proves most flat ones
-local in one pass over the block instead of solving each one.
+long as budget remains. Most draws land on the plateau. With two parties and
+at most three outcomes the threshold has a closed form over the local
+polytope's facets, and the restart evaluates every point through it, one
+draw at a time, with no LP. Where the LP is small and dense, at (3,2), (2,4)
+and (4,2), redraws come in plateau blocks, and noiseless_local proves most
+flat ones local in one pass over the block instead of solving each one.
 
 From the first start off the plateau, the rest of the restart's budget goes
 to a quasi-Newton gradient ascent with Armijo backtracking. The gradient is
 exact and costs no extra LP solve. With y the optimal duals of the solve on
 the kept rows, the envelope theorem gives dF/dtheta = (1 - F) y .
 dP_keep/dtheta, because the tensor enters both the right-hand side and the F
-column. The Born layer pulls that weight vector back to the phases and state
-in one backward pass (correlation_tensor_vjp). At a degenerate optimum the
+column; the closed form differentiates the facet that sets the threshold.
+The Born layer pulls that weight vector back to the phases and state in one
+backward pass (correlation_tensor_vjp). At a degenerate optimum the
 gradient is one subgradient of several, so the restart keeps its start unless
 a step ascends.
 
@@ -36,7 +40,8 @@ from .probabilities import CorrelationTensor, correlation_tensor, correlation_te
 from .scenario import PhaseSettings, PureState, Scenario, ghz_state, paper_optimal_state, \
     paper_settings
 from .simplex import SolverOptions
-from .threshold import ThresholdResult, ThresholdSolver, noiseless_local, threshold
+from .threshold import ThresholdResult, ThresholdSolver, _FacetThreshold, _has_facet_form, \
+    noiseless_local, threshold
 
 STATE_NORM_FLOOR = 1e-8
 FLAT_VALUE = 1e-6  # objective values at or below this count as the local plateau
@@ -368,13 +373,13 @@ def _born(params: ParameterVector, pinned_state: PureState | None) -> Correlatio
     return correlation_tensor(state, settings)
 
 
-def _objectives(solver: ThresholdSolver, pinned_state: PureState | None):
+def _objectives(solver: ThresholdSolver | _FacetThreshold, pinned_state: PureState | None):
     """A restart's objective over parameter vectors, and its exact gradient.
 
     objective(params) is the threshold at the decoded state and settings
     (-1 when they do not decode); objective(params, tensor) takes the Born
     tensor at params instead of contracting it again. gradient(params) reads
-    dF/dparams off the solve that objective just made at params: the
+    dF/dparams off the evaluation that objective just made at params: the
     solver's tensor gradient pulled back through the Born rule and the
     decoding. Call it only after objective(params) returned a threshold; a
     failed solve raises instead.
@@ -403,22 +408,29 @@ def _run_restart(args):
     restart whose every draw is flat returns its last draw. Draws and ascent
     share max_evals_per_restart.
 
-    The first start is solved. Where the solver prices densely, the redraws
-    then come in blocks of 2, 4, 8 and then _DRAW_BLOCK, in stream order and
-    never past the budget. noiseless_local proves most flat draws local in
-    one pass over the block; such a draw counts its evaluation and is not
-    solved. The others are solved in order, the first one off the plateau
-    is accepted and the rest of the block is dropped uncounted. The draw
-    that spends the budget's last evaluation is always solved, so the value
-    returned is a solve's. Accepted draws and evaluation counts are the ones
-    that solving every draw gives, and values are too up to rounding: the
-    solver's saved warm states no longer include flat optima. On sparse
-    scenarios each draw is solved on its own.
+    Where the threshold has a closed form (_has_facet_form), every point is
+    evaluated through the facets, one draw at a time, and no LP runs.
+    Elsewhere ThresholdSolver solves it, and the first start is solved.
+    Where the LP prices densely, the redraws then come in blocks of 2, 4, 8
+    and then _DRAW_BLOCK, in stream order and never past the budget.
+    noiseless_local proves most flat draws local in one pass over the
+    block; such a draw counts its evaluation and is not solved. The others
+    are solved in order, the first one off the plateau is accepted and the
+    rest of the block is dropped uncounted. The draw that spends the
+    budget's last evaluation is always solved, so the value returned is a
+    solve's. Accepted draws and evaluation counts are the ones that solving
+    every draw gives, and values are too up to rounding: the solver's saved
+    warm states no longer include flat optima. On sparse scenarios each draw
+    is solved on its own.
     """
     sc, config, index, fixed_coeffs, options = args
     key = np.array([config.rng_seed, index], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
-    solver = ThresholdSolver(sc, options)
+    if _has_facet_form(sc):
+        solver, in_blocks = _FacetThreshold(sc), False
+    else:
+        solver = ThresholdSolver(sc, options)
+        in_blocks = solver.prices_densely
 
     start, pinned_coeffs = _restart_start(sc, config.mode, index, rng)
     if fixed_coeffs is not None:
@@ -443,7 +455,7 @@ def _run_restart(args):
     params, value = start, counted(start)
     size = 1
     while value <= FLAT_VALUE and spent < budget:
-        if not solver.prices_densely:
+        if not in_blocks:
             params = draw()
             value = counted(params)
             continue

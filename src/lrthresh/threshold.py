@@ -15,15 +15,21 @@ that basis is dual feasible for every tensor, so each solve runs only dual
 and primal simplex pivots, from it or from a recent optimum.
 
 Where the question is only whether F = 0 already admits a local model, as
-for the search's plateau draws, noiseless_local answers it for a stack of
-tensors at once: the dual phase of a cold solve with F left out, run on
-every tensor side by side, which proves a local model or leaves the tensor
-to a solve.
+for the search's plateau draws at (3,2), (2,4) and (4,2), noiseless_local
+answers it for a stack of tensors at once: the dual phase of a cold solve
+with F left out, run on every tensor side by side, which proves a local
+model or leaves the tensor to a solve.
+
+With two parties, two settings and d <= 3 the local polytope's facets are
+known, and the threshold is the largest noise fraction any violated facet
+needs (_FacetThreshold). The search evaluates those scenarios through it;
+every certified solve, there too, is the LP's.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -305,6 +311,106 @@ def noiseless_local(tensors: Sequence[CorrelationTensor],
         side.put(j_flat, 0.0)
         basis.put(i, j)
     return proven
+
+
+def _has_facet_form(sc: Scenario) -> bool:
+    """Whether _FacetThreshold covers the scenario: two parties, two settings, d <= 3."""
+    return sc.parties == 2 and sc.settings_per_party == 2 and sc.dim <= 3
+
+
+@functools.cache
+def _bell_facets(sc: Scenario) -> np.ndarray:
+    """The nontrivial facets c . P <= 2 of the local polytope, one row per facet, read-only.
+
+    Two parties with two settings and d <= 3 outcomes, where the CGLMP class
+    (Collins, Gisin, Linden, Massar & Popescu, PRL 88, 040404 (2002)) and the
+    CHSH liftings are the only classes besides positivity (Collins & Gisin,
+    J. Phys. A 37, 1775 (2004)). Columns follow the flattened tensor.
+    - CGLMP: block (x, y) weighs each outcome pair by g of its difference,
+      g(k) = 1 - 2k/(d-1) and g(-k-1) = -(1 - 2k/(d-1)) for k < d/2, under
+      every relabeling of the outcomes of each party and setting. A common
+      cyclic shift of all outcomes leaves the differences as they are, so
+      only relabelings that keep the first party's setting-0 outcome 0 in
+      place are applied: 432 rows at d = 3.
+    - CHSH liftings: sigma_xy s_x(a) t_y(b), with each outcome map s_x, t_y
+      a non-constant +-1 grouping that sends outcome 0 to +1, and sigma one
+      of the 8 sign patterns whose product is -1: 81 x 8 = 648 rows at
+      d = 3. At d = 2 the CGLMP rows are already the 8 CHSH rows.
+    The tests check that the rows are distinct facets.
+    """
+    d = sc.dim
+    g = np.zeros(d)
+    for k in range(d // 2):
+        g[k] += 1.0 - 2.0 * k / (d - 1)
+        g[-k - 1] -= 1.0 - 2.0 * k / (d - 1)
+    diff = np.subtract.outer(np.arange(d), np.arange(d))  # a - b
+    cglmp = np.stack([g[diff % d], g[-diff % d], g[(-diff - 1) % d], g[diff % d]])
+    perms = np.array(list(itertools.permutations(range(d))))
+    # one permutation per (party, setting): block (x, y) relabels a by the
+    # first party's x-th and b by the second party's y-th
+    fixing = perms[perms[:, 0] == 0]
+    pick = np.indices((len(fixing),) + (len(perms),) * 3).reshape(4, -1)
+    first = [fixing[pick[0]], perms[pick[1]]]
+    second = [perms[pick[2]], perms[pick[3]]]
+    rows = [np.stack([cglmp[2 * x + y][first[x][:, :, None], second[y][:, None, :]]
+                      for x in range(2) for y in range(2)], axis=1)]
+    if d > 2:
+        codes = np.arange(1, 2 ** (d - 1))
+        groupings = np.ones((codes.size, d))
+        groupings[:, 1:] = 1 - 2 * ((codes[:, None] >> np.arange(d - 1)) & 1)
+        patterns = np.array([s for s in itertools.product((1.0, -1.0), repeat=4)
+                             if np.prod(s) < 0]).reshape(-1, 1, 2, 2, 1, 1)
+        # (combination, party and setting, outcome): every choice of the four maps
+        maps = groupings[np.indices((codes.size,) * 4).reshape(4, -1)].transpose(1, 0, 2)
+        rows.append(patterns * (maps[:, :2, None, :, None] * maps[:, None, 2:, None, :]))
+    return _frozen(np.concatenate([r.reshape(-1, sc.marginal_rows) for r in rows]))
+
+
+class _FacetThreshold:
+    """The threshold from the facets of the local polytope, where they are known in closed form.
+
+    A facet c . P <= 2 that the tensor violates needs the noise fraction
+    (c.P - 2)/(c.P - c.u), where u is the uniform tensor, and the threshold
+    is the largest of these, or 0 when no facet is violated (a Born tensor
+    never violates positivity). Only violated rows are divided: there
+    c.P > 2 > c.u. It stands in for ThresholdSolver's value() and
+    tensor_gradient() in the search; the certified solve stays an LP.
+    """
+
+    def __init__(self, sc: Scenario):
+        self.scenario = sc
+        self._facets = _bell_facets(sc)
+        self._at_uniform = self._facets.sum(axis=1) / sc.outcome_combos  # c . u per facet
+        self._active: tuple[int, float] | None = None  # (facet, c.P) of the last value()
+
+    def value(self, tensor: CorrelationTensor) -> float:
+        """The threshold at the tensor."""
+        if tensor.scenario != self.scenario:
+            raise ScenarioMismatchError("tensor does not belong to this solver's scenario")
+        cp = self._facets @ tensor.flat
+        violated = np.flatnonzero(cp > 2.0)
+        if not violated.size:
+            self._active = (-1, 0.0)
+            return 0.0
+        ratios = (cp[violated] - 2.0) / (cp[violated] - self._at_uniform[violated])
+        k = int(ratios.argmax())
+        self._active = (int(violated[k]), float(cp[violated[k]]))
+        return float(ratios[k])
+
+    def tensor_gradient(self) -> np.ndarray | None:
+        """dF/dP at the tensor of the last value() call: c (2 - c.u)/(c.P - c.u)^2.
+
+        c is the facet that set the threshold, the first of them at a tie, so
+        at a tie this is one subgradient of several; 0 where no facet is
+        violated. None before the first value().
+        """
+        if self._active is None:
+            return None
+        k, cp = self._active
+        if k < 0:
+            return np.zeros(self.scenario.marginal_rows)
+        cu = self._at_uniform[k]
+        return self._facets[k] * ((2.0 - cu) / (cp - cu) ** 2)
 
 
 def witness_residual(

@@ -119,7 +119,6 @@ def test_criterion_3_two_qutrits_phases(verdict, c3):
     assert elapsed < 120.0
 
 
-@pytest.mark.slow
 def test_criterion_4_two_qutrits_state_and_phases(verdict):
     res, elapsed = timed(optimize_state_and_phases, SC23, default_config("phases_and_state"),
                          workers=1)

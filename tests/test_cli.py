@@ -201,8 +201,9 @@ def test_optimize_runs_and_replays_report_tolerances(capsys, tmp_path, monkeypat
     spy_on(search, "ThresholdSolver", "search")
     spy_on(search, "threshold", "search")
     spy_on(reports, "threshold", "verify")
-    scen = tmp_path / "ghz23.yaml"
-    scen.write_text(GHZ23)
+    # at (3,2): at (2,3) the restarts evaluate in closed form and build no solver
+    scen = tmp_path / "ghz32.yaml"
+    scen.write_text("parties: 3\ndim: 2\nstate: ghz\nsettings: zero\n")
     out_path = tmp_path / "opt.json"
     assert main(["optimize", "--scenario", str(scen), "--restarts", "2", "--max-evals", "20",
                  "--workers", "1", "--out", str(out_path)] + tol_flag) == 0

@@ -6,7 +6,9 @@ certified solve(); fresh solvers check the cold start from the closed-form
 basis, and solve_lp, the general LP entry point, runs on the full LP. Every
 value must match HiGHS on build_threshold_lp. The exact bracket
 that verify checks must agree with the solver's float certificate, and its
-bound must stay below HiGHS's optimum for any dual.
+bound must stay below HiGHS's optimum for any dual. At (2,3) a second oracle
+of another kind, the closed form over the local polytope's facets, checks
+the solver's values too.
 """
 
 import numpy as np
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lrthresh import (
+    CorrelationTensor,
     PhaseSettings,
     PureState,
     Scenario,
@@ -28,9 +31,9 @@ from lrthresh import (
     solve_lp,
 )
 from lrthresh.simplex import certified_lower_bound
-from lrthresh.threshold import exact_bracket, witness_residual
+from lrthresh.threshold import _FacetThreshold, _bell_facets, exact_bracket, witness_residual
 
-from conftest import highs_lp
+from conftest import highs_lp, noisy_tensor
 
 TOL = 1e-7
 SCENARIOS = [Scenario(parties=n, dim=d, settings_per_party=2)
@@ -181,3 +184,60 @@ def test_exact_bound_of_any_dual_stays_below_highs(sc):
             assert bound <= optimum + 1e-12
     bound, _, _ = exact_bracket(tensor, rng.normal(size=certified.size), weights, optimum)
     assert bound <= optimum + 1e-12
+
+
+SC23 = Scenario(parties=2, dim=3, settings_per_party=2)
+
+
+def born_tensors(sc, count, key):
+    """Seeded Born tensors of random real states under uniformly random phases."""
+    rng = np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+    for _ in range(count):
+        coeffs = rng.normal(size=sc.state_size)
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=(sc.parties, 2, sc.dim))
+        yield correlation_tensor(PureState(sc, coeffs / np.linalg.norm(coeffs)),
+                                 PhaseSettings(sc, phases))
+
+
+def test_facet_form_matches_warm_values_at_two_qutrits():
+    solver, facets = ThresholdSolver(SC23), _FacetThreshold(SC23)
+    values = np.array([(solver.value(t), facets.value(t))
+                       for t in born_tensors(SC23, 3000, (11, 0))])
+    assert np.max(np.abs(values[:, 0] - values[:, 1])) < 1e-12
+    off = values[:, 1] > 0.0
+    assert 20 < off.sum() < 300  # most Born tensors at (2,3) are local
+
+
+def test_facet_form_matches_on_and_beyond_a_facet():
+    solver, facets = ThresholdSolver(SC23), _FacetThreshold(SC23)
+    nonlocal_tensors = [t for t in born_tensors(SC23, 600, (11, 1)) if facets.value(t) > 1e-3]
+    assert len(nonlocal_tensors) >= 5
+    for tensor in nonlocal_tensors:
+        f_thr = facets.value(tensor)
+        # at its threshold the noisy tensor sits on the facet; half way it is still outside
+        for noisy in (noisy_tensor(tensor, f_thr), noisy_tensor(tensor, f_thr / 2)):
+            assert abs(solver.value(noisy) - facets.value(noisy)) < 1e-12
+        assert abs(facets.value(noisy_tensor(tensor, f_thr))) < 1e-12
+
+
+def test_facet_form_matches_at_a_two_facet_tie():
+    # GHZ under the CGLMP settings, mixed evenly with its image under a swap
+    # of two of Alice's setting-0 outcomes. The swap leaves the mixture as it
+    # is and pairs the facets, so a facet and its image tie there; at least
+    # two facets set the threshold
+    alpha = np.array([[0.0, 0.5], [0.25, -0.25]])
+    settings = PhaseSettings(SC23, 2 * np.pi * alpha[:, :, None] * np.arange(3) / 3)
+    probs = correlation_tensor(ghz_state(SC23), settings).probs
+    swapped = probs.copy()
+    swapped[0] = probs[0][:, [1, 0, 2]]
+    tensor = CorrelationTensor(SC23, (probs + swapped) / 2)
+    facets = _bell_facets(SC23)
+    cp = facets @ tensor.flat
+    noise = facets.sum(axis=1) / 9.0
+    violated = cp > 2.0
+    ratios = (cp[violated] - 2.0) / (cp[violated] - noise[violated])
+    assert np.sum(ratios > ratios.max() - 1e-12) >= 2
+    value = _FacetThreshold(SC23).value(tensor)
+    assert value > 0.01
+    assert abs(value - ThresholdSolver(SC23).value(tensor)) < 1e-12
+    assert abs(value - highs_threshold(tensor)) < TOL

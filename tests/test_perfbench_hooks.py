@@ -84,7 +84,7 @@ def test_traced_optimize_records_search_spans(monkeypatch):
     tracer = load_spans().Tracer()
     try:
         tracer.install()
-        result = search.optimize_state_and_phases(Scenario(parties=2, dim=3), cfg)
+        result = search.optimize_state_and_phases(Scenario(parties=3, dim=2), cfg)
     finally:
         tracer.uninstall()
     names = [span[0] for span in tracer.spans]

@@ -22,12 +22,14 @@ from lrthresh import (
     threshold,
 )
 from lrthresh.search import nelder_mead
+from lrthresh.threshold import _FacetThreshold
 
 from conftest import counted_proofs, noisy_tensor, record_proofs
 
 SC33 = Scenario(parties=3, dim=3, settings_per_party=2)
 SC23 = Scenario(parties=2, dim=3, settings_per_party=2)
 SC32 = Scenario(parties=3, dim=2, settings_per_party=2)
+SC22 = Scenario(parties=2, dim=2, settings_per_party=2)
 
 QUICK = OptimizationConfig(restarts=4, rng_seed=7, max_evals_per_restart=80,
                            mode="phases_only")
@@ -265,9 +267,9 @@ def _point_off_plateau(sc, rng, objective):
     raise AssertionError("no random point off the plateau")
 
 
-@pytest.mark.parametrize("sc", [SC33, SC23, SC32], ids=["n3d3", "n2d3", "n3d2"])
-def test_polish_gradient_matches_central_differences(rng, sc):
-    objective, gradient = search._objectives(ThresholdSolver(sc), None)
+def check_gradient(sc, rng, solver):
+    """The restart's exact gradient against central differences of its objective."""
+    objective, gradient = search._objectives(solver, None)
     params = _point_off_plateau(sc, rng, objective)
     grad = gradient(params)
     x = params.flat()
@@ -280,6 +282,16 @@ def test_polish_gradient_matches_central_differences(rng, sc):
                  - objective(params.with_flat(x - step))) / (2 * h)
     assert grad.shape == x.shape
     assert np.max(np.abs(grad - fd)) < 1e-6
+
+
+@pytest.mark.parametrize("sc", [SC33, SC23, SC32], ids=["n3d3", "n2d3", "n3d2"])
+def test_polish_gradient_matches_central_differences(rng, sc):
+    check_gradient(sc, rng, ThresholdSolver(sc))
+
+
+@pytest.mark.parametrize("sc", [SC23, SC22], ids=["n2d3", "n2d2"])
+def test_facet_gradient_matches_central_differences(rng, sc):
+    check_gradient(sc, rng, _FacetThreshold(sc))
 
 
 def test_pinned_state_gradient_is_the_phase_block(rng):
@@ -338,8 +350,8 @@ def test_polish_never_lowers_a_restart(monkeypatch):
 
 
 # at (3,2) with 40 and (3,3) with 90 evaluations the cap cuts the polish short
-@pytest.mark.parametrize("sc, cap", [(SC23, 30), (SC32, 40), (SC33, 90), (SC33, 150)],
-                         ids=["n2d3-30", "n3d2-40", "n3d3-90", "n3d3-150"])
+@pytest.mark.parametrize("sc, cap", [(SC32, 30), (SC32, 40), (SC33, 90), (SC33, 150)],
+                         ids=["n3d2-30", "n3d2-40", "n3d3-90", "n3d3-150"])
 def test_restart_evaluations_stay_within_the_cap(monkeypatch, sc, cap):
     solved = []
     original = ThresholdSolver.value
@@ -364,7 +376,7 @@ def test_restart_evaluations_stay_within_the_cap(monkeypatch, sc, cap):
 
 
 def test_flat_restart_redraws_without_polish(monkeypatch):
-    state = product_state(SC23, [[1, 0, 0], [0, 1, 0]])  # threshold 0 under any phases
+    state = product_state(SC32, [[1, 0], [0, 1], [1, 0]])  # threshold 0 under any phases
     values = []
     original = ThresholdSolver.value
 
@@ -381,7 +393,7 @@ def test_flat_restart_redraws_without_polish(monkeypatch):
     monkeypatch.setattr(search, "_polish", never)
     cfg = OptimizationConfig(restarts=1, rng_seed=0, max_evals_per_restart=80,
                              mode="phases_only")
-    _, value, _, _, spent = search._run_restart((SC23, cfg, 0, state.coeffs.real, None))
+    _, value, _, _, spent = search._run_restart((SC32, cfg, 0, state.coeffs.real, None))
     assert spent == 80
     # the start and the draw that spends the last evaluation are solved; the
     # 78 draws between come in blocks of 2, 4, 8 and 16, each proven local
@@ -395,6 +407,10 @@ def test_flat_restart_redraws_without_polish(monkeypatch):
 # command 13 of the optimize_joint_23 benchmark's seed-1 stream: two of its
 # four restarts draw flat starts before they leave the plateau
 JOINT23 = OptimizationConfig(restarts=4, rng_seed=1777477784, max_evals_per_restart=500,
+                             mode="phases_and_state")
+# at (3,2), where flat draws are proven local in blocks: the four restarts
+# leave the plateau on their 3rd, 11th, 8th and 6th draw
+JOINT32 = OptimizationConfig(restarts=4, rng_seed=10, max_evals_per_restart=500,
                              mode="phases_and_state")
 
 
@@ -423,12 +439,12 @@ def test_ascent_starts_at_the_first_draw_off_the_plateau(monkeypatch):
     monkeypatch.setattr(search, "_polish", watched)
     blocks = record_proofs(monkeypatch)
     flat_draws = 0
-    for index in range(JOINT23.restarts):
+    for index in range(JOINT32.restarts):
         solved.clear()
         draws.clear()
         ascents.clear()
         blocks.clear()
-        _, _, _, _, spent = search._run_restart((SC23, JOINT23, index, None, None))
+        _, _, _, _, spent = search._run_restart((SC32, JOINT32, index, None, None))
         assert len(ascents) == 1
         start, solves, start_value, ascent_evals = ascents[0]
         # the ascent starts from the first draw off the plateau, in stream
@@ -449,7 +465,7 @@ def test_ascent_starts_at_the_first_draw_off_the_plateau(monkeypatch):
 
 
 def reference_restart(sc, config, index):
-    """A restart that solves every draw: the same stream, the same ascent."""
+    """A restart that solves every draw by LP: the same stream, the same ascent."""
     key = np.array([config.rng_seed, index], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     objective, gradient = search._objectives(ThresholdSolver(sc), None)
@@ -466,7 +482,8 @@ def reference_restart(sc, config, index):
     return accepted, params, value, spent
 
 
-# 10 evaluations end every restart of this config inside its third block
+# with 10 evaluations, restart 1 of this config stays flat and restart 2
+# accepts a draw from its fourth block, which the budget cuts short
 @pytest.mark.parametrize("budget", [500, 10])
 def test_restart_matches_solving_every_draw(monkeypatch, budget):
     accepted = []
@@ -477,12 +494,12 @@ def test_restart_matches_solving_every_draw(monkeypatch, budget):
         return original_polish(objective, gradient, params, value, budget)
 
     monkeypatch.setattr(search, "_polish", watched)
-    cfg = OptimizationConfig(restarts=JOINT23.restarts, rng_seed=JOINT23.rng_seed,
-                             max_evals_per_restart=budget, mode=JOINT23.mode)
+    cfg = OptimizationConfig(restarts=JOINT32.restarts, rng_seed=JOINT32.rng_seed,
+                             max_evals_per_restart=budget, mode=JOINT32.mode)
     for index in range(cfg.restarts):
         accepted.clear()
-        _, value, table, coeffs, spent = search._run_restart((SC23, cfg, index, None, None))
-        ref_start, ref, ref_value, ref_spent = reference_restart(SC23, cfg, index)
+        _, value, table, coeffs, spent = search._run_restart((SC32, cfg, index, None, None))
+        ref_start, ref, ref_value, ref_spent = reference_restart(SC32, cfg, index)
         assert spent == ref_spent
         assert abs(value - ref_value) < 1e-12
         if accepted:
@@ -497,16 +514,93 @@ def test_restart_matches_solving_every_draw(monkeypatch, budget):
             assert np.array_equal(coeffs, ref.decode_state().coeffs.real)
 
 
+def record_lp_calls(monkeypatch) -> list:
+    """Record every ThresholdSolver.value call; fail on any noiseless_local call."""
+    calls = []
+    original = ThresholdSolver.value
+
+    def recorded(self, tensor):
+        calls.append(tensor)
+        return original(self, tensor)
+
+    def never(*args):
+        raise AssertionError("a two-party restart proved draws local by LP")
+
+    monkeypatch.setattr(ThresholdSolver, "value", recorded)
+    monkeypatch.setattr(search, "noiseless_local", never)
+    return calls
+
+
+@pytest.mark.parametrize("sc", [SC23, SC22], ids=["n2d3", "n2d2"])
+def test_two_party_restarts_evaluate_through_the_facets_alone(monkeypatch, sc):
+    lp_calls = record_lp_calls(monkeypatch)
+    facet_calls = []
+    original = _FacetThreshold.value
+
+    def counted(self, tensor):
+        facet_calls.append(tensor)
+        return original(self, tensor)
+
+    monkeypatch.setattr(_FacetThreshold, "value", counted)
+    cfg = OptimizationConfig(restarts=3, rng_seed=5, max_evals_per_restart=30,
+                             mode="phases_and_state")
+    for index in range(cfg.restarts):
+        facet_calls.clear()
+        _, _, _, _, spent = search._run_restart((sc, cfg, index, None, None))
+        # one facet evaluation per draw and per ascent step, and no LP
+        assert spent == len(facet_calls) <= cfg.max_evals_per_restart
+    assert not lp_calls
+
+
+# its restarts leave the plateau on their 150th, 112th, 29th and 56th draw,
+# so with 60 evaluations restarts 0 and 1 stay flat and 3 has 4 ascent steps
+@pytest.mark.parametrize("budget", [500, 60])
+def test_facet_restart_matches_solving_every_draw_by_lp(monkeypatch, budget):
+    accepted = []
+    original_polish = search._polish
+
+    def watched(objective, gradient, params, value, budget):
+        accepted.append(params)
+        return original_polish(objective, gradient, params, value, budget)
+
+    monkeypatch.setattr(search, "_polish", watched)
+    lp_calls = record_lp_calls(monkeypatch)
+    cfg = OptimizationConfig(restarts=JOINT23.restarts, rng_seed=JOINT23.rng_seed,
+                             max_evals_per_restart=budget, mode=JOINT23.mode)
+    flat = 0
+    for index in range(cfg.restarts):
+        accepted.clear()
+        _, value, table, coeffs, spent = search._run_restart((SC23, cfg, index, None, None))
+        assert not lp_calls
+        ref_start, ref, ref_value, ref_spent = reference_restart(SC23, cfg, index)
+        lp_calls.clear()
+        assert spent == ref_spent
+        assert abs(value - ref_value) < 1e-12
+        if accepted:
+            # the same draw starts the ascent; the facet gradient and the LP's
+            # duals agree up to rounding, and so may the endpoints
+            assert np.array_equal(accepted[0].flat(), ref_start.flat())
+            assert np.allclose(table, ref.decode_settings().table, rtol=0, atol=1e-9)
+            assert np.allclose(coeffs, ref.decode_state().coeffs.real, rtol=0, atol=1e-9)
+        else:
+            flat += 1
+            assert ref_spent == budget and ref_value <= search.FLAT_VALUE
+            assert np.array_equal(table, ref.decode_settings().table)
+            assert np.array_equal(coeffs, ref.decode_state().coeffs.real)
+    assert flat == (2 if budget == 60 else 0)
+
+
 def test_a_draw_just_off_the_local_set_is_solved_and_stays_flat(monkeypatch):
-    # GHZ under the CGLMP settings (threshold 0.3038), mixed with white noise
+    # GHZ under the Mermin settings (threshold 0.5), mixed with white noise
     # down to a threshold of 5e-7: above 0, at most FLAT_VALUE
-    alpha = np.array([[0.0, 0.5], [0.25, -0.25]])
-    settings = PhaseSettings(SC23, 2 * np.pi * alpha[:, :, None] * np.arange(3) / 3)
-    tensor = correlation_tensor(ghz_state(SC23), settings)
-    f_thr = threshold(ghz_state(SC23), settings).f_thr
+    table = np.zeros((3, 2, 2))
+    table[:, 1, 1] = np.pi / 2
+    settings = PhaseSettings(SC32, table)
+    tensor = correlation_tensor(ghz_state(SC32), settings)
+    f_thr = threshold(ghz_state(SC32), settings).f_thr
     q = 1.0 - (1.0 - f_thr) / (1.0 - 5e-7)
     edge = noisy_tensor(tensor, q)
-    state = product_state(SC23, [[1, 0, 0], [0, 1, 0]])  # every other draw is local
+    state = product_state(SC32, [[1, 0], [0, 1], [1, 0]])  # every other draw is local
     solved = []
     original_value = ThresholdSolver.value
     original_born = search._born
@@ -528,7 +622,7 @@ def test_a_draw_just_off_the_local_set_is_solved_and_stays_flat(monkeypatch):
     monkeypatch.setattr(search, "_polish", never)
     cfg = OptimizationConfig(restarts=1, rng_seed=0, max_evals_per_restart=20,
                              mode="phases_only")
-    _, value, table, _, spent = search._run_restart((SC23, cfg, 0, state.coeffs.real, None))
+    _, value, table, _, spent = search._run_restart((SC32, cfg, 0, state.coeffs.real, None))
     # the edge is not proven local, so it is solved, and being flat it is redrawn
     edge_values = [v for t, v in solved if t is edge]
     assert len(edge_values) == 1
@@ -537,7 +631,7 @@ def test_a_draw_just_off_the_local_set_is_solved_and_stays_flat(monkeypatch):
     assert solved[-1][0] is not edge
     # and no draw was skipped: the restart ends on the stream's 20th draw
     rng = np.random.Generator(np.random.Philox(key=np.array([0, 0], dtype=np.uint64)))
-    draws = [search._restart_start(SC23, cfg.mode, -1 if k else 0, rng)[0] for k in range(20)]
+    draws = [search._restart_start(SC32, cfg.mode, -1 if k else 0, rng)[0] for k in range(20)]
     assert np.array_equal(table, draws[-1].decode_settings().table)
 
 

@@ -33,6 +33,8 @@ from lrthresh import (
 from lrthresh.simplex import certified_lower_bound, independent_rows
 from lrthresh import simplex
 from lrthresh.threshold import (
+    _FacetThreshold,
+    _bell_facets,
     _collins_gisin_basis,
     _collins_gisin_inverse,
     _kept_rows,
@@ -735,3 +737,70 @@ def test_threshold_result_bounds(rng):
     res = threshold(random_state(SC22, rng), random_settings(SC22, rng))
     assert 0.0 <= res.f_thr <= 1.0
     assert res.solver_stats["status"] == "optimal"
+
+
+def tight_sets(values: np.ndarray, bound: float) -> list[frozenset]:
+    """Per inequality (one row of values on the vertices), the vertices where it is tight."""
+    return [frozenset(np.flatnonzero(row == bound)) for row in values]
+
+
+def test_facets_at_two_qutrits_are_valid_tight_and_1116_with_positivity():
+    facets = _bell_facets(SC23)
+    assert facets.shape == (1080, SC23.marginal_rows) and not facets.flags.writeable
+    vertices = assignment_marginal_matrix(SC23).toarray()  # one column per assignment
+    lifted = np.vstack([vertices, np.ones(SC23.joint_size)])
+    assert np.linalg.matrix_rank(lifted) == 25  # the local polytope has dimension 24
+    values = facets @ vertices
+    assert np.all(values.max(axis=1) == 2.0)
+    # a facet is tight on 24 affinely independent vertices, positivity included
+    tight = tight_sets(values, 2.0) + tight_sets(vertices, 0.0)
+    assert all(np.linalg.matrix_rank(lifted[:, sorted(t)]) == 24 for t in tight)
+    assert len(set(tight)) == 1116
+
+
+def test_facets_at_two_qubits_are_the_convex_hull():
+    from scipy.spatial import ConvexHull
+
+    vertices = assignment_marginal_matrix(SC22).toarray()
+    points = vertices.T - vertices.T.mean(axis=0)
+    _, singular, basis = np.linalg.svd(points)
+    points = points @ basis[singular > 1e-9].T  # coordinates in the affine hull
+    assert points.shape == (16, 8)
+    hull = ConvexHull(points)
+    found = {frozenset(np.flatnonzero(np.abs(points @ eq[:-1] + eq[-1]) < 1e-9))
+             for eq in hull.equations}
+    ours = tight_sets(_bell_facets(SC22) @ vertices, 2.0) + tight_sets(vertices, 0.0)
+    assert len(found) == len(ours) == 24
+    assert set(ours) == found
+
+
+def cglmp_tensor():
+    """GHZ at (2,3) under the CGLMP settings, criterion 3's optimum (threshold 0.3038)."""
+    alpha = np.array([[0.0, 0.5], [0.25, -0.25]])
+    settings = PhaseSettings(SC23, 2 * np.pi * alpha[:, :, None] * np.arange(3) / 3)
+    return correlation_tensor(ghz_state(SC23), settings)
+
+
+@pytest.mark.parametrize("which", ["ghz-cglmp", "product", "uniform"])
+def test_facet_value_raises_no_floating_point_warning(rng, which):
+    tensor = {
+        "ghz-cglmp": cglmp_tensor,
+        "product": lambda: correlation_tensor(product_state(SC23, [[1, 0, 0], [0, 1, 0]]),
+                                              random_settings(SC23, rng)),
+        "uniform": lambda: CorrelationTensor(SC23, np.full((2, 2, 3, 3), 1.0 / 9.0)),
+    }[which]()
+    solver = _FacetThreshold(SC23)
+    with np.errstate(all="raise"):
+        value = solver.value(tensor)
+        grad = solver.tensor_gradient()
+    assert abs(value - ThresholdSolver(SC23).value(tensor)) < 1e-12
+    assert (value > 0.3) == (which == "ghz-cglmp")
+    assert grad.shape == (SC23.marginal_rows,) and np.all(np.isfinite(grad))
+    assert grad.any() == (which == "ghz-cglmp")
+
+
+def test_facet_evaluator_takes_its_own_scenario():
+    solver = _FacetThreshold(SC23)
+    assert solver.tensor_gradient() is None
+    with pytest.raises(ScenarioMismatchError):
+        solver.value(ghz_maxent_tensor())

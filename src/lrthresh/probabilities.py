@@ -1,22 +1,26 @@
 """Quantum outcome probabilities for all setting combinations, plus noise.
 
-The production path contracts the state coefficient tensor with one party's
-stack of multiport unitaries at a time and works for any (parties, dim). The
-tests cross-check it against an explicit Kronecker product of the unitaries
-applied to the state, at several (parties, dim), and against the three-qutrit
-cosine expansion. A backward pass, correlation_tensor_vjp, gives the gradient
-of any weighted sum of the probabilities with respect to the phases and the
-state; the search uses it with the LP duals as weights.
+The forward pass contracts the state coefficient tensor with one party's
+stack of multiport unitaries at a time, one matrix product per party, and
+works for any (parties, dim). The tests cross-check it against an explicit
+Kronecker product of the unitaries applied to the state, at several
+(parties, dim), and against the three-qutrit cosine expansion. A backward
+pass, correlation_tensor_vjp, gives the gradient of any weighted sum of the
+probabilities with respect to the phases and the state; the search uses it
+with the LP duals as weights. It runs through a per-scenario plan
+(_born_plan): the d^N-point Fourier transform and the map from the phase
+table to each setting combination's phases, both built once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache, reduce
+from typing import NamedTuple
 
 import numpy as np
 
-from .scenario import PhaseSettings, PureState, Scenario, _frozen, setting_unitaries, \
-    tritter_unitary
+from .scenario import PhaseSettings, PureState, Scenario, _fourier, _frozen, setting_unitaries
 
 # Entries are clamped to 0 down to this excursion; anything more negative is a bug.
 CLAMP_TOL = 1e-12
@@ -67,23 +71,51 @@ def correlation_tensor(state: PureState, settings: PhaseSettings) -> Correlation
     """Born probabilities |<a_1..a_N| U_1 x...x U_N |psi>|^2 for every setting combo.
 
     All setting combinations come out of one pass over the parties: each step
-    contracts the leading ket axis of the amplitudes with party p's
-    (settings, outcome, ket) unitary stack and appends that party's setting and
-    outcome axes. The axes then alternate (s_1, a_1, s_2, a_2, ...), and one
-    transpose orders them settings first.
+    multiplies the amplitudes, leading ket axis last, by party p's unitary
+    stack laid out as one (ket, setting x outcome) matrix, which appends that
+    party's setting and outcome axes. The axes then alternate
+    (s_1, a_1, s_2, a_2, ...), and one transpose orders them settings first.
     """
     if state.scenario != settings.scenario:
         raise ScenarioMismatchError(
             f"state scenario {state.scenario} != settings scenario {settings.scenario}"
         )
     sc = state.scenario
-    n = sc.parties
+    n, m, d = sc.parties, sc.settings_per_party, sc.dim
     unitaries = setting_unitaries(settings)
+    right = unitaries.transpose(0, 3, 1, 2).reshape(n, d, m * d)
     amp = state.tensor.astype(complex)
     for p in range(n):
-        amp = np.tensordot(amp, unitaries[p], axes=([0], [2]))
+        amp = np.ascontiguousarray(amp.reshape(d, -1).T) @ right[p]
+    amp = amp.reshape((m, d) * n)
     amp = amp.transpose(tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2)))
     return CorrelationTensor(sc, np.abs(amp) ** 2)
+
+
+class _BornPlan(NamedTuple):
+    """The fixed parts of a scenario's backward pass (read-only arrays).
+
+    kron is the d^N x d^N Fourier transform over all parties, the first party
+    slowest. incidence is 0/1, one row per (setting combination, ket) and one
+    column per entry of the flat phase table; row (s, k) holds a 1 at
+    (p, s_p, k_p) for every party p, so incidence @ table.ravel() is the
+    summed phase of ket k under setting combination s.
+    """
+
+    kron: np.ndarray
+    incidence: np.ndarray
+
+
+@cache
+def _born_plan(sc: Scenario) -> _BornPlan:
+    n, m, d = sc.parties, sc.settings_per_party, sc.dim
+    kron = reduce(np.kron, [_fourier(d)] * n)
+    labels = np.indices((m,) * n + (d,) * n).reshape(2 * n, -1)  # s_1..s_N, k_1..k_N
+    rows = np.arange(labels.shape[1])
+    incidence = np.zeros((rows.size, n * m * d))
+    for p in range(n):
+        incidence[rows, (p * m + labels[p]) * d + labels[n + p]] = 1.0
+    return _BornPlan(_frozen(kron), _frozen(incidence))
 
 
 def correlation_tensor_vjp(
@@ -100,38 +132,23 @@ def correlation_tensor_vjp(
     Each multiport is the Fourier matrix times the diagonal exp(i phases), so
     setting combination s reads out the phased state
     Psi_s[k] = psi[k] exp(i sum_p phi_p[s_p, k_p]) through one fixed
-    d^N-point Fourier transform, A_s = F Psi_s. With L = sum(weights * |A|^2),
+    d^N-point Fourier transform K, A_s = K Psi_s. With L = sum(weights * |A|^2),
     dL = Re sum conj(G) dA for G = 2 weights A, and the transform's adjoint
-    carries G back to Gamma_s = F^H G_s, so dL = Re sum conj(Gamma) dPsi. A
+    carries G back to Gamma_s = K^H G_s, so dL = Re sum conj(Gamma) dPsi. A
     phase phi_p[s_p, k_p] then collects Im(Gamma conj(Psi)) over every entry
-    with that setting and ket, and psi[k] collects Re(conj(Gamma) exp(i ...))
-    over the setting combinations.
+    with that setting and ket (the transposed incidence of the plan), and
+    psi[k] collects Re(conj(Gamma) exp(i ...)) over the setting combinations.
+    With one row per setting combination, each step is one numpy call.
     """
     if state.scenario != settings.scenario:
         raise ScenarioMismatchError(
             f"state scenario {state.scenario} != settings scenario {settings.scenario}"
         )
-    sc = state.scenario
-    n, m, d = sc.parties, sc.settings_per_party, sc.dim
-    fourier = tritter_unitary(d, np.zeros(d))
-    total = np.zeros((1,) * (2 * n))
-    for p in range(n):
-        shape = [1] * (2 * n)
-        shape[p], shape[n + p] = m, d
-        total = total + settings.table[p].reshape(shape)
-    phase = np.exp(1j * total)  # axes (s_1..s_N, k_1..k_N)
-    psi = phase * state.tensor
-    amp = psi
-    for _ in range(n):
-        amp = np.tensordot(amp, fourier, axes=([n], [1]))
-    grad = 2.0 * np.asarray(weights, dtype=float).reshape(amp.shape) * amp
-    for _ in range(n):
-        grad = np.tensordot(grad, fourier.conj(), axes=([n], [0]))
-    per_entry = (grad * psi.conj()).imag
-    table_grad = np.stack([
-        per_entry.sum(axis=tuple(i for i in range(2 * n) if i not in (p, n + p)))
-        for p in range(n)
-    ])
-    coeff_grad = (grad.conj() * phase).real.sum(axis=tuple(range(n)))
-    return table_grad, coeff_grad.ravel()
-
+    kron, incidence = _born_plan(state.scenario)
+    phase = np.exp(1j * (incidence @ settings.table.ravel())).reshape(-1, kron.shape[0])
+    psi = phase * state.coeffs
+    amp = psi @ kron.T
+    gamma = (2.0 * np.asarray(weights, dtype=float).reshape(amp.shape) * amp) @ kron.conj()
+    table_grad = incidence.T @ (gamma * psi.conj()).imag.ravel()
+    coeff_grad = (gamma.conj() * phase).real.sum(axis=0)
+    return table_grad.reshape(settings.table.shape), coeff_grad

@@ -9,6 +9,7 @@ gauge (first component 0, all components reduced to [0, 2*pi)).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -139,9 +140,14 @@ def tritter_unitary(dim: int, phases: Sequence[float] | np.ndarray) -> np.ndarra
         raise ValueError(f"need {dim} phases along the last axis, got shape {p.shape}")
     if not np.all(np.isfinite(p)):
         raise ValueError("phases must be finite")
+    return _fourier(dim) * np.exp(1j * p)[..., np.newaxis, :]
+
+
+@cache
+def _fourier(dim: int) -> np.ndarray:
+    """The d-point Fourier matrix exp(2i*pi*j'*j/d) / sqrt(d), built once per d (read-only)."""
     j = np.arange(dim)
-    fourier = np.exp(2j * np.pi * np.outer(j, j) / dim) / np.sqrt(dim)
-    return fourier * np.exp(1j * p)[..., np.newaxis, :]
+    return _frozen(np.exp(2j * np.pi * np.outer(j, j) / dim) / np.sqrt(dim))
 
 
 def setting_unitaries(settings: PhaseSettings) -> np.ndarray:

@@ -66,7 +66,7 @@ class ParameterVector:
     phase_params holds parties x settings x (d-1) entries in that order; the
     first phase of every setting is gauge-fixed to zero and omitted.
     state_params, when present, are unnormalized real coefficients projected
-    to the unit sphere on decode.
+    to the unit sphere on decode. Every entry must be finite.
     """
 
     scenario: Scenario
@@ -79,6 +79,8 @@ class ParameterVector:
         pp = np.asarray(self.phase_params, dtype=float).ravel()
         if pp.size != want:
             raise InvalidParameterError(f"expected {want} phase parameters, got {pp.size}")
+        if not np.all(np.isfinite(pp)):
+            raise InvalidParameterError("phase parameters must be finite")
         object.__setattr__(self, "phase_params", pp)
         if self.state_params is not None:
             sp = np.asarray(self.state_params, dtype=float).ravel()
@@ -86,6 +88,8 @@ class ParameterVector:
                 raise InvalidParameterError(
                     f"expected {sc.state_size} state parameters, got {sp.size}"
                 )
+            if not np.all(np.isfinite(sp)):
+                raise InvalidParameterError("state parameters must be finite")
             object.__setattr__(self, "state_params", sp)
 
     def decode_settings(self) -> PhaseSettings:
@@ -272,13 +276,15 @@ def _polish(objective, gradient, params: ParameterVector, value: float, budget: 
     BFGS inverse-curvature estimate built from the gradients of the accepted
     points (the identity at first, so the first step is plain steepest
     ascent). A step that does not gain its Armijo share ARMIJO * t * g.Hg is
-    halved; an accepted one updates H and the next step starts at full
-    length. The ascent stops after an accepted step that gains less than
-    POLISH_MIN_GAIN, when a trial step is shorter than POLISH_MIN_STEP, or
-    when the budget of evaluations is spent. At a degenerate optimum the
-    gradient is one subgradient of several and may ascend nowhere; the start
-    then comes back unchanged. Returns (params, value, evaluations), the
-    evaluations counting trial steps only.
+    halved; an accepted one updates H and the next step starts at full length.
+    A trial point with a non-finite coordinate is no parameter vector: it
+    counts as an evaluation worth -1, like a point that does not decode, and
+    its step is halved. The ascent stops after an accepted step that gains
+    less than POLISH_MIN_GAIN, when a trial step is shorter than
+    POLISH_MIN_STEP, or when the budget of evaluations is spent. At a
+    degenerate optimum the gradient is one subgradient of several and may
+    ascend nowhere; the start then comes back unchanged. Returns (params,
+    value, evaluations), the evaluations counting trial steps only.
     """
     point, current = params, value
     evals = 0
@@ -289,9 +295,13 @@ def _polish(objective, gradient, params: ParameterVector, value: float, budget: 
         direction = inverse @ grad
         if step * float(np.linalg.norm(direction)) < POLISH_MIN_STEP:
             break
-        trial = point.with_flat(point.flat() + step * direction)
-        trial_value = objective(trial)
         evals += 1
+        try:
+            trial = point.with_flat(point.flat() + step * direction)
+        except InvalidParameterError:
+            step *= 0.5
+            continue
+        trial_value = objective(trial)
         if trial_value < current + ARMIJO * step * float(grad @ direction):
             step *= 0.5
             continue
@@ -383,15 +393,32 @@ def _objectives(solver: ThresholdSolver | _FacetThreshold, pinned_state: PureSta
     solver's tensor gradient pulled back through the Born rule and the
     decoding. Call it only after objective(params) returned a threshold; a
     failed solve raises instead.
+
+    Each point is decoded once: objective(params) keeps the settings and
+    state it decoded, and gradient(params) reuses them when params is that
+    evaluation's point (as in _polish); otherwise it decodes params afresh.
+    objective(params, tensor) and a point that does not decode keep nothing.
     """
+    kept = None  # (params, settings, state) of the latest evaluation that decoded
+
     def objective(params: ParameterVector, tensor: CorrelationTensor | None = None) -> float:
+        nonlocal kept
+        kept = None
         if tensor is None:
-            tensor = _born(params, pinned_state)
-        return -1.0 if tensor is None else solver.value(tensor)
+            try:
+                settings, state = _decode(params, pinned_state)
+            except InvalidParameterError:
+                return -1.0
+            tensor = correlation_tensor(state, settings)
+            kept = (params, settings, state)
+        return solver.value(tensor)
 
     def gradient(params: ParameterVector) -> np.ndarray:
         weights = solver.tensor_gradient()
-        settings, state = _decode(params, pinned_state)
+        if kept is not None and kept[0] is params:
+            _, settings, state = kept
+        else:
+            settings, state = _decode(params, pinned_state)
         return params.pullback(*correlation_tensor_vjp(state, settings, weights))
 
     return objective, gradient
@@ -475,7 +502,8 @@ def _run_restart(args):
             if value > FLAT_VALUE:
                 break
     if value > FLAT_VALUE and spent < budget:
-        params, value, _ = _polish(counted, gradient, params, value, budget - spent)
+        params, value, evals = _polish(objective, gradient, params, value, budget - spent)
+        spent += evals
     table = params.decode_settings().table
     if pinned_state is not None:
         coeffs = pinned_state.coeffs.real

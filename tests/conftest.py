@@ -17,6 +17,7 @@ from lrthresh import (
     PureState,
     ScenarioFile,
 )
+from lrthresh.scenario import setting_unitaries
 
 
 @pytest.fixture
@@ -140,6 +141,57 @@ def kronecker_probabilities(state: PureState, settings: PhaseSettings) -> np.nda
             u = np.kron(u, fourier @ np.diag(np.exp(1j * settings.table[p, s])))
         probs[combo] = (np.abs(u @ state.coeffs) ** 2).reshape((d,) * n)
     return probs
+
+
+def tensordot_probabilities(state: PureState, settings: PhaseSettings) -> np.ndarray:
+    """Born probabilities by one np.tensordot per party, in the same float operations.
+
+    Bit-level oracle for correlation_tensor: the same per-party contraction
+    written with tensordot (its leading ket axis against the unitary stack's
+    ket axis), then the transpose to settings-then-outcomes order.
+    """
+    n = state.scenario.parties
+    unitaries = setting_unitaries(settings)
+    amp = state.tensor.astype(complex)
+    for p in range(n):
+        amp = np.tensordot(amp, unitaries[p], axes=([0], [2]))
+    amp = amp.transpose(tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2)))
+    return np.abs(amp) ** 2
+
+
+def tensordot_vjp(state: PureState, settings: PhaseSettings,
+                  weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient of sum(weights * P) by per-party tensordot transforms (oracle for the VJP).
+
+    The phased state keeps one axis per setting and per ket; the d-point
+    Fourier matrix is applied to one ket axis at a time, and its conjugate
+    carries 2 weights A back the same way. Each phase sums Im(Gamma conj(Psi))
+    over every axis but its own setting and ket.
+    """
+    sc = state.scenario
+    n, m, d = sc.parties, sc.settings_per_party, sc.dim
+    j = np.arange(d)
+    fourier = np.exp(2j * np.pi * np.outer(j, j) / d) / np.sqrt(d)
+    total = np.zeros((1,) * (2 * n))
+    for p in range(n):
+        shape = [1] * (2 * n)
+        shape[p], shape[n + p] = m, d
+        total = total + settings.table[p].reshape(shape)
+    phase = np.exp(1j * total)  # axes (s_1..s_N, k_1..k_N)
+    psi = phase * state.tensor
+    amp = psi
+    for _ in range(n):
+        amp = np.tensordot(amp, fourier, axes=([n], [1]))
+    grad = 2.0 * np.asarray(weights, dtype=float).reshape(amp.shape) * amp
+    for _ in range(n):
+        grad = np.tensordot(grad, fourier.conj(), axes=([n], [0]))
+    per_entry = (grad * psi.conj()).imag
+    table_grad = np.stack([
+        per_entry.sum(axis=tuple(i for i in range(2 * n) if i not in (p, n + p)))
+        for p in range(n)
+    ])
+    coeff_grad = (grad.conj() * phase).real.sum(axis=tuple(range(n)))
+    return table_grad, coeff_grad.ravel()
 
 
 def closed_form_probability(

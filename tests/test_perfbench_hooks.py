@@ -95,6 +95,23 @@ def test_traced_optimize_records_search_spans(monkeypatch):
     assert names.count("threshold.value") + proofs == result.evals
 
 
+def test_traced_facet_optimize_records_one_born_span_per_evaluation():
+    search = importlib.import_module("lrthresh.search")
+    cfg = OptimizationConfig(restarts=2, rng_seed=7, max_evals_per_restart=200,
+                             mode="phases_and_state")
+    tracer = load_spans().Tracer()
+    try:
+        tracer.install()
+        result = search.optimize_state_and_phases(Scenario(parties=2, dim=3), cfg)
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    # one contraction per evaluation, seen through search.correlation_tensor,
+    # and one for the certified solve
+    assert result.evals > 2
+    assert names.count("probabilities.correlation_tensor") == result.evals + 1
+
+
 def test_failed_value_closes_its_spans(monkeypatch):
     simplex = importlib.import_module("lrthresh.simplex")
     threshold = importlib.import_module("lrthresh.threshold")

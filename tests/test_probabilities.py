@@ -1,4 +1,5 @@
-"""Born probabilities: per-party contraction, Kronecker and closed-form cross-checks, noise."""
+"""Born probabilities: per-party contraction, Kronecker, tensordot and closed-form
+cross-checks, the backward pass and its per-scenario plan, noise."""
 
 import numpy as np
 import pytest
@@ -16,9 +17,10 @@ from lrthresh import (
     product_state,
 )
 
-from lrthresh.probabilities import correlation_tensor_vjp
+from lrthresh.probabilities import _born_plan, correlation_tensor_vjp
 
-from conftest import closed_form_probability, kronecker_probabilities, noisy_tensor
+from conftest import (closed_form_probability, kronecker_probabilities, noisy_tensor,
+                      tensordot_probabilities, tensordot_vjp)
 
 SCENARIOS = [
     Scenario(parties=2, dim=2, settings_per_party=2),
@@ -26,6 +28,8 @@ SCENARIOS = [
     Scenario(parties=3, dim=2, settings_per_party=2),
     Scenario(parties=3, dim=3, settings_per_party=2),
 ]
+# (parties, dim) pairs the Born layer is checked bit for bit against tensordot
+BORN_SIZES = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (5, 2), (2, 4), (3, 4), (4, 3)]
 
 
 def random_state(sc, rng):
@@ -71,7 +75,48 @@ def test_contraction_matches_kronecker_oracle(parties, dim, rng):
         assert np.max(np.abs(t.probs - kronecker_probabilities(st, se))) < 1e-12
 
 
-@pytest.mark.parametrize("parties,dim", [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2)])
+@pytest.mark.parametrize("parties,dim", BORN_SIZES)
+def test_contraction_is_bitwise_the_tensordot_contraction(parties, dim, rng):
+    sc = Scenario(parties=parties, dim=dim, settings_per_party=2)
+    for _ in range(5):
+        st, se = random_state(sc, rng), random_settings(sc, rng)
+        assert correlation_tensor(st, se).probs.tobytes() == \
+            tensordot_probabilities(st, se).tobytes()
+
+
+@pytest.mark.parametrize("parties,dim", [(3, 4), (4, 3)])
+def test_vjp_matches_the_tensordot_vjp(parties, dim, rng):
+    sc = Scenario(parties=parties, dim=dim, settings_per_party=2)
+    for _ in range(3):
+        st, se = random_state(sc, rng), random_settings(sc, rng)
+        weights = rng.normal(size=sc.marginal_rows)
+        table_grad, coeff_grad = correlation_tensor_vjp(st, se, weights)
+        want_table, want_coeff = tensordot_vjp(st, se, weights)
+        assert table_grad.shape == want_table.shape and coeff_grad.shape == want_coeff.shape
+        assert np.max(np.abs(table_grad - want_table)) < 1e-13
+        assert np.max(np.abs(coeff_grad - want_coeff)) < 1e-13
+
+
+@pytest.mark.parametrize("parties,dim", [(2, 3), (3, 3), (4, 2)])
+def test_born_plan_is_built_once_and_read_only(parties, dim, rng):
+    sc = Scenario(parties=parties, dim=dim, settings_per_party=2)
+    plan = _born_plan(sc)
+    assert _born_plan(Scenario(parties=parties, dim=dim, settings_per_party=2)) is plan
+    for a in plan:
+        assert not a.flags.writeable
+    n, m, d = sc.parties, sc.settings_per_party, sc.dim
+    table = random_settings(sc, rng).table
+    total = np.zeros((1,) * (2 * n))
+    for p in range(n):  # the phase of ket k_p under setting s_p, on axes (s_1..s_N, k_1..k_N)
+        shape = [1] * (2 * n)
+        shape[p], shape[n + p] = m, d
+        total = total + table[p].reshape(shape)
+    summed = plan.incidence @ table.ravel()
+    assert summed.shape == (sc.setting_combos * sc.state_size,)
+    assert np.max(np.abs(summed - total.ravel())) < 1e-13
+
+
+@pytest.mark.parametrize("parties,dim", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (2, 4), (5, 2)])
 def test_vjp_matches_central_differences(parties, dim, rng):
     sc = Scenario(parties=parties, dim=dim, settings_per_party=2)
     state, settings = random_state(sc, rng), random_settings(sc, rng)

@@ -15,6 +15,7 @@ from lrthresh import (
     product_state,
     tritter_unitary,
 )
+from lrthresh.scenario import _fourier
 
 from conftest import is_unbiased, is_unitary
 
@@ -77,6 +78,17 @@ def test_tritter_unitary_and_unbiased_random(rng):
 def test_tritter_length_mismatch():
     with pytest.raises(ValueError):
         tritter_unitary(3, [0.0, 0.0])
+
+
+def test_fourier_matrix_is_shared_and_unitaries_are_fresh():
+    assert _fourier(3) is _fourier(3)
+    assert not _fourier(3).flags.writeable
+    u, v = tritter_unitary(3, [0.0, 1.0, 2.0]), tritter_unitary(3, [0.0, 1.0, 2.0])
+    assert u is not v and u.flags.writeable
+    u[0, 0] = 0.0  # the caller owns its copy; the shared matrix is untouched
+    assert np.array_equal(tritter_unitary(3, np.zeros(3)), _fourier(3))
+    with pytest.raises(ValueError, match="finite"):
+        tritter_unitary(3, [0.0, np.inf, 0.0])
 
 
 def test_uniform_phase_shift_is_global_phase(rng):

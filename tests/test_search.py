@@ -1,5 +1,7 @@
 """Parameter encoding, the restart search, and the multi-start threshold maximizer."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from lrthresh import (
     search,
     threshold,
 )
+from lrthresh.probabilities import correlation_tensor_vjp
 from lrthresh.search import nelder_mead
 from lrthresh.threshold import _FacetThreshold
 
@@ -63,6 +66,44 @@ def test_parameter_vector_validation():
     # a zero coefficient vector survives construction but cannot decode
     with pytest.raises(InvalidParameterError):
         ParameterVector(SC23, np.zeros(8), state_params=np.zeros(9)).decode_state()
+
+
+# (coordinate block, index in it, value): an inf phase, a NaN and an inf state entry
+NONFINITE = [("phase", 3, np.inf), ("state", 0, np.nan), ("state", 4, np.inf)]
+
+
+@pytest.mark.parametrize("block, index, bad", NONFINITE, ids=["inf-phase", "nan-state",
+                                                              "inf-state"])
+def test_nonfinite_coordinates_are_invalid_parameters(block, index, bad):
+    phases, coeffs = np.ones(8), ghz_state(SC23).coeffs.copy()
+    (phases if block == "phase" else coeffs)[index] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way
+        with pytest.raises(InvalidParameterError, match="finite"):
+            ParameterVector(SC23, phases, coeffs)
+
+
+def test_ascent_backtracks_from_a_nonfinite_step(rng):
+    objective, _ = search._objectives(_FacetThreshold(SC23), None)
+    start = _point_off_plateau(SC23, rng, objective)
+    value = objective(start)
+    seen = []
+
+    def watched(params):
+        seen.append(params)
+        return objective(params)
+
+    def infinite(params):
+        grad = np.zeros(params.flat().size)
+        grad[0] = np.inf
+        return grad
+
+    with np.errstate(all="ignore"):  # the non-finite direction itself
+        params, got, evals = search._polish(watched, infinite, start, value, budget=12)
+    # every trial step is a non-finite point: each costs an evaluation worth
+    # -1 and halves the step, and none reaches the objective
+    assert params is start and got == value and evals == 12
+    assert seen == []
 
 
 def test_objective_benchmarks():
@@ -303,6 +344,62 @@ def test_pinned_state_gradient_is_the_phase_block(rng):
     phases = ParameterVector(SC33, params.phase_params)
     objective(phases)
     assert np.allclose(gradient(phases), joint[:phases.phase_params.size], rtol=0, atol=1e-9)
+
+
+def count_decodes(monkeypatch) -> list:
+    """Record every decode_settings and decode_state call on a ParameterVector."""
+    calls = []
+    for name in ("decode_settings", "decode_state"):
+        original = getattr(ParameterVector, name)
+
+        def counted(self, _name=name, _original=original):
+            calls.append(_name)
+            return _original(self)
+
+        monkeypatch.setattr(ParameterVector, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", [ThresholdSolver, _FacetThreshold], ids=["lp", "facets"])
+def test_gradient_reuses_the_evaluations_decode(monkeypatch, rng, kind):
+    solver = kind(SC23)
+    objective, gradient = search._objectives(solver, None)
+    params = _point_off_plateau(SC23, rng, objective)
+    decodes = count_decodes(monkeypatch)
+    objective(params)
+    assert decodes == ["decode_settings", "decode_state"]
+    grad = gradient(params)
+    assert len(decodes) == 2  # the gradient decoded nothing
+    fresh = params.pullback(*correlation_tensor_vjp(
+        params.decode_state(), params.decode_settings(), solver.tensor_gradient()))
+    assert grad.tobytes() == fresh.tobytes()
+
+    # an equal point that is not the evaluation's own object decodes afresh
+    decodes.clear()
+    assert gradient(params.with_flat(params.flat())).tobytes() == grad.tobytes()
+    assert len(decodes) == 2
+
+
+def test_tensor_and_undecodable_evaluations_keep_no_decode(monkeypatch, rng):
+    solver = _FacetThreshold(SC23)
+    objective, gradient = search._objectives(solver, None)
+    params = _point_off_plateau(SC23, rng, objective)
+    grad = gradient(params)
+    tensor = correlation_tensor(params.decode_state(), params.decode_settings())
+    decodes = count_decodes(monkeypatch)
+
+    objective(params)
+    objective(params, tensor)  # takes the tensor: keeps no decode
+    assert len(decodes) == 2
+    assert gradient(params).tobytes() == grad.tobytes()
+    assert len(decodes) == 4
+
+    objective(params)
+    zero = ParameterVector(SC23, params.phase_params, np.zeros(SC23.state_size))
+    assert objective(zero) == -1.0  # does not decode: the kept pair goes too
+    decodes.clear()
+    assert gradient(params).tobytes() == grad.tobytes()  # the solver still holds params
+    assert decodes == ["decode_settings", "decode_state"]
 
 
 def test_polish_keeps_the_endpoint_when_no_step_ascends():

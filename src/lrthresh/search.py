@@ -8,10 +8,8 @@ is handled inside each restart: each drawn start costs one evaluation, and a
 start on the plateau is redrawn from the restart's own random stream for as
 long as budget remains. Most draws land on the plateau. With two parties and
 at most three outcomes the threshold has a closed form over the local
-polytope's facets, and the restart evaluates every point through it, one
-draw at a time, with no LP. Where the LP is small and dense, at (3,2), (2,4)
-and (4,2), redraws come in plateau blocks, and noiseless_local proves most
-flat ones local in one pass over the block instead of solving each one.
+polytope's facets, and the restart evaluates every point through it, with no
+LP; elsewhere every point is one warm LP solve.
 
 From the first start off the plateau, the rest of the restart's budget goes
 to a quasi-Newton gradient ascent with Armijo backtracking. The gradient is
@@ -36,12 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .probabilities import CorrelationTensor, correlation_tensor, correlation_tensor_vjp
+from .probabilities import correlation_tensor, correlation_tensor_vjp
 from .scenario import PhaseSettings, PureState, Scenario, ghz_state, paper_optimal_state, \
     paper_settings
 from .simplex import SolverOptions
 from .threshold import ThresholdResult, ThresholdSolver, _FacetThreshold, _has_facet_form, \
-    noiseless_local, threshold
+    threshold
 
 STATE_NORM_FLOOR = 1e-8
 FLAT_VALUE = 1e-6  # objective values at or below this count as the local plateau
@@ -50,7 +48,6 @@ CONVERGENCE_TOL = 1e-4  # Nelder-Mead stops once its simplex's objective spread 
 ARMIJO = 1e-4  # an ascent step t*Hg must gain at least ARMIJO * t * g.Hg
 POLISH_MIN_GAIN = 1e-6  # the ascent stops after an accepted step that gains less
 POLISH_MIN_STEP = 1e-7  # ... or once a trial step is shorter than this
-_DRAW_BLOCK = 16  # the most plateau draws a restart classifies in one pass
 
 MODES = ("phases_only", "phases_and_state")
 
@@ -281,7 +278,8 @@ def _polish(objective, gradient, params: ParameterVector, value: float, budget: 
     counts as an evaluation worth -1, like a point that does not decode, and
     its step is halved. The ascent stops after an accepted step that gains
     less than POLISH_MIN_GAIN, when a trial step is shorter than
-    POLISH_MIN_STEP, or when the budget of evaluations is spent. At a
+    POLISH_MIN_STEP, when the budget of evaluations is spent, or at a
+    gradient with a non-finite entry, before any step along it. At a
     degenerate optimum the gradient is one subgradient of several and may
     ascend nowhere; the start then comes back unchanged. Returns (params,
     value, evaluations), the evaluations counting trial steps only.
@@ -289,6 +287,8 @@ def _polish(objective, gradient, params: ParameterVector, value: float, budget: 
     point, current = params, value
     evals = 0
     grad = gradient(params)
+    if not np.all(np.isfinite(grad)):
+        return params, value, evals
     inverse = np.eye(grad.size)
     step = 1.0
     while evals < budget:
@@ -310,6 +310,8 @@ def _polish(objective, gradient, params: ParameterVector, value: float, budget: 
         if gain < POLISH_MIN_GAIN:
             break
         new_grad = gradient(trial)
+        if not np.all(np.isfinite(new_grad)):
+            break
         s, y = step * direction, grad - new_grad  # y: the change in the gradient of -F
         sy = float(s @ y)
         if sy > 0.0:  # the update keeps H positive definite only under this curvature condition
@@ -374,44 +376,32 @@ def _decode(params: ParameterVector,
     return settings, state
 
 
-def _born(params: ParameterVector, pinned_state: PureState | None) -> CorrelationTensor | None:
-    """The correlation tensor at params, or None where they do not decode."""
-    try:
-        settings, state = _decode(params, pinned_state)
-    except InvalidParameterError:
-        return None
-    return correlation_tensor(state, settings)
-
-
 def _objectives(solver: ThresholdSolver | _FacetThreshold, pinned_state: PureState | None):
     """A restart's objective over parameter vectors, and its exact gradient.
 
     objective(params) is the threshold at the decoded state and settings
-    (-1 when they do not decode); objective(params, tensor) takes the Born
-    tensor at params instead of contracting it again. gradient(params) reads
-    dF/dparams off the evaluation that objective just made at params: the
-    solver's tensor gradient pulled back through the Born rule and the
-    decoding. Call it only after objective(params) returned a threshold; a
-    failed solve raises instead.
+    (-1 when they do not decode). gradient(params) reads dF/dparams off the
+    evaluation that objective just made at params: the solver's tensor
+    gradient pulled back through the Born rule and the decoding. Call it only
+    after objective(params) returned a threshold; a failed solve raises
+    instead.
 
     Each point is decoded once: objective(params) keeps the settings and
     state it decoded, and gradient(params) reuses them when params is that
     evaluation's point (as in _polish); otherwise it decodes params afresh.
-    objective(params, tensor) and a point that does not decode keep nothing.
+    A point that does not decode keeps nothing.
     """
     kept = None  # (params, settings, state) of the latest evaluation that decoded
 
-    def objective(params: ParameterVector, tensor: CorrelationTensor | None = None) -> float:
+    def objective(params: ParameterVector) -> float:
         nonlocal kept
         kept = None
-        if tensor is None:
-            try:
-                settings, state = _decode(params, pinned_state)
-            except InvalidParameterError:
-                return -1.0
-            tensor = correlation_tensor(state, settings)
-            kept = (params, settings, state)
-        return solver.value(tensor)
+        try:
+            settings, state = _decode(params, pinned_state)
+        except InvalidParameterError:
+            return -1.0
+        kept = (params, settings, state)
+        return solver.value(correlation_tensor(state, settings))
 
     def gradient(params: ParameterVector) -> np.ndarray:
         weights = solver.tensor_gradient()
@@ -435,29 +425,14 @@ def _run_restart(args):
     restart whose every draw is flat returns its last draw. Draws and ascent
     share max_evals_per_restart.
 
-    Where the threshold has a closed form (_has_facet_form), every point is
-    evaluated through the facets, one draw at a time, and no LP runs.
-    Elsewhere ThresholdSolver solves it, and the first start is solved.
-    Where the LP prices densely, the redraws then come in blocks of 2, 4, 8
-    and then _DRAW_BLOCK, in stream order and never past the budget.
-    noiseless_local proves most flat draws local in one pass over the
-    block; such a draw counts its evaluation and is not solved. The others
-    are solved in order, the first one off the plateau is accepted and the
-    rest of the block is dropped uncounted. The draw that spends the
-    budget's last evaluation is always solved, so the value returned is a
-    solve's. Accepted draws and evaluation counts are the ones that solving
-    every draw gives, and values are too up to rounding: the solver's saved
-    warm states no longer include flat optima. On sparse scenarios each draw
-    is solved on its own.
+    Every point is evaluated through the facets where the threshold has a
+    closed form (_has_facet_form), and by one ThresholdSolver.value call
+    elsewhere.
     """
     sc, config, index, fixed_coeffs, options = args
     key = np.array([config.rng_seed, index], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
-    if _has_facet_form(sc):
-        solver, in_blocks = _FacetThreshold(sc), False
-    else:
-        solver = ThresholdSolver(sc, options)
-        in_blocks = solver.prices_densely
+    solver = _FacetThreshold(sc) if _has_facet_form(sc) else ThresholdSolver(sc, options)
 
     start, pinned_coeffs = _restart_start(sc, config.mode, index, rng)
     if fixed_coeffs is not None:
@@ -466,41 +441,12 @@ def _run_restart(args):
 
     objective, gradient = _objectives(solver, pinned_state)
     budget = config.max_evals_per_restart
-    spent = 0
-
-    def counted(params, tensor=None):
-        nonlocal spent
-        spent += 1
-        return objective(params, tensor)
-
-    def draw():
+    params, value, spent = start, objective(start), 1
+    while value <= FLAT_VALUE and spent < budget:
         params, _ = _restart_start(sc, config.mode, -1, rng)
         if pinned_state is not None and config.mode == "phases_and_state":
             params = ParameterVector(sc, params.phase_params)
-        return params
-
-    params, value = start, counted(start)
-    size = 1
-    while value <= FLAT_VALUE and spent < budget:
-        if not in_blocks:
-            params = draw()
-            value = counted(params)
-            continue
-        size = min(2 * size, _DRAW_BLOCK)
-        draws = [draw() for _ in range(min(size, budget - spent))]
-        tensors = [_born(p, pinned_state) for p in draws]
-        # the draw that spends the last evaluation is solved whatever it is
-        tried = [k for k, t in enumerate(tensors)
-                 if t is not None and spent + k + 1 < budget]
-        proven = np.zeros(len(draws), dtype=bool)
-        proven[tried] = noiseless_local([tensors[k] for k in tried], options)
-        for params, tensor, local in zip(draws, tensors, proven):
-            if local:
-                spent += 1
-                continue
-            value = counted(params, tensor)
-            if value > FLAT_VALUE:
-                break
+        value, spent = objective(params), spent + 1
     if value > FLAT_VALUE and spent < budget:
         params, value, evals = _polish(objective, gradient, params, value, budget - spent)
         spent += evals

@@ -14,12 +14,6 @@ those rows is a Kronecker product of one small block per party. With F at 0
 that basis is dual feasible for every tensor, so each solve runs only dual
 and primal simplex pivots, from it or from a recent optimum.
 
-Where the question is only whether F = 0 already admits a local model, as
-for the search's plateau draws at (3,2), (2,4) and (4,2), noiseless_local
-answers it for a stack of tensors at once: the dual phase of a cold solve
-with F left out, run on every tensor side by side, which proves a local
-model or leaves the tensor to a solve.
-
 With two parties, two settings and d <= 3 the local polytope's facets are
 known, and the threshold is the largest noise fraction any violated facet
 needs (_FacetThreshold). The search evaluates those scenarios through it;
@@ -31,7 +25,6 @@ from __future__ import annotations
 import functools
 import itertools
 import time
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,8 +39,6 @@ from .simplex import (
     LinearProgram,
     SolverFailure,
     SolverOptions,
-    _PIVOT_TOL,
-    _REFACTOR_EVERY,
     certified_lower_bound,
     pricing_copy,
 )
@@ -220,97 +211,6 @@ def _collins_gisin_inverse(sc: Scenario) -> np.ndarray:
     """
     _, a_keep = _kept_rows(sc)
     return _frozen(np.linalg.inv(a_keep[:, _collins_gisin_basis(sc)]))
-
-
-def noiseless_local(tensors: Sequence[CorrelationTensor],
-                    options: SolverOptions | None = None) -> np.ndarray:
-    """Whether each tensor of one scenario is proven to have a local model at F = 0.
-
-    Runs the dual phase of a cold solve on every tensor at once, with F held
-    at 0 and left out. Each starts from the closed-form basis and its own
-    copy of the cached inverse. While F stays nonbasic every weight's reduced
-    cost is 0, so the dual ratio test reduces to the admissible weight
-    column with the largest |alpha| against the most violated basic row.
-    Each pivot applies the product-form update to that tensor's inverse and
-    basic values.
-
-    A tensor is proven local when its basics are within tol_feas of [0, 1]
-    and the weights miss no kept row by more than tol_feas. Anything else is
-    "not proven", never "nonlocal": a violated row with no admissible weight
-    column (F > 0 is needed, perhaps very little), _REFACTOR_EVERY pivots
-    without finishing, or a failed check. There is no refactor, drift probe
-    or Bland's rule; the caller solves whatever is not proven. Every product
-    runs through einsum, which sums each tensor's terms in the same order
-    whatever the stack, so a tensor's verdict does not depend on the others
-    passed with it.
-    """
-    opts = options or SolverOptions()
-    tol = opts.tol_feas
-    proven = np.zeros(len(tensors), dtype=bool)
-    if not tensors:
-        return proven
-    sc = tensors[0].scenario
-    if any(t.scenario != sc for t in tensors):
-        raise ScenarioMismatchError("tensors of one call must share a scenario")
-    keep, a_keep = _kept_rows(sc)
-    r, n = a_keep.shape
-    start, start_inverse = _collins_gisin_basis(sc), _collins_gisin_inverse(sc)
-    count = len(tensors)
-    live = np.arange(count)  # the unfinished tensors; each array below has one row per one
-    b = np.stack([t.flat for t in tensors])[:, keep]
-    binv = np.repeat(start_inverse[None], count, axis=0)
-    basis = np.tile(start, (count, 1))
-    side = np.ones((count, n))  # per column: +1 nonbasic at 0, -1 nonbasic at 1, 0 basic
-    side[:, start] = 0.0
-    # each basic's offset from 1/2, so it is within its bounds when |mid| <= 1/2
-    mid = np.einsum("ij,kj->ki", start_inverse, b) - 0.5
-    # indices below are into the flattened (tensor, row) or (tensor, column) arrays
-    row0, col0 = np.arange(count) * r, np.arange(count) * n
-    for pivots in range(_REFACTOR_EVERY + 1):
-        off = np.abs(mid)
-        i = row0 + off.argmax(axis=1)  # the leaving row: the most violated basic
-        done = off.take(i) <= 0.5 + tol
-        any_done = done.any()
-        if any_done:
-            x = (side[done] < 0.0).astype(float)
-            x[np.arange(x.shape[0])[:, None], basis[done]] = mid[done] + 0.5
-            miss = np.einsum("ij,kj->ki", a_keep, x) - b[done]
-            proven[live[done]] = np.abs(miss).max(axis=1) <= tol
-            if done.all():
-                break
-        if pivots == _REFACTOR_EVERY:
-            break
-        mid_i = mid.take(i)
-        sign = np.sign(mid_i)  # +1 above its upper bound, -1 below its lower one
-        row = binv.reshape(-1, r)[i]
-        # moving column j off its bound moves basic i toward its violated bound
-        # by toward_j per unit, and |alpha_j| = toward_j wherever that is positive
-        toward = np.einsum("ki,ij->kj", row * sign[:, None], a_keep)
-        toward *= side
-        j = toward.argmax(axis=1)
-        go = toward.take(col0 + j) > _PIVOT_TOL
-        if any_done:
-            go &= ~done
-        if not go.all():
-            live, b, binv, mid, basis, side, i, j, sign, mid_i, row = (
-                a[go] for a in (live, b, binv, mid, basis, side, i, j, sign, mid_i, row))
-            if not live.size:
-                break
-            row0, col0 = row0[:live.size], col0[:live.size]
-            i = row0 + i % r
-        j_flat = col0 + j
-        w = np.einsum("kij,jk->ki", binv, a_keep[:, j])
-        pivot = w.take(i)
-        t = (mid_i - 0.5 * sign) / pivot  # the step that puts basic i on its bound
-        mid -= t[:, None] * w
-        mid.put(i, t - 0.5 * side.take(j_flat))  # j takes the leaving column's slot
-        w.put(i, pivot - 1.0)  # folds row i's division by the pivot into the rank-one update
-        row /= pivot[:, None]
-        binv -= w[:, :, None] * row[:, None, :]
-        side.put(col0 + basis.take(i), -sign)  # the leaving column rests on the bound it hit
-        side.put(j_flat, 0.0)
-        basis.put(i, j)
-    return proven
 
 
 def _has_facet_form(sc: Scenario) -> bool:
@@ -556,12 +456,9 @@ class ThresholdSolver:
         self._keep, a_keep = _kept_rows(sc)
         self._basis = _collins_gisin_basis(sc)
         n = sc.joint_size + 1
-        pricing = _kept_pricing(sc)
         self._core = BoundedSimplex(_with_f_column(a_keep), np.zeros(self._keep.size),
-                                    np.zeros(n), np.ones(n), self.options, pricing=pricing)
-        # the size rule of the pivot arithmetic: on dense scenarios a pivot costs
-        # mostly call overhead, which noiseless_local shares across a block
-        self.prices_densely = pricing is None
+                                    np.zeros(n), np.ones(n), self.options,
+                                    pricing=_kept_pricing(sc))
         self._objective = np.zeros(n)
         self._objective[-1] = 1.0
         self._have_last = False

@@ -281,42 +281,3 @@ def parse_lp_text(text: str) -> LinearProgram:
         lower[j], upper[j] = float(lo), float(up)
     matrix = sp.csr_array((vals, (rows, cols)), shape=(r, n))
     return LinearProgram(objective, matrix, rhs, lower, upper)
-
-
-def record_proofs(monkeypatch) -> list:
-    """Record each block of draws that the search's noiseless_local classifies.
-
-    Returns the list it appends (tensors, verdicts) to, one entry per call.
-    """
-    from lrthresh import search
-
-    blocks = []
-    original = search.noiseless_local
-
-    def recorded(tensors, options=None):
-        proven = original(tensors, options)
-        blocks.append((list(tensors), proven))
-        return proven
-
-    monkeypatch.setattr(search, "noiseless_local", recorded)
-    return blocks
-
-
-def counted_proofs(blocks: list, solved: list) -> int:
-    """How many evaluations went to draws proven local, without a solve.
-
-    blocks are record_proofs' entries, solved the (tensor, value) pairs that
-    ThresholdSolver.value returned. A block counts its proven draws up to its
-    first draw that a solve put off the plateau; the search drops the rest
-    of that block uncounted.
-    """
-    from lrthresh.search import FLAT_VALUE
-
-    off = {id(tensor) for tensor, value in solved if value > FLAT_VALUE}
-    count = 0
-    for tensors, proven in blocks:
-        for tensor, local in zip(tensors, proven):
-            if id(tensor) in off:
-                break
-            count += bool(local)
-    return count

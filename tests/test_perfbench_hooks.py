@@ -14,7 +14,6 @@ from pathlib import Path
 
 import pytest
 
-from conftest import counted_proofs, record_proofs
 from lrthresh import (OptimizationConfig, PhaseSettings, Scenario, SolverFailure,
                       correlation_tensor, ghz_state)
 
@@ -67,20 +66,10 @@ def test_born_call_records_unitaries_span():
     assert tracer.spans[1][3] == 0  # the unitaries are built inside the Born call
 
 
-def test_traced_optimize_records_search_spans(monkeypatch):
+def test_traced_optimize_records_search_spans():
     search = importlib.import_module("lrthresh.search")
-    threshold = importlib.import_module("lrthresh.threshold")
     cfg = OptimizationConfig(restarts=2, rng_seed=7, max_evals_per_restart=200,
                              mode="phases_and_state")
-    solved = []
-    original = threshold.ThresholdSolver.value
-
-    def recorded(self, tensor):
-        solved.append((tensor, original(self, tensor)))
-        return solved[-1][1]
-
-    monkeypatch.setattr(threshold.ThresholdSolver, "value", recorded)
-    blocks = record_proofs(monkeypatch)
     tracer = load_spans().Tracer()
     try:
         tracer.install()
@@ -89,10 +78,8 @@ def test_traced_optimize_records_search_spans(monkeypatch):
         tracer.uninstall()
     names = [span[0] for span in tracer.spans]
     assert "probabilities.correlation_tensor" in names
-    # every evaluation is one warm re-solve or one draw proven local
-    proofs = counted_proofs(blocks, solved)
-    assert proofs > 0
-    assert names.count("threshold.value") + proofs == result.evals
+    # every evaluation is one ThresholdSolver.value call
+    assert names.count("threshold.value") == result.evals
 
 
 def test_traced_facet_optimize_records_one_born_span_per_evaluation():

@@ -27,11 +27,13 @@ from lrthresh.probabilities import correlation_tensor_vjp
 from lrthresh.search import nelder_mead
 from lrthresh.threshold import _FacetThreshold
 
-from conftest import counted_proofs, noisy_tensor, record_proofs
+from conftest import noisy_tensor
 
 SC33 = Scenario(parties=3, dim=3, settings_per_party=2)
 SC23 = Scenario(parties=2, dim=3, settings_per_party=2)
 SC32 = Scenario(parties=3, dim=2, settings_per_party=2)
+SC24 = Scenario(parties=2, dim=4, settings_per_party=2)
+SC42 = Scenario(parties=4, dim=2, settings_per_party=2)
 SC22 = Scenario(parties=2, dim=2, settings_per_party=2)
 
 QUICK = OptimizationConfig(restarts=4, rng_seed=7, max_evals_per_restart=80,
@@ -98,11 +100,9 @@ def test_ascent_backtracks_from_a_nonfinite_step(rng):
         grad[0] = np.inf
         return grad
 
-    with np.errstate(all="ignore"):  # the non-finite direction itself
-        params, got, evals = search._polish(watched, infinite, start, value, budget=12)
-    # every trial step is a non-finite point: each costs an evaluation worth
-    # -1 and halves the step, and none reaches the objective
-    assert params is start and got == value and evals == 12
+    params, got, evals = search._polish(watched, infinite, start, value, budget=12)
+    # no step is formed along a non-finite gradient: the ascent ends at once
+    assert params is start and got == value and evals == 0
     assert seen == []
 
 
@@ -380,19 +380,12 @@ def test_gradient_reuses_the_evaluations_decode(monkeypatch, rng, kind):
     assert len(decodes) == 2
 
 
-def test_tensor_and_undecodable_evaluations_keep_no_decode(monkeypatch, rng):
+def test_an_undecodable_evaluation_keeps_no_decode(monkeypatch, rng):
     solver = _FacetThreshold(SC23)
     objective, gradient = search._objectives(solver, None)
     params = _point_off_plateau(SC23, rng, objective)
     grad = gradient(params)
-    tensor = correlation_tensor(params.decode_state(), params.decode_settings())
     decodes = count_decodes(monkeypatch)
-
-    objective(params)
-    objective(params, tensor)  # takes the tensor: keeps no decode
-    assert len(decodes) == 2
-    assert gradient(params).tobytes() == grad.tobytes()
-    assert len(decodes) == 4
 
     objective(params)
     zero = ParameterVector(SC23, params.phase_params, np.zeros(SC23.state_size))
@@ -458,18 +451,13 @@ def test_restart_evaluations_stay_within_the_cap(monkeypatch, sc, cap):
         return solved[-1][1]
 
     monkeypatch.setattr(ThresholdSolver, "value", counted)
-    blocks = record_proofs(monkeypatch)
     cfg = OptimizationConfig(restarts=3, rng_seed=5, max_evals_per_restart=cap,
                              mode="phases_and_state")
     for index in range(3):
         solved.clear()
-        blocks.clear()
         _, _, _, _, spent = search._run_restart((sc, cfg, index, None, None))
-        # every evaluation is a solve or a draw proven local, and the sparse
-        # path solves every draw
-        assert spent == len(solved) + counted_proofs(blocks, solved) <= cap
-        assert bool(blocks) <= ThresholdSolver(sc).prices_densely
-    assert ThresholdSolver(sc).prices_densely == (sc is not SC33)
+        # every evaluation is one solve
+        assert spent == len(solved) <= cap
 
 
 def test_flat_restart_redraws_without_polish(monkeypatch):
@@ -485,18 +473,13 @@ def test_flat_restart_redraws_without_polish(monkeypatch):
         raise AssertionError("a flat restart must neither run Nelder-Mead nor polish")
 
     monkeypatch.setattr(ThresholdSolver, "value", counted)
-    blocks = record_proofs(monkeypatch)
     monkeypatch.setattr(search, "nelder_mead", never)
     monkeypatch.setattr(search, "_polish", never)
     cfg = OptimizationConfig(restarts=1, rng_seed=0, max_evals_per_restart=80,
                              mode="phases_only")
     _, value, _, _, spent = search._run_restart((SC32, cfg, 0, state.coeffs.real, None))
-    assert spent == 80
-    # the start and the draw that spends the last evaluation are solved; the
-    # 78 draws between come in blocks of 2, 4, 8 and 16, each proven local
-    assert [len(tensors) for tensors, _ in blocks if tensors] == [2, 4, 8, 16, 16, 16, 16]
-    assert all(proven.all() for _, proven in blocks)
-    assert len(values) == 2
+    # the start and all 79 redraws are solved, and every one is flat
+    assert spent == len(values) == 80
     assert max(values) <= search.FLAT_VALUE
     assert value == values[-1] < 1e-9
 
@@ -505,8 +488,8 @@ def test_flat_restart_redraws_without_polish(monkeypatch):
 # four restarts draw flat starts before they leave the plateau
 JOINT23 = OptimizationConfig(restarts=4, rng_seed=1777477784, max_evals_per_restart=500,
                              mode="phases_and_state")
-# at (3,2), where flat draws are proven local in blocks: the four restarts
-# leave the plateau on their 3rd, 11th, 8th and 6th draw
+# at (3,2), where every draw is one LP solve: the four restarts leave the
+# plateau on their 3rd, 11th, 8th and 6th draw
 JOINT32 = OptimizationConfig(restarts=4, rng_seed=10, max_evals_per_restart=500,
                              mode="phases_and_state")
 
@@ -534,29 +517,25 @@ def test_ascent_starts_at_the_first_draw_off_the_plateau(monkeypatch):
     monkeypatch.setattr(ThresholdSolver, "value", counted_value)
     monkeypatch.setattr(search, "_restart_start", counted_start)
     monkeypatch.setattr(search, "_polish", watched)
-    blocks = record_proofs(monkeypatch)
     flat_draws = 0
     for index in range(JOINT32.restarts):
         solved.clear()
         draws.clear()
         ascents.clear()
-        blocks.clear()
         _, _, _, _, spent = search._run_restart((SC32, JOINT32, index, None, None))
         assert len(ascents) == 1
         start, solves, start_value, ascent_evals = ascents[0]
-        # the ascent starts from the first draw off the plateau, in stream
-        # order; the draws after it in its block were dropped
+        # the ascent starts from the first draw off the plateau, in stream order
         accepted = next(k for k, params in enumerate(draws) if params is start)
         exact = [threshold(p.decode_state(), p.decode_settings()).f_thr
                  for p in draws[:accepted + 1]]
         assert max(exact[:-1], default=0.0) <= search.FLAT_VALUE
         assert start_value == solved[solves - 1][1] > search.FLAT_VALUE
         assert abs(start_value - exact[-1]) < 1e-9
-        # every draw up to it is one evaluation, solved or proven local, and
-        # that draw is solved once: the ascent's evaluations are its own steps
-        proofs = counted_proofs(blocks, solved)
-        assert solves + proofs == accepted + 1
-        assert spent == accepted + 1 + ascent_evals == len(solved) + proofs
+        # every draw up to it is one evaluation and one solve, and that draw
+        # is solved once: the ascent's evaluations are its own steps
+        assert solves == accepted + 1
+        assert spent == accepted + 1 + ascent_evals == len(solved)
         flat_draws += accepted
     assert flat_draws > 0
 
@@ -579,40 +558,26 @@ def reference_restart(sc, config, index):
     return accepted, params, value, spent
 
 
-# with 10 evaluations, restart 1 of this config stays flat and restart 2
-# accepts a draw from its fourth block, which the budget cuts short
-@pytest.mark.parametrize("budget", [500, 10])
-def test_restart_matches_solving_every_draw(monkeypatch, budget):
-    accepted = []
-    original_polish = search._polish
-
-    def watched(objective, gradient, params, value, budget):
-        accepted.append(params)
-        return original_polish(objective, gradient, params, value, budget)
-
-    monkeypatch.setattr(search, "_polish", watched)
+# with 10 evaluations, restart 1 of the (3,2) config stays flat; at (2,4) with
+# 80, restart 2 stays flat and the others leave the plateau on their 79th,
+# 74th and 72nd draw; at (4,2) with 40, every restart climbs
+@pytest.mark.parametrize("sc, budget", [pytest.param(SC32, 500, id="500"),
+                                        pytest.param(SC32, 10, id="10"),
+                                        pytest.param(SC24, 80, id="n2d4-80"),
+                                        pytest.param(SC42, 40, id="n4d2-40")])
+def test_restart_matches_solving_every_draw(sc, budget):
     cfg = OptimizationConfig(restarts=JOINT32.restarts, rng_seed=JOINT32.rng_seed,
                              max_evals_per_restart=budget, mode=JOINT32.mode)
     for index in range(cfg.restarts):
-        accepted.clear()
-        _, value, table, coeffs, spent = search._run_restart((SC32, cfg, index, None, None))
-        ref_start, ref, ref_value, ref_spent = reference_restart(SC32, cfg, index)
-        assert spent == ref_spent
-        assert abs(value - ref_value) < 1e-12
-        if accepted:
-            # the same draw starts the ascent; the ascent's gradients come from
-            # warm optima that differ by rounding, and so may its endpoint
-            assert np.array_equal(accepted[0].flat(), ref_start.flat())
-            assert np.allclose(table, ref.decode_settings().table, rtol=0, atol=1e-9)
-            assert np.allclose(coeffs, ref.decode_state().coeffs.real, rtol=0, atol=1e-9)
-        else:
-            assert ref_spent == budget and ref_value <= search.FLAT_VALUE
-            assert np.array_equal(table, ref.decode_settings().table)
-            assert np.array_equal(coeffs, ref.decode_state().coeffs.real)
+        _, value, table, coeffs, spent = search._run_restart((sc, cfg, index, None, None))
+        _, ref, ref_value, ref_spent = reference_restart(sc, cfg, index)
+        assert (value, spent) == (ref_value, ref_spent)
+        assert table.tobytes() == ref.decode_settings().table.tobytes()
+        assert coeffs.tobytes() == ref.decode_state().coeffs.real.tobytes()
 
 
 def record_lp_calls(monkeypatch) -> list:
-    """Record every ThresholdSolver.value call; fail on any noiseless_local call."""
+    """Record every ThresholdSolver.value call."""
     calls = []
     original = ThresholdSolver.value
 
@@ -620,11 +585,7 @@ def record_lp_calls(monkeypatch) -> list:
         calls.append(tensor)
         return original(self, tensor)
 
-    def never(*args):
-        raise AssertionError("a two-party restart proved draws local by LP")
-
     monkeypatch.setattr(ThresholdSolver, "value", recorded)
-    monkeypatch.setattr(search, "noiseless_local", never)
     return calls
 
 
@@ -700,12 +661,12 @@ def test_a_draw_just_off_the_local_set_is_solved_and_stays_flat(monkeypatch):
     state = product_state(SC32, [[1, 0], [0, 1], [1, 0]])  # every other draw is local
     solved = []
     original_value = ThresholdSolver.value
-    original_born = search._born
+    original_born = search.correlation_tensor
     born = []
 
-    def first_redraw_is_the_edge(params, pinned_state):
-        born.append(params)
-        return edge if len(born) == 2 else original_born(params, pinned_state)
+    def first_redraw_is_the_edge(pure, settings):
+        born.append(settings)
+        return edge if len(born) == 2 else original_born(pure, settings)
 
     def counted(self, tensor):
         solved.append((tensor, original_value(self, tensor)))
@@ -714,13 +675,13 @@ def test_a_draw_just_off_the_local_set_is_solved_and_stays_flat(monkeypatch):
     def never(*args):
         raise AssertionError("a draw on the plateau must not start an ascent")
 
-    monkeypatch.setattr(search, "_born", first_redraw_is_the_edge)
+    monkeypatch.setattr(search, "correlation_tensor", first_redraw_is_the_edge)
     monkeypatch.setattr(ThresholdSolver, "value", counted)
     monkeypatch.setattr(search, "_polish", never)
     cfg = OptimizationConfig(restarts=1, rng_seed=0, max_evals_per_restart=20,
                              mode="phases_only")
     _, value, table, _, spent = search._run_restart((SC32, cfg, 0, state.coeffs.real, None))
-    # the edge is not proven local, so it is solved, and being flat it is redrawn
+    # the edge is solved once, and being flat it is redrawn
     edge_values = [v for t, v in solved if t is edge]
     assert len(edge_values) == 1
     assert 0.0 < edge_values[0] <= search.FLAT_VALUE

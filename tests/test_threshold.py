@@ -18,7 +18,6 @@ from lrthresh import (
     Scenario,
     ScenarioMismatchError,
     SolverFailure,
-    SolverOptions,
     ThresholdSolver,
     build_threshold_lp,
     correlation_tensor,
@@ -40,7 +39,6 @@ from lrthresh.threshold import (
     _kept_rows,
     assignment_marginal_matrix,
     exact_bracket,
-    noiseless_local,
     witness_residual,
 )
 
@@ -464,96 +462,6 @@ def test_cold_start_installs_the_cached_inverse(sc, rng, monkeypatch):
     assert inverted.last_pivots == solver.last_pivots
     assert np.array_equal(inverted._core.x, solver._core.x)
     assert np.array_equal(inverted._core.Binv, solver._core.Binv)
-
-
-def near_optimal_settings(sc, jitter, gen):
-    """Phases jittered around 2 pi k alpha / d, alpha = (0, 1/2) for the first
-    party and (1/4, -1/4) for the others (the CGLMP settings at two parties):
-    with GHZ they give thresholds well off the plateau."""
-    alpha = np.array([[0.0, 0.5]] + [[0.25, -0.25]] * (sc.parties - 1))
-    table = 2 * np.pi * alpha[:, :, None] * np.arange(sc.dim) / sc.dim
-    return PhaseSettings(sc, table + jitter * gen.normal(size=table.shape))
-
-
-def plateau_mix(sc, seed, count):
-    """Seeded tensors, alternating a random state under random phases (mostly
-    on the plateau) and GHZ under jittered near-optimal phases (off it)."""
-    gen = np.random.default_rng(seed)
-    tensors = []
-    for k in range(count):
-        if k % 2:
-            tensors.append(correlation_tensor(ghz_state(sc), near_optimal_settings(sc, 0.4, gen)))
-        else:
-            tensors.append(correlation_tensor(random_state(sc, gen), random_settings(sc, gen)))
-    return tensors
-
-
-def off_the_local_set(tensor):
-    """The tensor with one kept-row entry pushed past what any local model allows.
-
-    In the block where the last party uses its second setting and everyone
-    else the first, the entries where the last party answers d-1 are not
-    kept rows. On the kept rows, a local model's entry for outcomes (o, d-1)
-    is the others' block-0 marginal at o less the kept entries (o, b < d-1).
-    Raising the kept entry (o, 0) by more than the entry (o, d-1) therefore
-    leaves no local model. The mass comes out of the block's other
-    (o', d-1) entries, so the result is still normalized and nonnegative.
-    """
-    sc = tensor.scenario
-    probs = tensor.probs.copy()
-    block = probs[(0,) * (sc.parties - 1) + (1,)]  # a view: the outcome axes
-    last = block[..., sc.dim - 1]  # a view too: the entries that are not kept
-    o = np.unravel_index(np.argmin(last), last.shape)
-    push = last[o] + 0.01
-    donors = last.copy()
-    donors[o] = 0.0
-    assert donors.sum() > push
-    block[o + (0,)] += push
-    last -= push * donors / donors.sum()
-    return CorrelationTensor(sc, probs)
-
-
-# a cold (4,2) solve takes about 90 pivots, so its proofs can run into the cap
-@pytest.mark.parametrize("parties, dim, capped", [(2, 3, False), (3, 2, False), (4, 2, True),
-                                                  (2, 4, False)])
-def test_noiseless_local_agrees_with_a_fresh_solve(monkeypatch, parties, dim, capped):
-    sc = Scenario(parties=parties, dim=dim, settings_per_party=2)
-    tensors = plateau_mix(sc, [parties, dim], 24)
-    proven = noiseless_local(tensors)
-    assert proven.dtype == bool and proven.shape == (len(tensors),)
-    values = np.array([ThresholdSolver(sc).value(t) for t in tensors])
-    assert np.all(values[proven] <= SolverOptions().tol_feas)
-    flat = values == 0.0
-    assert 0 < flat.sum() < len(tensors) and proven.any()
-    # the fallback does none of the proof's work: a local tensor goes
-    # unproven only where the pivot cap cut its proof short
-    cut = [t for t, ok, zero in zip(tensors, proven, flat) if zero and not ok]
-    assert bool(cut) <= capped
-    monkeypatch.setattr(threshold_module, "_REFACTOR_EVERY", 10_000)
-    assert noiseless_local(cut).all()
-    monkeypatch.undo()
-    # a tensor's verdict does not depend on the others in its block
-    assert np.array_equal(proven, [noiseless_local([t])[0] for t in tensors])
-
-
-@pytest.mark.parametrize("parties, dim", [(2, 3), (3, 2), (4, 2), (2, 4)])
-def test_noiseless_local_rejects_a_kept_row_off_the_local_set(parties, dim):
-    sc = Scenario(parties=parties, dim=dim, settings_per_party=2)
-    tensors = plateau_mix(sc, [parties, dim], 24)
-    local = [t for t, ok in zip(tensors, noiseless_local(tensors)) if ok][:3]
-    pushed = [off_the_local_set(t) for t in local]
-    assert not noiseless_local(pushed).any()
-    assert all(ThresholdSolver(sc).value(t) > 1e-6 for t in pushed)
-    # in a block with local tensors, only the pushed ones fail
-    assert list(noiseless_local(local + pushed)) == [True] * 3 + [False] * 3
-
-
-def test_noiseless_local_takes_one_scenario():
-    assert noiseless_local([]).shape == (0,)
-    tensors = [correlation_tensor(ghz_state(sc), PhaseSettings(sc, np.zeros((2, 2, sc.dim))))
-               for sc in (SC22, SC23)]
-    with pytest.raises(ScenarioMismatchError):
-        noiseless_local(tensors)
 
 
 def test_drifted_inverse_is_rebuilt_at_the_next_probe(rng, monkeypatch):

@@ -1,10 +1,15 @@
 """Quantum outcome probabilities for all setting combinations, plus noise.
 
-The forward pass contracts the state coefficient tensor with one party's
-stack of multiport unitaries at a time, one matrix product per party, and
-works for any (parties, dim). The tests cross-check it against an explicit
-Kronecker product of the unitaries applied to the state, at several
-(parties, dim), and against the three-qutrit cosine expansion. A backward
+The forward pass (born_probabilities) contracts the state coefficient tensor
+with one party's stack of multiport unitaries at a time, one matrix product
+per party, and works for any (parties, dim). It takes a leading stack axis,
+so the search contracts a block of draws, each with its own state and
+settings, in one call; correlation_tensor is a stack of one, and every stack
+entry is bit for bit its own correlation_tensor. checked_probabilities
+validates a stack the way CorrelationTensor validates one tensor. The tests
+cross-check the forward pass against an explicit Kronecker product of the
+unitaries applied to the state, at several (parties, dim), and against the
+three-qutrit cosine expansion. A backward
 pass, correlation_tensor_vjp, gives the gradient of any weighted sum of the
 probabilities with respect to the phases and the state; the search uses it
 with the LP duals as weights. It runs through a per-scenario plan
@@ -43,23 +48,7 @@ class CorrelationTensor:
     probs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        sc = self.scenario
-        shape = (sc.settings_per_party,) * sc.parties + (sc.dim,) * sc.parties
-        p = np.array(self.probs, dtype=float)
-        if p.shape != shape:
-            raise ValueError(f"probability tensor must have shape {shape}, got {p.shape}")
-        low = p.min()
-        if low < -CLAMP_TOL:
-            raise NegativeProbabilityError(
-                f"probability entry {float(low)!r} below clamping threshold -{CLAMP_TOL}"
-            )
-        np.clip(p, 0.0, None, out=p)
-        outcome_axes = tuple(range(sc.parties, 2 * sc.parties))
-        sums = p.sum(axis=outcome_axes)
-        if np.max(np.abs(sums - 1.0)) > BLOCK_SUM_TOL:
-            raise ValueError(
-                "outcome probabilities do not sum to 1 for every setting combination"
-            )
+        p = checked_probabilities(self.scenario, np.asarray(self.probs)[np.newaxis])[0]
         object.__setattr__(self, "probs", _frozen(p))
 
     @property
@@ -67,29 +56,70 @@ class CorrelationTensor:
         return self.probs.reshape(-1)
 
 
+def checked_probabilities(sc: Scenario, probs: np.ndarray) -> np.ndarray:
+    """A stack of probability tensors, validated, clamped and copied (C order).
+
+    probs is indexed [stack, s_1..s_N, a_1..a_N]; CorrelationTensor checks
+    its tensor as a stack of one. Raises ValueError for a wrong shape, a
+    non-finite entry, or a setting block that does not sum to 1 within
+    BLOCK_SUM_TOL, and NegativeProbabilityError for an entry below
+    -CLAMP_TOL; the entries between -CLAMP_TOL and 0 are clamped to 0.
+    """
+    shape = (sc.settings_per_party,) * sc.parties + (sc.dim,) * sc.parties
+    p = np.array(probs, dtype=float, order="C")
+    if p.shape[1:] != shape:
+        raise ValueError(f"probability tensor must have shape {shape}, got {p.shape[1:]}")
+    if not np.isfinite(p).all():
+        raise ValueError("probability entries must be finite")
+    low = p.min()
+    if low < -CLAMP_TOL:
+        raise NegativeProbabilityError(
+            f"probability entry {float(low)!r} below clamping threshold -{CLAMP_TOL}"
+        )
+    np.clip(p, 0.0, None, out=p)
+    sums = p.sum(axis=tuple(range(1 + sc.parties, 1 + 2 * sc.parties)))
+    if np.abs(sums - 1.0).max() > BLOCK_SUM_TOL:
+        raise ValueError(
+            "outcome probabilities do not sum to 1 for every setting combination"
+        )
+    return p
+
+
+def born_probabilities(coeffs: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
+    """Unvalidated Born probabilities for a stack of states, each with its own settings.
+
+    coeffs is (stack, d^N) real state coefficients and unitaries the matching
+    (stack, parties, settings, d, d) unitary stacks; the result is indexed
+    [stack, s_1..s_N, a_1..a_N]. Each step multiplies the amplitudes, leading
+    ket axis last, by party p's unitary stack laid out as one (ket, setting x
+    outcome) matrix, which appends that party's setting and outcome axes;
+    one transpose then orders them settings first. Every stack entry goes
+    through the floating-point operations of a stack of one, so its
+    probabilities do not depend on the rest of the stack.
+    """
+    size, n, m, d = unitaries.shape[:4]
+    right = unitaries.transpose(0, 1, 4, 2, 3).reshape(size, n, d, m * d)
+    amp = coeffs.astype(complex)
+    for p in range(n):
+        amp = np.ascontiguousarray(amp.reshape(size, d, -1).transpose(0, 2, 1)) @ right[:, p]
+    amp = amp.reshape((size,) + (m, d) * n)
+    amp = amp.transpose((0,) + tuple(range(1, 2 * n, 2)) + tuple(range(2, 2 * n + 1, 2)))
+    return np.abs(amp) ** 2
+
+
 def correlation_tensor(state: PureState, settings: PhaseSettings) -> CorrelationTensor:
     """Born probabilities |<a_1..a_N| U_1 x...x U_N |psi>|^2 for every setting combo.
 
-    All setting combinations come out of one pass over the parties: each step
-    multiplies the amplitudes, leading ket axis last, by party p's unitary
-    stack laid out as one (ket, setting x outcome) matrix, which appends that
-    party's setting and outcome axes. The axes then alternate
-    (s_1, a_1, s_2, a_2, ...), and one transpose orders them settings first.
+    All setting combinations come out of one born_probabilities pass, as a
+    stack of one.
     """
     if state.scenario != settings.scenario:
         raise ScenarioMismatchError(
             f"state scenario {state.scenario} != settings scenario {settings.scenario}"
         )
-    sc = state.scenario
-    n, m, d = sc.parties, sc.settings_per_party, sc.dim
     unitaries = setting_unitaries(settings)
-    right = unitaries.transpose(0, 3, 1, 2).reshape(n, d, m * d)
-    amp = state.tensor.astype(complex)
-    for p in range(n):
-        amp = np.ascontiguousarray(amp.reshape(d, -1).T) @ right[p]
-    amp = amp.reshape((m, d) * n)
-    amp = amp.transpose(tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2)))
-    return CorrelationTensor(sc, np.abs(amp) ** 2)
+    probs = born_probabilities(state.coeffs[np.newaxis], unitaries[np.newaxis])
+    return CorrelationTensor(state.scenario, probs[0])
 
 
 class _BornPlan(NamedTuple):

@@ -24,6 +24,16 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _real(values, field: str) -> np.ndarray:
+    """values as a new float array; complex input must have a zero imaginary part."""
+    a = np.asarray(values)
+    if np.iscomplexobj(a):
+        if a.size and np.max(np.abs(a.imag)) > 1e-12:
+            raise ValueError(f"{field} must be real")
+        a = a.real
+    return np.array(a, dtype=float)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """N parties, each measuring one of m d-outcome observables."""
@@ -71,7 +81,7 @@ class PureState:
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        c = np.array(self.coeffs, dtype=float).ravel()
+        c = _real(self.coeffs, "state coefficients").ravel()
         if c.size != self.scenario.state_size:
             raise ValueError(
                 f"state needs {self.scenario.state_size} coefficients, got {c.size}"
@@ -119,7 +129,7 @@ class PhaseSettings:
             self.scenario.settings_per_party,
             self.scenario.dim,
         )
-        t = np.array(self.table, dtype=float)
+        t = _real(self.table, "settings table")
         if t.shape != (n, m, d):
             raise ValueError(f"settings table must have shape {(n, m, d)}, got {t.shape}")
         object.__setattr__(self, "table", _frozen(canonical_phases(t)))
@@ -171,12 +181,7 @@ def product_state(scenario: Scenario, local_vectors: Sequence[Sequence[float]]) 
         raise ValueError(f"need {n} local vectors, got {len(local_vectors)}")
     vecs = []
     for i, v in enumerate(local_vectors):
-        a = np.asarray(v).ravel()
-        if np.iscomplexobj(a):
-            if a.size and np.max(np.abs(a.imag)) > 1e-12:
-                raise ValueError(f"local vector {i} must be real")
-            a = a.real
-        a = a.astype(float)
+        a = _real(v, f"local vector {i}").ravel()
         if a.size != d:
             raise ValueError(f"local vector {i} must have length {d}, got {a.size}")
         if abs(np.linalg.norm(a) - 1.0) > NORM_TOL:

@@ -6,10 +6,14 @@ exactly zero on the full-dimensional region where the correlations already
 admit a local model. Many restarts handle the non-convexity. The zero plateau
 is handled inside each restart: each drawn start costs one evaluation, and a
 start on the plateau is redrawn from the restart's own random stream for as
-long as budget remains. Most draws land on the plateau. With two parties and
-at most three outcomes the threshold has a closed form over the local
-polytope's facets, and the restart evaluates every point through it, with no
-LP; elsewhere every point is one warm LP solve.
+long as budget remains. Most draws land on the plateau, so redraws come in
+blocks of REDRAW_BLOCK, decoded and contracted at once; the draws after the
+first one off the plateau are dropped unevaluated, which leaves every result
+as drawing one start at a time would. With two parties and at most three
+outcomes the threshold has a closed form over the local polytope's facets,
+and the restart evaluates every point through it, with no LP (a block of
+draws is screened with one product against the facets); elsewhere every
+point is one warm LP solve.
 
 From the first start off the plateau, the rest of the restart's budget goes
 to a quasi-Newton gradient ascent with Armijo backtracking. The gradient is
@@ -34,9 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .probabilities import correlation_tensor, correlation_tensor_vjp
-from .scenario import PhaseSettings, PureState, Scenario, ghz_state, paper_optimal_state, \
-    paper_settings
+from .probabilities import CorrelationTensor, born_probabilities, checked_probabilities, \
+    correlation_tensor, correlation_tensor_vjp
+from .scenario import PhaseSettings, PureState, Scenario, canonical_phases, ghz_state, \
+    paper_optimal_state, paper_settings, tritter_unitary
 from .simplex import SolverOptions
 from .threshold import ThresholdResult, ThresholdSolver, _FacetThreshold, _has_facet_form, \
     threshold
@@ -48,6 +53,7 @@ CONVERGENCE_TOL = 1e-4  # Nelder-Mead stops once its simplex's objective spread 
 ARMIJO = 1e-4  # an ascent step t*Hg must gain at least ARMIJO * t * g.Hg
 POLISH_MIN_GAIN = 1e-6  # the ascent stops after an accepted step that gains less
 POLISH_MIN_STEP = 1e-7  # ... or once a trial step is shorter than this
+REDRAW_BLOCK = 16  # redraws a restart draws, contracts and screens together
 
 MODES = ("phases_only", "phases_and_state")
 
@@ -266,15 +272,16 @@ def nelder_mead(f, start: ParameterVector, config: OptimizationConfig):
 def _polish(objective, gradient, params: ParameterVector, value: float, budget: int):
     """Quasi-Newton gradient ascent with Armijo backtracking from a restart's start.
 
-    value is objective(params), and the caller's latest objective call must
-    have been the one at params: gradient(p) reads the exact gradient at p off
-    the solver state that the last objective(p) left, so the ascent starts
-    without re-solving its start. Each step goes along H g, where H is the
-    BFGS inverse-curvature estimate built from the gradients of the accepted
-    points (the identity at first, so the first step is plain steepest
-    ascent). A step that does not gain its Armijo share ARMIJO * t * g.Hg is
-    halved; an accepted one updates H and the next step starts at full length.
-    A trial point with a non-finite coordinate is no parameter vector: it
+    value is objective(params), and the solver's latest evaluation must have
+    been the one at params (an objective call, or the block that accepted
+    params): gradient(p) reads the exact gradient at p off the solver state
+    that evaluation left, so the ascent starts without re-solving its start.
+    Each step goes along H g, where H is the BFGS inverse-curvature estimate
+    built from the gradients of the accepted points (the identity at first,
+    so the first step is plain steepest ascent). A step that does not gain
+    its Armijo share ARMIJO * t * g.Hg is halved; an accepted one updates H
+    and the next step starts at full length. A trial point with a non-finite
+    coordinate is no parameter vector: it
     counts as an evaluation worth -1, like a point that does not decode, and
     its step is halved. The ascent stops after an accepted step that gains
     less than POLISH_MIN_GAIN, when a trial step is shorter than
@@ -323,6 +330,23 @@ def _polish(objective, gradient, params: ParameterVector, value: float, budget: 
     return point, current, evals
 
 
+def _draws(sc: Scenario, with_state: bool, count: int,
+           rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray | None]:
+    """count random starts, stacked: (phases, state coefficients or None).
+
+    Each start takes its phases, then (with_state) its state coefficients,
+    from the stream, so count draws at once read the stream exactly as count
+    draws one at a time do.
+    """
+    phases = np.empty((count, sc.parties * sc.settings_per_party * (sc.dim - 1)))
+    coeffs = np.empty((count, sc.state_size)) if with_state else None
+    for k in range(count):
+        phases[k] = rng.uniform(0.0, 2.0 * np.pi, size=phases.shape[1])
+        if with_state:
+            coeffs[k] = rng.normal(size=sc.state_size)
+    return phases, coeffs
+
+
 def _restart_start(
     sc: Scenario,
     mode: str,
@@ -335,20 +359,19 @@ def _restart_start(
     the scenario matches, so published optima are recovered deterministically
     rather than by sampling luck. The tabulated-state restart pins its state
     and searches phases alone; the phase-list restarts start joint search
-    from the maximally entangled state.
+    from the maximally entangled state. Every other start is one _draws draw.
     """
     three_qutrit = sc.parties == 3 and sc.dim == 3 and sc.settings_per_party == 2
     with_state = mode == "phases_and_state"
 
-    def random_phases():
-        return rng.uniform(0.0, 2.0 * np.pi,
-                           size=sc.parties * sc.settings_per_party * (sc.dim - 1))
+    def drawn(state: bool) -> ParameterVector:
+        phases, coeffs = _draws(sc, state, 1, rng)
+        return ParameterVector(sc, phases[0], None if coeffs is None else coeffs[0])
 
     if three_qutrit:
         if with_state:
             if index == 0:
-                return (ParameterVector(sc, random_phases()),
-                        paper_optimal_state().coeffs.real)
+                return drawn(False), paper_optimal_state().coeffs.real
             if index == 1:
                 return ParameterVector(sc, encode(paper_settings("maxent_3qutrit")).phase_params,
                                        ghz_state(sc).coeffs.real), None
@@ -363,9 +386,7 @@ def _restart_start(
             if index == 1:
                 return ParameterVector(
                     sc, encode(paper_settings("near_optimal_3qutrit")).phase_params), None
-    if with_state:
-        return ParameterVector(sc, random_phases(), rng.normal(size=sc.state_size)), None
-    return ParameterVector(sc, random_phases()), None
+    return drawn(with_state), None
 
 
 def _decode(params: ParameterVector,
@@ -381,15 +402,17 @@ def _objectives(solver: ThresholdSolver | _FacetThreshold, pinned_state: PureSta
 
     objective(params) is the threshold at the decoded state and settings
     (-1 when they do not decode). gradient(params) reads dF/dparams off the
-    evaluation that objective just made at params: the solver's tensor
-    gradient pulled back through the Born rule and the decoding. Call it only
-    after objective(params) returned a threshold; a failed solve raises
+    solver's latest evaluation, which must have been at params: the solver's
+    tensor gradient pulled back through the Born rule and the decoding. Call
+    it only after objective(params), or a block that accepted params
+    (_first_off_plateau), returned a threshold; a failed solve raises
     instead.
 
     Each point is decoded once: objective(params) keeps the settings and
     state it decoded, and gradient(params) reuses them when params is that
-    evaluation's point (as in _polish); otherwise it decodes params afresh.
-    A point that does not decode keeps nothing.
+    evaluation's point (as in _polish); otherwise, as for a block's accepted
+    draw, it decodes params afresh. A point that does not decode keeps
+    nothing.
     """
     kept = None  # (params, settings, state) of the latest evaluation that decoded
 
@@ -414,20 +437,69 @@ def _objectives(solver: ThresholdSolver | _FacetThreshold, pinned_state: PureSta
     return objective, gradient
 
 
+def _first_off_plateau(solver: ThresholdSolver | _FacetThreshold, pinned_state: PureState | None,
+                       phases: np.ndarray, coeffs: np.ndarray | None) -> tuple[int, float]:
+    """The first of a block of draws whose threshold is above FLAT_VALUE, in stream order.
+
+    phases and coeffs are stacked as _draws gives them (coeffs None when the
+    state is pinned). Returns (k, value) for that draw, or for the block's
+    last draw when every draw is flat, with value exactly what objective()
+    gives at the draw. The block is decoded at once, and the draws whose
+    state coefficients have norm below STATE_NORM_FLOOR are worth -1. The
+    rest are contracted in one born_probabilities call and checked in one
+    checked_probabilities call. ThresholdSolver then solves them one value()
+    at a time, in stream order, up to the first draw off the plateau.
+    _FacetThreshold first values the whole block with one product
+    (values()); since that differs from value() by rounding alone, a draw it
+    puts at or below FLAT_VALUE / 2 is flat, and only the others, and the
+    last draw, are valued by value().
+    """
+    sc = solver.scenario
+    count = len(phases)
+    tables = np.zeros((count, sc.parties, sc.settings_per_party, sc.dim))
+    tables[..., 1:] = phases.reshape(count, sc.parties, sc.settings_per_party, sc.dim - 1)
+    tables = canonical_phases(tables)
+    if coeffs is None:
+        rows = np.arange(count)
+        states = np.broadcast_to(pinned_state.coeffs, (count, sc.state_size))
+    else:
+        norms = np.sqrt([c.dot(c) for c in coeffs])  # np.linalg.norm's arithmetic, row by row
+        rows = np.flatnonzero(norms >= STATE_NORM_FLOOR)
+        states = coeffs[rows] / norms[rows, np.newaxis]
+    values = np.full(count, -1.0)
+    if rows.size:
+        tensors = checked_probabilities(
+            sc, born_probabilities(states, tritter_unitary(sc.dim, tables[rows])))
+        screen = None
+        if isinstance(solver, _FacetThreshold):
+            screen = solver.values(tensors.reshape(rows.size, -1))
+        for j, k in enumerate(rows):
+            if screen is not None and screen[j] <= FLAT_VALUE / 2 and k < count - 1:
+                continue
+            values[k] = solver.value(CorrelationTensor(sc, tensors[j]))
+            if values[k] > FLAT_VALUE:
+                return int(k), float(values[k])
+    return count - 1, float(values[-1])
+
+
 def _run_restart(args):
     """One restart: flat draws redrawn, then the exact-gradient ascent.
 
-    Each drawn start costs one evaluation. While its value is on the plateau
-    and budget remains, the start is redrawn from the restart's own stream (a
-    pinned state stays pinned). The ascent (_polish) then climbs from the
-    first start off the plateau with the budget that is left, taking that
-    start's value and gradient from the evaluation that accepted it. A
+    The restart's own start costs one evaluation. While the value is on the
+    plateau and budget remains, the restart draws min(REDRAW_BLOCK, budget
+    left) further starts from its own stream and evaluates them as one block
+    (_first_off_plateau); the draws of a pinned state's coefficients are
+    drawn and discarded, so the stream stays in step. Each block costs one
+    evaluation per draw up to and including the first draw off the plateau,
+    and the draws after it are never used: the restart reads its stream only
+    here, so it ends exactly as drawing and evaluating one start at a time
+    would. The ascent (_polish) then climbs from that draw with the budget
+    that is left, from the value and solver state the block left at it. A
     restart whose every draw is flat returns its last draw. Draws and ascent
     share max_evals_per_restart.
 
     Every point is evaluated through the facets where the threshold has a
-    closed form (_has_facet_form), and by one ThresholdSolver.value call
-    elsewhere.
+    closed form (_has_facet_form), and by ThresholdSolver.value elsewhere.
     """
     sc, config, index, fixed_coeffs, options = args
     key = np.array([config.rng_seed, index], dtype=np.uint64)
@@ -438,15 +510,18 @@ def _run_restart(args):
     if fixed_coeffs is not None:
         pinned_coeffs = fixed_coeffs
     pinned_state = PureState(sc, pinned_coeffs) if pinned_coeffs is not None else None
+    with_state = config.mode == "phases_and_state"
 
     objective, gradient = _objectives(solver, pinned_state)
     budget = config.max_evals_per_restart
     params, value, spent = start, objective(start), 1
     while value <= FLAT_VALUE and spent < budget:
-        params, _ = _restart_start(sc, config.mode, -1, rng)
-        if pinned_state is not None and config.mode == "phases_and_state":
-            params = ParameterVector(sc, params.phase_params)
-        value, spent = objective(params), spent + 1
+        phases, coeffs = _draws(sc, with_state, min(REDRAW_BLOCK, budget - spent), rng)
+        if pinned_state is not None:
+            coeffs = None
+        k, value = _first_off_plateau(solver, pinned_state, phases, coeffs)
+        params = ParameterVector(sc, phases[k], None if coeffs is None else coeffs[k])
+        spent += k + 1
     if value > FLAT_VALUE and spent < budget:
         params, value, evals = _polish(objective, gradient, params, value, budget - spent)
         spent += evals

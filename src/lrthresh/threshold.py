@@ -297,6 +297,20 @@ class _FacetThreshold:
         self._active = (int(violated[k]), float(cp[violated[k]]))
         return float(ratios[k])
 
+    def values(self, probs: np.ndarray) -> np.ndarray:
+        """The threshold at each row of a (stack, flat tensor) array, by value()'s rule.
+
+        One product against the facets serves the whole stack. Its rounding
+        may differ from value()'s in the last bits, and it leaves
+        tensor_gradient() as it was.
+        """
+        cp = probs @ self._facets.T
+        rows, facets = np.nonzero(cp > 2.0)
+        excess = cp[rows, facets]
+        out = np.zeros(len(probs))
+        np.maximum.at(out, rows, (excess - 2.0) / (excess - self._at_uniform[facets]))
+        return out
+
     def tensor_gradient(self) -> np.ndarray | None:
         """dF/dP at the tensor of the last value() call: c (2 - c.u)/(c.P - c.u)^2.
 

@@ -82,8 +82,17 @@ def test_traced_optimize_records_search_spans():
     assert names.count("threshold.value") == result.evals
 
 
-def test_traced_facet_optimize_records_one_born_span_per_evaluation():
+def test_traced_facet_optimize_records_one_born_span_per_evaluation(monkeypatch):
     search = importlib.import_module("lrthresh.search")
+    block_rows = []
+    original_block = search._first_off_plateau
+
+    def recorded(*args):
+        k, value = original_block(*args)
+        block_rows.append(k + 1)
+        return k, value
+
+    monkeypatch.setattr(search, "_first_off_plateau", recorded)
     cfg = OptimizationConfig(restarts=2, rng_seed=7, max_evals_per_restart=200,
                              mode="phases_and_state")
     tracer = load_spans().Tracer()
@@ -93,10 +102,12 @@ def test_traced_facet_optimize_records_one_born_span_per_evaluation():
     finally:
         tracer.uninstall()
     names = [span[0] for span in tracer.spans]
-    # one contraction per evaluation, seen through search.correlation_tensor,
-    # and one for the certified solve
-    assert result.evals > 2
-    assert names.count("probabilities.correlation_tensor") == result.evals + 1
+    # one contraction per scalar evaluation (the starts and the ascent steps),
+    # seen through search.correlation_tensor, and one for the certified solve;
+    # the blocks of redraws are contracted where the tracer does not look
+    scalar_evals = result.evals - sum(block_rows)
+    assert sum(block_rows) > 0 and scalar_evals > 2
+    assert names.count("probabilities.correlation_tensor") == scalar_evals + 1
 
 
 def test_failed_value_closes_its_spans(monkeypatch):

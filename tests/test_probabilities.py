@@ -17,7 +17,9 @@ from lrthresh import (
     product_state,
 )
 
-from lrthresh.probabilities import _born_plan, correlation_tensor_vjp
+from lrthresh.probabilities import (_born_plan, born_probabilities, checked_probabilities,
+                                    correlation_tensor_vjp)
+from lrthresh.scenario import tritter_unitary
 
 from conftest import (closed_form_probability, kronecker_probabilities, noisy_tensor,
                       tensordot_probabilities, tensordot_vjp)
@@ -82,6 +84,18 @@ def test_contraction_is_bitwise_the_tensordot_contraction(parties, dim, rng):
         st, se = random_state(sc, rng), random_settings(sc, rng)
         assert correlation_tensor(st, se).probs.tobytes() == \
             tensordot_probabilities(st, se).tobytes()
+
+
+@pytest.mark.parametrize("parties,dim", BORN_SIZES)
+def test_stacked_contraction_is_bitwise_correlation_tensor(parties, dim, rng):
+    sc = Scenario(parties=parties, dim=dim, settings_per_party=2)
+    states = [random_state(sc, rng) for _ in range(16)]
+    settings = [random_settings(sc, rng) for _ in range(16)]
+    coeffs = np.array([st.coeffs for st in states])
+    unitaries = tritter_unitary(dim, np.array([se.table for se in settings]))
+    stack = checked_probabilities(sc, born_probabilities(coeffs, unitaries))
+    for probs, st, se in zip(stack, states, settings):
+        assert probs.tobytes() == correlation_tensor(st, se).probs.tobytes()
 
 
 @pytest.mark.parametrize("parties,dim", [(3, 4), (4, 3)])
@@ -277,3 +291,31 @@ def test_correlation_tensor_shape_and_sum_checks():
     off = np.full((2, 2, 2, 2), 0.2)
     with pytest.raises(ValueError):
         CorrelationTensor(sc, off)
+    for bad in (np.nan, np.inf, -np.inf):
+        probs = np.full((2, 2, 2, 2), 0.25)
+        probs[1, 0, 1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            CorrelationTensor(sc, probs)
+
+
+# one entry of the middle tensor of a stack of three: below the clamp, a
+# setting block off 1, and NaN
+FAULTS = {"negative": ((0, 0, 0, 0), -1e-10, NegativeProbabilityError),
+          "block-sum": ((1, 0, 0, 0), 0.3, ValueError),
+          "nan": ((0, 1, 1, 0), np.nan, ValueError)}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_stacked_validation_raises_as_correlation_tensor(fault):
+    sc = Scenario(parties=2, dim=2, settings_per_party=2)
+    index, entry, error = FAULTS[fault]
+    stack = np.full((3, 2, 2, 2, 2), 0.25)
+    stack[1][index] = entry
+    if fault == "negative":
+        stack[1][index[:-1] + (1,)] += 1e-10  # the block still sums to 1
+    with pytest.raises(error) as stacked:
+        checked_probabilities(sc, stack)
+    with pytest.raises(error) as single:
+        CorrelationTensor(sc, stack[1])
+    assert type(stacked.value) is type(single.value) is error
+    assert checked_probabilities(sc, stack[[0, 2]]).tobytes() == stack[[0, 2]].tobytes()

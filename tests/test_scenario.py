@@ -181,6 +181,19 @@ def test_pure_state_validation():
             product_state(sc, [[bad, 0.0], [1.0, 0.0]])
 
 
+def test_complex_input_is_accepted_only_with_a_zero_imaginary_part(rng):
+    sc = Scenario(parties=2, dim=3, settings_per_party=2)
+    with pytest.raises(ValueError, match="settings table must be real"):
+        PhaseSettings(sc, np.zeros((2, 2, 3)) + 0.5j)
+    with pytest.raises(ValueError, match="state coefficients must be real"):
+        PureState(sc, ghz_state(sc).coeffs * np.exp(0.3j))
+    table = rng.uniform(0.0, 2.0 * np.pi, size=(2, 2, 3))
+    coeffs = ghz_state(sc).coeffs
+    assert PhaseSettings(sc, table + 0j).table.tobytes() == \
+        PhaseSettings(sc, table).table.tobytes()
+    assert PureState(sc, coeffs + 0j).coeffs.tobytes() == coeffs.tobytes()
+
+
 def test_paper_state_table_values():
     st = paper_optimal_state()
     scale = paper_table_normalization()

@@ -494,19 +494,29 @@ JOINT32 = OptimizationConfig(restarts=4, rng_seed=10, max_evals_per_restart=500,
                              mode="phases_and_state")
 
 
+def record_draws(monkeypatch) -> list:
+    """Record every start the restarts draw from their streams, in stream order."""
+    draws = []
+    original = search._draws
+
+    def recorded(sc, with_state, count, rng):
+        phases, coeffs = original(sc, with_state, count, rng)
+        draws.extend(ParameterVector(sc, phases[k], None if coeffs is None else coeffs[k])
+                      for k in range(count))
+        return phases, coeffs
+
+    monkeypatch.setattr(search, "_draws", recorded)
+    return draws
+
+
 def test_ascent_starts_at_the_first_draw_off_the_plateau(monkeypatch):
-    solved, draws, ascents = [], [], []
+    solved, ascents = [], []
     original_value = ThresholdSolver.value
-    original_start = search._restart_start
     original_polish = search._polish
 
     def counted_value(self, tensor):
         solved.append((tensor, original_value(self, tensor)))
         return solved[-1][1]
-
-    def counted_start(*args):
-        draws.append(original_start(*args)[0])
-        return draws[-1], None
 
     def watched(objective, gradient, params, value, budget):
         solves = len(solved)
@@ -515,7 +525,7 @@ def test_ascent_starts_at_the_first_draw_off_the_plateau(monkeypatch):
         return outcome
 
     monkeypatch.setattr(ThresholdSolver, "value", counted_value)
-    monkeypatch.setattr(search, "_restart_start", counted_start)
+    draws = record_draws(monkeypatch)
     monkeypatch.setattr(search, "_polish", watched)
     flat_draws = 0
     for index in range(JOINT32.restarts):
@@ -526,25 +536,33 @@ def test_ascent_starts_at_the_first_draw_off_the_plateau(monkeypatch):
         assert len(ascents) == 1
         start, solves, start_value, ascent_evals = ascents[0]
         # the ascent starts from the first draw off the plateau, in stream order
-        accepted = next(k for k, params in enumerate(draws) if params is start)
+        accepted = next(k for k, params in enumerate(draws)
+                        if params.flat().tobytes() == start.flat().tobytes())
         exact = [threshold(p.decode_state(), p.decode_settings()).f_thr
                  for p in draws[:accepted + 1]]
         assert max(exact[:-1], default=0.0) <= search.FLAT_VALUE
         assert start_value == solved[solves - 1][1] > search.FLAT_VALUE
         assert abs(start_value - exact[-1]) < 1e-9
-        # every draw up to it is one evaluation and one solve, and that draw
-        # is solved once: the ascent's evaluations are its own steps
+        # every draw up to it is one evaluation and one solve, of its own
+        # tensor and in stream order, and that draw is solved once: the
+        # ascent's evaluations are its own steps
         assert solves == accepted + 1
+        for (tensor, _), params in zip(solved[:solves], draws):
+            born = correlation_tensor(params.decode_state(), params.decode_settings())
+            assert tensor.probs.tobytes() == born.probs.tobytes()
         assert spent == accepted + 1 + ascent_evals == len(solved)
         flat_draws += accepted
     assert flat_draws > 0
 
 
-def reference_restart(sc, config, index):
-    """A restart that solves every draw by LP: the same stream, the same ascent."""
+def reference_restart(sc, config, index, solver=None):
+    """A restart that evaluates one draw at a time, by LP unless given a solver.
+
+    The same stream, the same ascent.
+    """
     key = np.array([config.rng_seed, index], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
-    objective, gradient = search._objectives(ThresholdSolver(sc), None)
+    objective, gradient = search._objectives(solver or ThresholdSolver(sc), None)
     budget = config.max_evals_per_restart
     params, _ = search._restart_start(sc, config.mode, index, rng)
     value, spent = objective(params), 1
@@ -560,20 +578,69 @@ def reference_restart(sc, config, index):
 
 # with 10 evaluations, restart 1 of the (3,2) config stays flat; at (2,4) with
 # 80, restart 2 stays flat and the others leave the plateau on their 79th,
-# 74th and 72nd draw; at (4,2) with 40, every restart climbs
-@pytest.mark.parametrize("sc, budget", [pytest.param(SC32, 500, id="500"),
-                                        pytest.param(SC32, 10, id="10"),
-                                        pytest.param(SC24, 80, id="n2d4-80"),
-                                        pytest.param(SC42, 40, id="n4d2-40")])
-def test_restart_matches_solving_every_draw(sc, budget):
-    cfg = OptimizationConfig(restarts=JOINT32.restarts, rng_seed=JOINT32.rng_seed,
-                             max_evals_per_restart=budget, mode=JOINT32.mode)
+# 74th and 72nd draw; at (4,2) with 40, every restart climbs. On the facets,
+# restarts 0 and 1 of the (2,3) config stay flat with 60 evaluations, and
+# restarts 0 and 2 of the (3,2) config at (2,2) with 45. Every budget but 500
+# ends inside a block of redraws.
+@pytest.mark.parametrize("sc, budget, flat", [
+    pytest.param(SC32, 500, 0, id="500"),
+    pytest.param(SC32, 10, 1, id="10"),
+    pytest.param(SC24, 80, 1, id="n2d4-80"),
+    pytest.param(SC42, 40, 0, id="n4d2-40"),
+    pytest.param(SC23, 500, 0, id="n2d3-facets-500"),
+    pytest.param(SC23, 60, 2, id="n2d3-facets-60"),
+    pytest.param(SC22, 45, 2, id="n2d2-facets-45"),
+])
+def test_restart_matches_solving_every_draw(sc, budget, flat):
+    base = JOINT23 if sc == SC23 else JOINT32
+    cfg = OptimizationConfig(restarts=base.restarts, rng_seed=base.rng_seed,
+                             max_evals_per_restart=budget, mode=base.mode)
+    solver = _FacetThreshold if search._has_facet_form(sc) else ThresholdSolver
+    flat_restarts = 0
     for index in range(cfg.restarts):
         _, value, table, coeffs, spent = search._run_restart((sc, cfg, index, None, None))
-        _, ref, ref_value, ref_spent = reference_restart(sc, cfg, index)
+        _, ref, ref_value, ref_spent = reference_restart(sc, cfg, index, solver(sc))
         assert (value, spent) == (ref_value, ref_spent)
         assert table.tobytes() == ref.decode_settings().table.tobytes()
         assert coeffs.tobytes() == ref.decode_state().coeffs.real.tobytes()
+        flat_restarts += value <= search.FLAT_VALUE
+    assert flat_restarts == flat
+
+
+@pytest.mark.parametrize("sc", [SC23, SC32], ids=["n2d3-facets", "n3d2-lp"])
+def test_an_undecodable_draw_in_a_block_is_one_evaluation_worth_minus_one(monkeypatch, sc):
+    # the 2nd redraw of every restart gets a zero state, which does not decode
+    drawn = []
+    original = search._draws
+
+    def with_a_zero_state(scenario, with_state, count, rng):
+        phases, coeffs = original(scenario, with_state, count, rng)
+        for k in range(count):
+            drawn.append(k)
+            if len(drawn) == 3:
+                coeffs[k] = 0.0
+        return phases, coeffs
+
+    monkeypatch.setattr(search, "_draws", with_a_zero_state)
+    cfg = OptimizationConfig(restarts=JOINT32.restarts, rng_seed=JOINT32.rng_seed,
+                             max_evals_per_restart=40, mode="phases_and_state")
+    solver = _FacetThreshold if search._has_facet_form(sc) else ThresholdSolver
+    injected = 0
+    for index in range(cfg.restarts):
+        drawn.clear()
+        outcome = search._run_restart((sc, cfg, index, None, None))
+        drawn.clear()
+        _, ref, ref_value, ref_spent = reference_restart(sc, cfg, index, solver(sc))
+        injected += len(drawn) >= 3  # one draw at a time, the zero state was evaluated
+        assert outcome[1] == ref_value and outcome[4] == ref_spent
+        assert outcome[2].tobytes() == ref.decode_settings().table.tobytes()
+        assert outcome[3].tobytes() == ref.decode_state().coeffs.real.tobytes()
+    assert injected > 0
+
+    # a block of undecodable draws is worth -1 at its last draw
+    rng = np.random.default_rng(3)
+    phases, coeffs = search._draws(sc, True, 3, rng)
+    assert search._first_off_plateau(solver(sc), None, phases, 0.0 * coeffs) == (2, -1.0)
 
 
 def record_lp_calls(monkeypatch) -> list:
@@ -589,24 +656,51 @@ def record_lp_calls(monkeypatch) -> list:
     return calls
 
 
+def record_blocks(monkeypatch) -> list:
+    """Record the draws each block of redraws spends: up to its first draw off the plateau."""
+    spent = []
+    original = search._first_off_plateau
+
+    def recorded(solver, pinned_state, phases, coeffs):
+        k, value = original(solver, pinned_state, phases, coeffs)
+        spent.append(k + 1)
+        return k, value
+
+    monkeypatch.setattr(search, "_first_off_plateau", recorded)
+    return spent
+
+
 @pytest.mark.parametrize("sc", [SC23, SC22], ids=["n2d3", "n2d2"])
 def test_two_party_restarts_evaluate_through_the_facets_alone(monkeypatch, sc):
     lp_calls = record_lp_calls(monkeypatch)
-    facet_calls = []
-    original = _FacetThreshold.value
+    block_rows = record_blocks(monkeypatch)
+    scalar_calls, screens = [], []
+    original_born = search.correlation_tensor
+    original_values = _FacetThreshold.values
 
-    def counted(self, tensor):
-        facet_calls.append(tensor)
-        return original(self, tensor)
+    def counted_born(state, settings):
+        scalar_calls.append(settings)
+        return original_born(state, settings)
 
-    monkeypatch.setattr(_FacetThreshold, "value", counted)
+    def counted_values(self, probs):
+        screens.append(len(probs))
+        return original_values(self, probs)
+
+    monkeypatch.setattr(search, "correlation_tensor", counted_born)
+    monkeypatch.setattr(_FacetThreshold, "values", counted_values)
     cfg = OptimizationConfig(restarts=3, rng_seed=5, max_evals_per_restart=30,
                              mode="phases_and_state")
+    blocks = 0
     for index in range(cfg.restarts):
-        facet_calls.clear()
+        block_rows.clear()
+        scalar_calls.clear()
         _, _, _, _, spent = search._run_restart((sc, cfg, index, None, None))
-        # one facet evaluation per draw and per ascent step, and no LP
-        assert spent == len(facet_calls) <= cfg.max_evals_per_restart
+        # one evaluation per block draw up to the first off the plateau, and
+        # one per scalar evaluation (the start and each ascent step), and no LP
+        assert spent == sum(block_rows) + len(scalar_calls) <= cfg.max_evals_per_restart
+        blocks += len(block_rows)
+    # every block was screened by one product against the facets
+    assert blocks > 0 and len(screens) == blocks
     assert not lp_calls
 
 
@@ -661,12 +755,15 @@ def test_a_draw_just_off_the_local_set_is_solved_and_stays_flat(monkeypatch):
     state = product_state(SC32, [[1, 0], [0, 1], [1, 0]])  # every other draw is local
     solved = []
     original_value = ThresholdSolver.value
-    original_born = search.correlation_tensor
-    born = []
+    original_born = search.born_probabilities
+    blocks = []
 
-    def first_redraw_is_the_edge(pure, settings):
-        born.append(settings)
-        return edge if len(born) == 2 else original_born(pure, settings)
+    def first_redraw_is_the_edge(coeffs, unitaries):
+        probs = original_born(coeffs, unitaries)
+        blocks.append(len(probs))
+        if len(blocks) == 1:
+            probs[0] = edge.probs
+        return probs
 
     def counted(self, tensor):
         solved.append((tensor, original_value(self, tensor)))
@@ -675,22 +772,58 @@ def test_a_draw_just_off_the_local_set_is_solved_and_stays_flat(monkeypatch):
     def never(*args):
         raise AssertionError("a draw on the plateau must not start an ascent")
 
-    monkeypatch.setattr(search, "correlation_tensor", first_redraw_is_the_edge)
+    monkeypatch.setattr(search, "born_probabilities", first_redraw_is_the_edge)
     monkeypatch.setattr(ThresholdSolver, "value", counted)
     monkeypatch.setattr(search, "_polish", never)
     cfg = OptimizationConfig(restarts=1, rng_seed=0, max_evals_per_restart=20,
                              mode="phases_only")
     _, value, table, _, spent = search._run_restart((SC32, cfg, 0, state.coeffs.real, None))
-    # the edge is solved once, and being flat it is redrawn
-    edge_values = [v for t, v in solved if t is edge]
-    assert len(edge_values) == 1
-    assert 0.0 < edge_values[0] <= search.FLAT_VALUE
-    assert spent == 20 and value <= search.FLAT_VALUE
-    assert solved[-1][0] is not edge
-    # and no draw was skipped: the restart ends on the stream's 20th draw
+    # the edge, the first redraw, is solved once, and being flat it is redrawn
+    is_edge = [t.probs.tobytes() == edge.probs.tobytes() for t, _ in solved]
+    assert is_edge.count(True) == 1 and is_edge[1]
+    assert 0.0 < solved[is_edge.index(True)][1] <= search.FLAT_VALUE
+    assert spent == 20 == len(solved) and value <= search.FLAT_VALUE
+    assert not is_edge[-1]
+    # and no draw was skipped: the start and 19 redraws in two blocks, and
+    # the restart ends on the stream's 20th draw
+    assert blocks == [16, 3]
     rng = np.random.Generator(np.random.Philox(key=np.array([0, 0], dtype=np.uint64)))
     draws = [search._restart_start(SC32, cfg.mode, -1 if k else 0, rng)[0] for k in range(20)]
     assert np.array_equal(table, draws[-1].decode_settings().table)
+
+
+def test_a_facet_draw_just_above_the_plateau_passes_the_screen(monkeypatch):
+    # GHZ under CHSH settings at (2,2), mixed with white noise down to a
+    # threshold of 1.5e-6: above FLAT_VALUE, so the block's facet screen must
+    # hand it to value(), and the restart must start its ascent there
+    settings = PhaseSettings(SC22, [[[0, 0], [0, np.pi / 2]], [[0, np.pi / 4], [0, -np.pi / 4]]])
+    tensor = correlation_tensor(ghz_state(SC22), settings)
+    f_thr = _FacetThreshold(SC22).value(tensor)
+    edge = noisy_tensor(tensor, 1.0 - (1.0 - f_thr) / (1.0 - 1.5e-6))
+    edge_value = _FacetThreshold(SC22).value(edge)
+    assert search.FLAT_VALUE < edge_value < 2 * search.FLAT_VALUE
+    original_born = search.born_probabilities
+    blocks, ascents = [], []
+
+    def first_redraw_is_the_edge(coeffs, unitaries):
+        probs = original_born(coeffs, unitaries)
+        blocks.append(len(probs))
+        if len(blocks) == 1:
+            probs[0] = edge.probs
+        return probs
+
+    def recorded(objective, gradient, params, value, budget):
+        ascents.append(value)
+        return params, value, 0
+
+    monkeypatch.setattr(search, "born_probabilities", first_redraw_is_the_edge)
+    monkeypatch.setattr(search, "_polish", recorded)
+    state = product_state(SC22, [[1, 0], [1, 0]])  # every other draw is local
+    cfg = OptimizationConfig(restarts=1, rng_seed=0, max_evals_per_restart=20,
+                             mode="phases_only")
+    _, value, _, _, spent = search._run_restart((SC22, cfg, 0, state.coeffs.real, None))
+    assert ascents == [edge_value] and value == edge_value
+    assert blocks == [16] and spent == 2  # the start and the first redraw
 
 
 def test_joint_search_leaves_the_plateau_on_every_restart():

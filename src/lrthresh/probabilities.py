@@ -25,7 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .scenario import PhaseSettings, PureState, Scenario, _fourier, _frozen, setting_unitaries
+from .scenario import PhaseSettings, PureState, Scenario, _fourier, _frozen, _real, \
+    setting_unitaries
 
 # Entries are clamped to 0 down to this excursion; anything more negative is a bug.
 CLAMP_TOL = 1e-12
@@ -60,13 +61,14 @@ def checked_probabilities(sc: Scenario, probs: np.ndarray) -> np.ndarray:
     """A stack of probability tensors, validated, clamped and copied (C order).
 
     probs is indexed [stack, s_1..s_N, a_1..a_N]; CorrelationTensor checks
-    its tensor as a stack of one. Raises ValueError for a wrong shape, a
-    non-finite entry, or a setting block that does not sum to 1 within
-    BLOCK_SUM_TOL, and NegativeProbabilityError for an entry below
-    -CLAMP_TOL; the entries between -CLAMP_TOL and 0 are clamped to 0.
+    its tensor as a stack of one. Raises ValueError for a wrong shape, an
+    entry with a nonzero imaginary part, a non-finite entry, or a setting
+    block that does not sum to 1 within BLOCK_SUM_TOL, and
+    NegativeProbabilityError for an entry below -CLAMP_TOL; the entries
+    between -CLAMP_TOL and 0 are clamped to 0.
     """
     shape = (sc.settings_per_party,) * sc.parties + (sc.dim,) * sc.parties
-    p = np.array(probs, dtype=float, order="C")
+    p = _real(probs, "probability entries")
     if p.shape[1:] != shape:
         raise ValueError(f"probability tensor must have shape {shape}, got {p.shape[1:]}")
     if not np.isfinite(p).all():

@@ -25,13 +25,13 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _real(values, field: str) -> np.ndarray:
-    """values as a new float array; complex input must have a zero imaginary part."""
+    """values as a new float array (C order); complex input must have a zero imaginary part."""
     a = np.asarray(values)
     if np.iscomplexobj(a):
         if a.size and np.max(np.abs(a.imag)) > 1e-12:
             raise ValueError(f"{field} must be real")
         a = a.real
-    return np.array(a, dtype=float)
+    return np.array(a, dtype=float, order="C")
 
 
 @dataclass(frozen=True)

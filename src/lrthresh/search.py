@@ -4,16 +4,16 @@ The objective is an LP value function of the phase tables (and optionally the
 state coefficients): continuous and piecewise smooth, but non-convex, and
 exactly zero on the full-dimensional region where the correlations already
 admit a local model. Many restarts handle the non-convexity. The zero plateau
-is handled inside each restart: each drawn start costs one evaluation, and a
-start on the plateau is redrawn from the restart's own random stream for as
-long as budget remains. Most draws land on the plateau, so redraws come in
-blocks of REDRAW_BLOCK, decoded and contracted at once; the draws after the
-first one off the plateau are dropped unevaluated, which leaves every result
-as drawing one start at a time would. With two parties and at most three
-outcomes the threshold has a closed form over the local polytope's facets,
-and the restart evaluates every point through it, with no LP (a block of
-draws is screened with one product against the facets); elsewhere every
-point is one warm LP solve.
+is handled inside each restart: it draws starts from its own random stream,
+each costing one evaluation, until one is off the plateau or the budget is
+spent. Most draws land on the plateau, so draws come in blocks of
+REDRAW_BLOCK, decoded and contracted at once; the draws after the first one
+off the plateau are dropped unevaluated, which leaves every result as drawing
+one start at a time would. A bundled start is a block of one. With two
+parties and at most three outcomes the threshold has a closed form over the
+local polytope's facets, and the restart evaluates every point through it,
+with no LP (a block of draws is screened with one product against the
+facets); elsewhere every point is one warm LP solve.
 
 From the first start off the plateau, the rest of the restart's budget goes
 to a quasi-Newton gradient ascent with Armijo backtracking. The gradient is
@@ -40,7 +40,7 @@ import numpy as np
 
 from .probabilities import CorrelationTensor, born_probabilities, checked_probabilities, \
     correlation_tensor, correlation_tensor_vjp
-from .scenario import PhaseSettings, PureState, Scenario, canonical_phases, ghz_state, \
+from .scenario import PhaseSettings, PureState, Scenario, _real, canonical_phases, ghz_state, \
     paper_optimal_state, paper_settings, tritter_unitary
 from .simplex import SolverOptions
 from .threshold import ThresholdResult, ThresholdSolver, _FacetThreshold, _has_facet_form, \
@@ -62,6 +62,19 @@ class InvalidParameterError(ValueError):
     """Parameter vector cannot be decoded into a state or settings."""
 
 
+def _coordinates(values, field: str, size: int) -> np.ndarray:
+    """values as a new flat float array of size finite entries; raises InvalidParameterError."""
+    try:
+        a = _real(values, field).ravel()
+    except ValueError as exc:
+        raise InvalidParameterError(str(exc)) from None
+    if a.size != size:
+        raise InvalidParameterError(f"expected {size} {field}, got {a.size}")
+    if not np.all(np.isfinite(a)):
+        raise InvalidParameterError(f"{field} must be finite")
+    return a
+
+
 @dataclass(frozen=True)
 class ParameterVector:
     """Flat search coordinates: gauge-fixed phases, optionally state coefficients.
@@ -69,7 +82,8 @@ class ParameterVector:
     phase_params holds parties x settings x (d-1) entries in that order; the
     first phase of every setting is gauge-fixed to zero and omitted.
     state_params, when present, are unnormalized real coefficients projected
-    to the unit sphere on decode. Every entry must be finite.
+    to the unit sphere on decode. Every entry must be finite and real (complex
+    input with a zero imaginary part is taken as real).
     """
 
     scenario: Scenario
@@ -79,21 +93,11 @@ class ParameterVector:
     def __post_init__(self):
         sc = self.scenario
         want = sc.parties * sc.settings_per_party * (sc.dim - 1)
-        pp = np.asarray(self.phase_params, dtype=float).ravel()
-        if pp.size != want:
-            raise InvalidParameterError(f"expected {want} phase parameters, got {pp.size}")
-        if not np.all(np.isfinite(pp)):
-            raise InvalidParameterError("phase parameters must be finite")
-        object.__setattr__(self, "phase_params", pp)
+        object.__setattr__(self, "phase_params",
+                           _coordinates(self.phase_params, "phase parameters", want))
         if self.state_params is not None:
-            sp = np.asarray(self.state_params, dtype=float).ravel()
-            if sp.size != sc.state_size:
-                raise InvalidParameterError(
-                    f"expected {sc.state_size} state parameters, got {sp.size}"
-                )
-            if not np.all(np.isfinite(sp)):
-                raise InvalidParameterError("state parameters must be finite")
-            object.__setattr__(self, "state_params", sp)
+            object.__setattr__(self, "state_params",
+                               _coordinates(self.state_params, "state parameters", sc.state_size))
 
     def decode_settings(self) -> PhaseSettings:
         sc = self.scenario
@@ -117,7 +121,7 @@ class ParameterVector:
         return np.concatenate([self.phase_params, self.state_params])
 
     def with_flat(self, values: np.ndarray) -> "ParameterVector":
-        values = np.asarray(values, dtype=float).ravel()
+        values = np.ravel(values)
         npp = self.phase_params.size
         if self.state_params is None:
             return ParameterVector(self.scenario, values[:npp])
@@ -139,14 +143,8 @@ class ParameterVector:
 
 def encode(settings: PhaseSettings, state: PureState | None = None) -> ParameterVector:
     """Inverse of decoding: strip the gauge-fixed leading phase of each setting."""
-    pp = settings.table[:, :, 1:].ravel()
-    sp = None
-    if state is not None:
-        coeffs = state.coeffs
-        if np.max(np.abs(coeffs.imag)) > 1e-12:
-            raise InvalidParameterError("search coordinates cover real states only")
-        sp = coeffs.real.copy()
-    return ParameterVector(settings.scenario, pp, sp)
+    return ParameterVector(settings.scenario, settings.table[:, :, 1:],
+                           None if state is None else state.coeffs)
 
 
 @dataclass(frozen=True)
@@ -273,8 +271,8 @@ def _polish(objective, gradient, params: ParameterVector, value: float, budget: 
     """Quasi-Newton gradient ascent with Armijo backtracking from a restart's start.
 
     value is objective(params), and the solver's latest evaluation must have
-    been the one at params (an objective call, or the block that accepted
-    params): gradient(p) reads the exact gradient at p off the solver state
+    been the one at params (the block that accepted params, or an objective
+    call): gradient(p) reads the exact gradient at p off the solver state
     that evaluation left, so the ascent starts without re-solving its start.
     Each step goes along H g, where H is the BFGS inverse-curvature estimate
     built from the gradients of the accepted points (the identity at first,
@@ -347,46 +345,31 @@ def _draws(sc: Scenario, with_state: bool, count: int,
     return phases, coeffs
 
 
-def _restart_start(
-    sc: Scenario,
-    mode: str,
-    index: int,
-    rng: np.random.Generator,
-) -> tuple[ParameterVector, np.ndarray | None]:
-    """Starting point for one restart; returns (params, pinned state coeffs).
+def _restart_start(sc: Scenario, mode: str, index: int, rng: np.random.Generator
+                   ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None] | None:
+    """A restart's bundled start as one stacked row, or None when its start is drawn.
 
-    The bundled three-qutrit tables claim the first restart indices whenever
-    the scenario matches, so published optima are recovered deterministically
-    rather than by sampling luck. The tabulated-state restart pins its state
-    and searches phases alone; the phase-list restarts start joint search
-    from the maximally entangled state. Every other start is one _draws draw.
+    Returns (phases[1, .], state coefficients[1, .] or None, pinned state
+    coefficients or None). The bundled three-qutrit tables claim the first
+    restart indices whenever the scenario matches, so published optima are
+    recovered deterministically rather than by sampling luck. The
+    tabulated-state restart pins its state and draws its phases alone, here,
+    as the first draw of its stream; the phase-list restarts start joint
+    search from the maximally entangled state. Every other restart returns
+    None, and its start is the first row of its first block of draws.
     """
-    three_qutrit = sc.parties == 3 and sc.dim == 3 and sc.settings_per_party == 2
-    with_state = mode == "phases_and_state"
-
-    def drawn(state: bool) -> ParameterVector:
-        phases, coeffs = _draws(sc, state, 1, rng)
-        return ParameterVector(sc, phases[0], None if coeffs is None else coeffs[0])
-
-    if three_qutrit:
-        if with_state:
-            if index == 0:
-                return drawn(False), paper_optimal_state().coeffs.real
-            if index == 1:
-                return ParameterVector(sc, encode(paper_settings("maxent_3qutrit")).phase_params,
-                                       ghz_state(sc).coeffs.real), None
-            if index == 2:
-                return ParameterVector(sc,
-                                       encode(paper_settings("near_optimal_3qutrit")).phase_params,
-                                       ghz_state(sc).coeffs.real), None
-        else:
-            if index == 0:
-                return ParameterVector(
-                    sc, encode(paper_settings("maxent_3qutrit")).phase_params), None
-            if index == 1:
-                return ParameterVector(
-                    sc, encode(paper_settings("near_optimal_3qutrit")).phase_params), None
-    return drawn(with_state), None
+    if sc != Scenario(parties=3, dim=3, settings_per_party=2):
+        return None
+    ghz = None
+    if mode == "phases_and_state":
+        if index == 0:
+            return _draws(sc, False, 1, rng) + (paper_optimal_state().coeffs.real,)
+        index -= 1
+        ghz = ghz_state(sc).coeffs.real[np.newaxis]
+    if index not in (0, 1):
+        return None
+    table = paper_settings(("maxent_3qutrit", "near_optimal_3qutrit")[index])
+    return encode(table).phase_params[np.newaxis], ghz, None
 
 
 def _decode(params: ParameterVector,
@@ -401,16 +384,16 @@ def _objectives(solver: ThresholdSolver | _FacetThreshold, pinned_state: PureSta
     """A restart's objective over parameter vectors, and its exact gradient.
 
     objective(params) is the threshold at the decoded state and settings
-    (-1 when they do not decode). gradient(params) reads dF/dparams off the
-    solver's latest evaluation, which must have been at params: the solver's
-    tensor gradient pulled back through the Born rule and the decoding. Call
-    it only after objective(params), or a block that accepted params
-    (_first_off_plateau), returned a threshold; a failed solve raises
-    instead.
+    (-1 when they do not decode); only the ascent (_polish) calls it, since
+    every draw is evaluated in a block (_first_off_plateau). gradient(params)
+    reads dF/dparams off the solver's latest evaluation, which must have been
+    at params: the solver's tensor gradient pulled back through the Born rule
+    and the decoding. Call it only after the block that accepted params, or
+    objective(params), returned a threshold; a failed solve raises instead.
 
     Each point is decoded once: objective(params) keeps the settings and
     state it decoded, and gradient(params) reuses them when params is that
-    evaluation's point (as in _polish); otherwise, as for a block's accepted
+    evaluation's point (an ascent step); otherwise, as for a block's accepted
     draw, it decodes params afresh. A point that does not decode keeps
     nothing.
     """
@@ -441,10 +424,12 @@ def _first_off_plateau(solver: ThresholdSolver | _FacetThreshold, pinned_state: 
                        phases: np.ndarray, coeffs: np.ndarray | None) -> tuple[int, float]:
     """The first of a block of draws whose threshold is above FLAT_VALUE, in stream order.
 
-    phases and coeffs are stacked as _draws gives them (coeffs None when the
-    state is pinned). Returns (k, value) for that draw, or for the block's
-    last draw when every draw is flat, with value exactly what objective()
-    gives at the draw. The block is decoded at once, and the draws whose
+    Every draw of a restart is evaluated here, its start included: phases and
+    coeffs are stacked as _draws gives them, or as the one row of a bundled
+    start (_restart_start), with coeffs None when the state is pinned.
+    Returns (k, value) for that draw, or for the block's last draw when
+    every draw is flat, with value exactly what objective() gives at the
+    draw. The block is decoded at once, and the draws whose
     state coefficients have norm below STATE_NORM_FLOOR are worth -1. The
     rest are contracted in one born_probabilities call and checked in one
     checked_probabilities call. ThresholdSolver then solves them one value()
@@ -483,12 +468,14 @@ def _first_off_plateau(solver: ThresholdSolver | _FacetThreshold, pinned_state: 
 
 
 def _run_restart(args):
-    """One restart: flat draws redrawn, then the exact-gradient ascent.
+    """One restart: draws until one is off the plateau, then the exact-gradient ascent.
 
-    The restart's own start costs one evaluation. While the value is on the
-    plateau and budget remains, the restart draws min(REDRAW_BLOCK, budget
-    left) further starts from its own stream and evaluates them as one block
-    (_first_off_plateau); the draws of a pinned state's coefficients are
+    Every draw is evaluated in a block (_first_off_plateau). The first block
+    is the restart's bundled start when it has one (_restart_start), a block
+    of one row; otherwise it is min(REDRAW_BLOCK, budget) draws from the
+    restart's own stream, whose row 0 is its start. While the value is on the
+    plateau and budget remains, the next block is min(REDRAW_BLOCK, budget
+    left) further draws; the draws of a pinned state's coefficients are
     drawn and discarded, so the stream stays in step. Each block costs one
     evaluation per draw up to and including the first draw off the plateau,
     and the draws after it are never used: the restart reads its stream only
@@ -506,17 +493,20 @@ def _run_restart(args):
     rng = np.random.Generator(np.random.Philox(key=key))
     solver = _FacetThreshold(sc) if _has_facet_form(sc) else ThresholdSolver(sc, options)
 
-    start, pinned_coeffs = _restart_start(sc, config.mode, index, rng)
-    if fixed_coeffs is not None:
-        pinned_coeffs = fixed_coeffs
-    pinned_state = PureState(sc, pinned_coeffs) if pinned_coeffs is not None else None
+    start = _restart_start(sc, config.mode, index, rng)
+    if start is not None and fixed_coeffs is None:
+        fixed_coeffs = start[2]
+    pinned_state = PureState(sc, fixed_coeffs) if fixed_coeffs is not None else None
     with_state = config.mode == "phases_and_state"
 
     objective, gradient = _objectives(solver, pinned_state)
     budget = config.max_evals_per_restart
-    params, value, spent = start, objective(start), 1
+    value, spent = -1.0, 0  # nothing evaluated yet
     while value <= FLAT_VALUE and spent < budget:
-        phases, coeffs = _draws(sc, with_state, min(REDRAW_BLOCK, budget - spent), rng)
+        if spent == 0 and start is not None:
+            phases, coeffs, _ = start
+        else:
+            phases, coeffs = _draws(sc, with_state, min(REDRAW_BLOCK, budget - spent), rng)
         if pinned_state is not None:
             coeffs = None
         k, value = _first_off_plateau(solver, pinned_state, phases, coeffs)
@@ -525,12 +515,8 @@ def _run_restart(args):
     if value > FLAT_VALUE and spent < budget:
         params, value, evals = _polish(objective, gradient, params, value, budget - spent)
         spent += evals
-    table = params.decode_settings().table
-    if pinned_state is not None:
-        coeffs = pinned_state.coeffs.real
-    else:
-        coeffs = params.decode_state().coeffs.real
-    return index, value, table, coeffs, spent
+    settings, state = _decode(params, pinned_state)
+    return index, value, settings.table, state.coeffs.real, spent
 
 
 def _optimize(

@@ -32,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .probabilities import CorrelationTensor, ScenarioMismatchError
-from .scenario import PhaseSettings, PureState, Scenario, _frozen
+from .scenario import PhaseSettings, PureState, Scenario, _frozen, _real
 from .simplex import (
     OPTIMAL,
     BoundedSimplex,
@@ -62,7 +62,7 @@ class JointDistribution:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+        w = _real(self.weights, "assignment weights")
         if w.shape != (self.scenario.joint_size,):
             raise ValueError(
                 f"expected {self.scenario.joint_size} assignment weights, got shape {w.shape}"
@@ -73,7 +73,7 @@ class JointDistribution:
             raise ValueError(f"assignment weights must be nonnegative (min {w.min()})")
         if abs(w.sum() - 1.0) > 1e-8:
             raise ValueError(f"assignment weights must sum to 1 (sum {w.sum()})")
-        object.__setattr__(self, "weights", _frozen(np.maximum(w, 0.0)))
+        object.__setattr__(self, "weights", _frozen(np.maximum(w, 0.0, out=w)))
 
 
 @dataclass(frozen=True)

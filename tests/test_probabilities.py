@@ -298,6 +298,18 @@ def test_correlation_tensor_shape_and_sum_checks():
             CorrelationTensor(sc, probs)
 
 
+def test_complex_probabilities_are_accepted_only_with_a_zero_imaginary_part():
+    sc = Scenario(parties=2, dim=2, settings_per_party=2)
+    probs = np.full((2, 2, 2, 2), 0.25)
+    with pytest.raises(ValueError, match="probability entries must be real"):
+        CorrelationTensor(sc, probs + 0.1j)
+    with pytest.raises(ValueError, match="probability entries must be real"):
+        checked_probabilities(sc, np.stack([probs, probs + 0.1j]))
+    assert CorrelationTensor(sc, probs + 0j).probs.tobytes() == probs.tobytes()
+    stack = np.stack([probs, probs])
+    assert checked_probabilities(sc, stack + 0j).tobytes() == stack.tobytes()
+
+
 # one entry of the middle tensor of a stack of three: below the clamp, a
 # setting block off 1, and NaN
 FAULTS = {"negative": ((0, 0, 0, 0), -1e-10, NegativeProbabilityError),

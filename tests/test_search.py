@@ -70,6 +70,19 @@ def test_parameter_vector_validation():
         ParameterVector(SC23, np.zeros(8), state_params=np.zeros(9)).decode_state()
 
 
+def test_complex_coordinates_are_accepted_only_with_a_zero_imaginary_part():
+    with pytest.raises(InvalidParameterError, match="phase parameters must be real"):
+        ParameterVector(SC22, np.zeros(4) + 0.5j)
+    coeffs = ghz_state(SC22).coeffs
+    with pytest.raises(InvalidParameterError, match="state parameters must be real"):
+        ParameterVector(SC22, np.zeros(4), coeffs * np.exp(0.3j))
+    phases = np.linspace(0.0, 1.0, 4)
+    params = ParameterVector(SC22, phases + 0j, coeffs + 0j)
+    assert params.phase_params.tobytes() == phases.tobytes()
+    assert params.state_params.tobytes() == coeffs.tobytes()
+    assert params.with_flat(params.flat() + 0j).flat().tobytes() == params.flat().tobytes()
+
+
 # (coordinate block, index in it, value): an inf phase, a NaN and an inf state entry
 NONFINITE = [("phase", 3, np.inf), ("state", 0, np.nan), ("state", 4, np.inf)]
 
@@ -492,6 +505,11 @@ JOINT23 = OptimizationConfig(restarts=4, rng_seed=1777477784, max_evals_per_rest
 # plateau on their 3rd, 11th, 8th and 6th draw
 JOINT32 = OptimizationConfig(restarts=4, rng_seed=10, max_evals_per_restart=500,
                              mode="phases_and_state")
+# at (3,3), where the bundled starts claim the first restarts: restart 0 (the
+# tabulated state, its phases drawn) starts flat and leaves the plateau on its
+# 3rd draw, and restart 3, the first drawn start, on its 14th
+JOINT33 = OptimizationConfig(restarts=4, rng_seed=11, max_evals_per_restart=20,
+                             mode="phases_and_state")
 
 
 def record_draws(monkeypatch) -> list:
@@ -555,25 +573,74 @@ def test_ascent_starts_at_the_first_draw_off_the_plateau(monkeypatch):
     assert flat_draws > 0
 
 
-def reference_restart(sc, config, index, solver=None):
+@pytest.mark.parametrize("sc, cfg", [(SC32, JOINT32), (SC23, JOINT23), (SC33, JOINT33)],
+                         ids=["n3d2-lp", "n2d3-facets", "n3d3-bundled"])
+def test_every_evaluation_before_the_ascent_is_a_block_row(monkeypatch, sc, cfg):
+    block_rows = record_blocks(monkeypatch)
+    calls, ascents = [], []
+    original_objectives = search._objectives
+    original_polish = search._polish
+
+    def recorded_objectives(solver, pinned_state):
+        objective, gradient = original_objectives(solver, pinned_state)
+
+        def counted(params):
+            calls.append(params)
+            return objective(params)
+
+        return counted, gradient
+
+    def watched(objective, gradient, params, value, budget):
+        ascents.append((len(calls), budget))
+        return original_polish(objective, gradient, params, value, budget)
+
+    monkeypatch.setattr(search, "_objectives", recorded_objectives)
+    monkeypatch.setattr(search, "_polish", watched)
+    for index in range(cfg.restarts):
+        block_rows.clear()
+        calls.clear()
+        ascents.clear()
+        _, _, _, _, spent = search._run_restart((sc, cfg, index, None, None))
+        drawn = sum(block_rows)
+        # the start and every redraw were block rows: the scalar objective
+        # was first called by the ascent, on the budget the blocks left
+        assert ascents == [(0, cfg.max_evals_per_restart - drawn)]
+        assert 0 < len(calls) <= spent - drawn
+
+
+def reference_restart(sc, config, index, solver=None, fixed_coeffs=None):
     """A restart that evaluates one draw at a time, by LP unless given a solver.
 
-    The same stream, the same ascent.
+    The same stream, the same ascent: the start is the bundled row when the
+    restart has one, every other start is one _draws draw, and each start is
+    evaluated by the scalar objective. Returns the accepted start, the
+    endpoint's table and state coefficients, its value and the evaluations
+    spent.
     """
     key = np.array([config.rng_seed, index], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
-    objective, gradient = search._objectives(solver or ThresholdSolver(sc), None)
+    with_state = config.mode == "phases_and_state"
+    bundled = search._restart_start(sc, config.mode, index, rng)
+    if bundled is not None and fixed_coeffs is None:
+        fixed_coeffs = bundled[2]
+    pinned = None if fixed_coeffs is None else PureState(sc, fixed_coeffs)
+    objective, gradient = search._objectives(solver or ThresholdSolver(sc), pinned)
     budget = config.max_evals_per_restart
-    params, _ = search._restart_start(sc, config.mode, index, rng)
-    value, spent = objective(params), 1
+    value, spent = -1.0, 0
     while value <= search.FLAT_VALUE and spent < budget:
-        params, _ = search._restart_start(sc, config.mode, -1, rng)
+        if spent == 0 and bundled is not None:
+            phases, coeffs, _ = bundled
+        else:
+            phases, coeffs = search._draws(sc, with_state, 1, rng)
+        params = ParameterVector(sc, phases[0],
+                                 None if coeffs is None or pinned is not None else coeffs[0])
         value, spent = objective(params), spent + 1
     accepted = params
     if value > search.FLAT_VALUE and spent < budget:
         params, value, steps = search._polish(objective, gradient, params, value, budget - spent)
         spent += steps
-    return accepted, params, value, spent
+    state = pinned if pinned is not None else params.decode_state()
+    return accepted, params.decode_settings().table, state.coeffs.real, value, spent
 
 
 # with 10 evaluations, restart 1 of the (3,2) config stays flat; at (2,4) with
@@ -581,28 +648,35 @@ def reference_restart(sc, config, index, solver=None):
 # 74th and 72nd draw; at (4,2) with 40, every restart climbs. On the facets,
 # restarts 0 and 1 of the (2,3) config stay flat with 60 evaluations, and
 # restarts 0 and 2 of the (3,2) config at (2,2) with 45. Every budget but 500
-# ends inside a block of redraws.
-@pytest.mark.parametrize("sc, budget, flat", [
-    pytest.param(SC32, 500, 0, id="500"),
-    pytest.param(SC32, 10, 1, id="10"),
-    pytest.param(SC24, 80, 1, id="n2d4-80"),
-    pytest.param(SC42, 40, 0, id="n4d2-40"),
-    pytest.param(SC23, 500, 0, id="n2d3-facets-500"),
-    pytest.param(SC23, 60, 2, id="n2d3-facets-60"),
-    pytest.param(SC22, 45, 2, id="n2d2-facets-45"),
+# ends inside a block of draws. At (3,3) joint restarts 1 and 2 start at the
+# maxent and near-optimal tables with GHZ; with phases alone at GHZ, restarts
+# 0 and 1 start at those tables, and restart 2 is drawn.
+@pytest.mark.parametrize("sc, mode, budget, flat", [
+    pytest.param(SC32, "phases_and_state", 500, 0, id="500"),
+    pytest.param(SC32, "phases_and_state", 10, 1, id="10"),
+    pytest.param(SC24, "phases_and_state", 80, 1, id="n2d4-80"),
+    pytest.param(SC42, "phases_and_state", 40, 0, id="n4d2-40"),
+    pytest.param(SC23, "phases_and_state", 500, 0, id="n2d3-facets-500"),
+    pytest.param(SC23, "phases_and_state", 60, 2, id="n2d3-facets-60"),
+    pytest.param(SC22, "phases_and_state", 45, 2, id="n2d2-facets-45"),
+    pytest.param(SC33, "phases_and_state", 20, 0, id="n3d3-bundled-20"),
+    pytest.param(SC33, "phases_only", 20, 0, id="n3d3-phases-20"),
 ])
-def test_restart_matches_solving_every_draw(sc, budget, flat):
-    base = JOINT23 if sc == SC23 else JOINT32
-    cfg = OptimizationConfig(restarts=base.restarts, rng_seed=base.rng_seed,
-                             max_evals_per_restart=budget, mode=base.mode)
+def test_restart_matches_solving_every_draw(sc, mode, budget, flat):
+    base = {SC23: JOINT23, SC33: JOINT33}.get(sc, JOINT32)
+    restarts = 3 if mode == "phases_only" else base.restarts
+    cfg = OptimizationConfig(restarts=restarts, rng_seed=base.rng_seed,
+                             max_evals_per_restart=budget, mode=mode)
+    fixed = ghz_state(sc).coeffs if mode == "phases_only" else None
     solver = _FacetThreshold if search._has_facet_form(sc) else ThresholdSolver
     flat_restarts = 0
     for index in range(cfg.restarts):
-        _, value, table, coeffs, spent = search._run_restart((sc, cfg, index, None, None))
-        _, ref, ref_value, ref_spent = reference_restart(sc, cfg, index, solver(sc))
+        _, value, table, coeffs, spent = search._run_restart((sc, cfg, index, fixed, None))
+        _, ref_table, ref_coeffs, ref_value, ref_spent = reference_restart(
+            sc, cfg, index, solver(sc), fixed)
         assert (value, spent) == (ref_value, ref_spent)
-        assert table.tobytes() == ref.decode_settings().table.tobytes()
-        assert coeffs.tobytes() == ref.decode_state().coeffs.real.tobytes()
+        assert table.tobytes() == ref_table.tobytes()
+        assert coeffs.tobytes() == ref_coeffs.tobytes()
         flat_restarts += value <= search.FLAT_VALUE
     assert flat_restarts == flat
 
@@ -630,11 +704,12 @@ def test_an_undecodable_draw_in_a_block_is_one_evaluation_worth_minus_one(monkey
         drawn.clear()
         outcome = search._run_restart((sc, cfg, index, None, None))
         drawn.clear()
-        _, ref, ref_value, ref_spent = reference_restart(sc, cfg, index, solver(sc))
+        _, ref_table, ref_coeffs, ref_value, ref_spent = reference_restart(
+            sc, cfg, index, solver(sc))
         injected += len(drawn) >= 3  # one draw at a time, the zero state was evaluated
         assert outcome[1] == ref_value and outcome[4] == ref_spent
-        assert outcome[2].tobytes() == ref.decode_settings().table.tobytes()
-        assert outcome[3].tobytes() == ref.decode_state().coeffs.real.tobytes()
+        assert outcome[2].tobytes() == ref_table.tobytes()
+        assert outcome[3].tobytes() == ref_coeffs.tobytes()
     assert injected > 0
 
     # a block of undecodable draws is worth -1 at its last draw
@@ -696,7 +771,7 @@ def test_two_party_restarts_evaluate_through_the_facets_alone(monkeypatch, sc):
         scalar_calls.clear()
         _, _, _, _, spent = search._run_restart((sc, cfg, index, None, None))
         # one evaluation per block draw up to the first off the plateau, and
-        # one per scalar evaluation (the start and each ascent step), and no LP
+        # one per scalar evaluation (each ascent step), and no LP
         assert spent == sum(block_rows) + len(scalar_calls) <= cfg.max_evals_per_restart
         blocks += len(block_rows)
     # every block was screened by one product against the facets
@@ -724,7 +799,8 @@ def test_facet_restart_matches_solving_every_draw_by_lp(monkeypatch, budget):
         accepted.clear()
         _, value, table, coeffs, spent = search._run_restart((SC23, cfg, index, None, None))
         assert not lp_calls
-        ref_start, ref, ref_value, ref_spent = reference_restart(SC23, cfg, index)
+        ref_start, ref_table, ref_coeffs, ref_value, ref_spent = reference_restart(
+            SC23, cfg, index)
         lp_calls.clear()
         assert spent == ref_spent
         assert abs(value - ref_value) < 1e-12
@@ -732,13 +808,13 @@ def test_facet_restart_matches_solving_every_draw_by_lp(monkeypatch, budget):
             # the same draw starts the ascent; the facet gradient and the LP's
             # duals agree up to rounding, and so may the endpoints
             assert np.array_equal(accepted[0].flat(), ref_start.flat())
-            assert np.allclose(table, ref.decode_settings().table, rtol=0, atol=1e-9)
-            assert np.allclose(coeffs, ref.decode_state().coeffs.real, rtol=0, atol=1e-9)
+            assert np.allclose(table, ref_table, rtol=0, atol=1e-9)
+            assert np.allclose(coeffs, ref_coeffs, rtol=0, atol=1e-9)
         else:
             flat += 1
             assert ref_spent == budget and ref_value <= search.FLAT_VALUE
-            assert np.array_equal(table, ref.decode_settings().table)
-            assert np.array_equal(coeffs, ref.decode_state().coeffs.real)
+            assert np.array_equal(table, ref_table)
+            assert np.array_equal(coeffs, ref_coeffs)
     assert flat == (2 if budget == 60 else 0)
 
 
@@ -762,7 +838,7 @@ def test_a_draw_just_off_the_local_set_is_solved_and_stays_flat(monkeypatch):
         probs = original_born(coeffs, unitaries)
         blocks.append(len(probs))
         if len(blocks) == 1:
-            probs[0] = edge.probs
+            probs[1] = edge.probs  # row 0 is the start
         return probs
 
     def counted(self, tensor):
@@ -786,10 +862,10 @@ def test_a_draw_just_off_the_local_set_is_solved_and_stays_flat(monkeypatch):
     assert not is_edge[-1]
     # and no draw was skipped: the start and 19 redraws in two blocks, and
     # the restart ends on the stream's 20th draw
-    assert blocks == [16, 3]
+    assert blocks == [16, 4]
     rng = np.random.Generator(np.random.Philox(key=np.array([0, 0], dtype=np.uint64)))
-    draws = [search._restart_start(SC32, cfg.mode, -1 if k else 0, rng)[0] for k in range(20)]
-    assert np.array_equal(table, draws[-1].decode_settings().table)
+    phases, _ = search._draws(SC32, False, 20, rng)
+    assert np.array_equal(table, ParameterVector(SC32, phases[-1]).decode_settings().table)
 
 
 def test_a_facet_draw_just_above_the_plateau_passes_the_screen(monkeypatch):
@@ -809,7 +885,7 @@ def test_a_facet_draw_just_above_the_plateau_passes_the_screen(monkeypatch):
         probs = original_born(coeffs, unitaries)
         blocks.append(len(probs))
         if len(blocks) == 1:
-            probs[0] = edge.probs
+            probs[1] = edge.probs  # row 0 is the start
         return probs
 
     def recorded(objective, gradient, params, value, budget):

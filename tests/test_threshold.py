@@ -641,6 +641,13 @@ def test_joint_distribution_validation():
         JointDistribution(SC22, bad + 1e-3 / SC22.joint_size)
 
 
+def test_complex_weights_are_accepted_only_with_a_zero_imaginary_part():
+    w = np.full(SC22.joint_size, 1.0 / SC22.joint_size)
+    with pytest.raises(ValueError, match="assignment weights must be real"):
+        JointDistribution(SC22, w + 0.1j)
+    assert JointDistribution(SC22, w + 0j).weights.tobytes() == w.tobytes()
+
+
 def test_threshold_result_bounds(rng):
     res = threshold(random_state(SC22, rng), random_settings(SC22, rng))
     assert 0.0 <= res.f_thr <= 1.0

@@ -11,10 +11,12 @@ cross-check the forward pass against an explicit Kronecker product of the
 unitaries applied to the state, at several (parties, dim), and against the
 three-qutrit cosine expansion. A backward
 pass, correlation_tensor_vjp, gives the gradient of any weighted sum of the
-probabilities with respect to the phases and the state; the search uses it
-with the LP duals as weights. It runs through a per-scenario plan
-(_born_plan): the d^N-point Fourier transform and the map from the phase
-table to each setting combination's phases, both built once.
+probabilities with respect to a raw phase table and state coefficients; the
+search uses it with the LP duals as weights, on the arrays its own
+evaluation built, and applies the state normalization's Jacobian itself. It
+runs through a per-scenario plan (_born_plan): the d^N-point Fourier
+transform and the map from the phase table to each setting combination's
+phases, both built once.
 """
 
 from __future__ import annotations
@@ -55,6 +57,17 @@ class CorrelationTensor:
     @property
     def flat(self) -> np.ndarray:
         return self.probs.reshape(-1)
+
+
+def _checked_tensor(sc: Scenario, probs: np.ndarray) -> CorrelationTensor:
+    """A CorrelationTensor around one entry of a stack that checked_probabilities returned.
+
+    The entry was validated with its stack, so it is not validated again.
+    """
+    tensor = object.__new__(CorrelationTensor)
+    object.__setattr__(tensor, "scenario", sc)
+    object.__setattr__(tensor, "probs", _frozen(probs))
+    return tensor
 
 
 def checked_probabilities(sc: Scenario, probs: np.ndarray) -> np.ndarray:
@@ -151,14 +164,17 @@ def _born_plan(sc: Scenario) -> _BornPlan:
 
 
 def correlation_tensor_vjp(
-    state: PureState,
-    settings: PhaseSettings,
+    sc: Scenario,
+    table: np.ndarray,
+    coeffs: np.ndarray,
     weights: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradient of sum(weights * P) with respect to the phase table and the state.
 
-    ``weights`` is one real weight per entry of the flat tensor. Returns
-    (an array shaped like ``settings.table``, one entry per state
+    ``table`` is a (parties, settings, d) phase table and ``coeffs`` the d^N
+    real state coefficients, taken as they are: neither is validated or
+    normalized here. ``weights`` is one real weight per entry of the flat
+    tensor. Returns (an array shaped like ``table``, one entry per state
     coefficient); the full Jacobian is never formed.
 
     Each multiport is the Fourier matrix times the diagonal exp(i phases), so
@@ -172,15 +188,11 @@ def correlation_tensor_vjp(
     psi[k] collects Re(conj(Gamma) exp(i ...)) over the setting combinations.
     With one row per setting combination, each step is one numpy call.
     """
-    if state.scenario != settings.scenario:
-        raise ScenarioMismatchError(
-            f"state scenario {state.scenario} != settings scenario {settings.scenario}"
-        )
-    kron, incidence = _born_plan(state.scenario)
-    phase = np.exp(1j * (incidence @ settings.table.ravel())).reshape(-1, kron.shape[0])
-    psi = phase * state.coeffs
+    kron, incidence = _born_plan(sc)
+    phase = np.exp(1j * (incidence @ table.ravel())).reshape(-1, kron.shape[0])
+    psi = phase * coeffs
     amp = psi @ kron.T
     gamma = (2.0 * np.asarray(weights, dtype=float).reshape(amp.shape) * amp) @ kron.conj()
     table_grad = incidence.T @ (gamma * psi.conj()).imag.ravel()
     coeff_grad = (gamma.conj() * phase).real.sum(axis=0)
-    return table_grad.reshape(settings.table.shape), coeff_grad
+    return table_grad.reshape(table.shape), coeff_grad

@@ -7,13 +7,15 @@ admit a local model. Many restarts handle the non-convexity. The zero plateau
 is handled inside each restart: it draws starts from its own random stream,
 each costing one evaluation, until one is off the plateau or the budget is
 spent. Most draws land on the plateau, so draws come in blocks of
-REDRAW_BLOCK, decoded and contracted at once; the draws after the first one
-off the plateau are dropped unevaluated, which leaves every result as drawing
-one start at a time would. A bundled start is a block of one. With two
-parties and at most three outcomes the threshold has a closed form over the
-local polytope's facets, and the restart evaluates every point through it,
-with no LP (a block of draws is screened with one product against the
-facets); elsewhere every point is one warm LP solve.
+REDRAW_BLOCK; the draws after the first one off the plateau are dropped
+unevaluated, which leaves every result as drawing one start at a time would.
+Every point, a draw or an ascent step, is a flat coordinate row, and one path
+evaluates a whole block of rows (a bundled start or an ascent step is a block
+of one): canonical phases, one Born contraction and one validation, then the
+threshold. With two parties and at most three outcomes the threshold has a
+closed form over the local polytope's facets, with no LP (a block of draws is
+screened with one product against the facets); elsewhere every point is one
+warm LP solve.
 
 From the first start off the plateau, the rest of the restart's budget goes
 to a quasi-Newton gradient ascent with Armijo backtracking. The gradient is
@@ -38,8 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .probabilities import CorrelationTensor, born_probabilities, checked_probabilities, \
-    correlation_tensor, correlation_tensor_vjp
+from .probabilities import _checked_tensor, born_probabilities, checked_probabilities, \
+    correlation_tensor_vjp
+from .probabilities import correlation_tensor  # noqa: F401  unused; perfbench/spans.py patches it here
 from .scenario import PhaseSettings, PureState, Scenario, _real, canonical_phases, ghz_state, \
     paper_optimal_state, paper_settings, tritter_unitary
 from .simplex import SolverOptions
@@ -126,19 +129,6 @@ class ParameterVector:
         if self.state_params is None:
             return ParameterVector(self.scenario, values[:npp])
         return ParameterVector(self.scenario, values[:npp], values[npp:])
-
-    def pullback(self, table_grad: np.ndarray, coeff_grad: np.ndarray) -> np.ndarray:
-        """A gradient on the decoded phase table and state, in flat() coordinates.
-
-        The gauge-fixed phases drop out. The state part passes through the
-        decode normalization s -> s/|s|, whose Jacobian is (I - psi psi^T)/|s|.
-        """
-        phase = table_grad[:, :, 1:].ravel()
-        if self.state_params is None:
-            return phase
-        norm = float(np.linalg.norm(self.state_params))
-        psi = self.state_params / norm
-        return np.concatenate([phase, (coeff_grad - psi * (psi @ coeff_grad)) / norm])
 
 
 def encode(settings: PhaseSettings, state: PureState | None = None) -> ParameterVector:
@@ -267,43 +257,43 @@ def nelder_mead(f, start: ParameterVector, config: OptimizationConfig):
     return start.with_flat(points[i_best]), float(values[i_best])
 
 
-def _polish(objective, gradient, params: ParameterVector, value: float, budget: int):
+def _polish(objective, gradient, start: np.ndarray, value: float, budget: int):
     """Quasi-Newton gradient ascent with Armijo backtracking from a restart's start.
 
-    value is objective(params), and the solver's latest evaluation must have
-    been the one at params (the block that accepted params, or an objective
-    call): gradient(p) reads the exact gradient at p off the solver state
+    Points are flat coordinate arrays (ParameterVector.flat()'s layout).
+    value is objective(start), and the solver's latest evaluation must have
+    been the one at start (the block that accepted start, or an objective
+    call): gradient(x) reads the exact gradient at x off the solver state
     that evaluation left, so the ascent starts without re-solving its start.
     Each step goes along H g, where H is the BFGS inverse-curvature estimate
     built from the gradients of the accepted points (the identity at first,
     so the first step is plain steepest ascent). A step that does not gain
     its Armijo share ARMIJO * t * g.Hg is halved; an accepted one updates H
-    and the next step starts at full length. A trial point with a non-finite
-    coordinate is no parameter vector: it
-    counts as an evaluation worth -1, like a point that does not decode, and
-    its step is halved. The ascent stops after an accepted step that gains
-    less than POLISH_MIN_GAIN, when a trial step is shorter than
-    POLISH_MIN_STEP, when the budget of evaluations is spent, or at a
-    gradient with a non-finite entry, before any step along it. At a
-    degenerate optimum the gradient is one subgradient of several and may
-    ascend nowhere; the start then comes back unchanged. Returns (params,
-    value, evaluations), the evaluations counting trial steps only.
+    and the next step starts at full length. Each trial point is checked for
+    finiteness here, once: a non-finite one counts as an evaluation worth -1,
+    like a point whose state does not decode, and its step is halved. The
+    ascent stops after an accepted step that gains less than POLISH_MIN_GAIN,
+    when a trial step is shorter than POLISH_MIN_STEP, when the budget of
+    evaluations is spent, or at a gradient with a non-finite entry, before
+    any step along it. At a degenerate optimum the gradient is one
+    subgradient of several and may ascend nowhere; the start then comes back
+    unchanged. Returns (point, value, evaluations), the evaluations counting
+    trial steps only.
     """
-    point, current = params, value
+    point, current = start, value
     evals = 0
-    grad = gradient(params)
-    if not np.all(np.isfinite(grad)):
-        return params, value, evals
-    inverse = np.eye(grad.size)
-    step = 1.0
+    grad = gradient(start)
+    if not np.isfinite(grad).all():
+        return start, value, evals
+    identity = np.eye(grad.size)
+    inverse, step = identity, 1.0
     while evals < budget:
         direction = inverse @ grad
         if step * float(np.linalg.norm(direction)) < POLISH_MIN_STEP:
             break
         evals += 1
-        try:
-            trial = point.with_flat(point.flat() + step * direction)
-        except InvalidParameterError:
+        trial = point + step * direction
+        if not np.isfinite(trial).all():
             step *= 0.5
             continue
         trial_value = objective(trial)
@@ -315,16 +305,16 @@ def _polish(objective, gradient, params: ParameterVector, value: float, budget: 
         if gain < POLISH_MIN_GAIN:
             break
         new_grad = gradient(trial)
-        if not np.all(np.isfinite(new_grad)):
+        if not np.isfinite(new_grad).all():
             break
         s, y = step * direction, grad - new_grad  # y: the change in the gradient of -F
         sy = float(s @ y)
         if sy > 0.0:  # the update keeps H positive definite only under this curvature condition
-            left = np.eye(s.size) - np.outer(s, y) / sy
-            inverse = left @ inverse @ left.T + np.outer(s, s) / sy
+            left = identity - s[:, np.newaxis] * y / sy
+            inverse = left @ inverse @ left.T + s[:, np.newaxis] * s / sy
         grad, step = new_grad, 1.0
-    if point is params or current <= value:
-        return params, value, evals
+    if point is start or current <= value:
+        return start, value, evals
     return point, current, evals
 
 
@@ -360,108 +350,116 @@ def _restart_start(sc: Scenario, mode: str, index: int, rng: np.random.Generator
     """
     if sc != Scenario(parties=3, dim=3, settings_per_party=2):
         return None
-    ghz = None
-    if mode == "phases_and_state":
+    joint = mode == "phases_and_state"
+    if joint:
         if index == 0:
             return _draws(sc, False, 1, rng) + (paper_optimal_state().coeffs.real,)
         index -= 1
-        ghz = ghz_state(sc).coeffs.real[np.newaxis]
     if index not in (0, 1):
         return None
     table = paper_settings(("maxent_3qutrit", "near_optimal_3qutrit")[index])
+    ghz = ghz_state(sc).coeffs.real[np.newaxis] if joint else None
     return encode(table).phase_params[np.newaxis], ghz, None
 
 
-def _decode(params: ParameterVector,
-            pinned_state: PureState | None) -> tuple[PhaseSettings, PureState]:
-    """The settings and state at params; raises InvalidParameterError if they do not decode."""
-    settings = params.decode_settings()
-    state = pinned_state if pinned_state is not None else params.decode_state()
-    return settings, state
+def _decode_rows(sc: Scenario, pinned: np.ndarray | None, phases: np.ndarray,
+                 coeffs: np.ndarray | None):
+    """Stacked coordinate rows as canonical phase tables and unit states.
 
-
-def _objectives(solver: ThresholdSolver | _FacetThreshold, pinned_state: PureState | None):
-    """A restart's objective over parameter vectors, and its exact gradient.
-
-    objective(params) is the threshold at the decoded state and settings
-    (-1 when they do not decode); only the ascent (_polish) calls it, since
-    every draw is evaluated in a block (_first_off_plateau). gradient(params)
-    reads dF/dparams off the solver's latest evaluation, which must have been
-    at params: the solver's tensor gradient pulled back through the Born rule
-    and the decoding. Call it only after the block that accepted params, or
-    objective(params), returned a threshold; a failed solve raises instead.
-
-    Each point is decoded once: objective(params) keeps the settings and
-    state it decoded, and gradient(params) reuses them when params is that
-    evaluation's point (an ascent step); otherwise, as for a block's accepted
-    draw, it decodes params afresh. A point that does not decode keeps
-    nothing.
+    phases holds one row of gauge-fixed phases per point, and coeffs their
+    unnormalized state coefficients, ignored when every point takes the unit
+    state pinned. Returns (tables, decoded, states, norms): every row's table,
+    the rows whose state has norm at least STATE_NORM_FLOOR, and their unit
+    states and norms (norms None when pinned), as ParameterVector decodes them.
     """
-    kept = None  # (params, settings, state) of the latest evaluation that decoded
+    count = len(phases)
+    tables = np.zeros((count, sc.parties, sc.settings_per_party, sc.dim))
+    tables[..., 1:] = phases.reshape(count, sc.parties, sc.settings_per_party, sc.dim - 1)
+    tables = canonical_phases(tables)
+    if pinned is not None:
+        return tables, np.arange(count), np.broadcast_to(pinned, (count, sc.state_size)), None
+    norms = np.sqrt([c.dot(c) for c in coeffs])  # np.linalg.norm's arithmetic, row by row
+    decoded = (norms >= STATE_NORM_FLOOR).nonzero()[0]
+    return tables, decoded, coeffs[decoded] / norms[decoded, np.newaxis], norms[decoded]
 
-    def objective(params: ParameterVector) -> float:
+
+def _born_rows(sc: Scenario, tables: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """The Born tensors of stacked tables and unit states: one contraction, one validation."""
+    return checked_probabilities(sc, born_probabilities(states, tritter_unitary(sc.dim, tables)))
+
+
+def _objectives(solver: ThresholdSolver | _FacetThreshold, pinned: np.ndarray | None):
+    """A restart's objective over flat coordinate arrays, and its exact gradient.
+
+    objective(x) is the threshold at x by the blocks' path (_decode_rows,
+    _born_rows, one value()), or -1 when x's state does not decode; only the
+    ascent (_polish) calls it. gradient(x) reads dF/dx off the solver's
+    latest evaluation, which must have been at x, pulling the solver's tensor
+    gradient back through the Born rule (correlation_tensor_vjp) and the
+    state's normalization s -> s/|s| (Jacobian (I - psi psi^T)/|s|). Call it
+    only after the block that accepted x, or objective(x), returned a
+    threshold; a failed solve raises instead. It reuses the table and unit
+    state objective(x) built when x is that evaluation's array, and decodes
+    x afresh otherwise (a block's accepted draw).
+    """
+    sc = solver.scenario
+    size = sc.parties * sc.settings_per_party * (sc.dim - 1)
+    kept = (None, None)  # (x, decode(x)) of the latest evaluation
+
+    def decode(x: np.ndarray):
+        return _decode_rows(sc, pinned, x[np.newaxis, :size], x[np.newaxis, size:])
+
+    def objective(x: np.ndarray) -> float:
         nonlocal kept
-        kept = None
-        try:
-            settings, state = _decode(params, pinned_state)
-        except InvalidParameterError:
+        kept = (x, decode(x))
+        tables, decoded, states, _ = kept[1]
+        if not decoded.size:
             return -1.0
-        kept = (params, settings, state)
-        return solver.value(correlation_tensor(state, settings))
+        return solver.value(_checked_tensor(sc, _born_rows(sc, tables, states)[0]))
 
-    def gradient(params: ParameterVector) -> np.ndarray:
-        weights = solver.tensor_gradient()
-        if kept is not None and kept[0] is params:
-            _, settings, state = kept
-        else:
-            settings, state = _decode(params, pinned_state)
-        return params.pullback(*correlation_tensor_vjp(state, settings, weights))
+    def gradient(x: np.ndarray) -> np.ndarray:
+        tables, _, states, norms = kept[1] if kept[0] is x else decode(x)
+        psi = states[0]
+        table_grad, coeff_grad = correlation_tensor_vjp(sc, tables[0], psi,
+                                                        solver.tensor_gradient())
+        phase = table_grad[:, :, 1:].ravel()
+        if norms is None:
+            return phase
+        return np.concatenate([phase, (coeff_grad - psi * (psi @ coeff_grad)) / norms[0]])
 
     return objective, gradient
 
 
-def _first_off_plateau(solver: ThresholdSolver | _FacetThreshold, pinned_state: PureState | None,
+def _first_off_plateau(solver: ThresholdSolver | _FacetThreshold, pinned: np.ndarray | None,
                        phases: np.ndarray, coeffs: np.ndarray | None) -> tuple[int, float]:
     """The first of a block of draws whose threshold is above FLAT_VALUE, in stream order.
 
     Every draw of a restart is evaluated here, its start included: phases and
     coeffs are stacked as _draws gives them, or as the one row of a bundled
-    start (_restart_start), with coeffs None when the state is pinned.
-    Returns (k, value) for that draw, or for the block's last draw when
-    every draw is flat, with value exactly what objective() gives at the
-    draw. The block is decoded at once, and the draws whose
-    state coefficients have norm below STATE_NORM_FLOOR are worth -1. The
-    rest are contracted in one born_probabilities call and checked in one
-    checked_probabilities call. ThresholdSolver then solves them one value()
-    at a time, in stream order, up to the first draw off the plateau.
-    _FacetThreshold first values the whole block with one product
+    start (_restart_start); coeffs is ignored (and may be None) when the
+    state is pinned. Returns (k, value) for that draw, or for the block's
+    last draw when every draw is flat, with value exactly what objective()
+    gives at the draw. The block is decoded at once (_decode_rows); a draw
+    whose state does not decode is worth -1, and the rest are contracted and
+    validated together (_born_rows). ThresholdSolver then solves them one
+    value() at a time, in stream order, up to the first draw off the
+    plateau. _FacetThreshold first values the whole block with one product
     (values()); since that differs from value() by rounding alone, a draw it
     puts at or below FLAT_VALUE / 2 is flat, and only the others, and the
     last draw, are valued by value().
     """
     sc = solver.scenario
     count = len(phases)
-    tables = np.zeros((count, sc.parties, sc.settings_per_party, sc.dim))
-    tables[..., 1:] = phases.reshape(count, sc.parties, sc.settings_per_party, sc.dim - 1)
-    tables = canonical_phases(tables)
-    if coeffs is None:
-        rows = np.arange(count)
-        states = np.broadcast_to(pinned_state.coeffs, (count, sc.state_size))
-    else:
-        norms = np.sqrt([c.dot(c) for c in coeffs])  # np.linalg.norm's arithmetic, row by row
-        rows = np.flatnonzero(norms >= STATE_NORM_FLOOR)
-        states = coeffs[rows] / norms[rows, np.newaxis]
+    tables, decoded, states, _ = _decode_rows(sc, pinned, phases, coeffs)
     values = np.full(count, -1.0)
-    if rows.size:
-        tensors = checked_probabilities(
-            sc, born_probabilities(states, tritter_unitary(sc.dim, tables[rows])))
-        screen = None
-        if isinstance(solver, _FacetThreshold):
-            screen = solver.values(tensors.reshape(rows.size, -1))
-        for j, k in enumerate(rows):
+    if decoded.size:
+        tensors = _born_rows(sc, tables[decoded], states)
+        facets = isinstance(solver, _FacetThreshold)
+        screen = solver.values(tensors.reshape(decoded.size, -1)) if facets else None
+        for j, k in enumerate(decoded):
             if screen is not None and screen[j] <= FLAT_VALUE / 2 and k < count - 1:
                 continue
-            values[k] = solver.value(CorrelationTensor(sc, tensors[j]))
+            values[k] = solver.value(_checked_tensor(sc, tensors[j]))
             if values[k] > FLAT_VALUE:
                 return int(k), float(values[k])
     return count - 1, float(values[-1])
@@ -476,7 +474,7 @@ def _run_restart(args):
     restart's own stream, whose row 0 is its start. While the value is on the
     plateau and budget remains, the next block is min(REDRAW_BLOCK, budget
     left) further draws; the draws of a pinned state's coefficients are
-    drawn and discarded, so the stream stays in step. Each block costs one
+    drawn and ignored, so the stream stays in step. Each block costs one
     evaluation per draw up to and including the first draw off the plateau,
     and the draws after it are never used: the restart reads its stream only
     here, so it ends exactly as drawing and evaluating one start at a time
@@ -488,18 +486,17 @@ def _run_restart(args):
     Every point is evaluated through the facets where the threshold has a
     closed form (_has_facet_form), and by ThresholdSolver.value elsewhere.
     """
-    sc, config, index, fixed_coeffs, options = args
+    sc, config, index, pinned, options = args
     key = np.array([config.rng_seed, index], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     solver = _FacetThreshold(sc) if _has_facet_form(sc) else ThresholdSolver(sc, options)
 
     start = _restart_start(sc, config.mode, index, rng)
-    if start is not None and fixed_coeffs is None:
-        fixed_coeffs = start[2]
-    pinned_state = PureState(sc, fixed_coeffs) if fixed_coeffs is not None else None
+    if start is not None and pinned is None:
+        pinned = start[2]
     with_state = config.mode == "phases_and_state"
 
-    objective, gradient = _objectives(solver, pinned_state)
+    objective, gradient = _objectives(solver, pinned)
     budget = config.max_evals_per_restart
     value, spent = -1.0, 0  # nothing evaluated yet
     while value <= FLAT_VALUE and spent < budget:
@@ -507,16 +504,16 @@ def _run_restart(args):
             phases, coeffs, _ = start
         else:
             phases, coeffs = _draws(sc, with_state, min(REDRAW_BLOCK, budget - spent), rng)
-        if pinned_state is not None:
-            coeffs = None
-        k, value = _first_off_plateau(solver, pinned_state, phases, coeffs)
-        params = ParameterVector(sc, phases[k], None if coeffs is None else coeffs[k])
+        k, value = _first_off_plateau(solver, pinned, phases, coeffs)
+        point = phases[k] if pinned is not None else np.concatenate([phases[k], coeffs[k]])
         spent += k + 1
     if value > FLAT_VALUE and spent < budget:
-        params, value, evals = _polish(objective, gradient, params, value, budget - spent)
+        point, value, evals = _polish(objective, gradient, point, value, budget - spent)
         spent += evals
-    settings, state = _decode(params, pinned_state)
-    return index, value, settings.table, state.coeffs.real, spent
+    size = phases.shape[1]
+    params = ParameterVector(sc, point[:size], None if pinned is not None else point[size:])
+    state = PureState(sc, pinned) if pinned is not None else params.decode_state()
+    return index, value, params.decode_settings().table, state.coeffs.real, spent
 
 
 def _optimize(

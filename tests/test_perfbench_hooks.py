@@ -21,13 +21,13 @@ from lrthresh import (OptimizationConfig, PhaseSettings, Scenario, SolverFailure
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lrthresh"
 
-# (module, name) for every name imported on one of the package's six
+# (module, name) for every name imported on one of the package's seven
 # `noqa: F401` lines: unused where they are imported, they are kept only so
 # the tracer can patch them there
 TRACER_ONLY_IMPORTS = {
     ("cli", "feasible_at"), ("cli", "threshold"),
     ("reports", "build_threshold_lp"), ("reports", "certified_lower_bound"),
-    ("reports", "feasible_at"), ("reports", "threshold"),
+    ("reports", "feasible_at"), ("reports", "threshold"), ("search", "correlation_tensor"),
     ("threshold", "independent_rows"), ("threshold", "solve_lp"),
 }
 
@@ -113,15 +113,21 @@ def test_traced_optimize_records_search_spans():
 
 def test_traced_facet_optimize_records_one_born_span_per_evaluation(monkeypatch):
     search = importlib.import_module("lrthresh.search")
-    block_rows = []
+    block_rows, born_calls = [], []
     original_block = search._first_off_plateau
+    original_born = search.born_probabilities
 
     def recorded(*args):
         k, value = original_block(*args)
         block_rows.append(k + 1)
         return k, value
 
+    def counted_born(coeffs, unitaries):
+        born_calls.append(len(coeffs))
+        return original_born(coeffs, unitaries)
+
     monkeypatch.setattr(search, "_first_off_plateau", recorded)
+    monkeypatch.setattr(search, "born_probabilities", counted_born)
     cfg = OptimizationConfig(restarts=2, rng_seed=7, max_evals_per_restart=200,
                              mode="phases_and_state")
     tracer = load_spans().Tracer()
@@ -131,12 +137,16 @@ def test_traced_facet_optimize_records_one_born_span_per_evaluation(monkeypatch)
     finally:
         tracer.uninstall()
     names = [span[0] for span in tracer.spans]
-    # one contraction per scalar evaluation (each ascent step), seen through
-    # search.correlation_tensor, and one for the certified solve; the blocks
-    # of draws, starts included, are contracted where the tracer does not look
-    scalar_evals = result.evals - sum(block_rows)
-    assert sum(block_rows) > 0 and scalar_evals > 2
-    assert names.count("probabilities.correlation_tensor") == scalar_evals + 1
+    # every search evaluation, draw or ascent step, is contracted by
+    # born_probabilities where the tracer does not look: one call per block
+    # and one per ascent step; the only correlation_tensor span is the
+    # certified solve's
+    ascent_steps = result.evals - sum(block_rows)
+    assert sum(block_rows) > 0 and ascent_steps > 2
+    assert len(born_calls) == len(block_rows) + ascent_steps
+    assert names.count("probabilities.correlation_tensor") == 1
+    # and the endpoint of each restart is decoded once
+    assert names.count("search.decode") == 2 * cfg.restarts
 
 
 def test_failed_value_closes_its_spans(monkeypatch):

@@ -104,7 +104,7 @@ def test_vjp_matches_the_tensordot_vjp(parties, dim, rng):
     for _ in range(3):
         st, se = random_state(sc, rng), random_settings(sc, rng)
         weights = rng.normal(size=sc.marginal_rows)
-        table_grad, coeff_grad = correlation_tensor_vjp(st, se, weights)
+        table_grad, coeff_grad = correlation_tensor_vjp(sc, se.table, st.coeffs, weights)
         want_table, want_coeff = tensordot_vjp(st, se, weights)
         assert table_grad.shape == want_table.shape and coeff_grad.shape == want_coeff.shape
         assert np.max(np.abs(table_grad - want_table)) < 1e-13
@@ -140,7 +140,7 @@ def test_vjp_matches_central_differences(parties, dim, rng):
         return float(weights @ correlation_tensor(PureState(sc, coeffs),
                                                   PhaseSettings(sc, table)).flat)
 
-    table_grad, coeff_grad = correlation_tensor_vjp(state, settings, weights)
+    table_grad, coeff_grad = correlation_tensor_vjp(sc, settings.table, state.coeffs, weights)
     assert table_grad.shape == settings.table.shape
     h = 1e-6
     for idx in np.ndindex(settings.table.shape):

@@ -1,6 +1,7 @@
 """Parameter encoding, the restart search, and the multi-start threshold maximizer."""
 
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from lrthresh import (
     optimize_phases,
     optimize_state_and_phases,
     paper_settings,
+    probabilities,
     product_state,
     search,
     threshold,
@@ -104,19 +106,40 @@ def test_ascent_backtracks_from_a_nonfinite_step(rng):
     value = objective(start)
     seen = []
 
-    def watched(params):
-        seen.append(params)
-        return objective(params)
+    def watched(x):
+        seen.append(x)
+        return objective(x)
 
-    def infinite(params):
-        grad = np.zeros(params.flat().size)
+    def infinite(x):
+        grad = np.zeros(x.size)
         grad[0] = np.inf
         return grad
 
-    params, got, evals = search._polish(watched, infinite, start, value, budget=12)
+    x, got, evals = search._polish(watched, infinite, start, value, budget=12)
     # no step is formed along a non-finite gradient: the ascent ends at once
-    assert params is start and got == value and evals == 0
+    assert x is start and got == value and evals == 0
     assert seen == []
+
+
+def test_a_nonfinite_trial_point_is_one_evaluation_and_halves_its_step():
+    start = np.full(8, 1e308)
+    seen = []
+
+    def objective(x):
+        seen.append(x)
+        return -1.0  # below the start: every trial that is evaluated is rejected
+
+    def gradient(x):
+        return np.full(x.size, 1e308)
+
+    with np.errstate(over="ignore"):
+        x, value, evals = search._polish(objective, gradient, start, 0.0, budget=3)
+    # the full step overflows: it costs an evaluation and is halved unevaluated,
+    # and the two shorter steps are evaluated
+    assert x is start and value == 0.0 and evals == 3
+    assert len(seen) == 2
+    assert np.array_equal(seen[0], start + 0.5 * gradient(start))
+    assert np.array_equal(seen[1], start + 0.25 * gradient(start))
 
 
 def test_objective_benchmarks():
@@ -311,29 +334,27 @@ def test_mode_mismatch_rejected():
 
 
 def _point_off_plateau(sc, rng, objective):
-    """A seeded random (phases, state) point with threshold above 0.01."""
+    """A seeded random flat (phases, state) point with threshold above 0.01."""
     for _ in range(50):
         phases = rng.uniform(0, 2 * np.pi, size=sc.parties * sc.settings_per_party * (sc.dim - 1))
         coeffs = ghz_state(sc).coeffs + 0.2 * rng.normal(size=sc.state_size)
-        params = ParameterVector(sc, phases, coeffs)
-        if objective(params) > 0.01:
-            return params
+        x = np.concatenate([phases, coeffs])
+        if objective(x) > 0.01:
+            return x
     raise AssertionError("no random point off the plateau")
 
 
 def check_gradient(sc, rng, solver):
     """The restart's exact gradient against central differences of its objective."""
     objective, gradient = search._objectives(solver, None)
-    params = _point_off_plateau(sc, rng, objective)
-    grad = gradient(params)
-    x = params.flat()
+    x = _point_off_plateau(sc, rng, objective)
+    grad = gradient(x)
     h = 1e-6
     fd = np.empty_like(x)
     for i in range(x.size):
         step = np.zeros_like(x)
         step[i] = h
-        fd[i] = (objective(params.with_flat(x + step))
-                 - objective(params.with_flat(x - step))) / (2 * h)
+        fd[i] = (objective(x + step) - objective(x - step)) / (2 * h)
     assert grad.shape == x.shape
     assert np.max(np.abs(grad - fd)) < 1e-6
 
@@ -351,91 +372,109 @@ def test_facet_gradient_matches_central_differences(rng, sc):
 def test_pinned_state_gradient_is_the_phase_block(rng):
     solver = ThresholdSolver(SC33)
     objective, gradient = search._objectives(solver, None)
-    params = _point_off_plateau(SC33, rng, objective)
-    joint = gradient(params)
-    objective, gradient = search._objectives(solver, params.decode_state())
-    phases = ParameterVector(SC33, params.phase_params)
+    x = _point_off_plateau(SC33, rng, objective)
+    joint = gradient(x)
+    size = x.size - SC33.state_size
+    pinned = ParameterVector(SC33, x[:size], x[size:]).decode_state()
+    objective, gradient = search._objectives(solver, pinned.coeffs)
+    phases = x[:size]
     objective(phases)
-    assert np.allclose(gradient(phases), joint[:phases.phase_params.size], rtol=0, atol=1e-9)
+    assert np.allclose(gradient(phases), joint[:size], rtol=0, atol=1e-9)
 
 
 def count_decodes(monkeypatch) -> list:
-    """Record every decode_settings and decode_state call on a ParameterVector."""
+    """Record the number of rows of every search._decode_rows call."""
     calls = []
-    for name in ("decode_settings", "decode_state"):
-        original = getattr(ParameterVector, name)
+    original = search._decode_rows
 
-        def counted(self, _name=name, _original=original):
-            calls.append(_name)
-            return _original(self)
+    def counted(sc, pinned, phases, coeffs):
+        calls.append(len(phases))
+        return original(sc, pinned, phases, coeffs)
 
-        monkeypatch.setattr(ParameterVector, name, counted)
+    monkeypatch.setattr(search, "_decode_rows", counted)
     return calls
+
+
+def pulled_back(params, settings, state, weights):
+    """dF/dx by the public dataclasses: the VJP at the decoded point, then the decoding's Jacobian.
+
+    The gauge-fixed phases drop out, and the state part passes through the
+    normalization s -> s/|s|, whose Jacobian is (I - psi psi^T)/|s|.
+    """
+    table_grad, coeff_grad = correlation_tensor_vjp(params.scenario, settings.table,
+                                                    state.coeffs, weights)
+    phase = table_grad[:, :, 1:].ravel()
+    if params.state_params is None:
+        return phase
+    psi = state.coeffs
+    norm = float(np.linalg.norm(params.state_params))
+    return np.concatenate([phase, (coeff_grad - psi * (psi @ coeff_grad)) / norm])
 
 
 @pytest.mark.parametrize("kind", [ThresholdSolver, _FacetThreshold], ids=["lp", "facets"])
 def test_gradient_reuses_the_evaluations_decode(monkeypatch, rng, kind):
     solver = kind(SC23)
     objective, gradient = search._objectives(solver, None)
-    params = _point_off_plateau(SC23, rng, objective)
+    x = _point_off_plateau(SC23, rng, objective)
     decodes = count_decodes(monkeypatch)
-    objective(params)
-    assert decodes == ["decode_settings", "decode_state"]
-    grad = gradient(params)
-    assert len(decodes) == 2  # the gradient decoded nothing
-    fresh = params.pullback(*correlation_tensor_vjp(
-        params.decode_state(), params.decode_settings(), solver.tensor_gradient()))
+    objective(x)
+    assert decodes == [1]
+    grad = gradient(x)
+    assert decodes == [1]  # the gradient decoded nothing
+    params = ParameterVector(SC23, x[:8], x[8:])
+    fresh = pulled_back(params, params.decode_settings(), params.decode_state(),
+                        solver.tensor_gradient())
     assert grad.tobytes() == fresh.tobytes()
 
-    # an equal point that is not the evaluation's own object decodes afresh
+    # an equal point that is not the evaluation's own array decodes afresh
     decodes.clear()
-    assert gradient(params.with_flat(params.flat())).tobytes() == grad.tobytes()
-    assert len(decodes) == 2
+    assert gradient(x.copy()).tobytes() == grad.tobytes()
+    assert decodes == [1]
 
 
 def test_an_undecodable_evaluation_keeps_no_decode(monkeypatch, rng):
     solver = _FacetThreshold(SC23)
     objective, gradient = search._objectives(solver, None)
-    params = _point_off_plateau(SC23, rng, objective)
-    grad = gradient(params)
+    x = _point_off_plateau(SC23, rng, objective)
+    grad = gradient(x)
     decodes = count_decodes(monkeypatch)
 
-    objective(params)
-    zero = ParameterVector(SC23, params.phase_params, np.zeros(SC23.state_size))
-    assert objective(zero) == -1.0  # does not decode: the kept pair goes too
+    objective(x)
+    zero = np.concatenate([x[:8], np.zeros(SC23.state_size)])
+    assert objective(zero) == -1.0  # does not decode: the kept decode goes too
     decodes.clear()
-    assert gradient(params).tobytes() == grad.tobytes()  # the solver still holds params
-    assert decodes == ["decode_settings", "decode_state"]
+    assert gradient(x).tobytes() == grad.tobytes()  # the solver still holds x
+    assert decodes == [1]
 
 
 def test_polish_keeps_the_endpoint_when_no_step_ascends():
-    start = ParameterVector(SC23, np.ones(8))
+    start = np.ones(8)
 
-    def objective(p):
-        return -float(np.sum(p.phase_params ** 2))
+    def objective(x):
+        return -float(np.sum(x ** 2))
 
-    def downhill(p):
-        return 2.0 * p.phase_params  # points away from the ascent direction
+    def downhill(x):
+        return 2.0 * x  # points away from the ascent direction
 
-    params, value, evals = search._polish(objective, downhill, start, -8.0, budget=50)
-    assert params is start and value == -8.0
+    x, value, evals = search._polish(objective, downhill, start, -8.0, budget=50)
+    assert x is start and value == -8.0
     assert evals <= 50
 
 
 def test_polish_climbs_a_concave_quadratic():
     weights = np.arange(1, 9) / 4.0
     peak = np.linspace(0.5, 2.0, 8)
-    start = ParameterVector(SC23, np.zeros(8))
+    start = np.zeros(8)
 
-    def objective(p):
-        return -float(np.sum(weights * (p.phase_params - peak) ** 2))
+    def objective(x):
+        return -float(np.sum(weights * (x - peak) ** 2))
 
-    def exact(p):
-        return -2.0 * weights * (p.phase_params - peak)
+    def exact(x):
+        return -2.0 * weights * (x - peak)
 
-    params, value, evals = search._polish(objective, exact, start, objective(start), budget=200)
+    x, value, evals = search._polish(objective, exact, start, objective(start), budget=200)
     assert value > -1e-6
-    assert np.max(np.abs(params.phase_params - peak)) < 1e-3
+    assert np.max(np.abs(x - peak)) < 1e-3
     assert evals < 200
 
 
@@ -555,7 +594,7 @@ def test_ascent_starts_at_the_first_draw_off_the_plateau(monkeypatch):
         start, solves, start_value, ascent_evals = ascents[0]
         # the ascent starts from the first draw off the plateau, in stream order
         accepted = next(k for k, params in enumerate(draws)
-                        if params.flat().tobytes() == start.flat().tobytes())
+                        if params.flat().tobytes() == start.tobytes())
         exact = [threshold(p.decode_state(), p.decode_settings()).f_thr
                  for p in draws[:accepted + 1]]
         assert max(exact[:-1], default=0.0) <= search.FLAT_VALUE
@@ -584,9 +623,9 @@ def test_every_evaluation_before_the_ascent_is_a_block_row(monkeypatch, sc, cfg)
     def recorded_objectives(solver, pinned_state):
         objective, gradient = original_objectives(solver, pinned_state)
 
-        def counted(params):
-            calls.append(params)
-            return objective(params)
+        def counted(x):
+            calls.append(x)
+            return objective(x)
 
         return counted, gradient
 
@@ -608,14 +647,112 @@ def test_every_evaluation_before_the_ascent_is_a_block_row(monkeypatch, sc, cfg)
         assert 0 < len(calls) <= spent - drawn
 
 
+def record_builds(monkeypatch) -> list:
+    """Record each ParameterVector, PhaseSettings and PureState built, and each value() call."""
+    events = []
+    for cls in (ParameterVector, PhaseSettings, PureState):
+        def built(self, _name=cls.__name__, _original=cls.__post_init__):
+            events.append(_name)
+            _original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", built)
+    for kind in (ThresholdSolver, _FacetThreshold):
+        def valued(self, tensor, _original=kind.value):
+            events.append(("value", tensor.probs.tobytes()))
+            return _original(self, tensor)
+
+        monkeypatch.setattr(kind, "value", valued)
+    return events
+
+
+def record_validation(monkeypatch) -> tuple[list, Counter]:
+    """Record the stack size of every Born contraction, and every tensor validated."""
+    contracted, validated = [], Counter()
+    for module in (search, probabilities):
+        def contract(coeffs, unitaries, _original=module.born_probabilities):
+            contracted.append(len(coeffs))
+            return _original(coeffs, unitaries)
+
+        def check(sc, probs, _original=module.checked_probabilities):
+            stack = _original(sc, probs)
+            validated.update(p.tobytes() for p in stack)
+            return stack
+
+        monkeypatch.setattr(module, "born_probabilities", contract)
+        monkeypatch.setattr(module, "checked_probabilities", check)
+    return contracted, validated
+
+
+@pytest.mark.parametrize("sc, cfg", [
+    (SC23, JOINT23),
+    (SC33, OptimizationConfig(restarts=4, rng_seed=JOINT33.rng_seed, max_evals_per_restart=60,
+                              mode="phases_and_state")),
+], ids=["n2d3-facets", "n3d3-lp"])
+def test_ascent_steps_build_no_dataclass_and_validate_each_tensor_once(monkeypatch, sc, cfg):
+    block_rows = record_blocks(monkeypatch)
+    events = record_builds(monkeypatch)
+    contracted, validated = record_validation(monkeypatch)
+    for index in range(cfg.restarts):
+        drawn = search._restart_start(sc, cfg.mode, index, np.random.default_rng()) is None
+        block_rows.clear()
+        events.clear()
+        contracted.clear()
+        validated.clear()
+        _, value, _, _, spent = search._run_restart((sc, cfg, index, None, None))
+        assert value > search.FLAT_VALUE and spent > sum(block_rows)  # the restart ascended
+        solves = [k for k, event in enumerate(events) if isinstance(event, tuple)]
+        # a bundled start's constants are built before its first evaluation,
+        # a drawn start builds nothing; from the first evaluation on, only
+        # the endpoint is decoded, once, after the last
+        if drawn:
+            assert solves[0] == 0
+        assert solves == list(range(solves[0], solves[-1] + 1))
+        assert sorted(events[solves[-1] + 1:]) == ["ParameterVector", "PhaseSettings",
+                                                   "PureState"]
+        # every contracted tensor is validated once, and nothing else is; each
+        # solved tensor is one of them
+        assert sum(validated.values()) == sum(contracted) == sum(contracted[:len(block_rows)]) \
+            + spent - sum(block_rows)
+        assert all(validated[events[k][1]] == 1 for k in solves)
+
+
+def reference_objectives(sc, solver, pinned):
+    """The scalar oracle: each point through the public dataclasses, one at a time.
+
+    objective(x) builds a ParameterVector, decodes it into PhaseSettings and
+    a PureState (or takes the pinned one), contracts them with
+    correlation_tensor and solves with value(); -1 when the point does not
+    decode. gradient(x) decodes x afresh and pulls the solver's tensor
+    gradient back (pulled_back).
+    """
+    size = sc.parties * sc.settings_per_party * (sc.dim - 1)
+
+    def decode(x):
+        params = ParameterVector(sc, x[:size], None if pinned is not None else x[size:])
+        state = pinned if pinned is not None else params.decode_state()
+        return params, params.decode_settings(), state
+
+    def objective(x):
+        try:
+            _, settings, state = decode(x)
+        except InvalidParameterError:
+            return -1.0
+        return solver.value(correlation_tensor(state, settings))
+
+    def gradient(x):
+        return pulled_back(*decode(x), solver.tensor_gradient())
+
+    return objective, gradient
+
+
 def reference_restart(sc, config, index, solver=None, fixed_coeffs=None):
     """A restart that evaluates one draw at a time, by LP unless given a solver.
 
     The same stream, the same ascent: the start is the bundled row when the
-    restart has one, every other start is one _draws draw, and each start is
-    evaluated by the scalar objective. Returns the accepted start, the
-    endpoint's table and state coefficients, its value and the evaluations
-    spent.
+    restart has one, every other start is one _draws draw, and every draw
+    and ascent point is evaluated by the scalar oracle (reference_objectives).
+    Returns the accepted start as a flat array, the endpoint's table and
+    state coefficients, its value and the evaluations spent.
     """
     key = np.array([config.rng_seed, index], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
@@ -624,7 +761,7 @@ def reference_restart(sc, config, index, solver=None, fixed_coeffs=None):
     if bundled is not None and fixed_coeffs is None:
         fixed_coeffs = bundled[2]
     pinned = None if fixed_coeffs is None else PureState(sc, fixed_coeffs)
-    objective, gradient = search._objectives(solver or ThresholdSolver(sc), pinned)
+    objective, gradient = reference_objectives(sc, solver or ThresholdSolver(sc), pinned)
     budget = config.max_evals_per_restart
     value, spent = -1.0, 0
     while value <= search.FLAT_VALUE and spent < budget:
@@ -632,13 +769,15 @@ def reference_restart(sc, config, index, solver=None, fixed_coeffs=None):
             phases, coeffs, _ = bundled
         else:
             phases, coeffs = search._draws(sc, with_state, 1, rng)
-        params = ParameterVector(sc, phases[0],
-                                 None if coeffs is None or pinned is not None else coeffs[0])
-        value, spent = objective(params), spent + 1
-    accepted = params
+        x = phases[0] if coeffs is None or pinned is not None else \
+            np.concatenate([phases[0], coeffs[0]])
+        value, spent = objective(x), spent + 1
+    accepted = x
     if value > search.FLAT_VALUE and spent < budget:
-        params, value, steps = search._polish(objective, gradient, params, value, budget - spent)
+        x, value, steps = search._polish(objective, gradient, x, value, budget - spent)
         spent += steps
+    size = phases.shape[1]
+    params = ParameterVector(sc, x[:size], None if pinned is not None else x[size:])
     state = pinned if pinned is not None else params.decode_state()
     return accepted, params.decode_settings().table, state.coeffs.real, value, spent
 
@@ -749,30 +888,33 @@ def record_blocks(monkeypatch) -> list:
 def test_two_party_restarts_evaluate_through_the_facets_alone(monkeypatch, sc):
     lp_calls = record_lp_calls(monkeypatch)
     block_rows = record_blocks(monkeypatch)
-    scalar_calls, screens = [], []
-    original_born = search.correlation_tensor
+    born_calls, screens = [], []
+    original_born = search.born_probabilities
     original_values = _FacetThreshold.values
 
-    def counted_born(state, settings):
-        scalar_calls.append(settings)
-        return original_born(state, settings)
+    def counted_born(coeffs, unitaries):
+        born_calls.append(len(coeffs))
+        return original_born(coeffs, unitaries)
 
     def counted_values(self, probs):
         screens.append(len(probs))
         return original_values(self, probs)
 
-    monkeypatch.setattr(search, "correlation_tensor", counted_born)
+    monkeypatch.setattr(search, "born_probabilities", counted_born)
     monkeypatch.setattr(_FacetThreshold, "values", counted_values)
     cfg = OptimizationConfig(restarts=3, rng_seed=5, max_evals_per_restart=30,
                              mode="phases_and_state")
     blocks = 0
     for index in range(cfg.restarts):
         block_rows.clear()
-        scalar_calls.clear()
+        born_calls.clear()
         _, _, _, _, spent = search._run_restart((sc, cfg, index, None, None))
+        # one contraction per block, then one stack of one per ascent step;
         # one evaluation per block draw up to the first off the plateau, and
-        # one per scalar evaluation (each ascent step), and no LP
-        assert spent == sum(block_rows) + len(scalar_calls) <= cfg.max_evals_per_restart
+        # one per ascent step, and no LP
+        steps = born_calls[len(block_rows):]
+        assert steps == [1] * len(steps)
+        assert spent == sum(block_rows) + len(steps) <= cfg.max_evals_per_restart
         blocks += len(block_rows)
     # every block was screened by one product against the facets
     assert blocks > 0 and len(screens) == blocks
@@ -807,7 +949,7 @@ def test_facet_restart_matches_solving_every_draw_by_lp(monkeypatch, budget):
         if accepted:
             # the same draw starts the ascent; the facet gradient and the LP's
             # duals agree up to rounding, and so may the endpoints
-            assert np.array_equal(accepted[0].flat(), ref_start.flat())
+            assert np.array_equal(accepted[0], ref_start)
             assert np.allclose(table, ref_table, rtol=0, atol=1e-9)
             assert np.allclose(coeffs, ref_coeffs, rtol=0, atol=1e-9)
         else:

@@ -109,7 +109,7 @@ def canonical_phases(phases: Sequence[float] | np.ndarray) -> np.ndarray:
     idempotent.
     """
     p = np.array(phases, dtype=float, ndmin=1)
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise ValueError("phases must be finite")
     p = np.mod(p - p[..., :1], TWO_PI)
     p[p >= TWO_PI] = 0.0  # mod can round a tiny negative up to exactly 2*pi
@@ -148,7 +148,7 @@ def tritter_unitary(dim: int, phases: Sequence[float] | np.ndarray) -> np.ndarra
     p = np.asarray(phases, dtype=float)
     if p.ndim == 0 or p.shape[-1] != dim:
         raise ValueError(f"need {dim} phases along the last axis, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise ValueError("phases must be finite")
     return _fourier(dim) * np.exp(1j * p)[..., np.newaxis, :]
 

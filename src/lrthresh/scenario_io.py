@@ -51,12 +51,15 @@ class ScenarioFileError(ValueError):
 
 
 def parse_angle(value) -> float:
-    """An angle in radians, from a number or a 'fraction of pi' string."""
+    """A finite angle in radians, from a number or a 'fraction of pi' string."""
     if isinstance(value, bool):
         raise ScenarioFileError(f"angle must be a number or pi-string, got {value!r}")
     if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
+        try:
+            angle = float(value)
+        except OverflowError:  # an int beyond the float range
+            angle = np.inf
+    elif isinstance(value, str):
         match = _ANGLE_RE.match(value)
         if match:
             num = float(match.group("num")) if match.group("num") else 1.0
@@ -67,14 +70,19 @@ def parse_angle(value) -> float:
                 num /= den
             if match.group("sign") == "-":
                 num = -num
-            return num * np.pi
-        try:
-            return float(value)
-        except ValueError:
-            raise ScenarioFileError(
-                f"cannot parse angle {value!r}; use radians or e.g. '2/3 pi'"
-            ) from None
-    raise ScenarioFileError(f"angle must be a number or pi-string, got {value!r}")
+            angle = num * np.pi
+        else:
+            try:
+                angle = float(value)
+            except ValueError:
+                raise ScenarioFileError(
+                    f"cannot parse angle {value!r}; use radians or e.g. '2/3 pi'"
+                ) from None
+    else:
+        raise ScenarioFileError(f"angle must be a number or pi-string, got {value!r}")
+    if not np.isfinite(angle):
+        raise ScenarioFileError(f"angle must be finite, got {angle}")
+    return angle
 
 
 def format_angle(radians: float) -> float | str:

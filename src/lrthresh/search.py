@@ -9,13 +9,14 @@ each costing one evaluation, until one is off the plateau or the budget is
 spent. Most draws land on the plateau, so draws come in blocks of
 REDRAW_BLOCK; the draws after the first one off the plateau are dropped
 unevaluated, which leaves every result as drawing one start at a time would.
-Every point, a draw or an ascent step, is a flat coordinate row, and one path
-evaluates a whole block of rows (a bundled start or an ascent step is a block
-of one): canonical phases, one Born contraction and one validation, then the
-threshold. With two parties and at most three outcomes the threshold has a
-closed form over the local polytope's facets, with no LP (a block of draws is
-screened with one product against the facets); elsewhere every point is one
-warm LP solve.
+Every point, a draw or an ascent step, is a flat coordinate row (gauge-fixed
+phases, then state coefficients unless the state is pinned), and one
+evaluator takes every block of rows (a bundled start or an ascent step is a
+block of one): canonical phases, one Born contraction and one validation,
+then the threshold. With two parties and at most three outcomes the
+threshold has a closed form over the local polytope's facets, with no LP (a
+block of draws is screened with one product against the facets); elsewhere
+every point is one warm LP solve.
 
 From the first start off the plateau, the rest of the restart's budget goes
 to a quasi-Newton gradient ascent with Armijo backtracking. The gradient is
@@ -24,7 +25,8 @@ the kept rows, the envelope theorem gives dF/dtheta = (1 - F) y .
 dP_keep/dtheta, because the tensor enters both the right-hand side and the F
 column; the closed form differentiates the facet that sets the threshold.
 The Born layer pulls that weight vector back to the phases and state in one
-backward pass (correlation_tensor_vjp). At a degenerate optimum the
+backward pass (correlation_tensor_vjp), at the table and unit state the
+evaluator kept for the row it last solved. At a degenerate optimum the
 gradient is one subgradient of several, so the restart keeps its start unless
 a step ascends.
 
@@ -257,15 +259,16 @@ def nelder_mead(f, start: ParameterVector, config: OptimizationConfig):
     return start.with_flat(points[i_best]), float(values[i_best])
 
 
-def _polish(objective, gradient, start: np.ndarray, value: float, budget: int):
+def _polish(evaluate, gradient, start: np.ndarray, value: float, budget: int):
     """Quasi-Newton gradient ascent with Armijo backtracking from a restart's start.
 
-    Points are flat coordinate arrays (ParameterVector.flat()'s layout).
-    value is objective(start), and the solver's latest evaluation must have
-    been the one at start (the block that accepted start, or an objective
-    call): gradient(x) reads the exact gradient at x off the solver state
-    that evaluation left, so the ascent starts without re-solving its start.
-    Each step goes along H g, where H is the BFGS inverse-curvature estimate
+    Points are flat coordinate rows, and each trial point is evaluated as a
+    block of one by the restart's evaluator (_evaluator). value is the
+    start's, and the row the evaluator last solved must be start (the block
+    that accepted it did): gradient() reads the exact gradient at the row
+    last solved, so the ascent starts without re-solving its start, and
+    after an accepted step it reads the gradient at that step's point. Each
+    step goes along H g, where H is the BFGS inverse-curvature estimate
     built from the gradients of the accepted points (the identity at first,
     so the first step is plain steepest ascent). A step that does not gain
     its Armijo share ARMIJO * t * g.Hg is halved; an accepted one updates H
@@ -282,7 +285,7 @@ def _polish(objective, gradient, start: np.ndarray, value: float, budget: int):
     """
     point, current = start, value
     evals = 0
-    grad = gradient(start)
+    grad = gradient()
     if not np.isfinite(grad).all():
         return start, value, evals
     identity = np.eye(grad.size)
@@ -296,7 +299,7 @@ def _polish(objective, gradient, start: np.ndarray, value: float, budget: int):
         if not np.isfinite(trial).all():
             step *= 0.5
             continue
-        trial_value = objective(trial)
+        _, trial_value = evaluate(trial[np.newaxis])
         if trial_value < current + ARMIJO * step * float(grad @ direction):
             step *= 0.5
             continue
@@ -304,7 +307,7 @@ def _polish(objective, gradient, start: np.ndarray, value: float, budget: int):
         point, current = trial, trial_value
         if gain < POLISH_MIN_GAIN:
             break
-        new_grad = gradient(trial)
+        new_grad = gradient()
         if not np.isfinite(new_grad).all():
             break
         s, y = step * direction, grad - new_grad  # y: the change in the gradient of -F
@@ -318,66 +321,68 @@ def _polish(objective, gradient, start: np.ndarray, value: float, budget: int):
     return point, current, evals
 
 
-def _draws(sc: Scenario, with_state: bool, count: int,
-           rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray | None]:
-    """count random starts, stacked: (phases, state coefficients or None).
+def _draws(sc: Scenario, with_state: bool, count: int, rng: np.random.Generator) -> np.ndarray:
+    """count random starts as flat coordinate rows: phases, then (with_state) state coefficients.
 
-    Each start takes its phases, then (with_state) its state coefficients,
-    from the stream, so count draws at once read the stream exactly as count
-    draws one at a time do.
+    Each row takes its phases, then its coefficients, from the stream, so
+    count draws at once read the stream exactly as count draws one at a time
+    do.
     """
-    phases = np.empty((count, sc.parties * sc.settings_per_party * (sc.dim - 1)))
-    coeffs = np.empty((count, sc.state_size)) if with_state else None
-    for k in range(count):
-        phases[k] = rng.uniform(0.0, 2.0 * np.pi, size=phases.shape[1])
+    size = sc.parties * sc.settings_per_party * (sc.dim - 1)
+    rows = np.empty((count, size + (sc.state_size if with_state else 0)))
+    for row in rows:
+        row[:size] = rng.uniform(0.0, 2.0 * np.pi, size=size)
         if with_state:
-            coeffs[k] = rng.normal(size=sc.state_size)
-    return phases, coeffs
+            row[size:] = rng.normal(size=sc.state_size)
+    return rows
 
 
 def _restart_start(sc: Scenario, mode: str, index: int, rng: np.random.Generator
-                   ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None] | None:
-    """A restart's bundled start as one stacked row, or None when its start is drawn.
+                   ) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """A restart's bundled start as a block of one flat row, or None when its start is drawn.
 
-    Returns (phases[1, .], state coefficients[1, .] or None, pinned state
-    coefficients or None). The bundled three-qutrit tables claim the first
-    restart indices whenever the scenario matches, so published optima are
-    recovered deterministically rather than by sampling luck. The
-    tabulated-state restart pins its state and draws its phases alone, here,
-    as the first draw of its stream; the phase-list restarts start joint
-    search from the maximally entangled state. Every other restart returns
-    None, and its start is the first row of its first block of draws.
+    Returns (row[1, .], pinned state coefficients or None). The bundled
+    three-qutrit tables claim the first restart indices whenever the
+    scenario matches, so published optima are recovered deterministically
+    rather than by sampling luck. The tabulated-state restart pins its state
+    and draws its phases alone, here, as the first draw of its stream; the
+    phase-list restarts start joint search from the maximally entangled
+    state. Every other restart returns None, and its start is the first row
+    of its first block of draws.
     """
     if sc != Scenario(parties=3, dim=3, settings_per_party=2):
         return None
     joint = mode == "phases_and_state"
     if joint:
         if index == 0:
-            return _draws(sc, False, 1, rng) + (paper_optimal_state().coeffs.real,)
+            return _draws(sc, False, 1, rng), paper_optimal_state().coeffs.real
         index -= 1
     if index not in (0, 1):
         return None
-    table = paper_settings(("maxent_3qutrit", "near_optimal_3qutrit")[index])
-    ghz = ghz_state(sc).coeffs.real[np.newaxis] if joint else None
-    return encode(table).phase_params[np.newaxis], ghz, None
+    table = paper_settings(("maxent_3qutrit", "near_optimal_3qutrit")[index]).table
+    row = table[:, :, 1:].ravel()
+    if joint:
+        row = np.concatenate([row, ghz_state(sc).coeffs.real])
+    return row[np.newaxis], None
 
 
-def _decode_rows(sc: Scenario, pinned: np.ndarray | None, phases: np.ndarray,
-                 coeffs: np.ndarray | None):
-    """Stacked coordinate rows as canonical phase tables and unit states.
+def _decode_rows(sc: Scenario, pinned: np.ndarray | None, rows: np.ndarray):
+    """Flat coordinate rows as canonical phase tables and unit states.
 
-    phases holds one row of gauge-fixed phases per point, and coeffs their
-    unnormalized state coefficients, ignored when every point takes the unit
-    state pinned. Returns (tables, decoded, states, norms): every row's table,
-    the rows whose state has norm at least STATE_NORM_FLOOR, and their unit
-    states and norms (norms None when pinned), as ParameterVector decodes them.
+    Each row holds gauge-fixed phases, then unnormalized state coefficients,
+    which are absent when every row takes the unit state pinned. Returns
+    (tables, decoded, states, norms): every row's table, the rows whose state
+    has norm at least STATE_NORM_FLOOR, and their unit states and norms
+    (norms None when pinned), as ParameterVector decodes them.
     """
-    count = len(phases)
+    count = len(rows)
+    size = sc.parties * sc.settings_per_party * (sc.dim - 1)
     tables = np.zeros((count, sc.parties, sc.settings_per_party, sc.dim))
-    tables[..., 1:] = phases.reshape(count, sc.parties, sc.settings_per_party, sc.dim - 1)
+    tables[..., 1:] = rows[:, :size].reshape(count, sc.parties, sc.settings_per_party, sc.dim - 1)
     tables = canonical_phases(tables)
     if pinned is not None:
         return tables, np.arange(count), np.broadcast_to(pinned, (count, sc.state_size)), None
+    coeffs = rows[:, size:]
     norms = np.sqrt([c.dot(c) for c in coeffs])  # np.linalg.norm's arithmetic, row by row
     decoded = (norms >= STATE_NORM_FLOOR).nonzero()[0]
     return tables, decoded, coeffs[decoded] / norms[decoded, np.newaxis], norms[decoded]
@@ -388,100 +393,81 @@ def _born_rows(sc: Scenario, tables: np.ndarray, states: np.ndarray) -> np.ndarr
     return checked_probabilities(sc, born_probabilities(states, tritter_unitary(sc.dim, tables)))
 
 
-def _objectives(solver: ThresholdSolver | _FacetThreshold, pinned: np.ndarray | None):
-    """A restart's objective over flat coordinate arrays, and its exact gradient.
+def _evaluator(solver: ThresholdSolver | _FacetThreshold, pinned: np.ndarray | None):
+    """A restart's one evaluator of flat coordinate rows, and the exact gradient it leaves.
 
-    objective(x) is the threshold at x by the blocks' path (_decode_rows,
-    _born_rows, one value()), or -1 when x's state does not decode; only the
-    ascent (_polish) calls it. gradient(x) reads dF/dx off the solver's
-    latest evaluation, which must have been at x, pulling the solver's tensor
-    gradient back through the Born rule (correlation_tensor_vjp) and the
-    state's normalization s -> s/|s| (Jacobian (I - psi psi^T)/|s|). Call it
-    only after the block that accepted x, or objective(x), returned a
-    threshold; a failed solve raises instead. It reuses the table and unit
-    state objective(x) built when x is that evaluation's array, and decodes
-    x afresh otherwise (a block's accepted draw).
-    """
-    sc = solver.scenario
-    size = sc.parties * sc.settings_per_party * (sc.dim - 1)
-    kept = (None, None)  # (x, decode(x)) of the latest evaluation
-
-    def decode(x: np.ndarray):
-        return _decode_rows(sc, pinned, x[np.newaxis, :size], x[np.newaxis, size:])
-
-    def objective(x: np.ndarray) -> float:
-        nonlocal kept
-        kept = (x, decode(x))
-        tables, decoded, states, _ = kept[1]
-        if not decoded.size:
-            return -1.0
-        return solver.value(_checked_tensor(sc, _born_rows(sc, tables, states)[0]))
-
-    def gradient(x: np.ndarray) -> np.ndarray:
-        tables, _, states, norms = kept[1] if kept[0] is x else decode(x)
-        psi = states[0]
-        table_grad, coeff_grad = correlation_tensor_vjp(sc, tables[0], psi,
-                                                        solver.tensor_gradient())
-        phase = table_grad[:, :, 1:].ravel()
-        if norms is None:
-            return phase
-        return np.concatenate([phase, (coeff_grad - psi * (psi @ coeff_grad)) / norms[0]])
-
-    return objective, gradient
-
-
-def _first_off_plateau(solver: ThresholdSolver | _FacetThreshold, pinned: np.ndarray | None,
-                       phases: np.ndarray, coeffs: np.ndarray | None) -> tuple[int, float]:
-    """The first of a block of draws whose threshold is above FLAT_VALUE, in stream order.
-
-    Every draw of a restart is evaluated here, its start included: phases and
-    coeffs are stacked as _draws gives them, or as the one row of a bundled
-    start (_restart_start); coeffs is ignored (and may be None) when the
-    state is pinned. Returns (k, value) for that draw, or for the block's
-    last draw when every draw is flat, with value exactly what objective()
-    gives at the draw. The block is decoded at once (_decode_rows); a draw
-    whose state does not decode is worth -1, and the rest are contracted and
+    evaluate(rows) takes a block of rows as _draws gives them (a bundled
+    start or an ascent step is a block of one; phase columns alone when the
+    state is pinned) and returns (k, value) for the first row whose threshold
+    is above FLAT_VALUE, in row order, or for the block's last row when every
+    row is flat. The block is decoded at once (_decode_rows); a row whose
+    state does not decode is worth -1, and the rest are contracted and
     validated together (_born_rows). ThresholdSolver then solves them one
-    value() at a time, in stream order, up to the first draw off the
-    plateau. _FacetThreshold first values the whole block with one product
-    (values()); since that differs from value() by rounding alone, a draw it
-    puts at or below FLAT_VALUE / 2 is flat, and only the others, and the
-    last draw, are valued by value().
+    value() at a time, in row order, up to the first row off the plateau.
+    _FacetThreshold first values a block of two or more rows with one
+    product (values()); since that differs from value() by rounding alone, a
+    row it puts at or below FLAT_VALUE / 2 is flat, and only the others, and
+    the last row, are valued by value().
+
+    gradient() is dF/dx at the row that value() last solved: the solver's
+    tensor gradient pulled back through the Born rule
+    (correlation_tensor_vjp) and the state's normalization s -> s/|s|
+    (Jacobian (I - psi psi^T)/|s|), from the table, unit state and norm that
+    evaluate() kept for that row. Call it only after evaluate() returned
+    that row's threshold; a failed solve raises instead.
     """
     sc = solver.scenario
-    count = len(phases)
-    tables, decoded, states, _ = _decode_rows(sc, pinned, phases, coeffs)
-    values = np.full(count, -1.0)
-    if decoded.size:
-        tensors = _born_rows(sc, tables[decoded], states)
-        facets = isinstance(solver, _FacetThreshold)
-        screen = solver.values(tensors.reshape(decoded.size, -1)) if facets else None
-        for j, k in enumerate(decoded):
-            if screen is not None and screen[j] <= FLAT_VALUE / 2 and k < count - 1:
-                continue
-            values[k] = solver.value(_checked_tensor(sc, tensors[j]))
-            if values[k] > FLAT_VALUE:
-                return int(k), float(values[k])
-    return count - 1, float(values[-1])
+    facets = isinstance(solver, _FacetThreshold)
+    kept = None  # (table, unit state, norm) of the row value() last solved
+
+    def evaluate(rows: np.ndarray) -> tuple[int, float]:
+        nonlocal kept
+        count = len(rows)
+        tables, decoded, states, norms = _decode_rows(sc, pinned, rows)
+        values = np.full(count, -1.0)
+        if decoded.size:
+            tensors = _born_rows(sc, tables[decoded], states)
+            screen = solver.values(tensors.reshape(decoded.size, -1)) \
+                if facets and count > 1 else None
+            for j, k in enumerate(decoded):
+                if screen is not None and screen[j] <= FLAT_VALUE / 2 and k < count - 1:
+                    continue
+                kept = tables[k], states[j], None if norms is None else norms[j]
+                values[k] = solver.value(_checked_tensor(sc, tensors[j]))
+                if values[k] > FLAT_VALUE:
+                    return int(k), float(values[k])
+        return count - 1, float(values[-1])
+
+    def gradient() -> np.ndarray:
+        table, psi, norm = kept
+        table_grad, coeff_grad = correlation_tensor_vjp(sc, table, psi, solver.tensor_gradient())
+        phase = table_grad[:, :, 1:].ravel()
+        if norm is None:
+            return phase
+        return np.concatenate([phase, (coeff_grad - psi * (psi @ coeff_grad)) / norm])
+
+    return evaluate, gradient
 
 
 def _run_restart(args):
     """One restart: draws until one is off the plateau, then the exact-gradient ascent.
 
-    Every draw is evaluated in a block (_first_off_plateau). The first block
-    is the restart's bundled start when it has one (_restart_start), a block
-    of one row; otherwise it is min(REDRAW_BLOCK, budget) draws from the
-    restart's own stream, whose row 0 is its start. While the value is on the
-    plateau and budget remains, the next block is min(REDRAW_BLOCK, budget
-    left) further draws; the draws of a pinned state's coefficients are
-    drawn and ignored, so the stream stays in step. Each block costs one
-    evaluation per draw up to and including the first draw off the plateau,
-    and the draws after it are never used: the restart reads its stream only
-    here, so it ends exactly as drawing and evaluating one start at a time
-    would. The ascent (_polish) then climbs from that draw with the budget
-    that is left, from the value and solver state the block left at it. A
-    restart whose every draw is flat returns its last draw. Draws and ascent
-    share max_evals_per_restart.
+    Every point is a flat coordinate row, valued by the restart's one
+    evaluator (_evaluator). The first block is the restart's bundled start
+    when it has one (_restart_start), a block of one row; otherwise it is
+    min(REDRAW_BLOCK, budget) draws from the restart's own stream, whose row
+    0 is its start. While the value is on the plateau and budget remains,
+    the next block is min(REDRAW_BLOCK, budget left) further draws. Under a
+    pinned state the draws still take their coefficients from the stream,
+    which keeps it in step, and the rows are cut to their phase columns.
+    Each block costs one evaluation per draw up to and including the first
+    draw off the plateau, and the draws after it are never used: the restart
+    reads its stream only here, so it ends exactly as drawing and evaluating
+    one start at a time would. The ascent (_polish) then climbs from that
+    draw with the budget that is left, from the value and solver state the
+    block left at it. A restart whose every draw is flat returns its last
+    draw. Draws and ascent share max_evals_per_restart. The endpoint is
+    decoded as a row too (_decode_rows).
 
     Every point is evaluated through the facets where the threshold has a
     closed form (_has_facet_form), and by ThresholdSolver.value elsewhere.
@@ -493,27 +479,27 @@ def _run_restart(args):
 
     start = _restart_start(sc, config.mode, index, rng)
     if start is not None and pinned is None:
-        pinned = start[2]
+        pinned = start[1]
     with_state = config.mode == "phases_and_state"
+    width = sc.parties * sc.settings_per_party * (sc.dim - 1) \
+        + (sc.state_size if pinned is None else 0)
 
-    objective, gradient = _objectives(solver, pinned)
+    evaluate, gradient = _evaluator(solver, pinned)
     budget = config.max_evals_per_restart
     value, spent = -1.0, 0  # nothing evaluated yet
     while value <= FLAT_VALUE and spent < budget:
         if spent == 0 and start is not None:
-            phases, coeffs, _ = start
+            rows = start[0]
         else:
-            phases, coeffs = _draws(sc, with_state, min(REDRAW_BLOCK, budget - spent), rng)
-        k, value = _first_off_plateau(solver, pinned, phases, coeffs)
-        point = phases[k] if pinned is not None else np.concatenate([phases[k], coeffs[k]])
+            rows = _draws(sc, with_state, min(REDRAW_BLOCK, budget - spent), rng)[:, :width]
+        k, value = evaluate(rows)
+        point = rows[k]
         spent += k + 1
     if value > FLAT_VALUE and spent < budget:
-        point, value, evals = _polish(objective, gradient, point, value, budget - spent)
+        point, value, evals = _polish(evaluate, gradient, point, value, budget - spent)
         spent += evals
-    size = phases.shape[1]
-    params = ParameterVector(sc, point[:size], None if pinned is not None else point[size:])
-    state = PureState(sc, pinned) if pinned is not None else params.decode_state()
-    return index, value, params.decode_settings().table, state.coeffs.real, spent
+    tables, _, states, _ = _decode_rows(sc, pinned, point[np.newaxis])
+    return index, value, tables[0], states[0], spent
 
 
 def _optimize(

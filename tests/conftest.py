@@ -15,9 +15,11 @@ from lrthresh import (
     LinearProgram,
     PhaseSettings,
     PureState,
+    Scenario,
     ScenarioFile,
 )
 from lrthresh.scenario import setting_unitaries
+from lrthresh.threshold import _bell_facets
 
 
 @pytest.fixture
@@ -236,6 +238,39 @@ def closed_form_probability(
     # full double sum: the diagonal contributes sum(d^2)/27 = 1/27
     val = (np.outer(coeffs, coeffs) * np.cos(np.subtract.outer(theta, theta))).sum() / 27.0
     return float(val)
+
+
+def lifted_facet_bound(tensor: CorrelationTensor) -> float:
+    """A lower bound on a three-party tensor's threshold from lifted two-party facets.
+
+    Test oracle only: it solves no LP. Each facet c . P_AB <= 2 of two
+    parties with the same outcome count (threshold._bell_facets), with the
+    third party's setting z and outcome k held fixed, gives
+    sum c . P(a, b, k | x, y, z) <= 2 P(k | z) on every local tensor
+    (Pironio, J. Math. Phys. 46, 062112 (2005)); P(k | z) is read at the
+    pair's settings (0, 0), so each row is one linear functional. A tensor
+    that violates a row by X > 0 needs the noise fraction
+    X / (X + (2 - c . u) / d) at least, u the two-party uniform tensor.
+    Returns the largest over the three pairs and every row, or 0.
+    """
+    sc = tensor.scenario
+    if sc.parties != 3:
+        raise ValueError(f"the lifting is written for three parties, got {sc}")
+    d = sc.dim
+    facets = _bell_facets(Scenario(parties=2, dim=d)).reshape(-1, 2, 2, d, d)  # [row, x, y, a, b]
+    slack = np.broadcast_to((2.0 - facets.sum(axis=(1, 2, 3, 4)) / d**2)[:, None, None] / d,
+                            (len(facets), 2, d))
+    best = 0.0
+    for third in range(3):
+        first, second = (p for p in range(3) if p != third)
+        probs = tensor.probs.transpose(first, second, third, 3 + first, 3 + second, 3 + third)
+        lifted = np.einsum("rxyab,xyzabk->rzk", facets, probs)
+        excess = lifted - 2.0 * probs[0, 0].sum(axis=(1, 2))  # P(k | z) at x = y = 0
+        violated = excess > 0.0
+        if violated.any():
+            x = excess[violated]
+            best = max(best, float((x / (x + slack[violated])).max()))
+    return best
 
 
 def noisy_tensor(tensor: CorrelationTensor, noise_fraction: float) -> CorrelationTensor:

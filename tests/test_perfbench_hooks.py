@@ -113,20 +113,25 @@ def test_traced_optimize_records_search_spans():
 
 def test_traced_facet_optimize_records_one_born_span_per_evaluation(monkeypatch):
     search = importlib.import_module("lrthresh.search")
-    block_rows, born_calls = [], []
-    original_block = search._first_off_plateau
+    blocks, born_calls = [], []
+    original_evaluator = search._evaluator
     original_born = search.born_probabilities
 
-    def recorded(*args):
-        k, value = original_block(*args)
-        block_rows.append(k + 1)
-        return k, value
+    def recorded(solver, pinned):
+        evaluate, gradient = original_evaluator(solver, pinned)
+
+        def counted(rows):
+            k, value = evaluate(rows)
+            blocks.append((len(rows), k + 1))
+            return k, value
+
+        return counted, gradient
 
     def counted_born(coeffs, unitaries):
         born_calls.append(len(coeffs))
         return original_born(coeffs, unitaries)
 
-    monkeypatch.setattr(search, "_first_off_plateau", recorded)
+    monkeypatch.setattr(search, "_evaluator", recorded)
     monkeypatch.setattr(search, "born_probabilities", counted_born)
     cfg = OptimizationConfig(restarts=2, rng_seed=7, max_evals_per_restart=200,
                              mode="phases_and_state")
@@ -139,14 +144,14 @@ def test_traced_facet_optimize_records_one_born_span_per_evaluation(monkeypatch)
     names = [span[0] for span in tracer.spans]
     # every search evaluation, draw or ascent step, is contracted by
     # born_probabilities where the tracer does not look: one call per block
-    # and one per ascent step; the only correlation_tensor span is the
-    # certified solve's
-    ascent_steps = result.evals - sum(block_rows)
-    assert sum(block_rows) > 0 and ascent_steps > 2
-    assert len(born_calls) == len(block_rows) + ascent_steps
+    # the evaluator values, and each ascent step is a block of one; the only
+    # correlation_tensor span is the certified solve's
+    assert sum(used for _, used in blocks) == result.evals
+    assert born_calls == [rows for rows, _ in blocks]
+    assert born_calls.count(1) > 2
     assert names.count("probabilities.correlation_tensor") == 1
-    # and the endpoint of each restart is decoded once
-    assert names.count("search.decode") == 2 * cfg.restarts
+    # and no restart decodes through ParameterVector, its endpoint included
+    assert names.count("search.decode") == 0
 
 
 def test_failed_value_closes_its_spans(monkeypatch):

@@ -43,6 +43,22 @@ def test_parse_angle_rejects_garbage():
             parse_angle(bad)
 
 
+# YAML infinities and NaN, a string that overflows, a pi multiple that
+# overflows, and an int beyond the float range
+NONFINITE_ANGLES = [".inf", "-.inf", ".nan", "'1e999'", "'" + "9" * 400 + " pi'", "1" + "0" * 400]
+
+
+@pytest.mark.parametrize("bad", NONFINITE_ANGLES,
+                         ids=["inf", "-inf", "nan", "1e999", "huge-pi", "huge-int"])
+def test_nonfinite_angles_are_rejected_as_a_bad_phase_table(bad):
+    text = f"parties: 2\ndim: 2\nstate: ghz\nsettings:\n  - [[0, {bad}], [0, 0]]\n" \
+        "  - [[0, 0], [0, 0]]\n"
+    with pytest.raises(ScenarioFileError, match=r"^bad phase table: angle must be finite"):
+        parse_scenario_file(text)
+    with pytest.raises(ScenarioFileError, match="finite"):
+        parse_angle(yaml.safe_load(bad))
+
+
 def test_format_angle_round_trips():
     for value in (0.0, np.pi, -np.pi / 3, 2 * np.pi / 3, 23 * np.pi / 36, 1.2345):
         rendered = format_angle(value)

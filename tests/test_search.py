@@ -100,18 +100,39 @@ def test_nonfinite_coordinates_are_invalid_parameters(block, index, bad):
             ParameterVector(SC23, phases, coeffs)
 
 
+def on_one_point(f, grad, start):
+    """f and its gradient as _polish takes them: a block evaluator, and the gradient it leaves.
+
+    evaluate(rows) values a block of one row by f, and gradient() is grad at
+    the latest row valued (start before the first).
+    """
+    last = [start]
+
+    def evaluate(rows):
+        assert rows.shape == (1, start.size)  # every ascent step is a block of one
+        last[0] = rows[0]
+        return 0, f(rows[0])
+
+    return evaluate, lambda: grad(last[0])
+
+
+def scalar(evaluate):
+    """The value of a restart's evaluator at one point, valued as a block of one."""
+    return lambda x: evaluate(x[np.newaxis])[1]
+
+
 def test_ascent_backtracks_from_a_nonfinite_step(rng):
-    objective, _ = search._objectives(_FacetThreshold(SC23), None)
-    start = _point_off_plateau(SC23, rng, objective)
-    value = objective(start)
+    evaluate, _ = search._evaluator(_FacetThreshold(SC23), None)
+    start = _point_off_plateau(SC23, rng, scalar(evaluate))
+    value = scalar(evaluate)(start)
     seen = []
 
-    def watched(x):
-        seen.append(x)
-        return objective(x)
+    def watched(rows):
+        seen.append(rows)
+        return evaluate(rows)
 
-    def infinite(x):
-        grad = np.zeros(x.size)
+    def infinite():
+        grad = np.zeros(start.size)
         grad[0] = np.inf
         return grad
 
@@ -125,21 +146,19 @@ def test_a_nonfinite_trial_point_is_one_evaluation_and_halves_its_step():
     start = np.full(8, 1e308)
     seen = []
 
-    def objective(x):
+    def below_the_start(x):
         seen.append(x)
-        return -1.0  # below the start: every trial that is evaluated is rejected
+        return -1.0  # every trial that is evaluated is rejected
 
-    def gradient(x):
-        return np.full(x.size, 1e308)
-
+    evaluate, gradient = on_one_point(below_the_start, lambda x: np.full(x.size, 1e308), start)
     with np.errstate(over="ignore"):
-        x, value, evals = search._polish(objective, gradient, start, 0.0, budget=3)
+        x, value, evals = search._polish(evaluate, gradient, start, 0.0, budget=3)
     # the full step overflows: it costs an evaluation and is halved unevaluated,
     # and the two shorter steps are evaluated
     assert x is start and value == 0.0 and evals == 3
     assert len(seen) == 2
-    assert np.array_equal(seen[0], start + 0.5 * gradient(start))
-    assert np.array_equal(seen[1], start + 0.25 * gradient(start))
+    assert np.array_equal(seen[0], start + 0.5 * np.full(8, 1e308))
+    assert np.array_equal(seen[1], start + 0.25 * np.full(8, 1e308))
 
 
 def test_objective_benchmarks():
@@ -334,7 +353,7 @@ def test_mode_mismatch_rejected():
 
 
 def _point_off_plateau(sc, rng, objective):
-    """A seeded random flat (phases, state) point with threshold above 0.01."""
+    """A seeded random flat (phases, state) point with threshold above 0.01, the last one valued."""
     for _ in range(50):
         phases = rng.uniform(0, 2 * np.pi, size=sc.parties * sc.settings_per_party * (sc.dim - 1))
         coeffs = ghz_state(sc).coeffs + 0.2 * rng.normal(size=sc.state_size)
@@ -345,10 +364,11 @@ def _point_off_plateau(sc, rng, objective):
 
 
 def check_gradient(sc, rng, solver):
-    """The restart's exact gradient against central differences of its objective."""
-    objective, gradient = search._objectives(solver, None)
+    """The restart's exact gradient against central differences of its evaluator."""
+    evaluate, gradient = search._evaluator(solver, None)
+    objective = scalar(evaluate)
     x = _point_off_plateau(sc, rng, objective)
-    grad = gradient(x)
+    grad = gradient()
     h = 1e-6
     fd = np.empty_like(x)
     for i in range(x.size):
@@ -371,15 +391,14 @@ def test_facet_gradient_matches_central_differences(rng, sc):
 
 def test_pinned_state_gradient_is_the_phase_block(rng):
     solver = ThresholdSolver(SC33)
-    objective, gradient = search._objectives(solver, None)
-    x = _point_off_plateau(SC33, rng, objective)
-    joint = gradient(x)
+    evaluate, gradient = search._evaluator(solver, None)
+    x = _point_off_plateau(SC33, rng, scalar(evaluate))
+    joint = gradient()
     size = x.size - SC33.state_size
     pinned = ParameterVector(SC33, x[:size], x[size:]).decode_state()
-    objective, gradient = search._objectives(solver, pinned.coeffs)
-    phases = x[:size]
-    objective(phases)
-    assert np.allclose(gradient(phases), joint[:size], rtol=0, atol=1e-9)
+    evaluate, gradient = search._evaluator(solver, pinned.coeffs)
+    evaluate(x[np.newaxis, :size])  # a pinned state's rows are its phases
+    assert np.allclose(gradient(), joint[:size], rtol=0, atol=1e-9)
 
 
 def count_decodes(monkeypatch) -> list:
@@ -387,9 +406,9 @@ def count_decodes(monkeypatch) -> list:
     calls = []
     original = search._decode_rows
 
-    def counted(sc, pinned, phases, coeffs):
-        calls.append(len(phases))
-        return original(sc, pinned, phases, coeffs)
+    def counted(sc, pinned, rows):
+        calls.append(len(rows))
+        return original(sc, pinned, rows)
 
     monkeypatch.setattr(search, "_decode_rows", counted)
     return calls
@@ -414,49 +433,50 @@ def pulled_back(params, settings, state, weights):
 @pytest.mark.parametrize("kind", [ThresholdSolver, _FacetThreshold], ids=["lp", "facets"])
 def test_gradient_reuses_the_evaluations_decode(monkeypatch, rng, kind):
     solver = kind(SC23)
-    objective, gradient = search._objectives(solver, None)
-    x = _point_off_plateau(SC23, rng, objective)
+    evaluate, gradient = search._evaluator(solver, None)
+    x = _point_off_plateau(SC23, rng, scalar(evaluate))
     decodes = count_decodes(monkeypatch)
-    objective(x)
+    evaluate(x[np.newaxis])
     assert decodes == [1]
-    grad = gradient(x)
+    grad = gradient()
     assert decodes == [1]  # the gradient decoded nothing
     params = ParameterVector(SC23, x[:8], x[8:])
     fresh = pulled_back(params, params.decode_settings(), params.decode_state(),
                         solver.tensor_gradient())
     assert grad.tobytes() == fresh.tobytes()
 
-    # an equal point that is not the evaluation's own array decodes afresh
+    # in a block, the kept decode is that of the row solved last, not row 0's
+    zero = np.concatenate([x[:8], np.zeros(SC23.state_size)])
     decodes.clear()
-    assert gradient(x.copy()).tobytes() == grad.tobytes()
-    assert decodes == [1]
+    assert evaluate(np.stack([zero, x]))[0] == 1
+    grad = gradient()
+    assert decodes == [2]
+    fresh = pulled_back(params, params.decode_settings(), params.decode_state(),
+                        solver.tensor_gradient())
+    assert grad.tobytes() == fresh.tobytes()
 
 
 def test_an_undecodable_evaluation_keeps_no_decode(monkeypatch, rng):
     solver = _FacetThreshold(SC23)
-    objective, gradient = search._objectives(solver, None)
-    x = _point_off_plateau(SC23, rng, objective)
-    grad = gradient(x)
+    evaluate, gradient = search._evaluator(solver, None)
+    x = _point_off_plateau(SC23, rng, scalar(evaluate))
+    grad = gradient()
     decodes = count_decodes(monkeypatch)
 
-    objective(x)
     zero = np.concatenate([x[:8], np.zeros(SC23.state_size)])
-    assert objective(zero) == -1.0  # does not decode: the kept decode goes too
-    decodes.clear()
-    assert gradient(x).tobytes() == grad.tobytes()  # the solver still holds x
+    assert evaluate(zero[np.newaxis]) == (0, -1.0)  # does not decode, and solves nothing
+    assert decodes == [1]
+    # the gradient is still x's: the solver and the kept decode both hold x
+    assert gradient().tobytes() == grad.tobytes()
     assert decodes == [1]
 
 
 def test_polish_keeps_the_endpoint_when_no_step_ascends():
     start = np.ones(8)
-
-    def objective(x):
-        return -float(np.sum(x ** 2))
-
-    def downhill(x):
-        return 2.0 * x  # points away from the ascent direction
-
-    x, value, evals = search._polish(objective, downhill, start, -8.0, budget=50)
+    evaluate, downhill = on_one_point(lambda x: -float(np.sum(x ** 2)),
+                                      lambda x: 2.0 * x,  # points away from the ascent direction
+                                      start)
+    x, value, evals = search._polish(evaluate, downhill, start, -8.0, budget=50)
     assert x is start and value == -8.0
     assert evals <= 50
 
@@ -469,10 +489,8 @@ def test_polish_climbs_a_concave_quadratic():
     def objective(x):
         return -float(np.sum(weights * (x - peak) ** 2))
 
-    def exact(x):
-        return -2.0 * weights * (x - peak)
-
-    x, value, evals = search._polish(objective, exact, start, objective(start), budget=200)
+    evaluate, exact = on_one_point(objective, lambda x: -2.0 * weights * (x - peak), start)
+    x, value, evals = search._polish(evaluate, exact, start, objective(start), budget=200)
     assert value > -1e-6
     assert np.max(np.abs(x - peak)) < 1e-3
     assert evals < 200
@@ -483,7 +501,7 @@ def test_polish_never_lowers_a_restart(monkeypatch):
                              mode="phases_and_state")
     polished = optimize_state_and_phases(SC23, cfg)
     monkeypatch.setattr(search, "_polish",
-                        lambda objective, gradient, params, value, budget: (params, value, 0))
+                        lambda evaluate, gradient, start, value, budget: (start, value, 0))
     plain = optimize_state_and_phases(SC23, cfg)
     pairs = list(zip(polished.per_restart_log, plain.per_restart_log))
     assert all(a >= b for (_, a), (_, b) in pairs)
@@ -552,18 +570,53 @@ JOINT33 = OptimizationConfig(restarts=4, rng_seed=11, max_evals_per_restart=20,
 
 
 def record_draws(monkeypatch) -> list:
-    """Record every start the restarts draw from their streams, in stream order."""
+    """Record every start the restarts draw from their streams, as flat rows in stream order."""
     draws = []
     original = search._draws
 
     def recorded(sc, with_state, count, rng):
-        phases, coeffs = original(sc, with_state, count, rng)
-        draws.extend(ParameterVector(sc, phases[k], None if coeffs is None else coeffs[k])
-                      for k in range(count))
-        return phases, coeffs
+        rows = original(sc, with_state, count, rng)
+        draws.extend(rows)
+        return rows
 
     monkeypatch.setattr(search, "_draws", recorded)
     return draws
+
+
+def decoded(sc, row):
+    """A joint flat row as (PureState, PhaseSettings), by the public dataclasses."""
+    size = sc.parties * sc.settings_per_party * (sc.dim - 1)
+    params = ParameterVector(sc, row[:size], row[size:])
+    return params.decode_state(), params.decode_settings()
+
+
+def record_blocks(monkeypatch) -> list:
+    """Record (rows, evaluations spent, value) for every block a restart's evaluator values.
+
+    A block spends its rows up to its first off the plateau; each ascent
+    step is a block of one.
+    """
+    blocks = []
+    original = search._evaluator
+
+    def recorded(solver, pinned):
+        evaluate, gradient = original(solver, pinned)
+
+        def counted(rows):
+            k, value = evaluate(rows)
+            blocks.append((len(rows), k + 1, value))
+            return k, value
+
+        return counted, gradient
+
+    monkeypatch.setattr(search, "_evaluator", recorded)
+    return blocks
+
+
+def draw_blocks(blocks) -> int:
+    """How many of a restart's recorded blocks are draws: those up to its first off the plateau."""
+    return next((i + 1 for i, (_, _, value) in enumerate(blocks) if value > search.FLAT_VALUE),
+                len(blocks))
 
 
 def test_ascent_starts_at_the_first_draw_off_the_plateau(monkeypatch):
@@ -575,10 +628,10 @@ def test_ascent_starts_at_the_first_draw_off_the_plateau(monkeypatch):
         solved.append((tensor, original_value(self, tensor)))
         return solved[-1][1]
 
-    def watched(objective, gradient, params, value, budget):
+    def watched(evaluate, gradient, start, value, budget):
         solves = len(solved)
-        outcome = original_polish(objective, gradient, params, value, budget)
-        ascents.append((params, solves, value, outcome[2]))
+        outcome = original_polish(evaluate, gradient, start, value, budget)
+        ascents.append((start, solves, value, outcome[2]))
         return outcome
 
     monkeypatch.setattr(ThresholdSolver, "value", counted_value)
@@ -593,10 +646,8 @@ def test_ascent_starts_at_the_first_draw_off_the_plateau(monkeypatch):
         assert len(ascents) == 1
         start, solves, start_value, ascent_evals = ascents[0]
         # the ascent starts from the first draw off the plateau, in stream order
-        accepted = next(k for k, params in enumerate(draws)
-                        if params.flat().tobytes() == start.tobytes())
-        exact = [threshold(p.decode_state(), p.decode_settings()).f_thr
-                 for p in draws[:accepted + 1]]
+        accepted = next(k for k, row in enumerate(draws) if row.tobytes() == start.tobytes())
+        exact = [threshold(*decoded(SC32, row)).f_thr for row in draws[:accepted + 1]]
         assert max(exact[:-1], default=0.0) <= search.FLAT_VALUE
         assert start_value == solved[solves - 1][1] > search.FLAT_VALUE
         assert abs(start_value - exact[-1]) < 1e-9
@@ -604,8 +655,8 @@ def test_ascent_starts_at_the_first_draw_off_the_plateau(monkeypatch):
         # tensor and in stream order, and that draw is solved once: the
         # ascent's evaluations are its own steps
         assert solves == accepted + 1
-        for (tensor, _), params in zip(solved[:solves], draws):
-            born = correlation_tensor(params.decode_state(), params.decode_settings())
+        for (tensor, _), row in zip(solved[:solves], draws):
+            born = correlation_tensor(*decoded(SC32, row))
             assert tensor.probs.tobytes() == born.probs.tobytes()
         assert spent == accepted + 1 + ascent_evals == len(solved)
         flat_draws += accepted
@@ -615,36 +666,30 @@ def test_ascent_starts_at_the_first_draw_off_the_plateau(monkeypatch):
 @pytest.mark.parametrize("sc, cfg", [(SC32, JOINT32), (SC23, JOINT23), (SC33, JOINT33)],
                          ids=["n3d2-lp", "n2d3-facets", "n3d3-bundled"])
 def test_every_evaluation_before_the_ascent_is_a_block_row(monkeypatch, sc, cfg):
-    block_rows = record_blocks(monkeypatch)
-    calls, ascents = [], []
-    original_objectives = search._objectives
+    blocks = record_blocks(monkeypatch)
+    ascents = []
     original_polish = search._polish
 
-    def recorded_objectives(solver, pinned_state):
-        objective, gradient = original_objectives(solver, pinned_state)
+    def watched(evaluate, gradient, start, value, budget):
+        ascents.append((len(blocks), budget))
+        return original_polish(evaluate, gradient, start, value, budget)
 
-        def counted(x):
-            calls.append(x)
-            return objective(x)
-
-        return counted, gradient
-
-    def watched(objective, gradient, params, value, budget):
-        ascents.append((len(calls), budget))
-        return original_polish(objective, gradient, params, value, budget)
-
-    monkeypatch.setattr(search, "_objectives", recorded_objectives)
     monkeypatch.setattr(search, "_polish", watched)
     for index in range(cfg.restarts):
-        block_rows.clear()
-        calls.clear()
+        blocks.clear()
         ascents.clear()
         _, _, _, _, spent = search._run_restart((sc, cfg, index, None, None))
-        drawn = sum(block_rows)
-        # the start and every redraw were block rows: the scalar objective
-        # was first called by the ascent, on the budget the blocks left
-        assert ascents == [(0, cfg.max_evals_per_restart - drawn)]
-        assert 0 < len(calls) <= spent - drawn
+        (before, budget), = ascents
+        drawn = sum(used for _, used, _ in blocks[:before])
+        steps = blocks[before:]
+        # the start and every redraw were rows of the blocks before the
+        # ascent, every block flat but the last; the ascent began on the
+        # budget they left and valued each of its steps as a block of one
+        flat = [value <= search.FLAT_VALUE for _, _, value in blocks[:before]]
+        assert flat == [True] * (before - 1) + [False]
+        assert budget == cfg.max_evals_per_restart - drawn
+        assert 0 < len(steps) <= spent - drawn
+        assert all(rows == used == 1 for rows, used, _ in steps)
 
 
 def record_builds(monkeypatch) -> list:
@@ -689,60 +734,63 @@ def record_validation(monkeypatch) -> tuple[list, Counter]:
                               mode="phases_and_state")),
 ], ids=["n2d3-facets", "n3d3-lp"])
 def test_ascent_steps_build_no_dataclass_and_validate_each_tensor_once(monkeypatch, sc, cfg):
-    block_rows = record_blocks(monkeypatch)
+    blocks = record_blocks(monkeypatch)
     events = record_builds(monkeypatch)
     contracted, validated = record_validation(monkeypatch)
     for index in range(cfg.restarts):
         drawn = search._restart_start(sc, cfg.mode, index, np.random.default_rng()) is None
-        block_rows.clear()
+        blocks.clear()
         events.clear()
         contracted.clear()
         validated.clear()
         _, value, _, _, spent = search._run_restart((sc, cfg, index, None, None))
-        assert value > search.FLAT_VALUE and spent > sum(block_rows)  # the restart ascended
+        # the restart ascended
+        assert value > search.FLAT_VALUE and len(blocks) > draw_blocks(blocks)
         solves = [k for k, event in enumerate(events) if isinstance(event, tuple)]
         # a bundled start's constants are built before its first evaluation,
-        # a drawn start builds nothing; from the first evaluation on, only
-        # the endpoint is decoded, once, after the last
+        # a drawn start builds nothing; from the first evaluation on, no
+        # dataclass is built, the endpoint's decode included
         if drawn:
             assert solves[0] == 0
-        assert solves == list(range(solves[0], solves[-1] + 1))
-        assert sorted(events[solves[-1] + 1:]) == ["ParameterVector", "PhaseSettings",
-                                                   "PureState"]
-        # every contracted tensor is validated once, and nothing else is; each
-        # solved tensor is one of them
-        assert sum(validated.values()) == sum(contracted) == sum(contracted[:len(block_rows)]) \
-            + spent - sum(block_rows)
+        assert solves == list(range(solves[0], len(events)))
+        # every block is one contraction, every contracted tensor is validated
+        # once, and nothing else is; each solved tensor is one of them
+        assert contracted == [rows for rows, _, _ in blocks]
+        assert sum(validated.values()) == sum(contracted)
+        assert spent == sum(used for _, used, _ in blocks)
         assert all(validated[events[k][1]] == 1 for k in solves)
 
 
 def reference_objectives(sc, solver, pinned):
-    """The scalar oracle: each point through the public dataclasses, one at a time.
+    """The scalar oracle, shaped as _polish takes it: each point through the public dataclasses.
 
-    objective(x) builds a ParameterVector, decodes it into PhaseSettings and
-    a PureState (or takes the pinned one), contracts them with
-    correlation_tensor and solves with value(); -1 when the point does not
-    decode. gradient(x) decodes x afresh and pulls the solver's tensor
-    gradient back (pulled_back).
+    evaluate(rows) values a block of one row: it builds a ParameterVector,
+    decodes it into PhaseSettings and a PureState (or takes the pinned one),
+    contracts them with correlation_tensor and solves with value(); -1 when
+    the point does not decode. gradient() decodes the point last solved
+    afresh and pulls the solver's tensor gradient back (pulled_back).
     """
     size = sc.parties * sc.settings_per_party * (sc.dim - 1)
+    solved = [None]
 
     def decode(x):
         params = ParameterVector(sc, x[:size], None if pinned is not None else x[size:])
         state = pinned if pinned is not None else params.decode_state()
         return params, params.decode_settings(), state
 
-    def objective(x):
+    def evaluate(rows):
+        (x,) = rows
         try:
             _, settings, state = decode(x)
         except InvalidParameterError:
-            return -1.0
-        return solver.value(correlation_tensor(state, settings))
+            return 0, -1.0
+        solved[0] = x
+        return 0, solver.value(correlation_tensor(state, settings))
 
-    def gradient(x):
-        return pulled_back(*decode(x), solver.tensor_gradient())
+    def gradient():
+        return pulled_back(*decode(solved[0]), solver.tensor_gradient())
 
-    return objective, gradient
+    return evaluate, gradient
 
 
 def reference_restart(sc, config, index, solver=None, fixed_coeffs=None):
@@ -759,24 +807,24 @@ def reference_restart(sc, config, index, solver=None, fixed_coeffs=None):
     with_state = config.mode == "phases_and_state"
     bundled = search._restart_start(sc, config.mode, index, rng)
     if bundled is not None and fixed_coeffs is None:
-        fixed_coeffs = bundled[2]
+        fixed_coeffs = bundled[1]
     pinned = None if fixed_coeffs is None else PureState(sc, fixed_coeffs)
-    objective, gradient = reference_objectives(sc, solver or ThresholdSolver(sc), pinned)
+    evaluate, gradient = reference_objectives(sc, solver or ThresholdSolver(sc), pinned)
+    size = sc.parties * sc.settings_per_party * (sc.dim - 1)
     budget = config.max_evals_per_restart
     value, spent = -1.0, 0
     while value <= search.FLAT_VALUE and spent < budget:
         if spent == 0 and bundled is not None:
-            phases, coeffs, _ = bundled
+            rows = bundled[0]
         else:
-            phases, coeffs = search._draws(sc, with_state, 1, rng)
-        x = phases[0] if coeffs is None or pinned is not None else \
-            np.concatenate([phases[0], coeffs[0]])
-        value, spent = objective(x), spent + 1
+            rows = search._draws(sc, with_state, 1, rng)
+        x = rows[0, :size] if pinned is not None else rows[0]
+        _, value = evaluate(x[np.newaxis])
+        spent += 1
     accepted = x
     if value > search.FLAT_VALUE and spent < budget:
-        x, value, steps = search._polish(objective, gradient, x, value, budget - spent)
+        x, value, steps = search._polish(evaluate, gradient, x, value, budget - spent)
         spent += steps
-    size = phases.shape[1]
     params = ParameterVector(sc, x[:size], None if pinned is not None else x[size:])
     state = pinned if pinned is not None else params.decode_state()
     return accepted, params.decode_settings().table, state.coeffs.real, value, spent
@@ -827,12 +875,12 @@ def test_an_undecodable_draw_in_a_block_is_one_evaluation_worth_minus_one(monkey
     original = search._draws
 
     def with_a_zero_state(scenario, with_state, count, rng):
-        phases, coeffs = original(scenario, with_state, count, rng)
-        for k in range(count):
-            drawn.append(k)
+        rows = original(scenario, with_state, count, rng)
+        for row in rows:
+            drawn.append(row)
             if len(drawn) == 3:
-                coeffs[k] = 0.0
-        return phases, coeffs
+                row[-scenario.state_size:] = 0.0
+        return rows
 
     monkeypatch.setattr(search, "_draws", with_a_zero_state)
     cfg = OptimizationConfig(restarts=JOINT32.restarts, rng_seed=JOINT32.rng_seed,
@@ -852,9 +900,10 @@ def test_an_undecodable_draw_in_a_block_is_one_evaluation_worth_minus_one(monkey
     assert injected > 0
 
     # a block of undecodable draws is worth -1 at its last draw
-    rng = np.random.default_rng(3)
-    phases, coeffs = search._draws(sc, True, 3, rng)
-    assert search._first_off_plateau(solver(sc), None, phases, 0.0 * coeffs) == (2, -1.0)
+    rows = search._draws(sc, True, 3, np.random.default_rng(3))
+    rows[:, -sc.state_size:] = 0.0
+    evaluate, _ = search._evaluator(solver(sc), None)
+    assert evaluate(rows) == (2, -1.0)
 
 
 def record_lp_calls(monkeypatch) -> list:
@@ -870,24 +919,10 @@ def record_lp_calls(monkeypatch) -> list:
     return calls
 
 
-def record_blocks(monkeypatch) -> list:
-    """Record the draws each block of redraws spends: up to its first draw off the plateau."""
-    spent = []
-    original = search._first_off_plateau
-
-    def recorded(solver, pinned_state, phases, coeffs):
-        k, value = original(solver, pinned_state, phases, coeffs)
-        spent.append(k + 1)
-        return k, value
-
-    monkeypatch.setattr(search, "_first_off_plateau", recorded)
-    return spent
-
-
 @pytest.mark.parametrize("sc", [SC23, SC22], ids=["n2d3", "n2d2"])
 def test_two_party_restarts_evaluate_through_the_facets_alone(monkeypatch, sc):
     lp_calls = record_lp_calls(monkeypatch)
-    block_rows = record_blocks(monkeypatch)
+    blocks = record_blocks(monkeypatch)
     born_calls, screens = [], []
     original_born = search.born_probabilities
     original_values = _FacetThreshold.values
@@ -904,20 +939,24 @@ def test_two_party_restarts_evaluate_through_the_facets_alone(monkeypatch, sc):
     monkeypatch.setattr(_FacetThreshold, "values", counted_values)
     cfg = OptimizationConfig(restarts=3, rng_seed=5, max_evals_per_restart=30,
                              mode="phases_and_state")
-    blocks = 0
+    ascents = 0
     for index in range(cfg.restarts):
-        block_rows.clear()
+        blocks.clear()
         born_calls.clear()
+        screens.clear()
         _, _, _, _, spent = search._run_restart((sc, cfg, index, None, None))
-        # one contraction per block, then one stack of one per ascent step;
+        drawn = draw_blocks(blocks)
+        # one contraction per block, and each ascent step is a block of one;
         # one evaluation per block draw up to the first off the plateau, and
         # one per ascent step, and no LP
-        steps = born_calls[len(block_rows):]
-        assert steps == [1] * len(steps)
-        assert spent == sum(block_rows) + len(steps) <= cfg.max_evals_per_restart
-        blocks += len(block_rows)
-    # every block was screened by one product against the facets
-    assert blocks > 0 and len(screens) == blocks
+        assert born_calls == [rows for rows, _, _ in blocks]
+        assert all(rows == 1 for rows, _, _ in blocks[drawn:])
+        assert spent == sum(used for _, used, _ in blocks) <= cfg.max_evals_per_restart
+        # every block of draws was screened by one product against the
+        # facets, and no ascent step was
+        assert screens == [rows for rows, _, _ in blocks[:drawn]]
+        ascents += len(blocks) > drawn
+    assert ascents > 0
     assert not lp_calls
 
 
@@ -928,9 +967,9 @@ def test_facet_restart_matches_solving_every_draw_by_lp(monkeypatch, budget):
     accepted = []
     original_polish = search._polish
 
-    def watched(objective, gradient, params, value, budget):
-        accepted.append(params)
-        return original_polish(objective, gradient, params, value, budget)
+    def watched(evaluate, gradient, start, value, budget):
+        accepted.append(start)
+        return original_polish(evaluate, gradient, start, value, budget)
 
     monkeypatch.setattr(search, "_polish", watched)
     lp_calls = record_lp_calls(monkeypatch)
@@ -1006,8 +1045,8 @@ def test_a_draw_just_off_the_local_set_is_solved_and_stays_flat(monkeypatch):
     # the restart ends on the stream's 20th draw
     assert blocks == [16, 4]
     rng = np.random.Generator(np.random.Philox(key=np.array([0, 0], dtype=np.uint64)))
-    phases, _ = search._draws(SC32, False, 20, rng)
-    assert np.array_equal(table, ParameterVector(SC32, phases[-1]).decode_settings().table)
+    rows = search._draws(SC32, False, 20, rng)
+    assert np.array_equal(table, ParameterVector(SC32, rows[-1]).decode_settings().table)
 
 
 def test_a_facet_draw_just_above_the_plateau_passes_the_screen(monkeypatch):
@@ -1030,9 +1069,9 @@ def test_a_facet_draw_just_above_the_plateau_passes_the_screen(monkeypatch):
             probs[1] = edge.probs  # row 0 is the start
         return probs
 
-    def recorded(objective, gradient, params, value, budget):
+    def recorded(evaluate, gradient, start, value, budget):
         ascents.append(value)
-        return params, value, 0
+        return start, value, 0
 
     monkeypatch.setattr(search, "born_probabilities", first_redraw_is_the_edge)
     monkeypatch.setattr(search, "_polish", recorded)

@@ -42,12 +42,13 @@ from lrthresh.threshold import (
     witness_residual,
 )
 
-from conftest import highs_lp, noisy_tensor
+from conftest import highs_lp, lifted_facet_bound, noisy_tensor
 
 threshold_module = importlib.import_module("lrthresh.threshold")  # the package's threshold is a function
 
 SC33 = Scenario(parties=3, dim=3, settings_per_party=2)
 SC23 = Scenario(parties=2, dim=3, settings_per_party=2)
+SC32 = Scenario(parties=3, dim=2, settings_per_party=2)
 SC22 = Scenario(parties=2, dim=2, settings_per_party=2)
 
 
@@ -687,6 +688,19 @@ def test_facets_at_two_qubits_are_the_convex_hull():
     ours = tight_sets(_bell_facets(SC22) @ vertices, 2.0) + tight_sets(vertices, 0.0)
     assert len(found) == len(ours) == 24
     assert set(ours) == found
+
+
+@pytest.mark.parametrize("sc, draws", [(SC33, 50), (SC32, 150)], ids=["n3d3", "n3d2"])
+def test_lifted_two_party_facets_bound_the_threshold_from_below(rng, sc, draws):
+    solver = ThresholdSolver(sc)
+    proved = 0
+    for _ in range(draws):
+        tensor = correlation_tensor(random_state(sc, rng), random_settings(sc, rng))
+        bound = lifted_facet_bound(tensor)
+        assert bound <= solver.value(tensor) + 1e-12
+        proved += bound > 0.0
+    # the bound proves some draws nonlocal, so the check is not vacuous
+    assert proved > 0
 
 
 def cglmp_tensor():

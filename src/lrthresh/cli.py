@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 import time
@@ -38,6 +39,7 @@ EXIT_SOLVER_ERROR = 3
 _MODE_NAMES = {"phases": "phases_only", "all": "phases_and_state"}
 
 
+@functools.cache  # parse_args keeps no state, so one parser serves every in-process call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lrthresh",

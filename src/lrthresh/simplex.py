@@ -20,7 +20,10 @@ threshold LP from (3,3) up) row pricing y @ A runs through a CSR copy of
 A^T, each rank-one update is one in-place BLAS call, and a refactor
 inverts through a LAPACK LU factorization; small or dense matrices keep
 plain numpy, which is faster there. The choice is made once per matrix
-from its shape and nonzero count and does not change pivot rules.
+from its shape and nonzero count and does not change pivot rules. scipy is
+imported only on that sparse path and by the helpers that take a sparse
+LinearProgram (dump_lp_text), so a process that solves only small LPs never
+loads it.
 
 Determinism: identical inputs take identical pivot sequences. Entering
 variables are picked by most-negative reduced cost (ties to the smallest
@@ -31,10 +34,14 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -55,6 +62,12 @@ _BLAND_STREAK = 50       # degenerate pivots before the smallest-index rule kick
 _REFACTOR_EVERY = 100    # basis changes between drift probes of the inverse
 _DRIFT_TOL = 1e-9        # a probe missing by more than this rebuilds the inverse
 _PIVOTS_PER_COLUMN = 100  # each run or dual_run call stops after this many pivots per column
+
+
+def _issparse(a) -> bool:
+    """Whether a is a scipy sparse matrix; none exists before scipy.sparse is loaded."""
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(a)
 
 
 class SolverFailure(RuntimeError):
@@ -100,7 +113,7 @@ class LinearProgram:
         self.eq_rhs = np.asarray(self.eq_rhs, dtype=float).ravel()
         self.lower = np.asarray(self.lower, dtype=float).ravel()
         self.upper = np.asarray(self.upper, dtype=float).ravel()
-        if not sp.issparse(self.eq_matrix):
+        if not _issparse(self.eq_matrix):
             self.eq_matrix = np.asarray(self.eq_matrix, dtype=float)
         n = self.objective.size
         r = self.eq_rhs.size
@@ -124,7 +137,7 @@ class LinearProgram:
 
     def dense_matrix(self) -> np.ndarray:
         a = self.eq_matrix
-        return a.toarray() if sp.issparse(a) else np.asarray(a, dtype=float)
+        return a.toarray() if _issparse(a) else np.asarray(a, dtype=float)
 
 
 @dataclass
@@ -189,6 +202,8 @@ def pricing_copy(A: np.ndarray, full_rows=()) -> sp.csr_array | None:
     entries = A.size
     if entries < _SPARSE_MIN_ENTRIES or np.count_nonzero(A) > _SPARSE_MAX_DENSITY * entries:
         return None
+    import scipy.sparse as sp
+
     At = sp.csr_array(A.T)
     for j in full_rows:
         At = _with_full_row(At, j)
@@ -197,6 +212,8 @@ def pricing_copy(A: np.ndarray, full_rows=()) -> sp.csr_array | None:
 
 def _with_full_row(At: sp.csr_array, j: int) -> sp.csr_array:
     """At with row j stored in full, one entry per column, values unchanged."""
+    import scipy.sparse as sp
+
     r = At.shape[1]
     start, end = At.indptr[j], At.indptr[j + 1]
     row = np.zeros(r)
@@ -269,6 +286,7 @@ class BoundedSimplex:
         At = pricing_copy(self._A) if pricing is None else pricing
         if At is not None:
             # scipy.linalg.blas loads scipy.linalg, and with it the lapack module
+            import scipy.sparse as sp
             from scipy.linalg.blas import dgemm
             from scipy.linalg.lapack import dgetrf, dgetri
             from scipy.sparse._sparsetools import csr_matvec
@@ -737,6 +755,8 @@ def solve_lp(lp: LinearProgram, options: SolverOptions | None = None) -> LPSolut
 # tokens "inf" / "-inf". Whitespace-separated, any float precision.
 
 def dump_lp_text(lp: LinearProgram) -> str:
+    import scipy.sparse as sp
+
     a = sp.coo_array(lp.eq_matrix)
     fmt = "%.17g"
     lines = [f"{lp.num_vars} {lp.num_rows}"]

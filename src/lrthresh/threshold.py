@@ -18,6 +18,13 @@ With two parties, two settings and d <= 3 the local polytope's facets are
 known, and the threshold is the largest noise fraction any violated facet
 needs (_FacetThreshold). The search evaluates those scenarios through it;
 every certified solve, there too, is the LP's.
+
+Which assignments each marginal row sums is read from closed-form index
+arrays (_marginal_supports): the kept rows, the witness residual and the
+certificate's weak-duality bound all come from them, with no sparse matrix.
+scipy.sparse is loaded only by build_threshold_lp and
+assignment_marginal_matrix (dump-lp and the tests' oracles), and by the
+solver's sparse pricing path from (3,3) up.
 """
 
 from __future__ import annotations
@@ -27,9 +34,9 @@ import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .probabilities import CorrelationTensor, ScenarioMismatchError
 from .scenario import PhaseSettings, PureState, Scenario, _frozen, _real
@@ -39,10 +46,13 @@ from .simplex import (
     LinearProgram,
     SolverFailure,
     SolverOptions,
-    certified_lower_bound,
     pricing_copy,
 )
 from .simplex import independent_rows, solve_lp  # noqa: F401  perfbench/spans.py patches these
+from .simplex import certified_lower_bound  # noqa: F401  perfbench/spans.py patches it here
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 WITNESS_MARGINAL_TOL = 1e-8
 CERTIFICATE_GAP_TOL = 1e-8
@@ -92,8 +102,11 @@ def assignment_marginal_matrix(sc: Scenario) -> sp.csr_array:
 
     Row order matches the flattened correlation tensor: setting combinations
     party-major, then outcome combinations party-major within each block.
-    Built once per scenario.
+    Built once per scenario. The solver reads the same incidence from
+    _marginal_supports; this sparse form serves build_threshold_lp.
     """
+    import scipy.sparse as sp
+
     n_atoms = sc.joint_size
     d, parties, m = sc.dim, sc.parties, sc.settings_per_party
     # every assignment as an (assignments, parties, settings) outcome array
@@ -121,6 +134,8 @@ def build_threshold_lp(tensor: CorrelationTensor) -> LinearProgram:
     total assignment weight to 1. All variables live in [0, 1]; the objective
     is F alone, so the optimum is the threshold.
     """
+    import scipy.sparse as sp
+
     sc = tensor.scenario
     n_atoms = sc.joint_size
     probs = tensor.flat
@@ -158,10 +173,34 @@ def _collins_gisin_rows(sc: Scenario) -> np.ndarray:
 
 
 @functools.cache
+def _marginal_supports(sc: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """Per marginal row, the assignments it sums; per assignment, the rows it enters.
+
+    The incidence of assignment_marginal_matrix, ascending and read-only, in
+    closed form. In setting block (s_1, ..., s_N) assignment j enters the
+    row of the outcomes it answers there, its base-d digits at coordinates
+    p*m + s_p; a row sums the assignments that answer its outcomes, in index
+    order. Every row sums d^(N(m-1)) assignments and every assignment enters
+    m^N rows, so both fit in rectangular index arrays.
+    """
+    d, parties, m = sc.dim, sc.parties, sc.settings_per_party
+    digits = np.indices((d,) * (parties * m)).reshape(parties, m, -1)  # [party, setting, j]
+    combos = np.indices((m,) * parties).reshape(parties, -1)  # [party, block]
+    outcomes = digits[np.arange(parties)[:, None], combos]  # [party, block, j]
+    place = d ** np.arange(parties - 1, -1, -1)
+    entered = np.tensordot(place, outcomes, axes=1)  # [block, j]: outcome index in the block
+    entered += d ** parties * np.arange(sc.setting_combos)[:, None]
+    rows = np.argsort(entered, axis=1, kind="stable").reshape(sc.marginal_rows, -1)
+    return _frozen(rows), _frozen(np.ascontiguousarray(entered.T))
+
+
+@functools.cache
 def _kept_rows(sc: Scenario) -> tuple[np.ndarray, np.ndarray]:
     """The Collins-Gisin row indices and their dense marginal rows, per scenario."""
     keep = _collins_gisin_rows(sc)
-    return _frozen(keep), _frozen(assignment_marginal_matrix(sc)[keep].toarray())
+    a_keep = np.zeros((keep.size, sc.joint_size))
+    np.put_along_axis(a_keep, _marginal_supports(sc)[0][keep], 1.0, axis=1)
+    return _frozen(keep), _frozen(a_keep)
 
 
 def _with_f_column(a_keep: np.ndarray) -> np.ndarray:
@@ -341,22 +380,44 @@ def witness_residual(
     sc = tensor.scenario
     q = float(noise_fraction)
     target = (1.0 - q) * tensor.flat + q * (1.0 / sc.outcome_combos)
-    marginals = assignment_marginal_matrix(sc) @ weights
+    rows, _ = _marginal_supports(sc)
+    marginals = _sums_in_order(np.asarray(weights, dtype=float)[rows])
     return (float(np.max(np.abs(marginals - target))),
             abs(float(np.sum(weights)) - 1.0))
 
 
-@functools.cache
-def _marginal_supports(sc: Scenario) -> tuple[np.ndarray, np.ndarray]:
-    """Per marginal row, the assignments it sums; per assignment, the rows it enters.
+def _sums_in_order(parts: np.ndarray) -> np.ndarray:
+    """Each row of parts summed left to right, one column at a time.
 
-    Every row of assignment_marginal_matrix has d^(N(m-1)) ones and every
-    column m^N, so both fit in rectangular index arrays.
+    Over rows of _marginal_supports' ascending index arrays that is the order
+    in which scipy's sparse matrix-vector products add, so the sums equal
+    products with assignment_marginal_matrix bit for bit; np.sum would pair
+    the terms up.
     """
-    marg = assignment_marginal_matrix(sc)
-    rows = marg.indices.reshape(sc.marginal_rows, -1)
-    cols = marg.tocsc().indices.reshape(sc.joint_size, -1)
-    return _frozen(rows), _frozen(cols)
+    acc = parts[:, 0].copy()
+    for t in range(1, parts.shape[1]):
+        acc += parts[:, t]
+    return acc
+
+
+def _lower_bound(tensor: CorrelationTensor, dual: np.ndarray) -> float:
+    """certified_lower_bound(build_threshold_lp(tensor), dual), without building the LP.
+
+    z = c - A^T y is summed over each column's support in row order, as the
+    sparse product sums it, so the bound is the same float bit for bit:
+    z_j = -(sum of y over the rows assignment j enters, then y_norm) and
+    z_F = 1 - sum_r (P_r - 1/d^N) y_r. Every variable lies in [0, 1], so
+    only z_j < 0 lowers the bound.
+    """
+    sc = tensor.scenario
+    _, cols = _marginal_supports(sc)
+    y_rows = dual[:-1]
+    z = np.empty(sc.joint_size + 1)
+    z[:-1] = -(_sums_in_order(y_rows[cols]) + dual[-1])
+    mixing = tensor.flat - 1.0 / sc.dim ** sc.parties
+    z[-1] = 1.0 - np.cumsum(mixing * y_rows)[-1]  # cumsum adds in row order too
+    per_var = np.where(z < 0, z, 0.0)
+    return float(dual @ np.append(tensor.flat, 1.0) + per_var.sum())
 
 
 def exact_bracket(
@@ -578,7 +639,6 @@ class ThresholdSolver:
         within CERTIFICATE_GAP_TOL; otherwise SolverFailure.
         """
         start = time.perf_counter()
-        lp = build_threshold_lp(tensor)
         core = self._solve_core(tensor)
         try:
             if core.stale_updates:
@@ -588,12 +648,13 @@ class ThresholdSolver:
         except SolverFailure:
             self._forget()
             raise
-        dual = np.zeros(lp.num_rows)
+        sc = self.scenario
+        dual = np.zeros(sc.marginal_rows + 1)  # the normalization row's dual is 0
         dual[self._keep] = core.duals(self._objective)
         f_thr = float(core.x[-1])
         witness = JointDistribution(tensor.scenario, core.x[:-1])  # copies the weights
         residual = max(witness_residual(tensor, f_thr, core.x[:-1]))
-        bound = certified_lower_bound(lp, dual)
+        bound = _lower_bound(tensor, dual)
         gap = f_thr - bound
         if residual > WITNESS_MARGINAL_TOL:
             raise SolverFailure("numerical", f"witness marginal residual {residual:.3e}")
@@ -610,8 +671,8 @@ class ThresholdSolver:
             "iterations": self.last_pivots,
             "runtime_s": time.perf_counter() - start,
             "warm_start": self.last_warm,
-            "rows": lp.num_rows,
-            "variables": lp.num_vars,
+            "rows": dual.size,
+            "variables": sc.joint_size + 1,
         }
         return ThresholdResult(f_thr, witness, certificate, stats)
 

@@ -86,25 +86,37 @@ def test_threshold_report_and_verify(capsys, tmp_path, ghz33_file):
     assert "mismatch" in capsys.readouterr().out
 
 
-def test_dense_path_scenarios_never_load_scipy_linalg(tmp_path):
-    # (2,3) and (4,2) take the plain-numpy path, which needs no BLAS or LAPACK
-    # wrapper; loading scipy.linalg would cost them about 8 MB of RSS
-    scen = tmp_path / "ghz42.yaml"
-    scen.write_text("parties: 4\ndim: 2\nstate: ghz\nsettings: zero\n")
+def test_dense_path_scenarios_never_load_scipy(tmp_path):
+    # (2,3) and (4,2) price with plain numpy and read the assignment incidence
+    # from closed-form index arrays, so a threshold, a joint search and verify
+    # import no scipy module at all (importing scipy.sparse adds about 20 MB
+    # of RSS); (3,3) still takes the sparse path
     (tmp_path / "ghz23.yaml").write_text(GHZ23)
+    (tmp_path / "ghz42.yaml").write_text("parties: 4\ndim: 2\nstate: ghz\nsettings: zero\n")
+    (tmp_path / "ghz33.yaml").write_text(GHZ33)
     code = (
         "import sys\n"
+        "from lrthresh import Scenario\n"
         "from lrthresh.cli import main\n"
-        "for name in ('ghz23', 'ghz42'):\n"
-        "    assert main(['threshold', '--scenario', name + '.yaml', '--out', name + '.json']) == 0\n"
-        "    assert main(['verify', name + '.json']) == 0\n"
-        "print('scipy.linalg' in sys.modules)\n"
+        "from lrthresh.threshold import _kept_pricing\n"
+        "assert main(['threshold', '--scenario', 'ghz23.yaml', '--out', 't23.json']) == 0\n"
+        "assert main(['optimize', '--scenario', 'ghz23.yaml', '--mode', 'all', '--restarts', '2',\n"
+        "             '--max-evals', '40', '--workers', '1', '--out', 'o23.json']) == 0\n"
+        "assert main(['verify', 't23.json']) == 0 and main(['verify', 'o23.json']) == 0\n"
+        "assert main(['threshold', '--scenario', 'ghz42.yaml', '--out', 't42.json']) == 0\n"
+        "assert main(['verify', 't42.json']) == 0\n"
+        "print(sorted(name for name in sys.modules if name.startswith('scipy')))\n"
+        "assert main(['threshold', '--scenario', 'ghz33.yaml']) == 0\n"
+        "print('scipy.sparse' in sys.modules,\n"
+        "      _kept_pricing(Scenario(parties=3, dim=3)) is not None)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(lrthresh.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["0.000000", "ok", "0.000000", "ok", "False"]
+    lines = done.stdout.splitlines()
+    assert lines[0] == "0.000000" and lines[2:4] == ["ok", "ok"]
+    assert lines[4:] == ["0.000000", "ok", "[]", "0.400000", "True True"]
 
 
 @pytest.mark.parametrize("tol_flag, options", [

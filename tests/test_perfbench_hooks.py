@@ -28,7 +28,8 @@ TRACER_ONLY_IMPORTS = {
     ("cli", "feasible_at"), ("cli", "threshold"),
     ("reports", "build_threshold_lp"), ("reports", "certified_lower_bound"),
     ("reports", "feasible_at"), ("reports", "threshold"), ("search", "correlation_tensor"),
-    ("threshold", "independent_rows"), ("threshold", "solve_lp"),
+    ("threshold", "certified_lower_bound"), ("threshold", "independent_rows"),
+    ("threshold", "solve_lp"),
 }
 
 

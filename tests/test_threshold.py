@@ -37,6 +37,8 @@ from lrthresh.threshold import (
     _collins_gisin_basis,
     _collins_gisin_inverse,
     _kept_rows,
+    _lower_bound,
+    _marginal_supports,
     assignment_marginal_matrix,
     exact_bracket,
     witness_residual,
@@ -587,6 +589,56 @@ def test_witness_residual_scores_certified_witness(rng):
     marginal, normalization = witness_residual(tensor, res.f_thr, weights)
     assert abs(marginal - 1e-6) < 1e-8
     assert normalization <= 1e-12
+
+
+SUPPORT_SCENARIOS = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (5, 2)]
+
+
+@pytest.mark.parametrize("parties, dim", SUPPORT_SCENARIOS)
+def test_marginal_supports_are_the_sparse_incidence(parties, dim):
+    sc = Scenario(parties=parties, dim=dim, settings_per_party=2)
+    rows, cols = _marginal_supports(sc)
+    marg = assignment_marginal_matrix(sc)
+    csc = marg.tocsc()
+    assert rows.shape == (sc.marginal_rows, sc.joint_size // sc.outcome_combos)
+    assert cols.shape == (sc.joint_size, sc.setting_combos)
+    assert np.array_equal(marg.indptr, np.arange(0, marg.nnz + 1, rows.shape[1]))
+    assert np.array_equal(rows.ravel(), marg.indices)
+    assert np.array_equal(csc.indptr, np.arange(0, csc.nnz + 1, cols.shape[1]))
+    assert np.array_equal(cols.ravel(), csc.indices)
+    assert not rows.flags.writeable and not cols.flags.writeable
+
+
+@pytest.mark.parametrize("parties, dim", SUPPORT_SCENARIOS)
+def test_certified_solve_matches_the_sparse_lp_bit_for_bit(parties, dim, rng):
+    # the bound and the residual are summed over the supports in the sparse
+    # products' order, so they equal the sparse LP's floats exactly
+    sc = Scenario(parties=parties, dim=dim, settings_per_party=2)
+    solver = ThresholdSolver(sc)
+    for _ in range(2):
+        tensor = correlation_tensor(random_state(sc, rng), random_settings(sc, rng))
+        res = solver.solve(tensor)
+        lp = build_threshold_lp(tensor)
+        dual = np.asarray(res.certificate["dual"])
+        assert res.certificate["lower_bound"] == certified_lower_bound(lp, dual)
+        assert (res.solver_stats["rows"], res.solver_stats["variables"]) == (lp.num_rows,
+                                                                              lp.num_vars)
+
+        weights = solver._core.x[:-1]  # the solve's weights, before the witness clips them
+        target = (1.0 - res.f_thr) * tensor.flat + res.f_thr * (1.0 / sc.outcome_combos)
+        marginal = float(np.max(np.abs(assignment_marginal_matrix(sc) @ weights - target)))
+        norm = abs(float(np.sum(weights)) - 1.0)
+        assert res.certificate["marginal_residual"] == max(marginal, norm)
+
+        # any dual: mixed signs, zeros and a normalization entry
+        y = rng.normal(size=lp.num_rows) * (rng.random(lp.num_rows) < 0.5)
+        y[-1] = rng.normal()
+        assert _lower_bound(tensor, y) == certified_lower_bound(lp, y)
+        w = rng.dirichlet(np.ones(sc.joint_size))
+        q = float(rng.uniform())
+        target = (1.0 - q) * tensor.flat + q * (1.0 / sc.outcome_combos)
+        marginal = float(np.max(np.abs(assignment_marginal_matrix(sc) @ w - target)))
+        assert witness_residual(tensor, q, w) == (marginal, abs(float(np.sum(w)) - 1.0))
 
 
 @pytest.mark.parametrize("sc", [SC22, SC23], ids=str)

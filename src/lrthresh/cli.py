@@ -165,7 +165,18 @@ def _cmd_dump_lp(args) -> int:
 
 
 def _available_cores() -> int:
-    count = getattr(os, "process_cpu_count", os.cpu_count)()
+    """The CPUs this process may run on: the default --workers.
+
+    os.process_cpu_count (Python 3.13 on) and os.sched_getaffinity both
+    honour the process's CPU affinity; os.cpu_count, the last resort, counts
+    every CPU of the host.
+    """
+    if hasattr(os, "process_cpu_count"):
+        count = os.process_cpu_count()
+    elif hasattr(os, "sched_getaffinity"):
+        count = len(os.sched_getaffinity(0))
+    else:
+        count = os.cpu_count()
     return max(1, count or 1)
 
 

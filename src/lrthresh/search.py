@@ -7,16 +7,23 @@ admit a local model. Many restarts handle the non-convexity. The zero plateau
 is handled inside each restart: it draws starts from its own random stream,
 each costing one evaluation, until one is off the plateau or the budget is
 spent. Most draws land on the plateau, so draws come in blocks of
-REDRAW_BLOCK; the draws after the first one off the plateau are dropped
-unevaluated, which leaves every result as drawing one start at a time would.
-Every point, a draw or an ascent step, is a flat coordinate row (gauge-fixed
-phases, then state coefficients unless the state is pinned), and one
-evaluator takes every block of rows (a bundled start or an ascent step is a
-block of one): canonical phases, one Born contraction and one validation,
-then the threshold. With two parties and at most three outcomes the
-threshold has a closed form over the local polytope's facets, with no LP (a
-block of draws is screened with one product against the facets); elsewhere
-every point is one warm LP solve.
+REDRAW_BLOCK, and a block costs one evaluation per draw up to the one that
+starts the ascent; the draws after it are dropped unevaluated. Every point,
+a draw or an ascent step, is a flat coordinate row (gauge-fixed phases, then
+state coefficients unless the state is pinned), and one evaluator takes
+every block of rows (a bundled start or an ascent step is a block of one):
+canonical phases, one Born contraction and one validation, then the
+threshold. With two parties and at most three outcomes the threshold has a
+closed form over the local polytope's facets, with no LP (a block of draws
+is screened with one product against the facets), and the start is the
+first draw off the plateau, as drawing one start at a time would find it.
+Elsewhere every point is one warm LP solve. At three parties and at most
+three outcomes the two-party facets, lifted to the third party's setting and
+outcome, bound the threshold from below: a block of draws is screened with
+one product per pair of parties, and the start is the block's first draw
+they prove off the plateau, with no solve of the draws before it. Only a
+block with no proven draw is solved draw by draw, up to its first draw off
+the plateau.
 
 From the first start off the plateau, the rest of the restart's budget goes
 to a quasi-Newton gradient ascent with Armijo backtracking. The gradient is
@@ -49,7 +56,7 @@ from .scenario import PhaseSettings, PureState, Scenario, _real, canonical_phase
     paper_optimal_state, paper_settings, tritter_unitary
 from .simplex import SolverOptions
 from .threshold import ThresholdResult, ThresholdSolver, _FacetThreshold, _has_facet_form, \
-    threshold
+    _has_lifted_facets, _lifted_facets, threshold
 
 STATE_NORM_FLOOR = 1e-8
 FLAT_VALUE = 1e-6  # objective values at or below this count as the local plateau
@@ -393,17 +400,49 @@ def _born_rows(sc: Scenario, tables: np.ndarray, states: np.ndarray) -> np.ndarr
     return checked_probabilities(sc, born_probabilities(states, tritter_unitary(sc.dim, tables)))
 
 
+def _lifted_proofs(sc: Scenario, tensors: np.ndarray) -> np.ndarray:
+    """Which three-party tensors of a stack the lifted facets prove off the plateau.
+
+    tensors is indexed [stack, x_1, x_2, x_3, a_1, a_2, a_3], at three
+    parties and d <= 3 (_lifted_facets). For each pair of parties, one
+    product of the lifted rows against every tensor's (x, y, a, b) columns,
+    one per third party's (z, k), reads each row's excess X. A tensor is
+    proven where some excess is above its row's bar, FLAT_VALUE slack /
+    (1 - FLAT_VALUE): there its bound X/(X + slack) on the threshold is
+    above FLAT_VALUE.
+    """
+    lifted, slack = _lifted_facets(sc)
+    bars = (FLAT_VALUE / (1.0 - FLAT_VALUE)) * slack[:, np.newaxis]
+    count, d = len(tensors), sc.dim
+    margin = np.full(count, -np.inf)  # each tensor's largest excess over its bar
+    over = np.empty((len(lifted), count * 2 * d))  # one product's room, reused by every pair
+    for third in range(3):
+        first, second = (p for p in range(3) if p != third)
+        columns = tensors.transpose(1 + first, 1 + second, 4 + first, 4 + second,
+                                    0, 1 + third, 4 + third).reshape(4 * d * d, -1)
+        np.matmul(lifted, columns, out=over)
+        over -= bars  # above 0 exactly where the excess is above the bar
+        np.maximum(margin, over.max(axis=0).reshape(count, -1).max(axis=1), out=margin)
+    return margin > 0.0
+
+
 def _evaluator(solver: ThresholdSolver | _FacetThreshold, pinned: np.ndarray | None):
     """A restart's one evaluator of flat coordinate rows, and the exact gradient it leaves.
 
     evaluate(rows) takes a block of rows as _draws gives them (a bundled
     start or an ascent step is a block of one; phase columns alone when the
-    state is pinned) and returns (k, value) for the first row whose threshold
-    is above FLAT_VALUE, in row order, or for the block's last row when every
+    state is pinned) and returns (k, value) for the first row it values
+    above FLAT_VALUE, in row order, or for the block's last row when every
     row is flat. The block is decoded at once (_decode_rows); a row whose
     state does not decode is worth -1, and the rest are contracted and
     validated together (_born_rows). ThresholdSolver then solves them one
     value() at a time, in row order, up to the first row off the plateau.
+    At three parties and d <= 3 a block of two or more rows is screened
+    first (_lifted_proofs): the lifted facets bound the threshold from
+    below, so a row they prove is off the plateau, and the solves start at
+    the block's first proven row (at row 0 when none is). The rows before
+    it are skipped unsolved; a proven row that value() still puts at or
+    below FLAT_VALUE (rounding alone) is passed over like any flat row.
     _FacetThreshold first values a block of two or more rows with one
     product (values()); since that differs from value() by rounding alone, a
     row it puts at or below FLAT_VALUE / 2 is flat, and only the others, and
@@ -418,6 +457,7 @@ def _evaluator(solver: ThresholdSolver | _FacetThreshold, pinned: np.ndarray | N
     """
     sc = solver.scenario
     facets = isinstance(solver, _FacetThreshold)
+    lifted = not facets and _has_lifted_facets(sc)
     kept = None  # (table, unit state, norm) of the row value() last solved
 
     def evaluate(rows: np.ndarray) -> tuple[int, float]:
@@ -427,9 +467,13 @@ def _evaluator(solver: ThresholdSolver | _FacetThreshold, pinned: np.ndarray | N
         values = np.full(count, -1.0)
         if decoded.size:
             tensors = _born_rows(sc, tables[decoded], states)
-            screen = solver.values(tensors.reshape(decoded.size, -1)) \
-                if facets and count > 1 else None
-            for j, k in enumerate(decoded):
+            screen, first = None, 0
+            if facets and count > 1:
+                screen = solver.values(tensors.reshape(decoded.size, -1))
+            elif lifted and count > 1:
+                first = int(_lifted_proofs(sc, tensors).argmax())  # 0 when none is proven
+            for j in range(first, decoded.size):
+                k = decoded[j]
                 if screen is not None and screen[j] <= FLAT_VALUE / 2 and k < count - 1:
                     continue
                 kept = tables[k], states[j], None if norms is None else norms[j]
@@ -460,14 +504,15 @@ def _run_restart(args):
     the next block is min(REDRAW_BLOCK, budget left) further draws. Under a
     pinned state the draws still take their coefficients from the stream,
     which keeps it in step, and the rows are cut to their phase columns.
-    Each block costs one evaluation per draw up to and including the first
-    draw off the plateau, and the draws after it are never used: the restart
-    reads its stream only here, so it ends exactly as drawing and evaluating
-    one start at a time would. The ascent (_polish) then climbs from that
-    draw with the budget that is left, from the value and solver state the
-    block left at it. A restart whose every draw is flat returns its last
-    draw. Draws and ascent share max_evals_per_restart. The endpoint is
-    decoded as a row too (_decode_rows).
+    Each block costs one evaluation per draw up to and including the draw
+    the evaluator accepts off the plateau (at three parties by LP, the
+    block's first draw the lifted facets prove, when one is; otherwise its
+    first draw off the plateau), and the draws after it are never used: the
+    restart reads its stream only here. The ascent (_polish) then climbs
+    from that draw with the budget that is left, from the value and solver
+    state the block left at it. A restart whose every draw is flat returns
+    its last draw. Draws and ascent share max_evals_per_restart. The
+    endpoint is decoded as a row too (_decode_rows).
 
     Every point is evaluated through the facets where the threshold has a
     closed form (_has_facet_form), and by ThresholdSolver.value elsewhere.

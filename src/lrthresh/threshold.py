@@ -17,7 +17,9 @@ and primal simplex pivots, from it or from a recent optimum.
 With two parties, two settings and d <= 3 the local polytope's facets are
 known, and the threshold is the largest noise fraction any violated facet
 needs (_FacetThreshold). The search evaluates those scenarios through it;
-every certified solve, there too, is the LP's.
+every certified solve, there too, is the LP's. Lifted to a third party's
+setting and outcome, the same facets bound a three-party threshold from
+below (_lifted_facets), which screens the search's draws at (3,2) and (3,3).
 
 Which assignments each marginal row sums is read from closed-form index
 arrays (_marginal_supports): the kept rows, the witness residual and the
@@ -303,6 +305,34 @@ def _bell_facets(sc: Scenario) -> np.ndarray:
         maps = groupings[np.indices((codes.size,) * 4).reshape(4, -1)].transpose(1, 0, 2)
         rows.append(patterns * (maps[:, :2, None, :, None] * maps[:, None, 2:, None, :]))
     return _frozen(np.concatenate([r.reshape(-1, sc.marginal_rows) for r in rows]))
+
+
+def _has_lifted_facets(sc: Scenario) -> bool:
+    """Whether _lifted_facets covers the scenario: three parties, two settings, d <= 3."""
+    return sc.parties == 3 and sc.settings_per_party == 2 and sc.dim <= 3
+
+
+@functools.cache
+def _lifted_facets(sc: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """The two-party facets lifted to a third party, and each one's slack, read-only.
+
+    Three parties with two settings and d <= 3. A facet c . P_AB <= 2 of two
+    parties (_bell_facets), with the third party's setting z and outcome k
+    held fixed, gives sum c . P(a, b, k | x, y, z) <= 2 P(k | z) on every
+    local tensor (Pironio, J. Math. Phys. 46, 062112 (2005)). P(k | z) is
+    read at the pair's settings (0, 0), so each row is c with 2 taken off
+    its (0, 0) block: one linear functional on a pair's (x, y, a, b) column
+    at one (z, k), on every pair of parties. It sends the uniform tensor to
+    -slack, slack = (2 - c . u)/d > 0 with u the two-party uniform tensor,
+    so a tensor on which it reads X > 0 needs the noise fraction
+    X/(X + slack) at least: a lower bound on the threshold, with no LP.
+    """
+    d = sc.dim
+    facets = _bell_facets(Scenario(parties=2, dim=d))
+    lifted = facets.reshape(len(facets), 4, d * d).copy()
+    lifted[:, 0] -= 2.0
+    slack = (2.0 - facets.sum(axis=1) / d ** 2) / d
+    return _frozen(lifted.reshape(len(facets), -1)), _frozen(slack)
 
 
 class _FacetThreshold:

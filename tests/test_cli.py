@@ -18,6 +18,7 @@ from lrthresh import (
     Scenario,
     SolverOptions,
     ThresholdSolver,
+    cli,
     correlation_tensor,
     feasible_at,
     load_scenario_file,
@@ -289,6 +290,24 @@ def test_optimize_rejects_fewer_than_one_worker(capsys, monkeypatch, tmp_path, w
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "workers" in captured.err
+
+
+def test_default_workers_follow_the_cpu_affinity(monkeypatch):
+    # a process pinned to one CPU of a 64-CPU host, on Pythons without
+    # os.process_cpu_count; the os functions are stand-ins, so nothing is spawned
+    monkeypatch.delattr(os, "process_cpu_count", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert cli._available_cores() == 1
+    # os.process_cpu_count, where there is one, already honours the affinity
+    monkeypatch.setattr(os, "process_cpu_count", lambda: 3, raising=False)
+    assert cli._available_cores() == 3
+    # without an affinity call the host's count is the last resort, and at least 1
+    monkeypatch.delattr(os, "process_cpu_count")
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._available_cores() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._available_cores() == 1
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])

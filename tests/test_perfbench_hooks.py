@@ -13,6 +13,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lrthresh import (OptimizationConfig, PhaseSettings, Scenario, SolverFailure,
@@ -96,10 +97,19 @@ def test_born_call_records_unitaries_span():
     assert tracer.spans[1][3] == 0  # the unitaries are built inside the Born call
 
 
-def test_traced_optimize_records_search_spans():
+def test_traced_optimize_records_search_spans(monkeypatch):
     search = importlib.import_module("lrthresh.search")
     cfg = OptimizationConfig(restarts=2, rng_seed=7, max_evals_per_restart=200,
                              mode="phases_and_state")
+    skipped = []
+    original_proofs = search._lifted_proofs
+
+    def screened(sc, tensors):
+        proven = original_proofs(sc, tensors)
+        skipped.append(int(np.argmax(proven)))  # the draws before the first proven one
+        return proven
+
+    monkeypatch.setattr(search, "_lifted_proofs", screened)
     tracer = load_spans().Tracer()
     try:
         tracer.install()
@@ -108,8 +118,10 @@ def test_traced_optimize_records_search_spans():
         tracer.uninstall()
     names = [span[0] for span in tracer.spans]
     assert "probabilities.correlation_tensor" in names
-    # every evaluation is one ThresholdSolver.value call
-    assert names.count("threshold.value") == result.evals
+    # every evaluation is one ThresholdSolver.value call, or one draw a block
+    # skipped before its first draw the lifted facets prove off the plateau
+    assert names.count("threshold.value") + sum(skipped) == result.evals
+    assert sum(skipped) > 0
 
 
 def test_traced_facet_optimize_records_one_born_span_per_evaluation(monkeypatch):

@@ -29,7 +29,7 @@ from lrthresh.probabilities import correlation_tensor_vjp
 from lrthresh.search import nelder_mead
 from lrthresh.threshold import _FacetThreshold
 
-from conftest import noisy_tensor
+from conftest import lifted_facet_bound, noisy_tensor
 
 SC33 = Scenario(parties=3, dim=3, settings_per_party=2)
 SC23 = Scenario(parties=2, dim=3, settings_per_party=2)
@@ -261,14 +261,19 @@ def test_optimize_workers_match_serial():
 
 
 def test_joint_optimize_workers_match_serial():
-    cfg = OptimizationConfig(restarts=4, rng_seed=7, max_evals_per_restart=120,
-                             mode="phases_and_state")
-    serial = optimize_state_and_phases(SC23, cfg, workers=1)
-    pooled = optimize_state_and_phases(SC23, cfg, workers=2)
-    assert serial.best_f_thr == pooled.best_f_thr
-    assert serial.per_restart_log == pooled.per_restart_log
-    assert serial.best_settings.table.tobytes() == pooled.best_settings.table.tobytes()
-    assert serial.best_state.coeffs.tobytes() == pooled.best_state.coeffs.tobytes()
+    # at (3,3) the bundled starts take restarts 0-2 and restart 3 draws its
+    # start, so the pool runs the lifted-facet screen as well as the bundled paths
+    for sc, budget in ((SC23, 120), (SC33, 60)):
+        cfg = OptimizationConfig(restarts=4, rng_seed=7, max_evals_per_restart=budget,
+                                 mode="phases_and_state")
+        serial = optimize_state_and_phases(sc, cfg, workers=1)
+        pooled = optimize_state_and_phases(sc, cfg, workers=2)
+        assert serial.best_f_thr == pooled.best_f_thr
+        assert serial.evals == pooled.evals
+        assert (np.array(serial.per_restart_log).tobytes()
+                == np.array(pooled.per_restart_log).tobytes())
+        assert serial.best_settings.table.tobytes() == pooled.best_settings.table.tobytes()
+        assert serial.best_state.coeffs.tobytes() == pooled.best_state.coeffs.tobytes()
 
 
 @pytest.mark.parametrize("workers", [0, -1])
@@ -520,14 +525,25 @@ def test_restart_evaluations_stay_within_the_cap(monkeypatch, sc, cap):
         solved.append((tensor, original(self, tensor)))
         return solved[-1][1]
 
+    skipped = []
+    original_proofs = search._lifted_proofs
+
+    def screened(scenario, tensors):
+        proven = original_proofs(scenario, tensors)
+        skipped.append(int(np.argmax(proven)))  # the draws before the first proven one
+        return proven
+
     monkeypatch.setattr(ThresholdSolver, "value", counted)
+    monkeypatch.setattr(search, "_lifted_proofs", screened)
     cfg = OptimizationConfig(restarts=3, rng_seed=5, max_evals_per_restart=cap,
                              mode="phases_and_state")
     for index in range(3):
         solved.clear()
+        skipped.clear()
         _, _, _, _, spent = search._run_restart((sc, cfg, index, None, None))
-        # every evaluation is one solve
-        assert spent == len(solved) <= cap
+        # every evaluation is one solve, or one draw a block skipped before
+        # its first draw the lifted facets prove off the plateau
+        assert spent == len(solved) + sum(skipped) <= cap
 
 
 def test_flat_restart_redraws_without_polish(monkeypatch):
@@ -558,10 +574,21 @@ def test_flat_restart_redraws_without_polish(monkeypatch):
 # four restarts draw flat starts before they leave the plateau
 JOINT23 = OptimizationConfig(restarts=4, rng_seed=1777477784, max_evals_per_restart=500,
                              mode="phases_and_state")
-# at (3,2), where every draw is one LP solve: the four restarts leave the
-# plateau on their 3rd, 11th, 8th and 6th draw
+# at (3,2), where the lifted facets screen each block of draws before the LP:
+# the four restarts leave the plateau on their 3rd, 11th, 8th and 6th draw,
+# each the first draw the facets prove off it
 JOINT32 = OptimizationConfig(restarts=4, rng_seed=10, max_evals_per_restart=500,
                              mode="phases_and_state")
+# (config, restart) pairs at (3,2) whose first block the screen does not
+# settle at its first draw off the plateau: under seed 2, restart 3's draws
+# 8, 11 and 14 are off it and the facets prove only 14; under seed 37,
+# restart 0's draw 5 is off it and the facets prove none
+SCREENED32 = [(JOINT32, index) for index in range(JOINT32.restarts)] + [
+    (OptimizationConfig(restarts=4, rng_seed=2, max_evals_per_restart=500,
+                        mode="phases_and_state"), 3),
+    (OptimizationConfig(restarts=4, rng_seed=37, max_evals_per_restart=500,
+                        mode="phases_and_state"), 0),
+]
 # at (3,3), where the bundled starts claim the first restarts: restart 0 (the
 # tabulated state, its phases drawn) starts flat and leaves the plateau on its
 # 3rd draw, and restart 3, the first drawn start, on its 14th
@@ -620,9 +647,10 @@ def draw_blocks(blocks) -> int:
 
 
 def test_ascent_starts_at_the_first_draw_off_the_plateau(monkeypatch):
-    solved, ascents = [], []
+    solved, ascents, blocks = [], [], []
     original_value = ThresholdSolver.value
     original_polish = search._polish
+    original_draws = search._draws
 
     def counted_value(self, tensor):
         solved.append((tensor, original_value(self, tensor)))
@@ -634,33 +662,90 @@ def test_ascent_starts_at_the_first_draw_off_the_plateau(monkeypatch):
         ascents.append((start, solves, value, outcome[2]))
         return outcome
 
+    def recorded(sc, with_state, count, rng):
+        blocks.append(original_draws(sc, with_state, count, rng))
+        return blocks[-1]
+
     monkeypatch.setattr(ThresholdSolver, "value", counted_value)
-    draws = record_draws(monkeypatch)
+    monkeypatch.setattr(search, "_draws", recorded)
     monkeypatch.setattr(search, "_polish", watched)
-    flat_draws = 0
-    for index in range(JOINT32.restarts):
+    skipped = later_proof = unproven = 0
+    for cfg, index in SCREENED32:
         solved.clear()
-        draws.clear()
+        blocks.clear()
         ascents.clear()
-        _, _, _, _, spent = search._run_restart((SC32, JOINT32, index, None, None))
+        _, _, _, _, spent = search._run_restart((SC32, cfg, index, None, None))
         assert len(ascents) == 1
         start, solves, start_value, ascent_evals = ascents[0]
-        # the ascent starts from the first draw off the plateau, in stream order
-        accepted = next(k for k, row in enumerate(draws) if row.tobytes() == start.tobytes())
-        exact = [threshold(*decoded(SC32, row)).f_thr for row in draws[:accepted + 1]]
-        assert max(exact[:-1], default=0.0) <= search.FLAT_VALUE
+        # the ascent starts in the last block drawn; every earlier block is flat
+        *flat_blocks, rows = blocks
+        accepted = next(k for k, row in enumerate(rows) if row.tobytes() == start.tobytes())
+        for row in [row for block in flat_blocks for row in block]:
+            assert threshold(*decoded(SC32, row)).f_thr <= search.FLAT_VALUE
+        exact = [threshold(*decoded(SC32, row)).f_thr for row in rows[:accepted + 1]]
+        proven = [k for k, row in enumerate(rows)
+                  if lifted_bound_of(SC32, row, None) > search.FLAT_VALUE]
+        # it starts at the block's first draw the lifted facets prove off the
+        # plateau, and otherwise at its first draw off the plateau by LP
+        off = [k for k, value in enumerate(exact) if value > search.FLAT_VALUE]
+        assert accepted == (proven[0] if proven else off[0])
         assert start_value == solved[solves - 1][1] > search.FLAT_VALUE
         assert abs(start_value - exact[-1]) < 1e-9
-        # every draw up to it is one evaluation and one solve, of its own
-        # tensor and in stream order, and that draw is solved once: the
-        # ascent's evaluations are its own steps
-        assert solves == accepted + 1
-        for (tensor, _), row in zip(solved[:solves], draws):
+        # the flat blocks' draws are solved one by one, and in the last block
+        # the draws from the first proven one (the first one when none is)
+        # up to the start; each is solved once, of its own tensor and in
+        # stream order, and the ascent's evaluations are its own steps
+        first = proven[0] if proven else 0
+        expected = [row for block in flat_blocks for row in block] + list(rows[first:accepted + 1])
+        assert solves == len(expected)
+        for (tensor, _), row in zip(solved[:solves], expected):
             born = correlation_tensor(*decoded(SC32, row))
             assert tensor.probs.tobytes() == born.probs.tobytes()
-        assert spent == accepted + 1 + ascent_evals == len(solved)
-        flat_draws += accepted
-    assert flat_draws > 0
+        drawn = sum(len(block) for block in flat_blocks) + accepted + 1
+        assert spent == drawn + ascent_evals == solves + first + ascent_evals
+        assert len(solved) == solves + ascent_evals
+        skipped += first
+        later_proof += bool(proven) and off[0] < accepted
+        unproven += not proven
+    assert skipped > 0 and later_proof > 0 and unproven > 0
+
+
+def test_a_proven_draw_on_the_plateau_is_passed_over(monkeypatch):
+    # every draw is local, but the screen claims each block's draw 3 proven:
+    # value() puts it on the plateau, so the block goes on from the next draw
+    state = product_state(SC32, [[1, 0], [0, 1], [1, 0]])
+    solved = []
+    original_value = ThresholdSolver.value
+
+    def counted(self, tensor):
+        solved.append((tensor, original_value(self, tensor)))
+        return solved[-1][1]
+
+    def draw_3_proven(sc, tensors):
+        proven = np.zeros(len(tensors), dtype=bool)
+        proven[3] = True
+        return proven
+
+    def never(*args):
+        raise AssertionError("a draw on the plateau must not start an ascent")
+
+    monkeypatch.setattr(ThresholdSolver, "value", counted)
+    monkeypatch.setattr(search, "_lifted_proofs", draw_3_proven)
+    monkeypatch.setattr(search, "_polish", never)
+    draws = record_draws(monkeypatch)
+    cfg = OptimizationConfig(restarts=1, rng_seed=0, max_evals_per_restart=20,
+                             mode="phases_only")
+    _, value, table, _, spent = search._run_restart((SC32, cfg, 0, state.coeffs.real, None))
+    # blocks of 16 and 4: the draws from 3 up are solved in each, all flat,
+    # and the restart ends on its last draw with every draw spent
+    expected = draws[3:16] + draws[19:]
+    assert len(solved) == len(expected) == 14
+    for (tensor, _), row in zip(solved, expected):
+        settings = ParameterVector(SC32, row[:6]).decode_settings()
+        assert tensor.probs.tobytes() == correlation_tensor(state, settings).probs.tobytes()
+    assert max(v for _, v in solved) <= search.FLAT_VALUE
+    assert spent == 20 and value == solved[-1][1]
+    assert np.array_equal(table, ParameterVector(SC32, draws[-1][:6]).decode_settings().table)
 
 
 @pytest.mark.parametrize("sc, cfg", [(SC32, JOINT32), (SC23, JOINT23), (SC33, JOINT33)],
@@ -793,14 +878,34 @@ def reference_objectives(sc, solver, pinned):
     return evaluate, gradient
 
 
+def lifted_bound_of(sc, row, pinned):
+    """The oracle's lifted-facet bound (conftest.lifted_facet_bound) at a flat row, or None.
+
+    The row is decoded by the public dataclasses; None when its state does
+    not decode.
+    """
+    size = sc.parties * sc.settings_per_party * (sc.dim - 1)
+    params = ParameterVector(sc, row[:size], None if pinned is not None else row[size:])
+    try:
+        state = pinned if pinned is not None else params.decode_state()
+    except InvalidParameterError:
+        return None
+    return lifted_facet_bound(correlation_tensor(state, params.decode_settings()))
+
+
 def reference_restart(sc, config, index, solver=None, fixed_coeffs=None):
     """A restart that evaluates one draw at a time, by LP unless given a solver.
 
     The same stream, the same ascent: the start is the bundled row when the
-    restart has one, every other start is one _draws draw, and every draw
-    and ascent point is evaluated by the scalar oracle (reference_objectives).
-    Returns the accepted start as a flat array, the endpoint's table and
-    state coefficients, its value and the evaluations spent.
+    restart has one, every other block is min(REDRAW_BLOCK, budget left)
+    _draws draws, and every draw and ascent point is evaluated by the scalar
+    oracle (reference_objectives), in row order, until one is off the
+    plateau. By LP at three parties and d <= 3, a block of two or more draws
+    is evaluated from its first draw whose oracle bound (lifted_bound_of) is
+    above FLAT_VALUE, from its first draw when none is; the draws before it
+    are spent unevaluated. Returns the accepted start as a flat array, the
+    endpoint's table and state coefficients, its value and the evaluations
+    spent.
     """
     key = np.array([config.rng_seed, index], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
@@ -809,7 +914,9 @@ def reference_restart(sc, config, index, solver=None, fixed_coeffs=None):
     if bundled is not None and fixed_coeffs is None:
         fixed_coeffs = bundled[1]
     pinned = None if fixed_coeffs is None else PureState(sc, fixed_coeffs)
-    evaluate, gradient = reference_objectives(sc, solver or ThresholdSolver(sc), pinned)
+    solver = solver or ThresholdSolver(sc)
+    screened = isinstance(solver, ThresholdSolver) and sc.parties == 3 and sc.dim <= 3
+    evaluate, gradient = reference_objectives(sc, solver, pinned)
     size = sc.parties * sc.settings_per_party * (sc.dim - 1)
     budget = config.max_evals_per_restart
     value, spent = -1.0, 0
@@ -817,10 +924,20 @@ def reference_restart(sc, config, index, solver=None, fixed_coeffs=None):
         if spent == 0 and bundled is not None:
             rows = bundled[0]
         else:
-            rows = search._draws(sc, with_state, 1, rng)
-        x = rows[0, :size] if pinned is not None else rows[0]
-        _, value = evaluate(x[np.newaxis])
-        spent += 1
+            rows = search._draws(sc, with_state, min(search.REDRAW_BLOCK, budget - spent), rng)
+        if pinned is not None:
+            rows = rows[:, :size]
+        first = 0
+        if screened and len(rows) > 1:
+            bounds = [lifted_bound_of(sc, row, pinned) for row in rows]
+            first = next((k for k, b in enumerate(bounds)
+                          if b is not None and b > search.FLAT_VALUE), 0)
+        for k in range(first, len(rows)):
+            _, value = evaluate(rows[k][np.newaxis])
+            if value > search.FLAT_VALUE:
+                break
+        x = rows[k]
+        spent += k + 1
     accepted = x
     if value > search.FLAT_VALUE and spent < budget:
         x, value, steps = search._polish(evaluate, gradient, x, value, budget - spent)
@@ -891,9 +1008,11 @@ def test_an_undecodable_draw_in_a_block_is_one_evaluation_worth_minus_one(monkey
         drawn.clear()
         outcome = search._run_restart((sc, cfg, index, None, None))
         drawn.clear()
-        _, ref_table, ref_coeffs, ref_value, ref_spent = reference_restart(
+        accepted, ref_table, ref_coeffs, ref_value, ref_spent = reference_restart(
             sc, cfg, index, solver(sc))
-        injected += len(drawn) >= 3  # one draw at a time, the zero state was evaluated
+        # the zero state was one of the draws spent, up to the start
+        start = next(k for k, row in enumerate(drawn) if row.tobytes() == accepted.tobytes())
+        injected += start >= 2
         assert outcome[1] == ref_value and outcome[4] == ref_spent
         assert outcome[2].tobytes() == ref_table.tobytes()
         assert outcome[3].tobytes() == ref_coeffs.tobytes()
@@ -1081,6 +1200,35 @@ def test_a_facet_draw_just_above_the_plateau_passes_the_screen(monkeypatch):
     _, value, _, _, spent = search._run_restart((SC22, cfg, 0, state.coeffs.real, None))
     assert ascents == [edge_value] and value == edge_value
     assert blocks == [16] and spent == 2  # the start and the first redraw
+
+
+@pytest.mark.parametrize("sc, draws", [(SC33, 48), (SC32, 96)], ids=["n3d3", "n3d2"])
+def test_lifted_screen_proves_only_what_the_oracle_bounds_off_the_plateau(sc, draws):
+    rng = np.random.default_rng(29)
+    tensors = []
+    for _ in range(draws):
+        coeffs = rng.normal(size=sc.state_size)
+        table = rng.uniform(0, 2 * np.pi, size=(sc.parties, sc.settings_per_party, sc.dim))
+        tensors.append(correlation_tensor(PureState(sc, coeffs / np.linalg.norm(coeffs)),
+                                          PhaseSettings(sc, table)))
+    bounds = [lifted_facet_bound(tensor) for tensor in tensors]
+    # the strongest draw mixed with white noise q has the bound (B - q)/(1 - q):
+    # put one mixture just above FLAT_VALUE and one just below
+    strongest = tensors[int(np.argmax(bounds))]
+    for target in (1.5 * search.FLAT_VALUE, search.FLAT_VALUE / 1.5):
+        tensors.append(noisy_tensor(strongest, 1.0 - (1.0 - max(bounds)) / (1.0 - target)))
+        bounds.append(lifted_facet_bound(tensors[-1]))
+    assert bounds[-2] > search.FLAT_VALUE >= bounds[-1]
+    proven = search._lifted_proofs(sc, np.stack([tensor.probs for tensor in tensors]))
+    solver = ThresholdSolver(sc)
+    values = [solver.value(tensor) for tensor in tensors]
+    # a proven tensor has an oracle bound and an LP value above FLAT_VALUE
+    for is_proven, bound, value in zip(proven, bounds, values):
+        assert not is_proven or (bound > search.FLAT_VALUE and value > search.FLAT_VALUE)
+    # and, no bound lying within rounding of the bar, the screen proves
+    # exactly the tensors whose oracle bound is above it: a good share of them
+    assert proven.tolist() == [bound > search.FLAT_VALUE for bound in bounds]
+    assert proven.sum() >= len(tensors) // 5
 
 
 def test_joint_search_leaves_the_plateau_on_every_restart():

@@ -40,6 +40,14 @@ a step ascends.
 Restart streams use counter-based keys (base seed, restart index), so results
 do not depend on scheduling order and any subset of restarts can be
 reproduced in isolation.
+
+The best point of all restarts is certified by one LP solve (witness and
+dual certificate). A restart valued by LP returns the basis its solver last
+held optimal, at the point it returns or at a trial a short step from it,
+and the certified solve repairs from the best restart's basis, so it takes
+few pivots, often none. The basis travels with the restart's outcome, so the
+certificate is the same for any worker count. Restarts valued through the
+facets hold no basis, and their certified solve starts cold.
 """
 
 from __future__ import annotations
@@ -516,6 +524,9 @@ def _run_restart(args):
 
     Every point is evaluated through the facets where the threshold has a
     closed form (_has_facet_form), and by ThresholdSolver.value elsewhere.
+    Returns (index, value, table, unit state, evaluations, basis): basis is
+    the LP solver's last optimum as ThresholdSolver.last_basis() gives it,
+    the one the certified solve starts from, and None under the facets.
     """
     sc, config, index, pinned, options = args
     key = np.array([config.rng_seed, index], dtype=np.uint64)
@@ -544,7 +555,8 @@ def _run_restart(args):
         point, value, evals = _polish(evaluate, gradient, point, value, budget - spent)
         spent += evals
     tables, _, states, _ = _decode_rows(sc, pinned, point[np.newaxis])
-    return index, value, tables[0], states[0], spent
+    basis = None if isinstance(solver, _FacetThreshold) else solver.last_basis()
+    return index, value, tables[0], states[0], spent, basis
 
 
 def _optimize(
@@ -554,7 +566,14 @@ def _optimize(
     workers: int,
     options: SolverOptions | None,
 ) -> OptimizationResult:
-    """Run every restart, then certify the best point with one cold solve."""
+    """Run every restart, then certify the best point with one solve.
+
+    The certified solve starts from the basis the best restart's LP solver
+    ended on, which is optimal at the best point or at a trial a short step
+    from it, so it takes few pivots, often none; under the facets, or when
+    that basis fails, it starts cold. The basis travels with the restart's
+    outcome, so the certificate does not depend on the worker count.
+    """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     fixed_coeffs = fixed_state.coeffs.real if fixed_state is not None else None
@@ -567,15 +586,15 @@ def _optimize(
         outcomes = [_run_restart(t) for t in tasks]
 
     outcomes.sort(key=lambda o: o[0])
-    log = tuple((index, value) for index, value, _, _, _ in outcomes)
-    total_evals = sum(spent for _, _, _, _, spent in outcomes)
+    log = tuple((index, value) for index, value, *_ in outcomes)
+    total_evals = sum(outcome[4] for outcome in outcomes)
     # max-reduction with the smallest restart index breaking exact ties
     best_index = max(range(len(outcomes)), key=lambda i: (outcomes[i][1], -i))
-    _, best_value, table, coeffs, _ = outcomes[best_index]
+    _, best_value, table, coeffs, _, basis = outcomes[best_index]
 
     settings = PhaseSettings(sc, table)
     state = fixed_state if fixed_state is not None else _canonical_sign(PureState(sc, coeffs))
-    certified = threshold(state, settings, options)
+    certified = threshold(state, settings, options, start=basis)
     return OptimizationResult(certified, settings, state, total_evals, log)
 
 

@@ -263,6 +263,14 @@ def _has_facet_form(sc: Scenario) -> bool:
 def _bell_facets(sc: Scenario) -> np.ndarray:
     """The nontrivial facets c . P <= 2 of the local polytope, one row per facet, read-only.
 
+    _bell_facet_rows(sc.dim), built once per scenario.
+    """
+    return _frozen(_bell_facet_rows(sc.dim))
+
+
+def _bell_facet_rows(d: int) -> np.ndarray:
+    """The nontrivial facets c . P <= 2 of two parties' local polytope, as a new array.
+
     Two parties with two settings and d <= 3 outcomes, where the CGLMP class
     (Collins, Gisin, Linden, Massar & Popescu, PRL 88, 040404 (2002)) and the
     CHSH liftings are the only classes besides positivity (Collins & Gisin,
@@ -279,7 +287,6 @@ def _bell_facets(sc: Scenario) -> np.ndarray:
       d = 3. At d = 2 the CGLMP rows are already the 8 CHSH rows.
     The tests check that the rows are distinct facets.
     """
-    d = sc.dim
     g = np.zeros(d)
     for k in range(d // 2):
         g[k] += 1.0 - 2.0 * k / (d - 1)
@@ -304,7 +311,7 @@ def _bell_facets(sc: Scenario) -> np.ndarray:
         # (combination, party and setting, outcome): every choice of the four maps
         maps = groupings[np.indices((codes.size,) * 4).reshape(4, -1)].transpose(1, 0, 2)
         rows.append(patterns * (maps[:, :2, None, :, None] * maps[:, None, 2:, None, :]))
-    return _frozen(np.concatenate([r.reshape(-1, sc.marginal_rows) for r in rows]))
+    return np.concatenate([r.reshape(-1, 4 * d * d) for r in rows])
 
 
 def _has_lifted_facets(sc: Scenario) -> bool:
@@ -326,13 +333,14 @@ def _lifted_facets(sc: Scenario) -> tuple[np.ndarray, np.ndarray]:
     -slack, slack = (2 - c . u)/d > 0 with u the two-party uniform tensor,
     so a tensor on which it reads X > 0 needs the noise fraction
     X/(X + slack) at least: a lower bound on the threshold, with no LP.
+    The rows come from the uncached builder and are edited in place, so a
+    three-party process holds no second copy of the two-party facets.
     """
     d = sc.dim
-    facets = _bell_facets(Scenario(parties=2, dim=d))
-    lifted = facets.reshape(len(facets), 4, d * d).copy()
-    lifted[:, 0] -= 2.0
-    slack = (2.0 - facets.sum(axis=1) / d ** 2) / d
-    return _frozen(lifted.reshape(len(facets), -1)), _frozen(slack)
+    lifted = _bell_facet_rows(d)
+    slack = (2.0 - lifted.sum(axis=1) / d ** 2) / d
+    lifted[:, :d * d] -= 2.0  # the (0, 0) block
+    return _frozen(lifted), _frozen(slack)
 
 
 class _FacetThreshold:
@@ -549,10 +557,12 @@ class ThresholdSolver:
     basis. A warm solve starts from whichever of the solver's last
     _RING_SIZE optimal states has the nearest tensor (L1 over the kept
     rows). Either way a dual-simplex repair followed by a primal cleanup
-    finishes the solve. A failed warm repair is retried once from the
-    closed-form basis; a failed retry raises SolverFailure.
-    value() returns just the optimum for tight optimization loops; solve()
-    adds the witness and certificate.
+    finishes the solve. solve() can instead start from a basis another
+    solver of the scenario held optimal (last_basis()), as the search's
+    certified solve does from its best restart's. A failed warm repair is
+    retried once from the closed-form basis; a failed retry raises
+    SolverFailure. value() returns just the optimum for tight optimization
+    loops; solve() adds the witness and certificate.
     """
 
     def __init__(self, sc: Scenario, options: SolverOptions | None = None):
@@ -590,10 +600,23 @@ class ThresholdSolver:
         if self._ring is not None:
             self._ring.count = 0
 
-    def _solve_core(self, tensor: CorrelationTensor) -> BoundedSimplex:
+    def last_basis(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Copies of the basis and at-upper flags of the last optimum, or None when none is held.
+
+        Another solver of the scenario starts a solve from them (the start
+        argument of solve()).
+        """
+        if not self._have_last:
+            return None
+        return self._core.basis.copy(), self._core.at_upper.copy()
+
+    def _solve_core(self, tensor: CorrelationTensor,
+                    start: tuple[np.ndarray, np.ndarray] | None = None) -> BoundedSimplex:
         """Bring the shared core to a verified optimum for this tensor.
 
-        A warm repair that stops short of an optimum, or raises, is retried
+        start, a (basis, at-upper flags) pair from last_basis(), is installed
+        with one refactor and repaired from, in place of the saved states. A
+        warm repair that stops short of an optimum, or raises, is retried
         from the closed-form basis. If the retry fails as well, the solver
         forgets its saved states and SolverFailure is raised.
         """
@@ -601,14 +624,21 @@ class ThresholdSolver:
             raise ScenarioMismatchError("tensor does not belong to this solver's scenario")
         core = self._core
         b = tensor.flat[self._keep]  # kept rows are marginal rows, never normalization
-        if self._have_last:
+        if self._have_last and start is None:
             self._restore_nearest(b)
         core.b = b
         mixing = b - self._shift
         pivots_before = core.pivots
 
         warm = False
-        if self._have_last:
+        if start is not None:
+            core.set_column(core.n - 1, mixing)
+            try:
+                core.set_basis(*start)  # refactors, so a singular basis raises here
+                warm = core.repair(self._objective) == OPTIMAL
+            except SolverFailure:
+                pass  # the retry below starts afresh
+        elif self._have_last:
             # patch the one changed column into the factorization of the last basis
             if core.replace_column(core.n - 1, mixing):
                 core.recompute_basics()
@@ -657,7 +687,8 @@ class ThresholdSolver:
         grad[self._keep] = (1.0 - core.x[-1]) * core.duals(self._objective)
         return grad
 
-    def solve(self, tensor: CorrelationTensor) -> ThresholdResult:
+    def solve(self, tensor: CorrelationTensor,
+              start: tuple[np.ndarray, np.ndarray] | None = None) -> ThresholdResult:
         """The threshold with its witness and dual certificate.
 
         The optimum is refactored and re-checked first, so the certificate
@@ -667,9 +698,16 @@ class ThresholdSolver:
         be a local model of the tensor at noise f_thr on every marginal row
         (witness_residual), and the dual must bound the optimum from below to
         within CERTIFICATE_GAP_TOL; otherwise SolverFailure.
+
+        start, a (basis, at-upper flags) pair from some solver's last_basis(),
+        is the vertex the solve repairs from instead of the saved states or
+        the closed-form basis. Only the starting vertex depends on it, and a
+        repair from it that fails falls back to the closed-form basis.
+        solver_stats' "warm_start" says whether the solve finished from a
+        saved state or from start, and "iterations" counts its pivots.
         """
-        start = time.perf_counter()
-        core = self._solve_core(tensor)
+        began = time.perf_counter()
+        core = self._solve_core(tensor, start)
         try:
             if core.stale_updates:
                 core.refactor()
@@ -699,7 +737,7 @@ class ThresholdSolver:
         stats = {
             "status": OPTIMAL,
             "iterations": self.last_pivots,
-            "runtime_s": time.perf_counter() - start,
+            "runtime_s": time.perf_counter() - began,
             "warm_start": self.last_warm,
             "rows": dual.size,
             "variables": sc.joint_size + 1,
@@ -710,23 +748,33 @@ class ThresholdSolver:
 def threshold_from_tensor(
     tensor: CorrelationTensor,
     options: SolverOptions | None = None,
+    start: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> ThresholdResult:
-    """Threshold of one correlation tensor, with witness and dual certificate."""
-    return ThresholdSolver(tensor.scenario, options).solve(tensor)
+    """Threshold of one correlation tensor, with witness and dual certificate.
+
+    A new solver runs it, cold from the closed-form basis, or from start, a
+    (basis, at-upper flags) pair from ThresholdSolver.last_basis().
+    """
+    return ThresholdSolver(tensor.scenario, options).solve(tensor, start)
 
 
 def threshold(
     state: PureState,
     settings: PhaseSettings,
     options: SolverOptions | None = None,
+    start: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> ThresholdResult:
-    """Threshold of the tensor a state produces under phased-multiport readout."""
+    """Threshold of the tensor a state produces under phased-multiport readout.
+
+    start is passed to threshold_from_tensor: the search hands it the basis
+    its best restart ended on.
+    """
     from .probabilities import correlation_tensor
 
     if state.scenario != settings.scenario:
         raise ScenarioMismatchError("state and settings describe different scenarios")
     tensor = correlation_tensor(state, settings)
-    return threshold_from_tensor(tensor, options=options)
+    return threshold_from_tensor(tensor, options=options, start=start)
 
 
 def feasible_at(

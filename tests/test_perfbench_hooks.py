@@ -124,6 +124,29 @@ def test_traced_optimize_records_search_spans(monkeypatch):
     assert sum(skipped) > 0
 
 
+@pytest.mark.parametrize("sc, cold", [(Scenario(parties=3, dim=3), 0),
+                                       (Scenario(parties=2, dim=3), 1)], ids=["n3d3", "n2d3"])
+def test_traced_optimize_certifies_from_the_best_restarts_basis(sc, cold):
+    # at (3,3) the restart's LP solver hands its last optimal basis to the
+    # certified solve; at (2,3) the restarts are valued by the facets, hold no
+    # basis, and the certified solve starts cold
+    search = importlib.import_module("lrthresh.search")
+    cfg = OptimizationConfig(restarts=1, rng_seed=7, max_evals_per_restart=60,
+                             mode="phases_and_state")
+    spans = load_spans()
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        result = search.optimize_state_and_phases(sc, cfg)
+    finally:
+        tracer.uninstall()
+    solves = [span for span in tracer.spans if span[0] == "threshold.solve"]
+    assert len(solves) == 1
+    assert solves[0][5] == [result.certified.solver_stats["iterations"], not cold]
+    metrics = spans.layer_metrics(tracer.spans, 1, 1, 0.0, {})
+    assert metrics["threshold.solve_cold_count"] == cold
+
+
 def test_traced_facet_optimize_records_one_born_span_per_evaluation(monkeypatch):
     search = importlib.import_module("lrthresh.search")
     blocks, born_calls = [], []

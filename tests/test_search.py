@@ -274,6 +274,14 @@ def test_joint_optimize_workers_match_serial():
                 == np.array(pooled.per_restart_log).tobytes())
         assert serial.best_settings.table.tobytes() == pooled.best_settings.table.tobytes()
         assert serial.best_state.coeffs.tobytes() == pooled.best_state.coeffs.tobytes()
+    # at (3,3) the certified solve starts from the basis the best restart
+    # returned, so the pooled certificate must match the serial one byte for byte
+    ours, theirs = serial.certified, pooled.certified
+    assert ours.solver_stats["warm_start"] and theirs.solver_stats["warm_start"]
+    assert ours.f_thr == theirs.f_thr
+    assert ours.witness.weights.tobytes() == theirs.witness.weights.tobytes()
+    assert ours.certificate["dual"].tobytes() == theirs.certificate["dual"].tobytes()
+    assert ours.solver_stats["iterations"] == theirs.solver_stats["iterations"]
 
 
 @pytest.mark.parametrize("workers", [0, -1])
@@ -540,7 +548,7 @@ def test_restart_evaluations_stay_within_the_cap(monkeypatch, sc, cap):
     for index in range(3):
         solved.clear()
         skipped.clear()
-        _, _, _, _, spent = search._run_restart((sc, cfg, index, None, None))
+        _, _, _, _, spent, _ = search._run_restart((sc, cfg, index, None, None))
         # every evaluation is one solve, or one draw a block skipped before
         # its first draw the lifted facets prove off the plateau
         assert spent == len(solved) + sum(skipped) <= cap
@@ -563,7 +571,7 @@ def test_flat_restart_redraws_without_polish(monkeypatch):
     monkeypatch.setattr(search, "_polish", never)
     cfg = OptimizationConfig(restarts=1, rng_seed=0, max_evals_per_restart=80,
                              mode="phases_only")
-    _, value, _, _, spent = search._run_restart((SC32, cfg, 0, state.coeffs.real, None))
+    _, value, _, _, spent, _ = search._run_restart((SC32, cfg, 0, state.coeffs.real, None))
     # the start and all 79 redraws are solved, and every one is flat
     assert spent == len(values) == 80
     assert max(values) <= search.FLAT_VALUE
@@ -674,7 +682,7 @@ def test_ascent_starts_at_the_first_draw_off_the_plateau(monkeypatch):
         solved.clear()
         blocks.clear()
         ascents.clear()
-        _, _, _, _, spent = search._run_restart((SC32, cfg, index, None, None))
+        _, _, _, _, spent, _ = search._run_restart((SC32, cfg, index, None, None))
         assert len(ascents) == 1
         start, solves, start_value, ascent_evals = ascents[0]
         # the ascent starts in the last block drawn; every earlier block is flat
@@ -735,7 +743,7 @@ def test_a_proven_draw_on_the_plateau_is_passed_over(monkeypatch):
     draws = record_draws(monkeypatch)
     cfg = OptimizationConfig(restarts=1, rng_seed=0, max_evals_per_restart=20,
                              mode="phases_only")
-    _, value, table, _, spent = search._run_restart((SC32, cfg, 0, state.coeffs.real, None))
+    _, value, table, _, spent, _ = search._run_restart((SC32, cfg, 0, state.coeffs.real, None))
     # blocks of 16 and 4: the draws from 3 up are solved in each, all flat,
     # and the restart ends on its last draw with every draw spent
     expected = draws[3:16] + draws[19:]
@@ -763,7 +771,7 @@ def test_every_evaluation_before_the_ascent_is_a_block_row(monkeypatch, sc, cfg)
     for index in range(cfg.restarts):
         blocks.clear()
         ascents.clear()
-        _, _, _, _, spent = search._run_restart((sc, cfg, index, None, None))
+        _, _, _, _, spent, _ = search._run_restart((sc, cfg, index, None, None))
         (before, budget), = ascents
         drawn = sum(used for _, used, _ in blocks[:before])
         steps = blocks[before:]
@@ -828,7 +836,7 @@ def test_ascent_steps_build_no_dataclass_and_validate_each_tensor_once(monkeypat
         events.clear()
         contracted.clear()
         validated.clear()
-        _, value, _, _, spent = search._run_restart((sc, cfg, index, None, None))
+        _, value, _, _, spent, _ = search._run_restart((sc, cfg, index, None, None))
         # the restart ascended
         assert value > search.FLAT_VALUE and len(blocks) > draw_blocks(blocks)
         solves = [k for k, event in enumerate(events) if isinstance(event, tuple)]
@@ -975,7 +983,7 @@ def test_restart_matches_solving_every_draw(sc, mode, budget, flat):
     solver = _FacetThreshold if search._has_facet_form(sc) else ThresholdSolver
     flat_restarts = 0
     for index in range(cfg.restarts):
-        _, value, table, coeffs, spent = search._run_restart((sc, cfg, index, fixed, None))
+        _, value, table, coeffs, spent, _ = search._run_restart((sc, cfg, index, fixed, None))
         _, ref_table, ref_coeffs, ref_value, ref_spent = reference_restart(
             sc, cfg, index, solver(sc), fixed)
         assert (value, spent) == (ref_value, ref_spent)
@@ -1063,7 +1071,7 @@ def test_two_party_restarts_evaluate_through_the_facets_alone(monkeypatch, sc):
         blocks.clear()
         born_calls.clear()
         screens.clear()
-        _, _, _, _, spent = search._run_restart((sc, cfg, index, None, None))
+        _, _, _, _, spent, _ = search._run_restart((sc, cfg, index, None, None))
         drawn = draw_blocks(blocks)
         # one contraction per block, and each ascent step is a block of one;
         # one evaluation per block draw up to the first off the plateau, and
@@ -1097,7 +1105,7 @@ def test_facet_restart_matches_solving_every_draw_by_lp(monkeypatch, budget):
     flat = 0
     for index in range(cfg.restarts):
         accepted.clear()
-        _, value, table, coeffs, spent = search._run_restart((SC23, cfg, index, None, None))
+        _, value, table, coeffs, spent, _ = search._run_restart((SC23, cfg, index, None, None))
         assert not lp_calls
         ref_start, ref_table, ref_coeffs, ref_value, ref_spent = reference_restart(
             SC23, cfg, index)
@@ -1153,7 +1161,7 @@ def test_a_draw_just_off_the_local_set_is_solved_and_stays_flat(monkeypatch):
     monkeypatch.setattr(search, "_polish", never)
     cfg = OptimizationConfig(restarts=1, rng_seed=0, max_evals_per_restart=20,
                              mode="phases_only")
-    _, value, table, _, spent = search._run_restart((SC32, cfg, 0, state.coeffs.real, None))
+    _, value, table, _, spent, _ = search._run_restart((SC32, cfg, 0, state.coeffs.real, None))
     # the edge, the first redraw, is solved once, and being flat it is redrawn
     is_edge = [t.probs.tobytes() == edge.probs.tobytes() for t, _ in solved]
     assert is_edge.count(True) == 1 and is_edge[1]
@@ -1197,7 +1205,7 @@ def test_a_facet_draw_just_above_the_plateau_passes_the_screen(monkeypatch):
     state = product_state(SC22, [[1, 0], [1, 0]])  # every other draw is local
     cfg = OptimizationConfig(restarts=1, rng_seed=0, max_evals_per_restart=20,
                              mode="phases_only")
-    _, value, _, _, spent = search._run_restart((SC22, cfg, 0, state.coeffs.real, None))
+    _, value, _, _, spent, _ = search._run_restart((SC22, cfg, 0, state.coeffs.real, None))
     assert ascents == [edge_value] and value == edge_value
     assert blocks == [16] and spent == 2  # the start and the first redraw
 

@@ -271,6 +271,66 @@ def test_solve_reports_whether_it_started_warm(rng):
     assert [s["warm_start"] for s in stats] == [False, True]
 
 
+SC42 = Scenario(parties=4, dim=2, settings_per_party=2)
+
+
+def ghz_under_random_phases(sc, rng):
+    """A seeded tensor off the local plateau, from GHZ under random phases."""
+    while True:
+        tensor = correlation_tensor(ghz_state(sc), random_settings(sc, rng))
+        if ThresholdSolver(sc).value(tensor) > 1e-3:
+            return tensor
+
+
+@pytest.mark.parametrize("sc", [SC33, SC32, SC42], ids=["n3d3", "n3d2", "n4d2"])
+def test_solve_from_the_tensors_own_optimal_basis_takes_no_pivot(rng, sc):
+    tensor = ghz_under_random_phases(sc, rng)
+    solver = ThresholdSolver(sc)
+    cold = solver.solve(tensor)
+    assert cold.solver_stats["iterations"] > 0 and not cold.solver_stats["warm_start"]
+    started = ThresholdSolver(sc).solve(tensor, start=solver.last_basis())
+    assert started.solver_stats["iterations"] == 0
+    assert started.solver_stats["warm_start"]
+    assert abs(started.f_thr - cold.f_thr) <= 1e-12
+    oracle = highs_lp(build_threshold_lp(tensor))
+    assert oracle.status == 0, oracle.message
+    assert abs(started.f_thr - oracle.fun) <= 1e-9
+
+
+@pytest.mark.parametrize("sc", [SC33, SC32, SC42], ids=["n3d3", "n3d2", "n4d2"])
+def test_a_start_whose_repair_fails_falls_back_to_the_closed_form(rng, monkeypatch, sc):
+    tensor, other = (ghz_under_random_phases(sc, rng) for _ in range(2))
+    held = ThresholdSolver(sc)
+    held.value(other)
+    cold = ThresholdSolver(sc).solve(tensor)
+    solver = ThresholdSolver(sc)
+    dual_run = solver._core.dual_run
+    failed = []
+
+    def fail_once(c):
+        if failed:
+            return dual_run(c)
+        failed.append(c)
+        raise SolverFailure("numerical", "injected")
+
+    monkeypatch.setattr(solver._core, "dual_run", fail_once)
+    got = solver.solve(tensor, start=held.last_basis())
+    assert failed  # the repair from the start ran, and failed
+    assert not got.solver_stats["warm_start"]
+    assert got.f_thr == cold.f_thr
+    assert got.solver_stats["iterations"] == cold.solver_stats["iterations"]
+    assert got.certificate["gap"] <= 1e-8
+
+
+def test_last_basis_is_none_until_an_optimum_is_held(rng):
+    solver = ThresholdSolver(SC32)
+    assert solver.last_basis() is None
+    solver.value(ghz_under_random_phases(SC32, rng))
+    basis, at_upper = solver.last_basis()
+    assert basis.shape == (solver._core.r,) and at_upper.shape == (solver._core.n,)
+    assert basis is not solver._core.basis and at_upper is not solver._core.at_upper
+
+
 def revisiting_walk(sc, seed, steps):
     """Tensors along a phase walk that, like Nelder-Mead, keeps coming back.
 
@@ -753,6 +813,31 @@ def test_lifted_two_party_facets_bound_the_threshold_from_below(rng, sc, draws):
         proved += bound > 0.0
     # the bound proves some draws nonlocal, so the check is not vacuous
     assert proved > 0
+
+
+def test_lifted_facets_hold_one_copy_of_the_two_party_facets():
+    search = importlib.import_module("lrthresh.search")
+    threshold_module._bell_facets.cache_clear()
+    threshold_module._lifted_facets.cache_clear()
+    try:
+        for sc in (SC32, SC33):
+            d = sc.dim
+            lifted, slack = threshold_module._lifted_facets(sc)
+            facets = threshold_module._bell_facet_rows(d)
+            # the construction that copied the cached facets
+            want = facets.reshape(len(facets), 4, d * d).copy()
+            want[:, 0] -= 2.0
+            assert np.array_equal(lifted, want.reshape(len(facets), -1))
+            assert np.array_equal(slack, (2.0 - facets.sum(axis=1) / d ** 2) / d)
+            assert not lifted.flags.writeable and not slack.flags.writeable
+        rng = np.random.default_rng(3)
+        tensors = np.stack([correlation_tensor(random_state(SC33, rng),
+                                               random_settings(SC33, rng)).probs
+                            for _ in range(4)])
+        search._lifted_proofs(SC33, tensors)
+        assert threshold_module._bell_facets.cache_info().currsize == 0
+    finally:
+        threshold_module._lifted_facets.cache_clear()
 
 
 def cglmp_tensor():

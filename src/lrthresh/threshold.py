@@ -12,7 +12,7 @@ is written down in closed form: the Collins-Gisin rows, which span the
 equality system, and a starting basis of assignment columns whose matrix on
 those rows is a Kronecker product of one small block per party. With F at 0
 that basis is dual feasible for every tensor, so each solve runs only dual
-and primal simplex pivots, from it or from a recent optimum.
+and primal simplex pivots, from it or from the last optimum.
 
 With two parties, two settings and d <= 3 the local polytope's facets are
 known, and the threshold is the largest noise fraction any violated facet
@@ -58,7 +58,6 @@ if TYPE_CHECKING:
 
 WITNESS_MARGINAL_TOL = 1e-8
 CERTIFICATE_GAP_TOL = 1e-8
-_RING_SIZE = 16  # optimal states a ThresholdSolver keeps to start warm solves from
 
 
 @dataclass(frozen=True)
@@ -104,28 +103,16 @@ def assignment_marginal_matrix(sc: Scenario) -> sp.csr_array:
 
     Row order matches the flattened correlation tensor: setting combinations
     party-major, then outcome combinations party-major within each block.
-    Built once per scenario. The solver reads the same incidence from
-    _marginal_supports; this sparse form serves build_threshold_lp.
+    Built once per scenario, as the CSR form of _marginal_supports' rows:
+    every row holds the same number of assignments, in ascending order.
+    This sparse form serves build_threshold_lp.
     """
     import scipy.sparse as sp
 
-    n_atoms = sc.joint_size
-    d, parties, m = sc.dim, sc.parties, sc.settings_per_party
-    # every assignment as an (assignments, parties, settings) outcome array
-    digits = np.unravel_index(np.arange(n_atoms), (d,) * (parties * m))
-    tables = np.stack(digits, axis=1).reshape(n_atoms, parties, m)
-    out_size = d ** parties
-    rows = []
-    for block, combo in enumerate(np.ndindex((m,) * parties)):
-        ridx = np.zeros(n_atoms, dtype=np.intp)
-        for p, s in enumerate(combo):
-            ridx = ridx * d + tables[:, p, s]
-        rows.append(block * out_size + ridx)
-    row_idx = np.concatenate(rows)
-    col_idx = np.tile(np.arange(n_atoms), sc.setting_combos)
-    data = np.ones(row_idx.size)
-    return sp.coo_array((data, (row_idx, col_idx)),
-                        shape=(sc.marginal_rows, n_atoms)).tocsr()
+    rows, _ = _marginal_supports(sc)
+    indptr = np.arange(0, rows.size + 1, rows.shape[1])
+    return sp.csr_array((np.ones(rows.size), rows.ravel(), indptr),
+                        shape=(sc.marginal_rows, sc.joint_size))
 
 
 def build_threshold_lp(tensor: CorrelationTensor) -> LinearProgram:
@@ -501,68 +488,20 @@ def exact_bracket(
             Fraction(abs(int(w.sum()) - one), one))
 
 
-class _BasisRing:
-    """The last few optimal states of a BoundedSimplex, keyed by their rhs.
-
-    A state is what a warm re-solve starts from: basis, at-upper flags,
-    basis inverse and stale-update count. The rest follows from these: the
-    last column (the one each re-solve patches) is the key less the uniform
-    shift, the nonbasic values sit on the bounds the flags name, and the
-    caller recomputes the basic values after patching the column. Slots are
-    filled round-robin and restored by in-place copies.
-    """
-
-    def __init__(self, size: int, core: BoundedSimplex, shift: float):
-        r, n = core.r, core.n
-        self.shift = shift
-        self.count = 0
-        self.keys = np.empty((size, r))
-        self.basis = np.empty((size, r), dtype=core.basis.dtype)
-        self.at_upper = np.empty((size, n), dtype=bool)
-        self.binv = np.empty((size, r, r))
-        self.stale = np.empty(size, dtype=int)
-
-    def save(self, core: BoundedSimplex) -> int:
-        k = self.count % self.keys.shape[0]
-        self.count += 1
-        self.keys[k] = core.b
-        self.basis[k] = core.basis
-        self.at_upper[k] = core.at_upper
-        self.binv[k] = core.Binv
-        self.stale[k] = core.stale_updates
-        return k
-
-    def nearest(self, key: np.ndarray) -> int:
-        """The filled slot whose key is closest to key in L1."""
-        filled = min(self.count, self.keys.shape[0])
-        return int(np.argmin(np.abs(self.keys[:filled] - key).sum(axis=1)))
-
-    def restore(self, k: int, core: BoundedSimplex) -> None:
-        """Put slot k back into the core; its basic values are left stale."""
-        core.basis[:] = self.basis[k]
-        core.in_basis[:] = False
-        core.in_basis[core.basis] = True
-        core.at_upper[:] = self.at_upper[k]
-        np.copyto(core.x, np.where(core.at_upper, core.upper, core.lower))
-        core.Binv[...] = self.binv[k]
-        core.set_column(core.n - 1, self.keys[k] - self.shift)
-        core.stale_updates = int(self.stale[k])
-
-
 class ThresholdSolver:
     """Repeated-solve engine for one scenario, reusing structure between calls.
 
     The objective never changes, so any basis stays dual feasible when the
     tensor moves. A cold solve starts from the closed-form Collins-Gisin
-    basis. A warm solve starts from whichever of the solver's last
-    _RING_SIZE optimal states has the nearest tensor (L1 over the kept
-    rows). Either way a dual-simplex repair followed by a primal cleanup
-    finishes the solve. solve() can instead start from a basis another
-    solver of the scenario held optimal (last_basis()), as the search's
-    certified solve does from its best restart's. A failed warm repair is
-    retried once from the closed-form basis; a failed retry raises
-    SolverFailure. value() returns just the optimum for tight optimization
-    loops; solve() adds the witness and certificate.
+    basis. A warm solve starts from the last optimum, with the tensor's F
+    column patched into its factorization by a rank-one update. Either way
+    a dual-simplex repair followed by a primal cleanup finishes the solve.
+    solve() can instead start from a basis another solver of the scenario
+    held optimal (last_basis()), as the search's certified solve does from
+    its best restart's. A failed warm repair is retried once from the
+    closed-form basis; a failed retry raises SolverFailure. value() returns
+    just the optimum for tight optimization loops; solve() adds the witness
+    and certificate.
     """
 
     def __init__(self, sc: Scenario, options: SolverOptions | None = None):
@@ -578,27 +517,12 @@ class ThresholdSolver:
         self._objective[-1] = 1.0
         self._have_last = False
         self._shift = 1.0 / sc.dim ** sc.parties  # each kept row's uniform-noise entry
-        self._ring: _BasisRing | None = None  # allocated by the first warm solve
         self.last_pivots = 0
-        self.last_warm = False  # whether the last solve finished from a saved state
-
-    def _restore_nearest(self, b: np.ndarray) -> None:
-        """Move the core to the ring's optimal state nearest to rhs b.
-
-        The core's current state, the last optimum, joins the ring first.
-        """
-        if self._ring is None:
-            self._ring = _BasisRing(_RING_SIZE, self._core, self._shift)
-        last = self._ring.save(self._core)
-        k = self._ring.nearest(b)
-        if k != last:
-            self._ring.restore(k, self._core)
+        self.last_warm = False  # whether the last solve repaired from the prior optimum or a start
 
     def _forget(self) -> None:
         """After a failure the core may be half updated: start the next call cold."""
         self._have_last = False
-        if self._ring is not None:
-            self._ring.count = 0
 
     def last_basis(self) -> tuple[np.ndarray, np.ndarray] | None:
         """Copies of the basis and at-upper flags of the last optimum, or None when none is held.
@@ -614,18 +538,18 @@ class ThresholdSolver:
                     start: tuple[np.ndarray, np.ndarray] | None = None) -> BoundedSimplex:
         """Bring the shared core to a verified optimum for this tensor.
 
-        start, a (basis, at-upper flags) pair from last_basis(), is installed
-        with one refactor and repaired from, in place of the saved states. A
-        warm repair that stops short of an optimum, or raises, is retried
-        from the closed-form basis. If the retry fails as well, the solver
-        forgets its saved states and SolverFailure is raised.
+        A warm call patches the F column into the last optimum's
+        factorization and repairs from there. start, a (basis, at-upper
+        flags) pair from last_basis(), is installed with one refactor and
+        repaired from instead. A warm repair that stops short of an optimum,
+        or raises, is retried from the closed-form basis. If the retry fails
+        as well, the solver forgets its last optimum, so the next call starts
+        cold, and SolverFailure is raised.
         """
         if tensor.scenario != self.scenario:
             raise ScenarioMismatchError("tensor does not belong to this solver's scenario")
         core = self._core
         b = tensor.flat[self._keep]  # kept rows are marginal rows, never normalization
-        if self._have_last and start is None:
-            self._restore_nearest(b)
         core.b = b
         mixing = b - self._shift
         pivots_before = core.pivots
@@ -694,17 +618,19 @@ class ThresholdSolver:
         The optimum is refactored and re-checked first, so the certificate
         comes from exact factors, not accumulated updates; an optimum whose
         inverse is already fresh (run's re-check before its claim has just
-        refactored) is not refactored again. The weights must
-        be a local model of the tensor at noise f_thr on every marginal row
-        (witness_residual), and the dual must bound the optimum from below to
-        within CERTIFICATE_GAP_TOL; otherwise SolverFailure.
+        refactored) is not refactored again. The weights must be nonnegative
+        to within JointDistribution's 1e-9 and a local model of the tensor at
+        noise f_thr on every marginal row (witness_residual), and the dual
+        must bound the optimum from below to within CERTIFICATE_GAP_TOL;
+        otherwise SolverFailure. A tol_feas looser than these checks lets
+        the repair stop at weights they refuse.
 
         start, a (basis, at-upper flags) pair from some solver's last_basis(),
-        is the vertex the solve repairs from instead of the saved states or
+        is the vertex the solve repairs from instead of the last optimum or
         the closed-form basis. Only the starting vertex depends on it, and a
         repair from it that fails falls back to the closed-form basis.
-        solver_stats' "warm_start" says whether the solve finished from a
-        saved state or from start, and "iterations" counts its pivots.
+        solver_stats' "warm_start" says whether the solve finished from the
+        last optimum or from start, and "iterations" counts its pivots.
         """
         began = time.perf_counter()
         core = self._solve_core(tensor, start)
@@ -720,14 +646,17 @@ class ThresholdSolver:
         dual = np.zeros(sc.marginal_rows + 1)  # the normalization row's dual is 0
         dual[self._keep] = core.duals(self._objective)
         f_thr = float(core.x[-1])
-        witness = JointDistribution(tensor.scenario, core.x[:-1])  # copies the weights
-        residual = max(witness_residual(tensor, f_thr, core.x[:-1]))
+        weights = core.x[:-1]
+        residual = max(witness_residual(tensor, f_thr, weights))
         bound = _lower_bound(tensor, dual)
         gap = f_thr - bound
+        if weights.min() < -1e-9:
+            raise SolverFailure("numerical", f"negative witness weight {weights.min():.3e}")
         if residual > WITNESS_MARGINAL_TOL:
             raise SolverFailure("numerical", f"witness marginal residual {residual:.3e}")
         if gap > CERTIFICATE_GAP_TOL:
             raise SolverFailure("numerical", f"certificate gap {gap:.3e}")
+        witness = JointDistribution(sc, weights)  # copies the weights
         certificate = {
             "dual": dual,
             "lower_bound": bound,

@@ -273,6 +273,31 @@ def lifted_facet_bound(tensor: CorrelationTensor) -> float:
     return best
 
 
+def marginal_incidence(sc: Scenario) -> sp.csr_array:
+    """The 0/1 matrix taking assignment weights to stacked marginals, built digit by digit.
+
+    Test oracle for threshold.assignment_marginal_matrix and _marginal_supports:
+    each assignment is unpacked into its (party, setting) outcome table, and
+    in every setting block its row is the outcome combination the table
+    answers there, read party-major.
+    """
+    n_atoms = sc.joint_size
+    d, parties, m = sc.dim, sc.parties, sc.settings_per_party
+    digits = np.unravel_index(np.arange(n_atoms), (d,) * (parties * m))
+    tables = np.stack(digits, axis=1).reshape(n_atoms, parties, m)
+    out_size = d ** parties
+    rows = []
+    for block, combo in enumerate(np.ndindex((m,) * parties)):
+        ridx = np.zeros(n_atoms, dtype=np.intp)
+        for p, s in enumerate(combo):
+            ridx = ridx * d + tables[:, p, s]
+        rows.append(block * out_size + ridx)
+    row_idx = np.concatenate(rows)
+    col_idx = np.tile(np.arange(n_atoms), sc.setting_combos)
+    return sp.coo_array((np.ones(row_idx.size), (row_idx, col_idx)),
+                        shape=(sc.marginal_rows, n_atoms)).tocsr()
+
+
 def noisy_tensor(tensor: CorrelationTensor, noise_fraction: float) -> CorrelationTensor:
     """Admix white noise: entrywise (1-F) p + F / d^N."""
     f = float(noise_fraction)

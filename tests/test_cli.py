@@ -366,6 +366,26 @@ def test_solver_failure_exits_three(capsys, monkeypatch, tmp_path, command):
     assert err == "solver error: LP solve failed with status 'iteration_limit': injected\n"
 
 
+@pytest.mark.parametrize("command", [
+    ["threshold"],
+    ["optimize", "--restarts", "2", "--max-evals", "40", "--workers", "1"],
+], ids=["threshold", "optimize"])
+def test_a_loose_tolerance_is_never_an_input_error(capsys, tmp_path, command):
+    # at tol 1e-4 the repair may stop at weights down to -1e-4, which the
+    # witness's 1e-9 nonnegativity refuses: a solver error, not bad input
+    rng = np.random.default_rng(3)
+    spec = {"parties": 3, "dim": 3, "state": rng.normal(size=27).tolist(),
+            "settings": rng.uniform(0.0, 2.0 * np.pi, size=(3, 2, 3)).tolist()}
+    scen = tmp_path / "random33.yaml"
+    scen.write_text(yaml.safe_dump(spec))
+    code = main([command[0], "--scenario", str(scen), *command[1:], "--tol", "1e-4"])
+    out, err = capsys.readouterr()
+    assert code in (0, 3)
+    if code == 3:
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("solver error: ")
+
+
 def test_bad_flags_exit_two(capsys):
     assert main(["optimize", "--mode", "everything"]) == 2
     capsys.readouterr()

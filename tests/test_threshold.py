@@ -44,7 +44,7 @@ from lrthresh.threshold import (
     witness_residual,
 )
 
-from conftest import highs_lp, lifted_facet_bound, noisy_tensor
+from conftest import highs_lp, lifted_facet_bound, marginal_incidence, noisy_tensor
 
 threshold_module = importlib.import_module("lrthresh.threshold")  # the package's threshold is a function
 
@@ -192,7 +192,7 @@ def test_failed_warm_solve_restarts_from_cached_vertex(rng, monkeypatch):
     solver = ThresholdSolver(SC23)
     for t in (t1, t3, t4, t1):
         solver.value(t)
-    assert solver._ring.count >= 3  # the ring holds other optimal states
+    assert solver.last_basis() is not None
 
     def fail(*args):
         raise SolverFailure("numerical", "injected")
@@ -202,8 +202,8 @@ def test_failed_warm_solve_restarts_from_cached_vertex(rng, monkeypatch):
     with pytest.raises(SolverFailure, match="injected"):  # the closed-form retry fails too
         solver.value(t2)
     monkeypatch.undo()
-    assert solver._ring.count == 0
-    # neither the half-repaired basis of the failed call nor a saved state is reused
+    assert solver.last_basis() is None
+    # the half-repaired basis of the failed call is not reused
     assert solver.value(t2) == want
     assert solver.last_pivots == fresh.last_pivots
     assert not solver.last_warm
@@ -232,7 +232,7 @@ def test_failed_warm_repair_is_retried_from_the_closed_form(rng, monkeypatch, fa
     assert solver.value(t2) == want
     assert solver.last_pivots == fresh.last_pivots
     assert not solver.last_warm
-    assert solver._ring.count == 1  # a recovered failure keeps the saved states
+    assert solver.last_basis() is not None  # a recovered failure leaves an optimum
 
 
 @pytest.mark.parametrize("broken", ["dual_run", "refactor"])
@@ -253,7 +253,7 @@ def test_failed_certified_solve_raises_and_forgets(rng, monkeypatch, broken):
     with pytest.raises(SolverFailure, match="injected"):
         solver.solve(t2)
     monkeypatch.undo()
-    assert solver._ring.count == 0
+    assert solver.last_basis() is None
     assert solver.tensor_gradient() is None
     got = solver.solve(t2)
     assert got.f_thr == want.f_thr
@@ -332,7 +332,7 @@ def test_last_basis_is_none_until_an_optimum_is_held(rng):
 
 
 def revisiting_walk(sc, seed, steps):
-    """Tensors along a phase walk that, like Nelder-Mead, keeps coming back.
+    """Tensors along a phase walk that keeps coming back.
 
     Each step perturbs either the last point or a random earlier one.
     """
@@ -347,20 +347,32 @@ def revisiting_walk(sc, seed, steps):
 
 
 @pytest.mark.parametrize("sc, steps", [(SC33, 40), (SC23, 100)], ids=["n3d3", "n2d3"])
-def test_nearest_saved_basis_start(monkeypatch, sc, steps):
-    tensors = revisiting_walk(sc, 3, steps)
+def test_warm_value_repairs_from_the_last_optimum(monkeypatch, sc, steps):
+    # a walk that jumps back to earlier points still starts each repair from
+    # the basis the previous call ended on, whichever earlier optimum is nearer
     solver = ThresholdSolver(sc)
-    for t in tensors:
-        assert abs(solver.value(t) - ThresholdSolver(sc).solve(t).f_thr) < 1e-12
-    # a ring of one always restarts from the last optimum
-    monkeypatch.setattr(threshold_module, "_RING_SIZE", 1)
-    last_only = ThresholdSolver(sc)
-    for t in tensors:
-        last_only.value(t)
-    assert solver._core.pivots < last_only._core.pivots
+    core = solver._core
+    dual_run = core.dual_run
+    entered = []
+
+    def recorded(c):
+        entered.append((core.basis.copy(), core.at_upper.copy()))
+        return dual_run(c)
+
+    monkeypatch.setattr(core, "dual_run", recorded)
+    for t in revisiting_walk(sc, 3, steps):
+        held = solver.last_basis()
+        entered.clear()
+        got = solver.value(t)
+        assert abs(got - ThresholdSolver(sc).solve(t).f_thr) < 1e-12
+        if held is None:
+            continue
+        assert solver.last_warm
+        basis, at_upper = entered[0]
+        assert np.array_equal(basis, held[0]) and np.array_equal(at_upper, held[1])
 
 
-def test_tensor_gradient_after_a_restored_start(rng, monkeypatch):
+def test_tensor_gradient_after_a_patched_warm_solve(rng, monkeypatch):
     st = random_state(SC23, rng)
     while True:
         table = random_settings(SC23, rng).table
@@ -368,19 +380,23 @@ def test_tensor_gradient_after_a_restored_start(rng, monkeypatch):
             break
     solver = ThresholdSolver(SC23)
     solver.value(correlation_tensor(st, PhaseSettings(SC23, table)))
-    solver.value(correlation_tensor(st, random_settings(SC23, rng)))
-    restored = []
-    restore = solver._ring.restore
+    core = solver._core
+    patched = []
+    replace_column = core.replace_column
 
-    def checked_restore(k, core):
-        restore(k, core)
-        # F is basic at the saved optimum, so its column must come back with Binv
-        restored.append(np.max(np.abs(core.Binv @ core.A[:, core.basis] - np.eye(core.r))))
+    def checked_replace(j, col):
+        basic = bool(core.in_basis[j])
+        ok = replace_column(j, col)
+        # F is basic at the last optimum, so the rank-one update must keep Binv exact
+        patched.append((basic, ok, np.max(np.abs(core.Binv @ core.A[:, core.basis]
+                                                 - np.eye(core.r)))))
+        return ok
 
-    monkeypatch.setattr(solver._ring, "restore", checked_restore)
+    monkeypatch.setattr(core, "replace_column", checked_replace)
     table = table + 0.01 * rng.normal(size=table.shape)
     solver.value(correlation_tensor(st, PhaseSettings(SC23, table)))
-    assert len(restored) == 1 and restored[0] < 1e-9  # started from the first optimum
+    assert len(patched) == 1 and patched[0][:2] == (True, True) and patched[0][2] < 1e-9
+    assert solver.last_warm
     grad = solver.tensor_gradient()
     h = 1e-6
     direction = rng.normal(size=table.shape)
@@ -433,11 +449,11 @@ def test_long_lived_solver_keeps_warm_solving():
     rng = np.random.default_rng(0)
     st = ghz_state(SC23)
     cold = 0
-    for _ in range(600):  # long enough to pass 100 * n pivots from the nearest saved basis
+    for _ in range(600):  # long enough to pass 100 * n pivots, each call from the last optimum
         solver.value(correlation_tensor(st, random_settings(SC23, rng)))
         cold += not solver.last_warm
     assert solver._core.pivots > 100 * solver._core.n
-    assert cold == 1  # the first call, with no saved state to start from
+    assert cold == 1  # the first call, with no optimum to start from
 
 
 def full_feasibility_lp(sc, probs):
@@ -658,7 +674,11 @@ SUPPORT_SCENARIOS = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (5, 2)]
 def test_marginal_supports_are_the_sparse_incidence(parties, dim):
     sc = Scenario(parties=parties, dim=dim, settings_per_party=2)
     rows, cols = _marginal_supports(sc)
-    marg = assignment_marginal_matrix(sc)
+    marg = marginal_incidence(sc)
+    built = assignment_marginal_matrix(sc)
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(built, part), getattr(marg, part))
+        assert getattr(built, part).dtype == getattr(marg, part).dtype
     csc = marg.tocsc()
     assert rows.shape == (sc.marginal_rows, sc.joint_size // sc.outcome_combos)
     assert cols.shape == (sc.joint_size, sc.setting_combos)

@@ -28,6 +28,13 @@ loads it.
 Determinism: identical inputs take identical pivot sequences. Entering
 variables are picked by most-negative reduced cost (ties to the smallest
 index) until a run of degenerate pivots trips Bland's smallest-index rule.
+dual_run's leaving row is, by default, the basic with the largest bound
+violation. A caller repairing from a fully dual degenerate start on at least
+_STEEPEST_EDGE_MIN_ROWS rows asks for dual steepest edge instead
+(degenerate_start_rule): the violated row with the largest
+violation^2 / ||Binv_i||^2, its weights carried across pivots by the
+Forrest-Goldfarb update (_EdgeWeights). The rule is part of the input: the
+same rule on the same inputs takes the same pivots.
 """
 
 from __future__ import annotations
@@ -47,12 +54,20 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 ITERATION_LIMIT = "iteration_limit"
 
+# dual_run's leaving-row rules (BoundedSimplex.repair's leaving_rule)
+LARGEST_VIOLATION = "largest_violation"
+DUAL_STEEPEST_EDGE = "dual_steepest_edge"
+
 
 # Sparse pricing and the BLAS/LAPACK routines pay off from about this many matrix
 # entries on (measured: dense wins up to r*n = 21k, sparse from 91k), and only
 # on matrices at most this dense.
 _SPARSE_MIN_ENTRIES = 50_000
 _SPARSE_MAX_DENSITY = 0.1
+# A dual_run from a fully degenerate start picks its leaving row by dual
+# steepest edge from this many rows up (degenerate_start_rule); below, the
+# update's per-pivot cost outweighs the pivots it saves.
+_STEEPEST_EDGE_MIN_ROWS = 200
 
 _PIVOT_TOL = 1e-10       # smallest |entry| accepted as a pivot
 _SMALL_PIVOT = 1e-7      # a chosen pivot below this is checked against its row's largest entry
@@ -62,6 +77,7 @@ _BLAND_STREAK = 50       # degenerate pivots before the smallest-index rule kick
 _REFACTOR_EVERY = 100    # basis changes between drift probes of the inverse
 _DRIFT_TOL = 1e-9        # a probe missing by more than this rebuilds the inverse
 _PIVOTS_PER_COLUMN = 100  # each run or dual_run call stops after this many pivots per column
+_WEIGHT_CHURN = 1e5      # an edge weight is recomputed once its terms sum past this times it
 
 
 def _issparse(a) -> bool:
@@ -226,6 +242,73 @@ def _with_full_row(At: sp.csr_array, j: int) -> sp.csr_array:
     return sp.csr_array((data, indices, indptr), shape=At.shape)
 
 
+def degenerate_start_rule(rows: int) -> str:
+    """dual_run's leaving-row rule for a fully dual degenerate start on this many rows.
+
+    Dual steepest edge from _STEEPEST_EDGE_MIN_ROWS rows up, the largest
+    violation below.
+    """
+    return DUAL_STEEPEST_EDGE if rows >= _STEEPEST_EDGE_MIN_ROWS else LARGEST_VIOLATION
+
+
+def _row_norms(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The squared Euclidean norm of each row of m."""
+    return np.einsum("ij,ij->i", m, m, out=out)
+
+
+class _EdgeWeights:
+    """Dual steepest-edge weights ||Binv_i||^2, one per basis row, kept across pivots.
+
+    A pivot that swaps the column with Binv-image w into row r updates every
+    weight by the Forrest-Goldfarb rule (Math. Prog. 57, 341 (1992)):
+    beta_i += ratio_i (ratio_i beta_r - 2 tau_i), ratio = w / w_r and
+    tau = Binv rho_r for the leaving row rho_r of Binv, and the leaving row
+    gets beta_r / w_r^2. beta_r is tau_r, read off the product: the stored
+    weight of row r has drifted, and an update built on it drifts further.
+    A weight whose update terms have summed past _WEIGHT_CHURN times its
+    size has cancelled that much rounding into itself, and is recomputed
+    from its row after the exchange.
+    """
+
+    def __init__(self, binv: np.ndarray):
+        self.weights = _row_norms(binv)
+        self._churn = np.zeros(binv.shape[0])  # each weight's summed terms since it was exact
+        self._stale = np.empty(0, dtype=int)
+
+    def leaving_row(self, viol: np.ndarray, tol: float) -> int:
+        """The violated row with the largest viol_i^2 / beta_i."""
+        score = np.where(viol > tol, viol * viol, 0.0)
+        score /= self.weights
+        return int(score.argmax())
+
+    def update(self, w: np.ndarray, tau: np.ndarray, r: int) -> None:
+        """Carry the weights across the pivot on row r; call before the exchange."""
+        ratio = w / w[r]
+        beta = tau[r]
+        tau = tau * ratio
+        terms = ratio  # reused: ratio_i^2 beta_r + beta_i, which bounds |2 ratio_i tau_i| too
+        terms *= ratio
+        terms *= beta
+        terms += self.weights
+        self._churn += terms
+        np.subtract(terms, tau, out=self.weights)
+        self.weights -= tau
+        self.weights[r] = beta / (w[r] * w[r])
+        self._churn[r] = 0.0
+        self._stale = (self._churn > _WEIGHT_CHURN * self.weights).nonzero()[0]
+
+    def refresh_stale(self, binv: np.ndarray) -> None:
+        """Recompute the weights the last update left too inexact; call after the exchange."""
+        if self._stale.size:
+            self.weights[self._stale] = _row_norms(binv[self._stale])
+            self._churn[self._stale] = 0.0
+
+    def recompute(self, binv: np.ndarray) -> None:
+        """Recompute every weight, after the inverse was rebuilt."""
+        _row_norms(binv, out=self.weights)
+        self._churn[:] = 0.0
+
+
 @functools.cache
 def _probe_vector(r: int) -> np.ndarray:
     """The fixed vector v of the drift probe ||Binv (B v) - v||, one per size."""
@@ -246,8 +329,9 @@ class BoundedSimplex:
     pivot on rounding noise: a chosen pivot entry below ``_SMALL_PIVOT`` is
     chosen again among the entries above ``_NOISE_FLOOR`` times the largest
     one. Each ``run`` or ``dual_run`` call stops after
-    ``_PIVOTS_PER_COLUMN`` pivots per column of its own; ``pivots`` counts
-    over the core's life.
+    ``_PIVOTS_PER_COLUMN`` pivots per column of its own, or earlier at a
+    capped ``repair``'s ``pivot_limit``; ``pivots`` counts over the core's
+    life.
 
     ``A`` is read-only: every write goes through ``set_column``, which keeps
     the sparse pricing copy in step with it. ``pricing``, a
@@ -274,6 +358,9 @@ class BoundedSimplex:
         self.x = np.zeros(self.n)
         self.Binv = np.empty((self.r, self.r))
         self.reduced_costs = np.zeros(self.n)  # carried by the last dual_run
+        self.leaving_rule = LARGEST_VIOLATION  # dual_run's; set by each repair
+        self.edge_weights = None  # ||Binv_i||^2 per row, kept by a steepest-edge dual_run
+        self.pivot_limit = None   # a pivot count run and dual_run stop at, set by a capped repair
         self.pivots = 0
         self.basis_changes = 0
         self.stale_updates = 0  # eta/rank-1 updates applied since the last true refactor
@@ -470,9 +557,14 @@ class BoundedSimplex:
                 return None
         return j, (-1 if self.at_upper[j] else +1)
 
+    def _limit(self) -> int:
+        """The pivot count a run or dual_run call starting now stops at."""
+        limit = self.pivots + _PIVOTS_PER_COLUMN * self.n
+        return limit if self.pivot_limit is None else min(limit, self.pivot_limit)
+
     def run(self, c: np.ndarray) -> str:
         """Minimize c.x from the current basic feasible point."""
-        limit = self.pivots + _PIVOTS_PER_COLUMN * self.n
+        limit = self._limit()
         fixed = np.flatnonzero(~(self.lower < self.upper))
         verified = False  # has optimality been re-checked after a clean refactor
         while True:
@@ -601,6 +693,14 @@ class BoundedSimplex:
         once the basics are within bounds (the caller should confirm with a
         primal run), INFEASIBLE if a violated row has no admissible column.
 
+        The leaving row is the basic with the largest bound violation, or,
+        when leaving_rule is DUAL_STEEPEST_EDGE, the violated one with the
+        largest violation^2 / ||Binv_i||^2. Those weights are computed in
+        full on entry and after a rebuild of the inverse, and in between
+        carried across pivots by _EdgeWeights, whose tau = Binv rho_r comes
+        from the same product as the pivot's column solve; they stay in
+        edge_weights. repair sets leaving_rule, so dual_run takes only c.
+
         The entering column has the smallest ratio |z_j / alpha_j|. When
         its alpha_j is under _SMALL_PIVOT it may be rounding noise, so the
         choice is made again without the entries under _NOISE_FLOOR times the
@@ -616,7 +716,7 @@ class BoundedSimplex:
         """
         if self.r == 0:
             return OPTIMAL
-        limit = self.pivots + _PIVOTS_PER_COLUMN * self.n
+        limit = self._limit()
         tol = self.opts.tol_feas
         movable = self.lower < self.upper
         lB = self.lower[self.basis]
@@ -630,6 +730,8 @@ class BoundedSimplex:
         viol = np.empty(self.r)
         xB = self.x[self.basis]
         z = self.reduced_costs = c - self._price(self.duals(c))
+        edges = _EdgeWeights(self.Binv) if self.leaving_rule == DUAL_STEEPEST_EDGE else None
+        self.edge_weights = None if edges is None else edges.weights
         while True:
             np.subtract(lB, xB, out=below)
             np.subtract(xB, uB, out=above)
@@ -641,6 +743,8 @@ class BoundedSimplex:
             if self.pivots >= limit:
                 status = ITERATION_LIMIT
                 break
+            if edges is not None:
+                i_star = edges.leaving_row(viol, tol)
             over_upper = above[i_star] > below[i_star]
 
             # admissible: moving the column off its bound moves the violated
@@ -669,10 +773,18 @@ class BoundedSimplex:
             if z[j] != 0.0:  # almost every warm pivot is dual degenerate
                 np.multiply(alpha, z[j] / alpha[j], out=scratch)
                 z -= scratch
-            w = self.Binv @ self.A[:, j]
+            if edges is not None:
+                # tau = Binv rho_r, rho_r the leaving row of Binv, rides on
+                # the column solve w = Binv A_j as one product
+                w, tau = np.stack((self.A[:, j], self.Binv[i_star])) @ self.Binv.T
+                edges.update(w, tau, i_star)
+            else:
+                w = self.Binv @ self.A[:, j]
             xB -= t * w
             xB[i_star] = self.x[j] + t  # j takes the leaving column's slot
             leaving = self._exchange(i_star, j, w)
+            if edges is not None:
+                edges.refresh_stale(self.Binv)
             self.x[leaving] = bound
             self.at_upper[leaving] = over_upper
             lB[i_star] = self.lower[j]
@@ -685,19 +797,30 @@ class BoundedSimplex:
             if self.basis_changes % _REFACTOR_EVERY == 0 and self._refactor_if_drifted():
                 xB = self.x[self.basis]  # the refactor recomputed them
                 z = self.reduced_costs = c - self._price(self.duals(c))
+                if edges is not None:
+                    edges.recompute(self.Binv)
             self._note_step(abs(t))
         self.x[self.basis] = xB
         return status
 
-    def repair(self, c: np.ndarray) -> str:
+    def repair(self, c: np.ndarray, leaving_rule: str = LARGEST_VIOLATION,
+               max_pivots: int | None = None) -> str:
         """Minimize c.x from a dual feasible basis: dual pivots, then a primal cleanup run.
 
-        An optimum whose values miss the equality rows or the bounds by more
-        than tol_feas comes back as "numerical".
+        dual_run picks its leaving rows by leaving_rule, which stays in
+        leaving_rule afterwards. max_pivots, when given, caps the pivots of
+        the whole repair: it stops with ITERATION_LIMIT there. An optimum
+        whose values miss the equality rows or the bounds by more than
+        tol_feas comes back as "numerical".
         """
-        status = self.dual_run(c)
-        if status == OPTIMAL:
-            status = self.run(c)
+        self.leaving_rule = leaving_rule
+        self.pivot_limit = None if max_pivots is None else self.pivots + max_pivots
+        try:
+            status = self.dual_run(c)
+            if status == OPTIMAL:
+                status = self.run(c)
+        finally:
+            self.pivot_limit = None
         if status == OPTIMAL and self.primal_residual() > self.opts.tol_feas:
             status = "numerical"
         return status

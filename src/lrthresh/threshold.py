@@ -48,6 +48,7 @@ from .simplex import (
     LinearProgram,
     SolverFailure,
     SolverOptions,
+    degenerate_start_rule,
     pricing_copy,
 )
 from .simplex import independent_rows, solve_lp  # noqa: F401  perfbench/spans.py patches these
@@ -58,6 +59,9 @@ if TYPE_CHECKING:
 
 WITNESS_MARGINAL_TOL = 1e-8
 CERTIFICATE_GAP_TOL = 1e-8
+# A warm repair that has not finished after this many pivots per kept row
+# hands over to the closed-form retry.
+_WARM_PIVOTS_PER_ROW = 10
 
 
 @dataclass(frozen=True)
@@ -498,10 +502,20 @@ class ThresholdSolver:
     a dual-simplex repair followed by a primal cleanup finishes the solve.
     solve() can instead start from a basis another solver of the scenario
     held optimal (last_basis()), as the search's certified solve does from
-    its best restart's. A failed warm repair is retried once from the
+    its best restart's. A warm repair that fails, or runs past
+    _WARM_PIVOTS_PER_ROW pivots per kept row, is retried once from the
     closed-form basis; a failed retry raises SolverFailure. value() returns
     just the optimum for tight optimization loops; solve() adds the witness
     and certificate.
+
+    The closed-form start is fully dual degenerate: every weight's reduced
+    cost is 0. From 200 kept rows up ((5,2), (3,4), (4,3)) its dual run
+    picks the leaving row by dual steepest edge, which halves the cold
+    pivots at (5,2) and brings (3,4) within reach; below that, and on
+    every warm repair, it takes the largest violation
+    (simplex.degenerate_start_rule). last_cold_rule, and solver_stats'
+    "cold_start_rule", name the rule the last solve's cold start used, or
+    None when the solve finished warm.
     """
 
     def __init__(self, sc: Scenario, options: SolverOptions | None = None):
@@ -519,6 +533,7 @@ class ThresholdSolver:
         self._shift = 1.0 / sc.dim ** sc.parties  # each kept row's uniform-noise entry
         self.last_pivots = 0
         self.last_warm = False  # whether the last solve repaired from the prior optimum or a start
+        self.last_cold_rule = None  # the leaving-row rule of the last closed-form start, if any
 
     def _forget(self) -> None:
         """After a failure the core may be half updated: start the next call cold."""
@@ -553,13 +568,15 @@ class ThresholdSolver:
         core.b = b
         mixing = b - self._shift
         pivots_before = core.pivots
+        warm_cap = _WARM_PIVOTS_PER_ROW * core.r
 
         warm = False
+        cold_rule = None
         if start is not None:
             core.set_column(core.n - 1, mixing)
             try:
                 core.set_basis(*start)  # refactors, so a singular basis raises here
-                warm = core.repair(self._objective) == OPTIMAL
+                warm = core.repair(self._objective, max_pivots=warm_cap) == OPTIMAL
             except SolverFailure:
                 pass  # the retry below starts afresh
         elif self._have_last:
@@ -567,7 +584,7 @@ class ThresholdSolver:
             if core.replace_column(core.n - 1, mixing):
                 core.recompute_basics()
                 try:
-                    warm = core.repair(self._objective) == OPTIMAL
+                    warm = core.repair(self._objective, max_pivots=warm_cap) == OPTIMAL
                 except SolverFailure:
                     pass  # a singular refactor mid-repair; the retry below starts afresh
         else:
@@ -576,10 +593,11 @@ class ThresholdSolver:
             # with F nonbasic at 0 every basic variable is a weight, so the
             # duals are 0, the reduced costs equal the objective, and any basis
             # of assignment columns is dual feasible for min F
+            cold_rule = degenerate_start_rule(core.r)
             try:
                 core.set_basis(self._basis, np.zeros(core.n, dtype=bool),
                                _collins_gisin_inverse(self.scenario))
-                status = core.repair(self._objective)
+                status = core.repair(self._objective, cold_rule)
                 if status != OPTIMAL:
                     raise SolverFailure(status, "threshold solve did not reach an optimum")
             except SolverFailure:
@@ -587,8 +605,16 @@ class ThresholdSolver:
                 raise
         self.last_pivots = core.pivots - pivots_before
         self.last_warm = warm
+        self.last_cold_rule = cold_rule
         self._have_last = True
         return core
+
+    def _recheck(self, core: BoundedSimplex) -> None:
+        """Refactor an optimum built on rank-one updates, then confirm it by a primal run."""
+        if core.stale_updates:
+            core.refactor()
+        if core.run(self._objective) != OPTIMAL:
+            raise SolverFailure("numerical", "re-verification after refactor failed")
 
     def value(self, tensor: CorrelationTensor) -> float:
         """The threshold alone, without witness or certificate packaging."""
@@ -622,23 +648,37 @@ class ThresholdSolver:
         to within JointDistribution's 1e-9 and a local model of the tensor at
         noise f_thr on every marginal row (witness_residual), and the dual
         must bound the optimum from below to within CERTIFICATE_GAP_TOL;
-        otherwise SolverFailure. A tol_feas looser than these checks lets
-        the repair stop at weights they refuse.
+        otherwise SolverFailure.
 
         start, a (basis, at-upper flags) pair from some solver's last_basis(),
         is the vertex the solve repairs from instead of the last optimum or
         the closed-form basis. Only the starting vertex depends on it, and a
         repair from it that fails falls back to the closed-form basis.
         solver_stats' "warm_start" says whether the solve finished from the
-        last optimum or from start, and "iterations" counts its pivots.
+        last optimum or from start, "cold_start_rule" which leaving-row rule
+        a cold start used (None when there was none), and "iterations"
+        counts its pivots.
+
+        Optimal weights below -1e-9, which a tol_feas looser than the
+        witness's lets the repair stop at, are repaired once more at the
+        default SolverOptions() tolerances before they are refused.
         """
         began = time.perf_counter()
         core = self._solve_core(tensor, start)
         try:
-            if core.stale_updates:
-                core.refactor()
-            if core.run(self._objective) != OPTIMAL:
-                raise SolverFailure("numerical", "re-verification after refactor failed")
+            self._recheck(core)
+            if core.x[:-1].min() < -1e-9:
+                # a loose tol_feas let the repair stop at weights down to -tol_feas
+                pivots_before = core.pivots
+                core.opts = SolverOptions()
+                try:
+                    status = core.repair(self._objective)
+                finally:
+                    core.opts = self.options
+                if status != OPTIMAL:
+                    raise SolverFailure(status, "repair at the default tolerances failed")
+                self.last_pivots += core.pivots - pivots_before
+                self._recheck(core)
         except SolverFailure:
             self._forget()
             raise
@@ -668,6 +708,7 @@ class ThresholdSolver:
             "iterations": self.last_pivots,
             "runtime_s": time.perf_counter() - began,
             "warm_start": self.last_warm,
+            "cold_start_rule": self.last_cold_rule,
             "rows": dual.size,
             "variables": sc.joint_size + 1,
         }

@@ -11,6 +11,8 @@ of another kind, the closed form over the local polytope's facets, checks
 the solver's values too.
 """
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -126,6 +128,28 @@ def test_cold_five_qubit_ghz_on_phase_grid_matches_highs():
                      [[2, 5], [0, 1]], [[0, 2], [5, 1]]])
     check_cold(correlation_tensor(ghz_state(sc), PhaseSettings(sc, grid * (np.pi / 3))),
                expected=0.2)
+
+
+@pytest.mark.parametrize("state, seed", [("ghz", 1), ("ghz", 2), ("random", 3)])
+def test_cold_three_ququart_solves_match_highs(state, seed):
+    # 343 kept rows, so the closed-form start's dual run picks its leaving
+    # rows by dual steepest edge; by the largest violation GHZ at seed 1 ran
+    # into the 409,700-pivot limit after about 48 s
+    sc = Scenario(parties=3, dim=4, settings_per_party=2)
+    rng = np.random.default_rng(seed)
+    phases = PhaseSettings(sc, rng.uniform(0.0, 2.0 * np.pi, size=(3, 2, 4)))
+    if state == "ghz":
+        psi = ghz_state(sc)
+    else:
+        coeffs = rng.normal(size=sc.state_size)
+        psi = PureState(sc, coeffs / np.linalg.norm(coeffs))
+    tensor = correlation_tensor(psi, phases)
+    began = time.perf_counter()
+    result = ThresholdSolver(sc).solve(tensor)
+    elapsed = time.perf_counter() - began
+    assert result.solver_stats["cold_start_rule"] == "dual_steepest_edge"
+    assert abs(result.f_thr - highs_threshold(tensor)) < 1e-9
+    assert elapsed < 5.0
 
 
 @pytest.mark.parametrize("parties, dim", [(2, 3), (3, 2), (4, 2), (3, 3), (5, 2)])

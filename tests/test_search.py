@@ -1,5 +1,6 @@
 """Parameter encoding, the restart search, and the multi-start threshold maximizer."""
 
+import time
 import warnings
 from collections import Counter
 
@@ -1243,3 +1244,29 @@ def test_joint_search_leaves_the_plateau_on_every_restart():
     result = optimize_state_and_phases(SC23, JOINT23)
     assert result.best_f_thr >= 0.3178
     assert all(value > search.FLAT_VALUE for _, value in result.per_restart_log)
+
+
+def test_a_stalling_warm_repair_hands_over_to_the_closed_form(monkeypatch):
+    # phases-only GHZ(3,4): this search's first warm repair runs for over
+    # 400,000 pivots when left alone; capped at 10 pivots per kept row it
+    # hands over to the closed-form retry
+    sc = Scenario(parties=3, dim=4, settings_per_party=2)
+    config = OptimizationConfig(restarts=1, rng_seed=0, max_evals_per_restart=12,
+                                mode="phases_only")
+    calls = []
+    value = ThresholdSolver.value
+
+    def recorded(self, tensor):
+        got = value(self, tensor)
+        calls.append((self.last_warm, self.last_pivots, self._core.r))
+        return got
+
+    monkeypatch.setattr(ThresholdSolver, "value", recorded)
+    began = time.perf_counter()
+    result = optimize_phases(ghz_state(sc), config)
+    assert time.perf_counter() - began < 10.0
+    assert result.evals == 12
+    assert result.certified.certificate["gap"] < 1e-8
+    # a cold call after the first one is a warm repair that hit the cap
+    retried = [pivots > 10 * rows for warm, pivots, rows in calls[1:] if not warm]
+    assert retried and all(retried)

@@ -580,6 +580,107 @@ def test_cold_certified_five_qubit_solve_refactors_once(monkeypatch):
     assert abs(result.f_thr - highs_lp(build_threshold_lp(tensor)).fun) < 1e-9
 
 
+SC52 = Scenario(parties=5, dim=2, settings_per_party=2)
+SC34 = Scenario(parties=3, dim=4, settings_per_party=2)
+
+
+@pytest.mark.parametrize("sc", [SC52, SC34], ids=["n5d2", "n3d4"])
+def test_steepest_edge_weights_track_the_row_norms(monkeypatch, sc):
+    # GHZ with random phases: at (3,4) the basis passes through rows of
+    # ||Binv_i||^2 near 1e8 and back, where the plain update loses 1e-7
+    solver = ThresholdSolver(sc)
+    core = solver._core
+    dual_run, note_step = core.dual_run, core._note_step
+    inside, errors = [], []
+
+    def watched(c):
+        inside.append(c)
+        try:
+            return dual_run(c)
+        finally:
+            inside.pop()
+
+    def checked(t):
+        if inside:  # the primal cleanup run keeps no weights
+            exact = np.einsum("ij,ij->i", core.Binv, core.Binv)
+            errors.append(np.max(np.abs(core.edge_weights - exact) / exact))
+        note_step(t)
+
+    monkeypatch.setattr(core, "dual_run", watched)
+    monkeypatch.setattr(core, "_note_step", checked)
+    tensor = correlation_tensor(ghz_state(sc), random_settings(sc, np.random.default_rng(1)))
+    result = solver.solve(tensor)
+    assert result.solver_stats["cold_start_rule"] == simplex.DUAL_STEEPEST_EDGE
+    assert len(errors) > 500
+    assert max(errors) < 1e-9
+
+
+# Cold certified solves of GHZ below the steepest-edge gate, on the rng(7)
+# phase draws of test_cold_solves_below_the_gate_keep_their_pivots: (pivots,
+# f_thr, a fixed random projection of the dual), pinned from the
+# largest-violation rule that the gate keeps there.
+BELOW_THE_GATE = {
+    "n3d3": [(374, 0.1645406324750328, -0.18581393359407983),
+             (358, 0.20822554886956263, -12.628525499268418),
+             (222, 0.0, 0.0)],
+    "n4d2": [(124, 0.4529480315116175, 4.446628067379532),
+             (150, 0.190587172974605, -3.7512360104367586),
+             (121, 0.5895604194520778, -0.043272142793898016)],
+}
+
+
+@pytest.mark.parametrize("sc", [SC33, SC42], ids=["n3d3", "n4d2"])
+def test_cold_solves_below_the_gate_keep_their_pivots(sc):
+    rng = np.random.default_rng(7)
+    projection = np.random.default_rng(0).normal(size=sc.marginal_rows + 1)
+    for pivots, f_thr, dual in BELOW_THE_GATE[f"n{sc.parties}d{sc.dim}"]:
+        result = ThresholdSolver(sc).solve(correlation_tensor(ghz_state(sc),
+                                                              random_settings(sc, rng)))
+        assert result.solver_stats["cold_start_rule"] == simplex.LARGEST_VIOLATION
+        assert result.solver_stats["iterations"] == pivots
+        assert abs(result.f_thr - f_thr) < 1e-14
+        assert abs(result.certificate["dual"] @ projection - dual) < 1e-12 * max(1.0, abs(dual))
+
+
+def test_solver_stats_name_the_cold_start_rule(rng):
+    # the gate is on the kept rows: 125 at (3,3), 243 at (5,2); a warm solve ran no cold start
+    stats = []
+    for sc in (SC33, SC52):
+        solver = ThresholdSolver(sc)
+        st = random_state(sc, rng)
+        for _ in range(2):
+            tensor = correlation_tensor(st, random_settings(sc, rng))
+            stats.append(solver.solve(tensor).solver_stats)
+    assert [(s["warm_start"], s["cold_start_rule"]) for s in stats] == [
+        (False, simplex.LARGEST_VIOLATION), (True, None),
+        (False, simplex.DUAL_STEEPEST_EDGE), (True, None)]
+
+
+def test_a_warm_repair_stops_at_ten_pivots_per_row(rng, monkeypatch):
+    # a warm repair past its cap hands over to the closed-form retry, which
+    # gives the cold solve's optimum
+    tensors = [correlation_tensor(random_state(SC33, rng), random_settings(SC33, rng))
+               for _ in range(2)]
+    fresh = ThresholdSolver(SC33)
+    want = fresh.value(tensors[1])
+    solver = ThresholdSolver(SC33)
+    solver.value(tensors[0])
+    core = solver._core
+    caps = []
+    repair = core.repair
+
+    def capped_low(c, leaving_rule=simplex.LARGEST_VIOLATION, max_pivots=None):
+        caps.append(max_pivots)
+        # a cap of one pivot stands in for a repair that stalls
+        return repair(c, leaving_rule, None if max_pivots is None else 1)
+
+    monkeypatch.setattr(core, "repair", capped_low)
+    assert solver.value(tensors[1]) == want
+    assert caps == [10 * core.r, None]
+    assert not solver.last_warm
+    assert solver.last_pivots == fresh.last_pivots + 1
+
+
 def test_solvers_of_one_scenario_share_pricing_indices_only(rng):
     tensors = [correlation_tensor(random_state(SC33, rng), random_settings(SC33, rng))
                for _ in range(6)]

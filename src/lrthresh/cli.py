@@ -2,8 +2,8 @@
 
 Standard output carries only the headline number (6 decimals) so scripts can
 consume it directly; full machine-readable reports go to --out. Exit codes
-are a stable contract: 0 success, 1 verification failure, 2 input error,
-3 solver error.
+are a stable contract: 0 success, 1 verification failure, 2 input error
+(a scenario too large for memory among them), 3 solver error.
 """
 
 from __future__ import annotations
@@ -200,6 +200,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"unknown command {args.command!r}")
     except (ScenarioFileError, ReportError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except MemoryError as err:
+        print(f"error: out of memory: {str(err) or 'allocation failed'}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except SolverFailure as err:
         print(f"solver error: {err}", file=sys.stderr)

@@ -13,17 +13,16 @@ a draw or an ascent step, is a flat coordinate row (gauge-fixed phases, then
 state coefficients unless the state is pinned), and one evaluator takes
 every block of rows (a bundled start or an ascent step is a block of one):
 canonical phases, one Born contraction and one validation, then the
-threshold. With two parties and at most three outcomes the threshold has a
-closed form over the local polytope's facets, with no LP (a block of draws
-is screened with one product against the facets), and the start is the
-first draw off the plateau, as drawing one start at a time would find it.
-Elsewhere every point is one warm LP solve. At three parties and at most
-three outcomes the two-party facets, lifted to the third party's setting and
-outcome, bound the threshold from below: a block of draws is screened with
-one product per pair of parties, and the start is the block's first draw
-they prove off the plateau, with no solve of the draws before it. Only a
-block with no proven draw is solved draw by draw, up to its first draw off
-the plateau.
+threshold. With two settings and at most three outcomes, at two or three
+parties, a block of draws is screened first: the two-party facets, read on
+every pair of parties with the other party's setting and outcome fixed,
+bound each draw's threshold from below in one product per pair, and the
+start is the block's first draw they prove off the plateau, with no value
+of the draws before it. At two parties the largest bound is the threshold
+itself, so every point is valued by it, with no LP, and a block with no
+proven draw is flat. Elsewhere every point is one warm LP solve, and at
+three parties a block with no proven draw is solved draw by draw, up to its
+first draw off the plateau.
 
 From the first start off the plateau, the rest of the restart's budget goes
 to a quasi-Newton gradient ascent with Armijo backtracking. The gradient is
@@ -52,6 +51,7 @@ facets hold no basis, and their certified solve starts cold.
 
 from __future__ import annotations
 
+import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -63,8 +63,7 @@ from .probabilities import correlation_tensor  # noqa: F401  unused; perfbench/s
 from .scenario import PhaseSettings, PureState, Scenario, _real, canonical_phases, ghz_state, \
     paper_optimal_state, paper_settings, tritter_unitary
 from .simplex import SolverOptions
-from .threshold import ThresholdResult, ThresholdSolver, _FacetThreshold, _has_facet_form, \
-    _has_lifted_facets, _lifted_facets, threshold
+from .threshold import ThresholdResult, ThresholdSolver, _FacetThreshold, _facet_rows, threshold
 
 STATE_NORM_FLOOR = 1e-8
 FLAT_VALUE = 1e-6  # objective values at or below this count as the local plateau
@@ -408,27 +407,26 @@ def _born_rows(sc: Scenario, tables: np.ndarray, states: np.ndarray) -> np.ndarr
     return checked_probabilities(sc, born_probabilities(states, tritter_unitary(sc.dim, tables)))
 
 
-def _lifted_proofs(sc: Scenario, tensors: np.ndarray) -> np.ndarray:
-    """Which three-party tensors of a stack the lifted facets prove off the plateau.
+def _facet_proofs(sc: Scenario, tensors: np.ndarray) -> np.ndarray:
+    """Which tensors of a stack the two-party facets prove off the plateau.
 
-    tensors is indexed [stack, x_1, x_2, x_3, a_1, a_2, a_3], at three
-    parties and d <= 3 (_lifted_facets). For each pair of parties, one
-    product of the lifted rows against every tensor's (x, y, a, b) columns,
-    one per third party's (z, k), reads each row's excess X. A tensor is
-    proven where some excess is above its row's bar, FLAT_VALUE slack /
+    tensors is indexed [stack, x_1, ..., x_N, a_1, ..., a_N], at a scenario
+    _facet_rows covers. For each pair of parties, one product of the facet
+    rows against every tensor's (x, y, a, b) columns, one per other party's
+    (z, k) where there is one, reads each row's excess X. A tensor is proven
+    where some excess is above its row's bar, FLAT_VALUE slack /
     (1 - FLAT_VALUE): there its bound X/(X + slack) on the threshold is
     above FLAT_VALUE.
     """
-    lifted, slack = _lifted_facets(sc)
+    rows, slack = _facet_rows(sc)
     bars = (FLAT_VALUE / (1.0 - FLAT_VALUE)) * slack[:, np.newaxis]
-    count, d = len(tensors), sc.dim
+    count, n = len(tensors), sc.parties
     margin = np.full(count, -np.inf)  # each tensor's largest excess over its bar
-    over = np.empty((len(lifted), count * 2 * d))  # one product's room, reused by every pair
-    for third in range(3):
-        first, second = (p for p in range(3) if p != third)
-        columns = tensors.transpose(1 + first, 1 + second, 4 + first, 4 + second,
-                                    0, 1 + third, 4 + third).reshape(4 * d * d, -1)
-        np.matmul(lifted, columns, out=over)
+    for pair in itertools.combinations(range(n), 2):
+        rest = [p for p in range(n) if p not in pair]
+        axes = [1 + p for p in pair] + [1 + n + p for p in pair] + [0] \
+            + [1 + p for p in rest] + [1 + n + p for p in rest]
+        over = rows @ tensors.transpose(axes).reshape(rows.shape[1], -1)
         over -= bars  # above 0 exactly where the excess is above the bar
         np.maximum(margin, over.max(axis=0).reshape(count, -1).max(axis=1), out=margin)
     return margin > 0.0
@@ -443,18 +441,17 @@ def _evaluator(solver: ThresholdSolver | _FacetThreshold, pinned: np.ndarray | N
     above FLAT_VALUE, in row order, or for the block's last row when every
     row is flat. The block is decoded at once (_decode_rows); a row whose
     state does not decode is worth -1, and the rest are contracted and
-    validated together (_born_rows). ThresholdSolver then solves them one
+    validated together (_born_rows). The solver then values them one
     value() at a time, in row order, up to the first row off the plateau.
-    At three parties and d <= 3 a block of two or more rows is screened
-    first (_lifted_proofs): the lifted facets bound the threshold from
-    below, so a row they prove is off the plateau, and the solves start at
-    the block's first proven row (at row 0 when none is). The rows before
-    it are skipped unsolved; a proven row that value() still puts at or
-    below FLAT_VALUE (rounding alone) is passed over like any flat row.
-    _FacetThreshold first values a block of two or more rows with one
-    product (values()); since that differs from value() by rounding alone, a
-    row it puts at or below FLAT_VALUE / 2 is flat, and only the others, and
-    the last row, are valued by value().
+    Where the two-party facets are known (_facet_rows) a block of two or
+    more rows is screened first (_facet_proofs): a row they prove is off the
+    plateau, so the values start at the block's first proven row, and the
+    rows before it are skipped unvalued. A proven row that value() still
+    puts at or below FLAT_VALUE (rounding alone) is passed over like any
+    flat row. With no proven row, ThresholdSolver starts at row 0, since at
+    three parties the facets only bound the threshold from below, and
+    _FacetThreshold values the last row alone, since at two parties they
+    give the threshold itself.
 
     gradient() is dF/dx at the row that value() last solved: the solver's
     tensor gradient pulled back through the Born rule
@@ -464,8 +461,8 @@ def _evaluator(solver: ThresholdSolver | _FacetThreshold, pinned: np.ndarray | N
     that row's threshold; a failed solve raises instead.
     """
     sc = solver.scenario
-    facets = isinstance(solver, _FacetThreshold)
-    lifted = not facets and _has_lifted_facets(sc)
+    screened = _facet_rows(sc) is not None
+    exact = isinstance(solver, _FacetThreshold)
     kept = None  # (table, unit state, norm) of the row value() last solved
 
     def evaluate(rows: np.ndarray) -> tuple[int, float]:
@@ -475,15 +472,15 @@ def _evaluator(solver: ThresholdSolver | _FacetThreshold, pinned: np.ndarray | N
         values = np.full(count, -1.0)
         if decoded.size:
             tensors = _born_rows(sc, tables[decoded], states)
-            screen, first = None, 0
-            if facets and count > 1:
-                screen = solver.values(tensors.reshape(decoded.size, -1))
-            elif lifted and count > 1:
-                first = int(_lifted_proofs(sc, tensors).argmax())  # 0 when none is proven
+            first = 0
+            if screened and count > 1:
+                proven = _facet_proofs(sc, tensors)
+                if proven.any():
+                    first = int(proven.argmax())
+                elif exact:  # the last row, or none when it does not decode
+                    first = int(np.searchsorted(decoded, count - 1))
             for j in range(first, decoded.size):
                 k = decoded[j]
-                if screen is not None and screen[j] <= FLAT_VALUE / 2 and k < count - 1:
-                    continue
                 kept = tables[k], states[j], None if norms is None else norms[j]
                 values[k] = solver.value(_checked_tensor(sc, tensors[j]))
                 if values[k] > FLAT_VALUE:
@@ -513,17 +510,17 @@ def _run_restart(args):
     pinned state the draws still take their coefficients from the stream,
     which keeps it in step, and the rows are cut to their phase columns.
     Each block costs one evaluation per draw up to and including the draw
-    the evaluator accepts off the plateau (at three parties by LP, the
-    block's first draw the lifted facets prove, when one is; otherwise its
-    first draw off the plateau), and the draws after it are never used: the
+    the evaluator accepts off the plateau (the block's first draw the
+    two-party facets prove, where they are known and prove one; otherwise
+    its first draw off the plateau), and the draws after it are never used: the
     restart reads its stream only here. The ascent (_polish) then climbs
     from that draw with the budget that is left, from the value and solver
     state the block left at it. A restart whose every draw is flat returns
     its last draw. Draws and ascent share max_evals_per_restart. The
     endpoint is decoded as a row too (_decode_rows).
 
-    Every point is evaluated through the facets where the threshold has a
-    closed form (_has_facet_form), and by ThresholdSolver.value elsewhere.
+    Every point is valued through the facets at two parties, where they give
+    the threshold (_FacetThreshold), and by ThresholdSolver.value elsewhere.
     Returns (index, value, table, unit state, evaluations, basis): basis is
     the LP solver's last optimum as ThresholdSolver.last_basis() gives it,
     the one the certified solve starts from, and None under the facets.
@@ -531,7 +528,8 @@ def _run_restart(args):
     sc, config, index, pinned, options = args
     key = np.array([config.rng_seed, index], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
-    solver = _FacetThreshold(sc) if _has_facet_form(sc) else ThresholdSolver(sc, options)
+    exact = sc.parties == 2 and _facet_rows(sc) is not None
+    solver = _FacetThreshold(sc) if exact else ThresholdSolver(sc, options)
 
     start = _restart_start(sc, config.mode, index, rng)
     if start is not None and pinned is None:
@@ -555,7 +553,7 @@ def _run_restart(args):
         point, value, evals = _polish(evaluate, gradient, point, value, budget - spent)
         spent += evals
     tables, _, states, _ = _decode_rows(sc, pinned, point[np.newaxis])
-    basis = None if isinstance(solver, _FacetThreshold) else solver.last_basis()
+    basis = None if exact else solver.last_basis()
     return index, value, tables[0], states[0], spent, basis
 
 

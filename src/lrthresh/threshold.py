@@ -14,12 +14,13 @@ those rows is a Kronecker product of one small block per party. With F at 0
 that basis is dual feasible for every tensor, so each solve runs only dual
 and primal simplex pivots, from it or from the last optimum.
 
-With two parties, two settings and d <= 3 the local polytope's facets are
-known, and the threshold is the largest noise fraction any violated facet
-needs (_FacetThreshold). The search evaluates those scenarios through it;
-every certified solve, there too, is the LP's. Lifted to a third party's
-setting and outcome, the same facets bound a three-party threshold from
-below (_lifted_facets), which screens the search's draws at (3,2) and (3,3).
+With two settings and d <= 3 the facets of two parties' local polytope are
+known. Read on a pair of parties, with the other party's setting and outcome
+fixed, each one bounds the noise fraction a tensor needs from below, with no
+LP (_facet_rows). At two parties the facets are complete and the largest
+bound is the threshold (_FacetThreshold), through which the search evaluates
+those scenarios; at three parties the bounds screen the search's draws.
+Every certified solve, there too, is the LP's.
 
 Which assignments each marginal row sums is read from closed-form index
 arrays (_marginal_supports): the kept rows, the witness residual and the
@@ -245,20 +246,6 @@ def _collins_gisin_inverse(sc: Scenario) -> np.ndarray:
     return _frozen(np.linalg.inv(a_keep[:, _collins_gisin_basis(sc)]))
 
 
-def _has_facet_form(sc: Scenario) -> bool:
-    """Whether _FacetThreshold covers the scenario: two parties, two settings, d <= 3."""
-    return sc.parties == 2 and sc.settings_per_party == 2 and sc.dim <= 3
-
-
-@functools.cache
-def _bell_facets(sc: Scenario) -> np.ndarray:
-    """The nontrivial facets c . P <= 2 of the local polytope, one row per facet, read-only.
-
-    _bell_facet_rows(sc.dim), built once per scenario.
-    """
-    return _frozen(_bell_facet_rows(sc.dim))
-
-
 def _bell_facet_rows(d: int) -> np.ndarray:
     """The nontrivial facets c . P <= 2 of two parties' local polytope, as a new array.
 
@@ -305,94 +292,80 @@ def _bell_facet_rows(d: int) -> np.ndarray:
     return np.concatenate([r.reshape(-1, 4 * d * d) for r in rows])
 
 
-def _has_lifted_facets(sc: Scenario) -> bool:
-    """Whether _lifted_facets covers the scenario: three parties, two settings, d <= 3."""
-    return sc.parties == 3 and sc.settings_per_party == 2 and sc.dim <= 3
-
-
 @functools.cache
-def _lifted_facets(sc: Scenario) -> tuple[np.ndarray, np.ndarray]:
-    """The two-party facets lifted to a third party, and each one's slack, read-only.
+def _facet_rows(sc: Scenario) -> tuple[np.ndarray, np.ndarray] | None:
+    """The two-party facets as noise bounds on a pair of parties, and each one's slack, read-only.
 
-    Three parties with two settings and d <= 3. A facet c . P_AB <= 2 of two
-    parties (_bell_facets), with the third party's setting z and outcome k
-    held fixed, gives sum c . P(a, b, k | x, y, z) <= 2 P(k | z) on every
-    local tensor (Pironio, J. Math. Phys. 46, 062112 (2005)). P(k | z) is
-    read at the pair's settings (0, 0), so each row is c with 2 taken off
-    its (0, 0) block: one linear functional on a pair's (x, y, a, b) column
-    at one (z, k), on every pair of parties. It sends the uniform tensor to
-    -slack, slack = (2 - c . u)/d > 0 with u the two-party uniform tensor,
-    so a tensor on which it reads X > 0 needs the noise fraction
-    X/(X + slack) at least: a lower bound on the threshold, with no LP.
-    The rows come from the uncached builder and are edited in place, so a
-    three-party process holds no second copy of the two-party facets.
+    Two or three parties (with two settings, as every scenario has) and
+    d <= 3; None elsewhere. A facet c . P_AB <= 2 of two parties
+    (_bell_facet_rows), with the other party's setting z and outcome k held
+    fixed where there is one, gives sum c . P(a, b, k | x, y, z) <= 2 P(k | z)
+    on every local tensor (Pironio, J. Math. Phys. 46, 062112 (2005)).
+    P(k | z) is read at the pair's settings (0, 0), so each row is c with 2
+    taken off its (0, 0) block: one linear functional on a pair's
+    (x, y, a, b) column at one (z, k). It sends the uniform tensor to
+    -slack, slack = (2 - c . u)/d^(N-2) > 0 with u the two-party uniform
+    tensor, so a tensor on which it reads X > 0 needs the noise fraction
+    X/(X + slack) at least. At two parties the (0, 0) block sums to 1,
+    X/(X + slack) is (c.P - 2)/(c.P - c.u), and since the facets are
+    complete the largest of these is the threshold. The rows come from the
+    uncached builder and are edited in place, so a process holds one copy
+    of the facets.
     """
+    if sc.parties not in (2, 3) or sc.dim > 3:
+        return None
     d = sc.dim
-    lifted = _bell_facet_rows(d)
-    slack = (2.0 - lifted.sum(axis=1) / d ** 2) / d
-    lifted[:, :d * d] -= 2.0  # the (0, 0) block
-    return _frozen(lifted), _frozen(slack)
+    rows = _bell_facet_rows(d)
+    slack = (2.0 - rows.sum(axis=1) / d ** 2) / d ** (sc.parties - 2)
+    rows[:, :d * d] -= 2.0  # the (0, 0) block
+    return _frozen(rows), _frozen(slack)
 
 
 class _FacetThreshold:
-    """The threshold from the facets of the local polytope, where they are known in closed form.
+    """The two-party threshold from the facets of the local polytope (_facet_rows).
 
-    A facet c . P <= 2 that the tensor violates needs the noise fraction
-    (c.P - 2)/(c.P - c.u), where u is the uniform tensor, and the threshold
-    is the largest of these, or 0 when no facet is violated (a Born tensor
-    never violates positivity). Only violated rows are divided: there
-    c.P > 2 > c.u. It stands in for ThresholdSolver's value() and
-    tensor_gradient() in the search; the certified solve stays an LP.
+    A row that reads X > 0 on the tensor needs the noise fraction
+    X/(X + slack), and the threshold is the largest of these, or 0 when no
+    row does (a Born tensor never violates positivity). Only rows with
+    X > 0 are divided, and there X + slack > 0. It stands in for
+    ThresholdSolver's value() and tensor_gradient() in the search; the
+    certified solve stays an LP.
     """
 
     def __init__(self, sc: Scenario):
         self.scenario = sc
-        self._facets = _bell_facets(sc)
-        self._at_uniform = self._facets.sum(axis=1) / sc.outcome_combos  # c . u per facet
-        self._active: tuple[int, float] | None = None  # (facet, c.P) of the last value()
+        self._rows, self._slack = _facet_rows(sc)
+        self._active: tuple[int, float] | None = None  # (row, X) of the last value()
 
     def value(self, tensor: CorrelationTensor) -> float:
         """The threshold at the tensor."""
         if tensor.scenario != self.scenario:
             raise ScenarioMismatchError("tensor does not belong to this solver's scenario")
-        cp = self._facets @ tensor.flat
-        violated = np.flatnonzero(cp > 2.0)
+        excess = self._rows @ tensor.flat
+        violated = np.flatnonzero(excess > 0.0)
         if not violated.size:
             self._active = (-1, 0.0)
             return 0.0
-        ratios = (cp[violated] - 2.0) / (cp[violated] - self._at_uniform[violated])
+        x = excess[violated]
+        ratios = x / (x + self._slack[violated])
         k = int(ratios.argmax())
-        self._active = (int(violated[k]), float(cp[violated[k]]))
+        self._active = (int(violated[k]), float(x[k]))
         return float(ratios[k])
 
-    def values(self, probs: np.ndarray) -> np.ndarray:
-        """The threshold at each row of a (stack, flat tensor) array, by value()'s rule.
-
-        One product against the facets serves the whole stack. Its rounding
-        may differ from value()'s in the last bits, and it leaves
-        tensor_gradient() as it was.
-        """
-        cp = probs @ self._facets.T
-        rows, facets = np.nonzero(cp > 2.0)
-        excess = cp[rows, facets]
-        out = np.zeros(len(probs))
-        np.maximum.at(out, rows, (excess - 2.0) / (excess - self._at_uniform[facets]))
-        return out
-
     def tensor_gradient(self) -> np.ndarray | None:
-        """dF/dP at the tensor of the last value() call: c (2 - c.u)/(c.P - c.u)^2.
+        """dF/dP at the tensor of the last value() call: the row times slack/(X + slack)^2.
 
-        c is the facet that set the threshold, the first of them at a tie, so
-        at a tie this is one subgradient of several; 0 where no facet is
-        violated. None before the first value().
+        The row is the one that set the threshold, the first of them at a
+        tie, so at a tie this is one subgradient of several; 0 where no row
+        reads X > 0. None before the first value().
         """
         if self._active is None:
             return None
-        k, cp = self._active
+        k, x = self._active
         if k < 0:
             return np.zeros(self.scenario.marginal_rows)
-        cu = self._at_uniform[k]
-        return self._facets[k] * ((2.0 - cu) / (cp - cu) ** 2)
+        slack = self._slack[k]
+        return self._rows[k] * (slack / (x + slack) ** 2)
 
 
 def witness_residual(

@@ -388,6 +388,40 @@ def test_a_loose_tolerance_is_never_an_input_error(capsys, tmp_path, command):
         float(out)
 
 
+# (command, the CLI callee made to run out of memory); verify replays a
+# report of the same scenario
+@pytest.mark.parametrize("command, callee", [
+    (["threshold"], "correlation_tensor"),
+    (["optimize", "--restarts", "1", "--max-evals", "10", "--workers", "1"], "optimize_phases"),
+    (["dump-lp"], "build_threshold_lp"),
+    (["verify"], "verify_report"),
+], ids=["threshold", "optimize", "dump-lp", "verify"])
+@pytest.mark.parametrize("message", ["Unable to allocate 2.72 TiB for an array with shape "
+                                     "(373669453125,) and data type float64", ""],
+                         ids=["numpy", "bare"])
+def test_an_oversized_scenario_is_an_input_error(capsys, monkeypatch, tmp_path, command,
+                                                 callee, message):
+    # the allocation is simulated: a real one could exhaust the machine
+    scen = tmp_path / "ghz23.yaml"
+    scen.write_text(GHZ23)
+    if command == ["verify"]:
+        report = tmp_path / "report.json"
+        assert main(["threshold", "--scenario", str(scen), "--out", str(report)]) == 0
+        argv = ["verify", str(report)]
+    else:
+        argv = [command[0], "--scenario", str(scen), *command[1:]]
+    capsys.readouterr()
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, callee, out_of_memory)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: out of memory: {message or 'allocation failed'}\n"
+
+
 def test_bad_flags_exit_two(capsys):
     assert main(["optimize", "--mode", "everything"]) == 2
     capsys.readouterr()

@@ -33,7 +33,7 @@ from lrthresh import (
     solve_lp,
 )
 from lrthresh.simplex import certified_lower_bound
-from lrthresh.threshold import _FacetThreshold, _bell_facets, exact_bracket, witness_residual
+from lrthresh.threshold import _FacetThreshold, _bell_facet_rows, exact_bracket, witness_residual
 
 from conftest import highs_lp, noisy_tensor
 
@@ -255,7 +255,7 @@ def test_facet_form_matches_at_a_two_facet_tie():
     swapped = probs.copy()
     swapped[0] = probs[0][:, [1, 0, 2]]
     tensor = CorrelationTensor(SC23, (probs + swapped) / 2)
-    facets = _bell_facets(SC23)
+    facets = _bell_facet_rows(3)
     cp = facets @ tensor.flat
     noise = facets.sum(axis=1) / 9.0
     violated = cp > 2.0

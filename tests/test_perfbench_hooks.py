@@ -102,14 +102,14 @@ def test_traced_optimize_records_search_spans(monkeypatch):
     cfg = OptimizationConfig(restarts=2, rng_seed=7, max_evals_per_restart=200,
                              mode="phases_and_state")
     skipped = []
-    original_proofs = search._lifted_proofs
+    original_proofs = search._facet_proofs
 
     def screened(sc, tensors):
         proven = original_proofs(sc, tensors)
         skipped.append(int(np.argmax(proven)))  # the draws before the first proven one
         return proven
 
-    monkeypatch.setattr(search, "_lifted_proofs", screened)
+    monkeypatch.setattr(search, "_facet_proofs", screened)
     tracer = load_spans().Tracer()
     try:
         tracer.install()

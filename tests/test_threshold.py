@@ -33,9 +33,10 @@ from lrthresh.simplex import certified_lower_bound, independent_rows
 from lrthresh import simplex
 from lrthresh.threshold import (
     _FacetThreshold,
-    _bell_facets,
+    _bell_facet_rows,
     _collins_gisin_basis,
     _collins_gisin_inverse,
+    _facet_rows,
     _kept_rows,
     _lower_bound,
     _marginal_supports,
@@ -894,8 +895,9 @@ def tight_sets(values: np.ndarray, bound: float) -> list[frozenset]:
 
 
 def test_facets_at_two_qutrits_are_valid_tight_and_1116_with_positivity():
-    facets = _bell_facets(SC23)
-    assert facets.shape == (1080, SC23.marginal_rows) and not facets.flags.writeable
+    facets = _bell_facet_rows(3)
+    rows, _ = _facet_rows(SC23)
+    assert facets.shape == rows.shape == (1080, SC23.marginal_rows) and not rows.flags.writeable
     vertices = assignment_marginal_matrix(SC23).toarray()  # one column per assignment
     lifted = np.vstack([vertices, np.ones(SC23.joint_size)])
     assert np.linalg.matrix_rank(lifted) == 25  # the local polytope has dimension 24
@@ -918,7 +920,7 @@ def test_facets_at_two_qubits_are_the_convex_hull():
     hull = ConvexHull(points)
     found = {frozenset(np.flatnonzero(np.abs(points @ eq[:-1] + eq[-1]) < 1e-9))
              for eq in hull.equations}
-    ours = tight_sets(_bell_facets(SC22) @ vertices, 2.0) + tight_sets(vertices, 0.0)
+    ours = tight_sets(_bell_facet_rows(2) @ vertices, 2.0) + tight_sets(vertices, 0.0)
     assert len(found) == len(ours) == 24
     assert set(ours) == found
 
@@ -936,29 +938,29 @@ def test_lifted_two_party_facets_bound_the_threshold_from_below(rng, sc, draws):
     assert proved > 0
 
 
-def test_lifted_facets_hold_one_copy_of_the_two_party_facets():
-    search = importlib.import_module("lrthresh.search")
-    threshold_module._bell_facets.cache_clear()
-    threshold_module._lifted_facets.cache_clear()
-    try:
-        for sc in (SC32, SC33):
-            d = sc.dim
-            lifted, slack = threshold_module._lifted_facets(sc)
-            facets = threshold_module._bell_facet_rows(d)
-            # the construction that copied the cached facets
-            want = facets.reshape(len(facets), 4, d * d).copy()
-            want[:, 0] -= 2.0
-            assert np.array_equal(lifted, want.reshape(len(facets), -1))
-            assert np.array_equal(slack, (2.0 - facets.sum(axis=1) / d ** 2) / d)
-            assert not lifted.flags.writeable and not slack.flags.writeable
-        rng = np.random.default_rng(3)
-        tensors = np.stack([correlation_tensor(random_state(SC33, rng),
-                                               random_settings(SC33, rng)).probs
-                            for _ in range(4)])
-        search._lifted_proofs(SC33, tensors)
-        assert threshold_module._bell_facets.cache_info().currsize == 0
-    finally:
-        threshold_module._lifted_facets.cache_clear()
+@pytest.mark.parametrize("sc", [SC22, SC23, SC32, SC33], ids=["n2d2", "n2d3", "n3d2", "n3d3"])
+def test_facet_rows_are_the_facets_lowered_on_their_first_block(sc):
+    d = sc.dim
+    rows, slack = _facet_rows(sc)
+    facets = _bell_facet_rows(d)
+    # 2 taken off the (0, 0) block of each facet, and (2 - c.u)/d^(N-2)
+    want = facets.reshape(len(facets), 4, d * d).copy()
+    want[:, 0] -= 2.0
+    assert np.array_equal(rows, want.reshape(len(facets), -1))
+    assert np.array_equal(slack, (2.0 - facets.sum(axis=1) / d ** 2) / d ** (sc.parties - 2))
+    assert not rows.flags.writeable and not slack.flags.writeable
+    assert _facet_rows(sc)[0] is rows
+    # the builder keeps no copy: each call returns a new, writeable array
+    assert not hasattr(_bell_facet_rows, "cache_info")
+    again = _bell_facet_rows(d)
+    assert again.flags.writeable and not np.shares_memory(again, facets)
+    assert np.array_equal(again, facets)
+
+
+@pytest.mark.parametrize("sc", [Scenario(parties=2, dim=4), Scenario(parties=4, dim=2),
+                                Scenario(parties=3, dim=4)], ids=["n2d4", "n4d2", "n3d4"])
+def test_facet_rows_cover_two_or_three_parties_and_d_up_to_3(sc):
+    assert _facet_rows(sc) is None
 
 
 def cglmp_tensor():
